@@ -50,7 +50,7 @@ fn run(runner: &TrialRunner, reps: usize, seed: u64) -> Treatment {
 
 fn main() {
     let args = HarnessArgs::parse();
-    let reps = args.reps.min(40);
+    let reps = args.capped_reps();
     println!("Ablation — vectored extent restore, Fig. 5 functions ({reps} reps)");
     hr();
 
@@ -192,16 +192,7 @@ fn main() {
         "major faults must be monotone non-increasing in the window"
     );
 
-    // Only a full-rep run under the default seed refreshes the checked-in
-    // copy (it is bit-reproducible); quick or reseeded runs land in the
-    // gitignored results/ directory.
-    let path = if reps >= 40 && args.seed == 1 {
-        "BENCH_restore.json".to_string()
-    } else {
-        std::fs::create_dir_all("results").expect("mkdir results");
-        "results/BENCH_restore.json".to_string()
-    };
-    std::fs::write(&path, &json).expect("write BENCH_restore.json");
+    let path = args.write_artifact("BENCH_restore.json", &json);
     println!(
         "take-away: coalescing stored pages into extents turns eager restore's per-page \
          syscall tax into one setup charge per run — {big_gain:.1}% faster to first \

@@ -91,7 +91,7 @@ fn run_point(
 
 fn main() {
     let args = HarnessArgs::parse();
-    let reps = args.reps.min(40);
+    let reps = args.capped_reps();
     // Profiling medians stabilise quickly; the sweep itself is exact.
     let profile_reps = (reps / 8).clamp(2, 5);
     println!(
@@ -294,16 +294,7 @@ fn main() {
         winner.p99_ms,
     ));
 
-    // Only a full-rep run under the default seed refreshes the checked-in
-    // copy (it is bit-reproducible); quick or reseeded runs land in the
-    // gitignored results/ directory.
-    let path = if reps >= 40 && args.seed == 1 {
-        "BENCH_fleet.json".to_string()
-    } else {
-        std::fs::create_dir_all("results").expect("mkdir results");
-        "results/BENCH_fleet.json".to_string()
-    };
-    std::fs::write(&path, &json).expect("write BENCH_fleet.json");
+    let path = args.write_artifact("BENCH_fleet.json", &json);
     println!(
         "take-away: on a 4-worker fleet with headroom, {} cuts the cold-start fraction \
          from {:.1}% to {:.1}% and p99 latency from {:.2}ms to {:.2}ms versus the \

@@ -22,78 +22,39 @@
 //! Full-run gates: cold-TTFC p50 of prefetch and lazy beat eager, and
 //! the cached path serves strictly under 10 virtual milliseconds.
 
+use prebake_bench::fleetmix::{six_tenant_stream, six_tenants};
 use prebake_bench::{hr, HarnessArgs};
 use prebake_fleet::{
     CacheConfig, FleetConfig, FleetSim, FunctionProfile, GatewayConfig, Gear, GearCost, KeepAlive,
     Policy, StartSelection,
 };
-use prebake_platform::loadgen::{ArrivalGen, MergedArrivals};
-use prebake_sim::time::{SimDuration, SimInstant};
+use prebake_sim::time::SimDuration;
 
 /// The six-tenant mix, profiled for all three fixed gears. Eager pays
 /// the full image up front (large `cold_ms`), lazy restores a sliver
 /// and faults the rest into its first service, prefetch overlaps the
 /// fault-in and lands in the paper's ~18 ms band.
 fn tenants() -> Vec<FunctionProfile> {
-    (0..6)
-        .map(|t| {
-            let mem = (64 + 24 * t as u64) << 20;
-            let warm = 1.5 + 0.5 * t as f64;
-            FunctionProfile::synthetic(
-                &format!("tenant-{t}"),
-                &[
-                    (
-                        Gear::Eager,
-                        GearCost {
-                            cold_ms: 110.0 + 25.0 * t as f64,
-                            first_service_ms: 3.0 + 0.5 * t as f64,
-                            warm_service_ms: warm,
-                            replica_mem_bytes: mem,
-                            image_bytes: (24 + 12 * t as u64) << 20,
-                        },
-                    ),
-                    (
-                        Gear::Lazy,
-                        GearCost {
-                            cold_ms: 7.0 + 1.5 * t as f64,
-                            first_service_ms: 26.0 + 4.0 * t as f64,
-                            warm_service_ms: warm,
-                            replica_mem_bytes: mem,
-                            image_bytes: (4 + 2 * t as u64) << 20,
-                        },
-                    ),
-                    (
-                        Gear::Prefetch,
-                        GearCost {
-                            cold_ms: 18.0 + 6.0 * t as f64,
-                            first_service_ms: 3.0 + 0.5 * t as f64,
-                            warm_service_ms: warm,
-                            replica_mem_bytes: mem,
-                            image_bytes: (24 + 12 * t as u64) << 20,
-                        },
-                    ),
-                ],
-            )
-        })
-        .collect()
-}
-
-/// Lazy six-way merged Poisson stream, deterministic in `seed`.
-fn stream(per_tenant: usize, seed: u64) -> MergedArrivals<ArrivalGen> {
-    let gens = (0..6)
-        .map(|t| {
-            ArrivalGen::poisson(
-                &format!("tenant-{t}"),
-                per_tenant,
-                SimInstant::EPOCH + SimDuration::from_millis(13 * t as u64),
-                SimDuration::from_millis(14 + 4 * t as u64),
-                seed.wrapping_add(t as u64)
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            )
-            .expect("valid generator")
-        })
-        .collect();
-    MergedArrivals::new(gens)
+    six_tenants(|t, prefetch| {
+        vec![
+            (
+                Gear::Eager,
+                GearCost {
+                    cold_ms: 110.0 + 25.0 * t as f64,
+                    ..prefetch
+                },
+            ),
+            (
+                Gear::Lazy,
+                GearCost {
+                    cold_ms: 7.0 + 1.5 * t as f64,
+                    first_service_ms: 26.0 + 4.0 * t as f64,
+                    image_bytes: (4 + 2 * t as u64) << 20,
+                    ..prefetch
+                },
+            ),
+        ]
+    })
 }
 
 fn config(gear: Gear, cached: bool, threads: bool, seed: u64) -> FleetConfig {
@@ -160,7 +121,7 @@ fn run_arm(label: &'static str, gear: Gear, cached: bool, per_tenant: usize, see
     for p in tenants() {
         sim.register(p);
     }
-    sim.run_stream(stream(per_tenant, seed))
+    sim.run_stream(six_tenant_stream(per_tenant, seed))
         .expect("stream runs clean");
 
     let stats = sim.gateway_admission();
@@ -191,7 +152,7 @@ fn serial_identical(gear: Gear, per_tenant: usize, seed: u64) -> bool {
         for p in tenants() {
             sim.register(p);
         }
-        sim.run_stream(stream(per_tenant, seed))
+        sim.run_stream(six_tenant_stream(per_tenant, seed))
             .expect("stream runs clean");
         (
             sim.render_metrics(),
@@ -204,7 +165,7 @@ fn serial_identical(gear: Gear, per_tenant: usize, seed: u64) -> bool {
 
 fn main() {
     let args = HarnessArgs::parse();
-    let quick = args.reps < 40;
+    let quick = !args.is_full();
     // The full run streams 1.008M invocations (4 arms x 6 tenants x
     // 42k); quick replays 12k per arm for the CI determinism gate.
     let per_tenant: usize = if quick { 2_000 } else { 42_000 };
@@ -333,16 +294,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    // Only a full-rep run under the default seed refreshes the
-    // checked-in copy; quick or reseeded runs land in gitignored
-    // results/.
-    let path = if args.reps >= 40 && args.seed == 1 {
-        "BENCH_gateway.json".to_string()
-    } else {
-        std::fs::create_dir_all("results").expect("mkdir results");
-        "results/BENCH_gateway.json".to_string()
-    };
-    std::fs::write(&path, &json).expect("write BENCH_gateway.json");
+    let path = args.write_artifact("BENCH_gateway.json", &json);
     println!(
         "take-away: fronting the fleet with the streaming gateway, prefetch restores hand the \
          caller a first chunk at {:.1}ms cold p50 vs {:.1}ms eager ({:.1}x), and the TTL cache \

@@ -46,7 +46,7 @@ fn restore_window_faults(spec: &FunctionSpec, mode: RestoreMode) -> ProbeCounter
 
 fn main() {
     let args = HarnessArgs::parse();
-    let reps = args.reps.min(40);
+    let reps = args.capped_reps();
     println!("Ablation — lazy restore & working-set prefetch, Fig. 5 functions ({reps} reps)");
     hr();
     println!(

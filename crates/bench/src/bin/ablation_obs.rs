@@ -40,7 +40,7 @@ const BURST_SIZE: usize = 24;
 
 fn main() {
     let args = HarnessArgs::parse();
-    let reps = args.reps.min(40);
+    let reps = args.capped_reps();
     let profile_reps = (reps / 8).clamp(2, 5);
     println!(
         "Ablation — fleet telemetry: SLO burst localization \
@@ -221,13 +221,7 @@ fn main() {
         st.trees_kept, st.trees_dropped, st.spans_kept, st.spans_dropped, st.interesting_kept,
     ));
 
-    let path = if reps >= 40 && args.seed == 1 {
-        "BENCH_obs.json".to_string()
-    } else {
-        std::fs::create_dir_all("results").expect("mkdir results");
-        "results/BENCH_obs.json".to_string()
-    };
-    std::fs::write(&path, &json).expect("write BENCH_obs.json");
+    let path = args.write_artifact("BENCH_obs.json", &json);
     // The exemplar-annotated trace export always lands in results/ (it
     // holds every retained span — useful for Perfetto, too big to
     // commit).

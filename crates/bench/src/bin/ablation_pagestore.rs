@@ -51,7 +51,7 @@ fn baked_set(spec: &FunctionSpec) -> (Kernel, Pid, ImageSet) {
 
 fn main() {
     let args = HarnessArgs::parse();
-    let reps = args.reps.min(40);
+    let reps = args.capped_reps();
 
     // -- part 1: first-response latency, eager vs CoW ------------------
     println!("Ablation — content-addressed page store ({reps} reps)");

@@ -360,16 +360,7 @@ fn main() {
         winner.egress_bytes,
     ));
 
-    // Only a full-rep run under the default seed refreshes the
-    // checked-in copy (it is bit-reproducible); quick or reseeded runs
-    // land in the gitignored results/ directory.
-    let path = if args.reps >= 40 && args.seed == 1 {
-        "BENCH_registry.json".to_string()
-    } else {
-        std::fs::create_dir_all("results").expect("mkdir results");
-        "results/BENCH_registry.json".to_string()
-    };
-    std::fs::write(&path, &json).expect("write BENCH_registry.json");
+    let path = args.write_artifact("BENCH_registry.json", &json);
     println!(
         "take-away: dedup-aware pull-through caching with image-affinity placement \
          cuts cold-start p99 from {:.1}ms to {:.1}ms ({:.1}% better) and total \

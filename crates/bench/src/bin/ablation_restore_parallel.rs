@@ -67,7 +67,7 @@ fn run(runner: &TrialRunner, reps: usize, seed: u64) -> Treatment {
 
 fn main() {
     let args = HarnessArgs::parse();
-    let reps = args.reps.min(40);
+    let reps = args.capped_reps();
     let big = FunctionSpec::synthetic(SyntheticSize::Big);
     println!("Ablation — parallel restore, fault-order layout, compaction ({reps} reps)");
     hr();
@@ -135,7 +135,7 @@ fn main() {
         }
     }
     hr();
-    if reps >= 40 && args.seed == 1 {
+    if args.is_baseline_run() {
         // The serial path is bit-identical to the committed baseline run.
         assert!(
             (serial_p50 - BASELINE_BIG_P50_MS).abs() < 5e-5,
@@ -252,16 +252,7 @@ fn main() {
         compacted.p50,
     ));
 
-    // Only a full-rep run under the default seed refreshes the checked-in
-    // copy (it is bit-reproducible); quick or reseeded runs land in the
-    // gitignored results/ directory.
-    let path = if reps >= 40 && args.seed == 1 {
-        "BENCH_parallel.json".to_string()
-    } else {
-        std::fs::create_dir_all("results").expect("mkdir results");
-        "results/BENCH_parallel.json".to_string()
-    };
-    std::fs::write(&path, &json).expect("write BENCH_parallel.json");
+    let path = args.write_artifact("BENCH_parallel.json", &json);
     println!(
         "take-away: sharding the extent install across threads overlaps the restore's \
          copy time (p50 {serial_p50:.1}ms serial -> {best_p50:.1}ms best, vs the committed \

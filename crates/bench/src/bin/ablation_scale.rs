@@ -29,66 +29,28 @@
 
 use std::time::Instant;
 
+use prebake_bench::fleetmix::{six_tenant_stream, six_tenants};
 use prebake_bench::{hr, HarnessArgs};
 use prebake_fleet::{
     FleetConfig, FleetSim, FunctionProfile, Gear, GearCost, KeepAlive, Policy, RegistryConfig,
     StartSelection,
 };
-use prebake_platform::loadgen::{ArrivalGen, MergedArrivals};
-use prebake_sim::time::{SimDuration, SimInstant};
+use prebake_sim::time::SimDuration;
 
-/// The six-tenant synthetic mix: service times and footprints spread
-/// across the range the Fig. 5 functions cover, every tenant prebaked
-/// (vanilla fallback kept for the adaptive policy to reject).
+/// The six-tenant mix, every tenant prebaked (vanilla fallback kept
+/// for the adaptive policy to reject).
 fn tenants() -> Vec<FunctionProfile> {
-    (0..6)
-        .map(|t| {
-            FunctionProfile::synthetic(
-                &format!("tenant-{t}"),
-                &[
-                    (
-                        Gear::Vanilla,
-                        GearCost {
-                            cold_ms: 150.0 + 40.0 * t as f64,
-                            first_service_ms: 8.0 + t as f64,
-                            warm_service_ms: 1.5 + 0.5 * t as f64,
-                            replica_mem_bytes: (64 + 24 * t as u64) << 20,
-                            image_bytes: 0,
-                        },
-                    ),
-                    (
-                        Gear::Prefetch,
-                        GearCost {
-                            cold_ms: 18.0 + 6.0 * t as f64,
-                            first_service_ms: 3.0 + 0.5 * t as f64,
-                            warm_service_ms: 1.5 + 0.5 * t as f64,
-                            replica_mem_bytes: (64 + 24 * t as u64) << 20,
-                            image_bytes: (24 + 12 * t as u64) << 20,
-                        },
-                    ),
-                ],
-            )
-        })
-        .collect()
-}
-
-/// The lazy six-way merged Poisson stream: `per_tenant` arrivals per
-/// tenant, tenant-specific rates and phases, deterministic in `seed`.
-fn stream(per_tenant: usize, seed: u64) -> MergedArrivals<ArrivalGen> {
-    let gens = (0..6)
-        .map(|t| {
-            ArrivalGen::poisson(
-                &format!("tenant-{t}"),
-                per_tenant,
-                SimInstant::EPOCH + SimDuration::from_millis(13 * t as u64),
-                SimDuration::from_millis(14 + 4 * t as u64),
-                seed.wrapping_add(t as u64)
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            )
-            .expect("valid generator")
-        })
-        .collect();
-    MergedArrivals::new(gens)
+    six_tenants(|t, prefetch| {
+        vec![(
+            Gear::Vanilla,
+            GearCost {
+                cold_ms: 150.0 + 40.0 * t as f64,
+                first_service_ms: 8.0 + t as f64,
+                image_bytes: 0,
+                ..prefetch
+            },
+        )]
+    })
 }
 
 fn config(shards: usize, threads: bool, seed: u64) -> FleetConfig {
@@ -145,7 +107,7 @@ fn run_point(shards: usize, per_tenant: usize, seed: u64) -> Outcome {
         sim.register(p);
     }
     let wall = Instant::now();
-    sim.run_stream(stream(per_tenant, seed))
+    sim.run_stream(six_tenant_stream(per_tenant, seed))
         .expect("stream runs clean");
     let elapsed = wall.elapsed().as_secs_f64();
 
@@ -159,7 +121,7 @@ fn run_point(shards: usize, per_tenant: usize, seed: u64) -> Outcome {
             serial.register(p);
         }
         serial
-            .run_stream(stream(per_tenant, seed))
+            .run_stream(six_tenant_stream(per_tenant, seed))
             .expect("stream runs clean");
         fingerprint(&serial) == fingerprint(&sim)
     } else {
@@ -185,7 +147,7 @@ fn run_point(shards: usize, per_tenant: usize, seed: u64) -> Outcome {
 
 fn main() {
     let args = HarnessArgs::parse();
-    let quick = args.reps < 40;
+    let quick = !args.is_full();
     // Quick gates replay a 54k-arrival trace at the sweep's endpoints;
     // the full run is the paper-scale point: a million-plus invocations
     // across every shard count.
@@ -289,16 +251,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    // Only a full-rep run under the default seed refreshes the checked-in
-    // copy (it is bit-reproducible); quick or reseeded runs land in the
-    // gitignored results/ directory.
-    let path = if args.reps >= 40 && args.seed == 1 {
-        "BENCH_scale.json".to_string()
-    } else {
-        std::fs::create_dir_all("results").expect("mkdir results");
-        "results/BENCH_scale.json".to_string()
-    };
-    std::fs::write(&path, &json).expect("write BENCH_scale.json");
+    let path = args.write_artifact("BENCH_scale.json", &json);
     println!(
         "take-away: the sharded event loop pushes {total} streamed invocations through a \
          200-node fleet at {:.0} events/sec — {best_speedup:.2}x the unsharded loop — with \

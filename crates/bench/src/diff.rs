@@ -289,6 +289,32 @@ mod tests {
         assert!(report.missing_in_old.is_empty());
     }
 
+    /// Every committed baseline must parse and diff clean against
+    /// itself: guards the flatten/tolerance logic on the real schemas and
+    /// catches a baseline edit that no longer parses.
+    #[test]
+    fn committed_baselines_parse_and_self_diff_clean() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut baselines: Vec<String> = std::fs::read_dir(root)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+            .collect();
+        baselines.sort();
+        assert!(baselines.len() >= 7, "found only {baselines:?}");
+        for name in baselines {
+            let text = std::fs::read_to_string(format!("{root}/{name}")).unwrap();
+            let v = parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let report = diff(&v, &v, Tolerance::default());
+            assert!(!report.deltas.is_empty(), "{name} has no numeric fields");
+            assert!(
+                report.deltas.iter().all(|d| d.verdict == Verdict::Stable),
+                "{name} moved against itself"
+            );
+            assert!(report.missing_in_new.is_empty() && report.missing_in_old.is_empty());
+        }
+    }
+
     #[test]
     fn twenty_percent_p99_regression_fails_the_gate() {
         let old = parse(r#"{"sweep": [{"p99_ms": 100.0, "requests": 50}]}"#).unwrap();

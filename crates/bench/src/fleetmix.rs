@@ -1,12 +1,13 @@
-//! The shared multi-tenant fleet workload: the Fig. 5 synthetic mix
+//! The shared multi-tenant fleet workloads: the Fig. 5 synthetic mix
 //! profiled under every restore gear, plus the heavy-tailed arrival
 //! trace both fleet-level ablations (`ablation_fleet`, `ablation_obs`)
-//! replay. Kept in the library so the telemetry ablation observes
-//! *exactly* the trace the scheduling ablation swept.
+//! replay, and the six-tenant streamed Poisson mix of the trace-scale
+//! ablations (`ablation_scale`, `ablation_gateway`). Kept in the library
+//! so ablations that share a workload observe *exactly* the same trace.
 
-use prebake_fleet::{FunctionProfile, Gear};
+use prebake_fleet::{FunctionProfile, Gear, GearCost};
 use prebake_functions::{FunctionSpec, SyntheticSize};
-use prebake_platform::loadgen::Schedule;
+use prebake_platform::loadgen::{ArrivalGen, MergedArrivals, Schedule};
 use prebake_sim::time::{SimDuration, SimInstant};
 
 /// Name of the timer-driven tenant (profiled like the medium function).
@@ -84,6 +85,55 @@ pub fn workload(profiles: &[FunctionProfile], seed: u64) -> Schedule {
         )
         .expect("valid constant schedule"),
     )
+}
+
+/// The six-tenant synthetic mix of the streamed ablations: service
+/// times and footprints spread across the range the Fig. 5 functions
+/// cover. Every tenant has the prefetch gear (the paper's ~18 ms band);
+/// `more_gears(t, prefetch)` adds the gears one ablation compares it
+/// against, derived from tenant `t`'s prefetch cost.
+pub fn six_tenants(
+    more_gears: impl Fn(usize, GearCost) -> Vec<(Gear, GearCost)>,
+) -> Vec<FunctionProfile> {
+    (0..6)
+        .map(|t| {
+            let prefetch = GearCost {
+                cold_ms: 18.0 + 6.0 * t as f64,
+                first_service_ms: 3.0 + 0.5 * t as f64,
+                warm_service_ms: 1.5 + 0.5 * t as f64,
+                replica_mem_bytes: (64 + 24 * t as u64) << 20,
+                image_bytes: (24 + 12 * t as u64) << 20,
+            };
+            let mut costs = more_gears(t, prefetch);
+            costs.push((Gear::Prefetch, prefetch));
+            FunctionProfile::synthetic(&format!("tenant-{t}"), &costs)
+        })
+        .collect()
+}
+
+/// The lazy six-way merged Poisson stream over [`six_tenants`]:
+/// `per_tenant` arrivals per tenant, tenant-specific rates and phases,
+/// deterministic in `seed`.
+///
+/// # Panics
+///
+/// Panics if the generator parameters are rejected — they are
+/// compile-time constants, so they never are.
+pub fn six_tenant_stream(per_tenant: usize, seed: u64) -> MergedArrivals<ArrivalGen> {
+    let gens = (0..6)
+        .map(|t| {
+            ArrivalGen::poisson(
+                &format!("tenant-{t}"),
+                per_tenant,
+                SimInstant::EPOCH + SimDuration::from_millis(13 * t as u64),
+                SimDuration::from_millis(14 + 4 * t as u64),
+                seed.wrapping_add(t as u64)
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            )
+            .expect("valid generator")
+        })
+        .collect();
+    MergedArrivals::new(gens)
 }
 
 #[cfg(test)]

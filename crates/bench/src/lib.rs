@@ -11,6 +11,10 @@
 //! - `--quick` — 30 repetitions, for smoke runs
 //! - `--seed <S>` — base RNG seed (default 1)
 //!
+//! The ablations run their full experiment at [`FULL_REPS`] repetitions
+//! or more and a reduced smoke experiment below it
+//! ([`HarnessArgs::is_full`]).
+//!
 //! Repetitions fan out across host threads with crossbeam; each trial
 //! builds its own virtual machine, so parallelism cannot perturb the
 //! measured virtual times.
@@ -34,6 +38,11 @@ pub struct HarnessArgs {
     pub seed: u64,
 }
 
+/// Repetitions at or above which a JSON ablation runs its full
+/// experiment. Trial counts are capped here, so every larger value runs
+/// the identical experiment; `--quick` (30) sits below it.
+pub const FULL_REPS: usize = 40;
+
 impl Default for HarnessArgs {
     fn default() -> Self {
         HarnessArgs { reps: 200, seed: 1 }
@@ -43,8 +52,11 @@ impl Default for HarnessArgs {
 impl HarnessArgs {
     /// Parses `std::env::args()`; exits with a usage message on error.
     pub fn parse() -> HarnessArgs {
+        HarnessArgs::parse_from(&std::env::args().skip(1).collect::<Vec<_>>())
+    }
+
+    fn parse_from(argv: &[String]) -> HarnessArgs {
         let mut args = HarnessArgs::default();
-        let argv: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         while i < argv.len() {
             match argv[i].as_str() {
@@ -70,6 +82,49 @@ impl HarnessArgs {
             }
         }
         args
+    }
+
+    /// Whether this is a full run rather than a quick smoke run.
+    pub fn is_full(&self) -> bool {
+        self.reps >= FULL_REPS
+    }
+
+    /// Repetitions an ablation runs per treatment: the requested count,
+    /// capped at [`FULL_REPS`].
+    pub fn capped_reps(&self) -> usize {
+        self.reps.min(FULL_REPS)
+    }
+
+    /// Whether this run reproduces the checked-in baselines bit for
+    /// bit: a full run under the default seed.
+    pub fn is_baseline_run(&self) -> bool {
+        self.is_full() && self.seed == 1
+    }
+
+    /// Where the JSON artifact `name` belongs: only a baseline run
+    /// refreshes the checked-in copy at the repository root; quick or
+    /// reseeded runs land in the gitignored `results/` directory.
+    pub fn artifact_path(&self, name: &str) -> String {
+        if self.is_baseline_run() {
+            name.to_owned()
+        } else {
+            format!("results/{name}")
+        }
+    }
+
+    /// Writes the JSON artifact `name` to its
+    /// [`HarnessArgs::artifact_path`] and returns that path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the file cannot be written.
+    pub fn write_artifact(&self, name: &str, json: &str) -> String {
+        let path = self.artifact_path(name);
+        if path != name {
+            std::fs::create_dir_all("results").expect("mkdir results");
+        }
+        std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        path
     }
 }
 
@@ -169,6 +224,30 @@ mod tests {
     use super::*;
     use prebake_core::measure::StartMode;
     use prebake_functions::FunctionSpec;
+
+    #[test]
+    fn quick_and_reseeded_runs_stay_out_of_the_checked_in_baselines() {
+        let parse = |argv: &[&str]| {
+            HarnessArgs::parse_from(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+        };
+        let default = parse(&[]);
+        assert!(default.is_full());
+        assert_eq!(default.artifact_path("BENCH_x.json"), "BENCH_x.json");
+        let quick = parse(&["--quick"]);
+        assert!(!quick.is_full());
+        assert_eq!(quick.artifact_path("BENCH_x.json"), "results/BENCH_x.json");
+        let reseeded = parse(&["--seed", "2"]);
+        assert!(reseeded.is_full());
+        assert_eq!(
+            reseeded.artifact_path("BENCH_x.json"),
+            "results/BENCH_x.json"
+        );
+        // The threshold itself is a full run; one below is not.
+        assert!(parse(&["--reps", "40"]).is_full());
+        assert!(!parse(&["--reps", "39"]).is_full());
+        assert_eq!(default.capped_reps(), FULL_REPS);
+        assert_eq!(quick.capped_reps(), 30);
+    }
 
     #[test]
     fn parallel_trials_cover_all_seeds() {

@@ -1530,11 +1530,6 @@ impl FleetSim {
         self.obs.as_ref()
     }
 
-    /// Mutable telemetry stack (e.g. to bridge platform metrics in).
-    pub fn obs_mut(&mut self) -> Option<&mut ObsStack> {
-        self.obs.as_mut()
-    }
-
     /// Schedules one arrival on its function's home shard.
     ///
     /// # Errors
@@ -1548,7 +1543,9 @@ impl FleetSim {
         Ok(())
     }
 
-    /// Submits every arrival of `schedule`, then runs to quiescence.
+    /// Submits every arrival of `schedule`, then runs to quiescence:
+    /// [`FleetSim::run_stream`] with one epoch spanning all of virtual
+    /// time, so everything is injected before the first drain.
     ///
     /// # Errors
     ///
@@ -1560,13 +1557,10 @@ impl FleetSim {
                 return Err(FleetError::UnknownFunction(arrival.function.clone()));
             }
         }
-        self.lease();
-        for arrival in schedule.arrivals() {
-            self.submit(arrival.at, &arrival.function)?;
-        }
-        self.drive(None);
-        self.fold();
-        Ok(())
+        self.run_epochs(
+            schedule.arrivals().iter().cloned().map(Ok),
+            SimDuration::MAX,
+        )
     }
 
     /// Runs a lazily-produced arrival stream to quiescence without ever
@@ -1590,8 +1584,18 @@ impl FleetSim {
     where
         I: IntoIterator<Item = LoadResult<Arrival>>,
     {
+        self.run_epochs(stream.into_iter(), self.config.stream_epoch)
+    }
+
+    /// Leases, pumps `stream` in epochs of `epoch`, drains to
+    /// quiescence and folds — the one run loop behind both entry points.
+    fn run_epochs(
+        &mut self,
+        mut stream: impl Iterator<Item = LoadResult<Arrival>>,
+        epoch: SimDuration,
+    ) -> Result<(), FleetError> {
         self.lease();
-        let result = self.pump(&mut stream.into_iter());
+        let result = self.pump(&mut stream, epoch);
         if result.is_ok() {
             self.drive(None);
         }
@@ -1599,12 +1603,13 @@ impl FleetSim {
         result
     }
 
-    /// The epoch loop of [`FleetSim::run_stream`]: pull one lookahead
-    /// arrival, inject every arrival strictly inside its epoch window,
-    /// drain up to the boundary, repeat.
+    /// The epoch loop: pull one lookahead arrival, inject every arrival
+    /// strictly inside its epoch window, drain up to the boundary,
+    /// repeat.
     fn pump(
         &mut self,
         stream: &mut impl Iterator<Item = LoadResult<Arrival>>,
+        epoch: SimDuration,
     ) -> Result<(), FleetError> {
         let mut pending: Option<Arrival> = None;
         loop {
@@ -1614,11 +1619,8 @@ impl FleetSim {
             else {
                 return Ok(());
             };
-            let epoch_end = SimInstant::from_nanos(
-                head.at
-                    .as_nanos()
-                    .saturating_add(self.config.stream_epoch.as_nanos()),
-            );
+            let epoch_end =
+                SimInstant::from_nanos(head.at.as_nanos().saturating_add(epoch.as_nanos()));
             self.submit(head.at, &head.function)?;
             for arrival in stream.by_ref() {
                 let arrival = arrival?;

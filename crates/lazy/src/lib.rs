@@ -19,10 +19,6 @@
 //!    working set, not the snapshot.
 //! 3. **Demand-fault the rest** — residual pages outside the working set
 //!    arrive through the fault handler on first touch.
-//!
-//! [`PrefetchPlan`] quantifies the trade: working-set coverage of the
-//! snapshot and the residual page count a prefetch restore may still
-//! fault on.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -93,64 +89,6 @@ where
     })
 }
 
-/// Loads a previously recorded working set, if one exists beside the
-/// snapshot images.
-///
-/// # Errors
-///
-/// Filesystem errors; a present-but-corrupt `ws.img` is
-/// [`prebake_sim::Errno::Einval`].
-pub fn load_working_set(kernel: &mut Kernel, images_dir: &str) -> SysResult<Option<WsImage>> {
-    let path = join_path(images_dir, ImageSet::WS_NAME);
-    if !kernel.fs_exists(&path) {
-        return Ok(None);
-    }
-    let bytes = kernel.fs_read_file(&path)?;
-    Ok(Some(
-        WsImage::parse(&bytes).map_err(|_| prebake_sim::Errno::Einval)?,
-    ))
-}
-
-/// What a prefetch-mode restore of an image set would load up front
-/// versus leave to demand faulting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefetchPlan {
-    /// Entries in the recorded working set (repeats included: the log
-    /// preserves fault order).
-    pub ws_entries: usize,
-    /// Distinct pages the prefetch will bulk-load.
-    pub unique_ws_pages: usize,
-    /// Non-zero pages stored in the snapshot.
-    pub snapshot_pages: usize,
-}
-
-impl PrefetchPlan {
-    /// Builds the plan for `set`; `None` if the set has no recorded
-    /// working set.
-    pub fn of(set: &ImageSet) -> Option<PrefetchPlan> {
-        let ws = set.ws.as_ref()?;
-        let unique: std::collections::BTreeSet<u64> = ws.pages.iter().copied().collect();
-        Some(PrefetchPlan {
-            ws_entries: ws.len(),
-            unique_ws_pages: unique.len(),
-            snapshot_pages: set.pages.stored_pages(),
-        })
-    }
-
-    /// Fraction of the snapshot's stored pages the prefetch covers.
-    pub fn coverage(&self) -> f64 {
-        if self.snapshot_pages == 0 {
-            return 1.0;
-        }
-        self.unique_ws_pages as f64 / self.snapshot_pages as f64
-    }
-
-    /// Pages a prefetch-mode restore may still major-fault on.
-    pub fn residual_pages(&self) -> usize {
-        self.snapshot_pages.saturating_sub(self.unique_ws_pages)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,19 +132,12 @@ mod tests {
         assert_eq!(outcome.ws.len(), 3);
         assert_eq!(outcome.major_faults, 3);
         assert!(k.fs_exists("/img/ws.img"));
-        assert_eq!(
-            load_working_set(&mut k, "/img").unwrap().unwrap(),
-            outcome.ws
-        );
         k.sys_exit(outcome.pid, 0).unwrap();
 
-        // A prefetch restore now loads exactly those 3 and leaves 5.
+        // The image set now carries exactly those 3 of its 8 pages.
         let set = read_images(&mut k, "/img").unwrap();
-        let plan = PrefetchPlan::of(&set).unwrap();
-        assert_eq!(plan.unique_ws_pages, 3);
-        assert_eq!(plan.snapshot_pages, 8);
-        assert_eq!(plan.residual_pages(), 5);
-        assert!((plan.coverage() - 0.375).abs() < 1e-9);
+        assert_eq!(set.ws.as_ref(), Some(&outcome.ws));
+        assert_eq!(set.pages.stored_pages(), 8);
     }
 
     #[test]
@@ -229,9 +160,7 @@ mod tests {
     #[test]
     fn missing_working_set_is_none() {
         let (mut k, _, _) = checkpointed(3, 2);
-        assert!(load_working_set(&mut k, "/img").unwrap().is_none());
-        let set = read_images(&mut k, "/img").unwrap();
-        assert!(PrefetchPlan::of(&set).is_none());
+        assert!(read_images(&mut k, "/img").unwrap().ws.is_none());
     }
 
     #[test]
@@ -239,19 +168,8 @@ mod tests {
         let (mut k, _, _) = checkpointed(4, 2);
         k.fs_write_file("/img/ws.img", vec![0xAB; 40]).unwrap();
         assert_eq!(
-            load_working_set(&mut k, "/img").unwrap_err(),
+            read_images(&mut k, "/img").unwrap_err(),
             prebake_sim::Errno::Einval
         );
-    }
-
-    #[test]
-    fn empty_plan_coverage_is_total() {
-        let plan = PrefetchPlan {
-            ws_entries: 0,
-            unique_ws_pages: 0,
-            snapshot_pages: 0,
-        };
-        assert!((plan.coverage() - 1.0).abs() < 1e-9);
-        assert_eq!(plan.residual_pages(), 0);
     }
 }

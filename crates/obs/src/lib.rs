@@ -19,23 +19,18 @@
 //!   hash probability. Pure function of (seed, trace id) — bit-reproducible.
 //! - [`export`] — a deterministic text dashboard and an
 //!   exemplar-annotated Chrome-trace export, both golden-testable.
-//! - [`bridge`] — delta-folds the platform gateway's aggregate metrics
-//!   into the ring (obs cannot be a platform dependency, so the feed
-//!   runs host-side).
 //! - [`stack`] — the [`ObsStack`] bundle a simulator embeds.
 //!
 //! Everything is `BTreeMap`-ordered and fixed-precision formatted, so a
 //! given event sequence renders byte-identically on every run — the same
 //! determinism discipline the rest of the workspace builds on.
 
-pub mod bridge;
 pub mod export;
 pub mod recorder;
 pub mod sampler;
 pub mod slo;
 pub mod stack;
 
-pub use bridge::PlatformBridge;
 pub use export::{chrome_trace_with_exemplars, dashboard, DashboardSpec};
 pub use recorder::{
     Exemplar, KeyTable, Recorder, RecorderConfig, SeriesId, SeriesKey, Window, WindowHistogram,

@@ -538,25 +538,6 @@ impl Recorder {
         }
     }
 
-    /// Folds a pre-bucketed histogram into a series (bridge path for
-    /// platform gateways that aggregate before the recorder sees data).
-    /// The series keeps the incoming histogram's bounds; later merges
-    /// must match them (see [`Histogram::merge`]).
-    pub fn merge_histogram(&mut self, at: SimInstant, key: SeriesKey, h: &Histogram) {
-        if h.count() == 0 {
-            return;
-        }
-        let id = self.keys.intern(&key);
-        if let Some(w) = self.window_mut(at) {
-            match w.hists.get_mut(&id) {
-                Some(wh) => wh.hist.merge(h),
-                None => {
-                    w.hists.insert(id, WindowHistogram::new(h.clone()));
-                }
-            }
-        }
-    }
-
     /// Folds another recorder's windows into this one — the multi-shard
     /// merge path. Counters add, histograms merge bucket-wise, and each
     /// exemplar bucket keeps the larger value (`self` wins ties, so
@@ -852,22 +833,6 @@ mod tests {
         let all = r.exemplars();
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].2, 0, "bucket order");
-    }
-
-    #[test]
-    fn merge_histogram_adopts_foreign_bounds() {
-        let mut r = Recorder::new(small_config(4));
-        let mut h = Histogram::new(&[7.0, 77.0]);
-        h.observe(5.0);
-        let key = SeriesKey::new("faas_latency_ms").tenant("fn");
-        r.merge_histogram(at_secs(0), key.clone(), &h);
-        r.merge_histogram(at_secs(0), key.clone(), &h);
-        // Empty histograms are skipped entirely (no bounds clash).
-        r.merge_histogram(at_secs(0), key.clone(), &Histogram::default());
-        let w = r.window_containing(at_secs(0)).unwrap();
-        let wh = w.histogram(&key).unwrap();
-        assert_eq!(wh.hist.bounds(), &[7.0, 77.0]);
-        assert_eq!(wh.hist.count(), 2);
     }
 
     #[test]

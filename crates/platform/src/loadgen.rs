@@ -8,12 +8,13 @@
 //! observed gaps, and recorded traces replayed from CSV — the
 //! multi-tenant workloads the fleet scheduler (`prebake-fleet`) faces.
 //!
-//! The module is built around [`Schedule`]: an ordered list of
-//! `(instant, function)` arrivals that can be generated, merged,
-//! serialised to CSV and replayed — either into a [`Platform`] or into
-//! any other consumer of the arrival stream. The original free functions
-//! ([`constant_rate`], [`poisson`], [`burst`]) remain as validated
-//! wrappers that generate and submit in one call.
+//! Every arrival process is a lazy stream ([`ArrivalGen`],
+//! [`MergedArrivals`], [`CsvArrivalStream`]). [`Schedule`] is the
+//! materialized form: an ordered list of `(instant, function)` arrivals
+//! collected from a stream, which can be merged, serialised to CSV and
+//! replayed — either into a [`Platform`] or into any other consumer. The
+//! original free functions ([`constant_rate`], [`poisson`], [`burst`])
+//! remain as validated wrappers that generate and submit in one call.
 //!
 //! All generators are deterministic per seed, produce strictly
 //! monotonically increasing arrival times (bursts excepted, which are
@@ -119,53 +120,47 @@ fn advance(t: SimInstant, gap: SimDuration) -> LoadResult<SimInstant> {
         .ok_or(LoadError::Overflow)
 }
 
+/// A sampled gap of `ms` milliseconds, floored at 1 ns so stochastic
+/// arrival times are strictly increasing.
+fn sampled_gap(ms: f64) -> SimDuration {
+    SimDuration::from_millis_f64(ms).max(SimDuration::from_nanos(1))
+}
+
+/// Header row of the CSV trace format.
+const CSV_HEADER: &str = "t_ns,function";
+
+/// One row of the CSV trace format, newline included.
+fn csv_row(a: &Arrival) -> String {
+    format!("{},{}\n", a.at.as_nanos(), a.function)
+}
+
 impl Schedule {
     /// An empty schedule.
     pub fn new() -> Schedule {
         Schedule::default()
     }
 
-    /// `n` arrivals at a constant inter-arrival interval starting at
-    /// `start`.
+    /// [`ArrivalGen::constant`], materialized.
     ///
     /// # Errors
     ///
-    /// [`LoadError::InvalidRate`] if `interval` is zero and `n > 1`
-    /// (distinct arrivals could not advance); [`LoadError::Overflow`] if
-    /// the ticks leave the virtual-time range.
+    /// As [`ArrivalGen::constant`]; [`LoadError::Overflow`] fails the
+    /// whole schedule.
     pub fn constant(
         function: &str,
         n: usize,
         start: SimInstant,
         interval: SimDuration,
     ) -> LoadResult<Schedule> {
-        validate_function(function)?;
-        if interval.is_zero() && n > 1 {
-            return Err(LoadError::InvalidRate);
-        }
-        let mut arrivals = Vec::with_capacity(n);
-        let mut t = start;
-        for i in 0..n {
-            arrivals.push(Arrival {
-                at: t,
-                function: function.to_owned(),
-            });
-            if i + 1 < n {
-                t = advance(t, interval)?;
-            }
-        }
-        Ok(Schedule { arrivals })
+        Schedule::from_stream(ArrivalGen::constant(function, n, start, interval)?)
     }
 
-    /// `n` arrivals with exponentially distributed inter-arrival times of
-    /// the given mean (an open-loop Poisson process), deterministic in
-    /// `seed`. Gaps are floored at one nanosecond so arrival times are
-    /// strictly increasing.
+    /// [`ArrivalGen::poisson`], materialized.
     ///
     /// # Errors
     ///
-    /// [`LoadError::InvalidRate`] if `mean_interval` is zero;
-    /// [`LoadError::Overflow`] on virtual-time overflow.
+    /// As [`ArrivalGen::poisson`]; [`LoadError::Overflow`] fails the
+    /// whole schedule.
     pub fn poisson(
         function: &str,
         n: usize,
@@ -173,44 +168,30 @@ impl Schedule {
         mean_interval: SimDuration,
         seed: u64,
     ) -> LoadResult<Schedule> {
-        validate_function(function)?;
-        if mean_interval.is_zero() {
-            return Err(LoadError::InvalidRate);
-        }
-        let mut noise = Noise::new(seed, 0.0);
-        Schedule::from_gaps(function, n, start, || {
-            SimDuration::from_millis_f64(noise.exponential(mean_interval.as_millis_f64()))
-        })
+        Schedule::from_stream(ArrivalGen::poisson(
+            function,
+            n,
+            start,
+            mean_interval,
+            seed,
+        )?)
     }
 
-    /// `n` simultaneous arrivals at `at` (a burst — the demand surge that
-    /// makes cold-start latency visible).
+    /// [`ArrivalGen::burst`], materialized.
     ///
     /// # Errors
     ///
-    /// [`LoadError::InvalidFunction`] on a malformed function id.
+    /// As [`ArrivalGen::burst`].
     pub fn burst(function: &str, n: usize, at: SimInstant) -> LoadResult<Schedule> {
-        validate_function(function)?;
-        Ok(Schedule {
-            arrivals: (0..n)
-                .map(|_| Arrival {
-                    at,
-                    function: function.to_owned(),
-                })
-                .collect(),
-        })
+        Schedule::from_stream(ArrivalGen::burst(function, n, at)?)
     }
 
-    /// `n` arrivals with Pareto (heavy-tailed) inter-arrival gaps:
-    /// `gap = scale_ms * u^(-1/alpha)` for uniform `u`, deterministic in
-    /// `seed`. Small `alpha` (e.g. 1.1–1.5) produces the bursty,
-    /// long-gapped arrival processes production FaaS traces show; the
-    /// minimum gap is `scale_ms`.
+    /// [`ArrivalGen::pareto`], materialized.
     ///
     /// # Errors
     ///
-    /// [`LoadError::InvalidShape`] unless `scale_ms > 0` and `alpha > 0`
-    /// (both finite); [`LoadError::Overflow`] on virtual-time overflow.
+    /// As [`ArrivalGen::pareto`]; [`LoadError::Overflow`] fails the
+    /// whole schedule.
     pub fn pareto(
         function: &str,
         n: usize,
@@ -219,30 +200,17 @@ impl Schedule {
         alpha: f64,
         seed: u64,
     ) -> LoadResult<Schedule> {
-        validate_function(function)?;
-        if !(scale_ms.is_finite() && scale_ms > 0.0 && alpha.is_finite() && alpha > 0.0) {
-            return Err(LoadError::InvalidShape);
-        }
-        let mut noise = Noise::new(seed, 0.0);
-        Schedule::from_gaps(function, n, start, || {
-            // uniform() is in [0, 1); mirror to (0, 1] so u^(-1/alpha)
-            // stays finite.
-            let u = 1.0 - noise.uniform();
-            SimDuration::from_millis_f64(scale_ms * u.powf(-1.0 / alpha))
-        })
+        Schedule::from_stream(ArrivalGen::pareto(
+            function, n, start, scale_ms, alpha, seed,
+        )?)
     }
 
-    /// `n` arrivals whose gaps are resampled uniformly (with
-    /// replacement) from an observed set of inter-arrival gaps — the
-    /// empirical-bootstrap workload generator. Feeding it gaps measured
-    /// from a production trace reproduces that trace's marginal
-    /// inter-arrival distribution, heavy tail included.
+    /// [`ArrivalGen::empirical`], materialized.
     ///
     /// # Errors
     ///
-    /// [`LoadError::InvalidShape`] if `observed_gaps_ms` is empty or
-    /// contains a non-finite or negative gap; [`LoadError::Overflow`] on
-    /// virtual-time overflow.
+    /// As [`ArrivalGen::empirical`]; [`LoadError::Overflow`] fails the
+    /// whole schedule.
     pub fn empirical(
         function: &str,
         n: usize,
@@ -250,40 +218,13 @@ impl Schedule {
         observed_gaps_ms: &[f64],
         seed: u64,
     ) -> LoadResult<Schedule> {
-        validate_function(function)?;
-        if observed_gaps_ms.is_empty()
-            || observed_gaps_ms.iter().any(|g| !g.is_finite() || *g < 0.0)
-        {
-            return Err(LoadError::InvalidShape);
-        }
-        let mut noise = Noise::new(seed, 0.0);
-        Schedule::from_gaps(function, n, start, || {
-            let idx = (noise.uniform() * observed_gaps_ms.len() as f64) as usize;
-            SimDuration::from_millis_f64(observed_gaps_ms[idx.min(observed_gaps_ms.len() - 1)])
-        })
-    }
-
-    /// Shared gap-driven generator: strictly monotonic (gaps floor at
-    /// 1 ns) and overflow-checked.
-    fn from_gaps(
-        function: &str,
-        n: usize,
-        start: SimInstant,
-        mut next_gap: impl FnMut() -> SimDuration,
-    ) -> LoadResult<Schedule> {
-        let mut arrivals = Vec::with_capacity(n);
-        let mut t = start;
-        for i in 0..n {
-            arrivals.push(Arrival {
-                at: t,
-                function: function.to_owned(),
-            });
-            if i + 1 < n {
-                let gap = next_gap().max(SimDuration::from_nanos(1));
-                t = advance(t, gap)?;
-            }
-        }
-        Ok(Schedule { arrivals })
+        Schedule::from_stream(ArrivalGen::empirical(
+            function,
+            n,
+            start,
+            observed_gaps_ms,
+            seed,
+        )?)
     }
 
     /// Merges two schedules into one time-ordered trace. Equal-time
@@ -322,15 +263,14 @@ impl Schedule {
     /// followed by one row per arrival, nanosecond timestamps. The
     /// format round-trips bit-exactly through [`Schedule::from_csv`].
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("t_ns,function\n");
+        let mut out = format!("{CSV_HEADER}\n");
         for a in &self.arrivals {
-            out.push_str(&format!("{},{}\n", a.at.as_nanos(), a.function));
+            out.push_str(&csv_row(a));
         }
         out
     }
 
-    /// Parses a CSV trace (the [`Schedule::to_csv`] format; the header
-    /// row and blank lines are optional and ignored). Rows may appear in
+    /// Parses a CSV trace with [`CsvArrivalStream`]. Rows may appear in
     /// any order — the result is sorted by time, stable for equal
     /// instants.
     ///
@@ -340,25 +280,7 @@ impl Schedule {
     /// first unparsable row; [`LoadError::InvalidFunction`] for function
     /// ids the format cannot carry.
     pub fn from_csv(text: &str) -> LoadResult<Schedule> {
-        let mut arrivals = Vec::new();
-        for (idx, line) in text.lines().enumerate() {
-            let line = line.trim_end_matches('\r');
-            if line.is_empty() || (idx == 0 && line == "t_ns,function") {
-                continue;
-            }
-            let (t, function) = line.split_once(',').ok_or(LoadError::Malformed(idx + 1))?;
-            let nanos: u64 = t
-                .trim()
-                .parse()
-                .map_err(|_| LoadError::Malformed(idx + 1))?;
-            validate_function(function)?;
-            arrivals.push(Arrival {
-                at: SimInstant::from_nanos(nanos),
-                function: function.to_owned(),
-            });
-        }
-        arrivals.sort_by_key(|a| a.at);
-        Ok(Schedule { arrivals })
+        Schedule::from_stream(CsvArrivalStream::new(text.as_bytes()))
     }
 
     /// Materializes a fallible arrival stream into a schedule, sorting
@@ -415,15 +337,15 @@ enum GenKind {
     },
 }
 
-/// A lazy arrival generator: yields the exact arrival sequence the
-/// corresponding [`Schedule`] constructor would materialize, one at a
-/// time, so a million-invocation trace never lives in memory. Arrival
-/// times are non-decreasing by construction.
+/// A lazy arrival generator: yields its arrivals one at a time, so a
+/// million-invocation trace never lives in memory. Deterministic per
+/// seed; arrival times are non-decreasing by construction (strictly
+/// increasing for the stochastic processes, whose gaps floor at 1 ns).
 ///
-/// Divergence from the eager constructors: virtual-time overflow is
-/// reported in-stream (the arrivals before the overflow are yielded,
-/// then one `Err(LoadError::Overflow)`, then the stream ends) instead
-/// of failing the whole schedule up front.
+/// Virtual-time overflow is reported in-stream: the arrivals before the
+/// overflow are yielded, then one `Err(LoadError::Overflow)`, then the
+/// stream ends. Every constructor validates the function id first, then
+/// its rate or shape.
 #[derive(Debug, Clone)]
 pub struct ArrivalGen {
     function: String,
@@ -434,48 +356,61 @@ pub struct ArrivalGen {
 }
 
 impl ArrivalGen {
-    fn new(function: &str, n: usize, start: SimInstant, kind: GenKind) -> LoadResult<ArrivalGen> {
-        validate_function(function)?;
-        Ok(ArrivalGen {
+    fn new(function: &str, n: usize, start: SimInstant, kind: GenKind) -> ArrivalGen {
+        ArrivalGen {
             function: function.to_owned(),
             remaining: n,
             t: start,
             pending_err: None,
             kind,
-        })
+        }
     }
 
-    /// Streaming twin of [`Schedule::constant`].
+    /// `n` arrivals at a constant inter-arrival interval starting at
+    /// `start`.
     ///
     /// # Errors
     ///
-    /// As [`Schedule::constant`] (overflow excepted, which streams).
+    /// [`LoadError::InvalidFunction`] on a malformed function id;
+    /// [`LoadError::InvalidRate`] if `interval` is zero and `n > 1`
+    /// (distinct arrivals could not advance).
     pub fn constant(
         function: &str,
         n: usize,
         start: SimInstant,
         interval: SimDuration,
     ) -> LoadResult<ArrivalGen> {
+        validate_function(function)?;
         if interval.is_zero() && n > 1 {
             return Err(LoadError::InvalidRate);
         }
-        ArrivalGen::new(function, n, start, GenKind::Constant { interval })
+        Ok(ArrivalGen::new(
+            function,
+            n,
+            start,
+            GenKind::Constant { interval },
+        ))
     }
 
-    /// Streaming twin of [`Schedule::burst`].
+    /// `n` simultaneous arrivals at `at` (a burst — the demand surge that
+    /// makes cold-start latency visible).
     ///
     /// # Errors
     ///
-    /// As [`Schedule::burst`].
+    /// [`LoadError::InvalidFunction`] on a malformed function id.
     pub fn burst(function: &str, n: usize, at: SimInstant) -> LoadResult<ArrivalGen> {
-        ArrivalGen::new(function, n, at, GenKind::Burst)
+        validate_function(function)?;
+        Ok(ArrivalGen::new(function, n, at, GenKind::Burst))
     }
 
-    /// Streaming twin of [`Schedule::poisson`] — same seed, same gaps.
+    /// `n` arrivals with exponentially distributed inter-arrival times of
+    /// the given mean (an open-loop Poisson process), deterministic in
+    /// `seed`.
     ///
     /// # Errors
     ///
-    /// As [`Schedule::poisson`] (overflow excepted, which streams).
+    /// [`LoadError::InvalidFunction`] on a malformed function id;
+    /// [`LoadError::InvalidRate`] if `mean_interval` is zero.
     pub fn poisson(
         function: &str,
         n: usize,
@@ -483,10 +418,11 @@ impl ArrivalGen {
         mean_interval: SimDuration,
         seed: u64,
     ) -> LoadResult<ArrivalGen> {
+        validate_function(function)?;
         if mean_interval.is_zero() {
             return Err(LoadError::InvalidRate);
         }
-        ArrivalGen::new(
+        Ok(ArrivalGen::new(
             function,
             n,
             start,
@@ -494,14 +430,20 @@ impl ArrivalGen {
                 mean_ms: mean_interval.as_millis_f64(),
                 noise: Noise::new(seed, 0.0),
             },
-        )
+        ))
     }
 
-    /// Streaming twin of [`Schedule::pareto`] — same seed, same gaps.
+    /// `n` arrivals with Pareto (heavy-tailed) inter-arrival gaps:
+    /// `gap = scale_ms * u^(-1/alpha)` for uniform `u`, deterministic in
+    /// `seed`. Small `alpha` (e.g. 1.1–1.5) produces the bursty,
+    /// long-gapped arrival processes production FaaS traces show; the
+    /// minimum gap is `scale_ms`.
     ///
     /// # Errors
     ///
-    /// As [`Schedule::pareto`] (overflow excepted, which streams).
+    /// [`LoadError::InvalidFunction`] on a malformed function id;
+    /// [`LoadError::InvalidShape`] unless `scale_ms > 0` and `alpha > 0`
+    /// (both finite).
     pub fn pareto(
         function: &str,
         n: usize,
@@ -510,10 +452,11 @@ impl ArrivalGen {
         alpha: f64,
         seed: u64,
     ) -> LoadResult<ArrivalGen> {
+        validate_function(function)?;
         if !(scale_ms.is_finite() && scale_ms > 0.0 && alpha.is_finite() && alpha > 0.0) {
             return Err(LoadError::InvalidShape);
         }
-        ArrivalGen::new(
+        Ok(ArrivalGen::new(
             function,
             n,
             start,
@@ -522,14 +465,20 @@ impl ArrivalGen {
                 alpha,
                 noise: Noise::new(seed, 0.0),
             },
-        )
+        ))
     }
 
-    /// Streaming twin of [`Schedule::empirical`] — same seed, same gaps.
+    /// `n` arrivals whose gaps are resampled uniformly (with
+    /// replacement) from an observed set of inter-arrival gaps — the
+    /// empirical-bootstrap workload generator. Feeding it gaps measured
+    /// from a production trace reproduces that trace's marginal
+    /// inter-arrival distribution, heavy tail included.
     ///
     /// # Errors
     ///
-    /// As [`Schedule::empirical`] (overflow excepted, which streams).
+    /// [`LoadError::InvalidFunction`] on a malformed function id;
+    /// [`LoadError::InvalidShape`] if `observed_gaps_ms` is empty or
+    /// contains a non-finite or negative gap.
     pub fn empirical(
         function: &str,
         n: usize,
@@ -537,12 +486,13 @@ impl ArrivalGen {
         observed_gaps_ms: &[f64],
         seed: u64,
     ) -> LoadResult<ArrivalGen> {
+        validate_function(function)?;
         if observed_gaps_ms.is_empty()
             || observed_gaps_ms.iter().any(|g| !g.is_finite() || *g < 0.0)
         {
             return Err(LoadError::InvalidShape);
         }
-        ArrivalGen::new(
+        Ok(ArrivalGen::new(
             function,
             n,
             start,
@@ -550,7 +500,7 @@ impl ArrivalGen {
                 gaps_ms: observed_gaps_ms.to_vec(),
                 noise: Noise::new(seed, 0.0),
             },
-        )
+        ))
     }
 
     /// Arrivals not yet yielded.
@@ -576,16 +526,15 @@ impl Iterator for ArrivalGen {
         };
         self.remaining -= 1;
         if self.remaining > 0 {
-            // Mirror `Schedule::from_gaps`: stochastic gaps floor at 1 ns
-            // (strict monotonicity), constant intervals are used as-is
-            // (zero already rejected for n > 1), bursts never advance.
+            // Stochastic gaps floor at 1 ns (strict monotonicity),
+            // constant intervals are used as-is (zero already rejected
+            // for n > 1), bursts never advance.
             let gap = match &mut self.kind {
                 GenKind::Constant { interval } => Some(*interval),
                 GenKind::Burst => None,
-                GenKind::Poisson { mean_ms, noise } => Some(
-                    SimDuration::from_millis_f64(noise.exponential(*mean_ms))
-                        .max(SimDuration::from_nanos(1)),
-                ),
+                GenKind::Poisson { mean_ms, noise } => {
+                    Some(sampled_gap(noise.exponential(*mean_ms)))
+                }
                 GenKind::Pareto {
                     scale_ms,
                     alpha,
@@ -594,17 +543,11 @@ impl Iterator for ArrivalGen {
                     // uniform() is in [0, 1); mirror to (0, 1] so
                     // u^(-1/alpha) stays finite.
                     let u = 1.0 - noise.uniform();
-                    Some(
-                        SimDuration::from_millis_f64(*scale_ms * u.powf(-1.0 / *alpha))
-                            .max(SimDuration::from_nanos(1)),
-                    )
+                    Some(sampled_gap(*scale_ms * u.powf(-1.0 / *alpha)))
                 }
                 GenKind::Empirical { gaps_ms, noise } => {
                     let idx = (noise.uniform() * gaps_ms.len() as f64) as usize;
-                    Some(
-                        SimDuration::from_millis_f64(gaps_ms[idx.min(gaps_ms.len() - 1)])
-                            .max(SimDuration::from_nanos(1)),
-                    )
+                    Some(sampled_gap(gaps_ms[idx.min(gaps_ms.len() - 1)]))
                 }
             };
             if let Some(gap) = gap {
@@ -693,8 +636,7 @@ impl Iterator for PoissonProcess {
             at: self.t,
             function: self.function.clone(),
         };
-        let gap = SimDuration::from_millis_f64(self.noise.exponential(self.mean_ms))
-            .max(SimDuration::from_nanos(1));
+        let gap = sampled_gap(self.noise.exponential(self.mean_ms));
         self.t = advance(self.t, gap).unwrap_or(self.end);
         Some(Ok(out))
     }
@@ -753,7 +695,7 @@ impl<I: Iterator<Item = LoadResult<Arrival>>> Iterator for MergedArrivals<I> {
             }
         }
         // Earliest time wins; the first source wins ties, matching the
-        // left-biased stable merge of the eager path.
+        // left-biased stable [`Schedule::merge`].
         let mut best: Option<(usize, SimInstant)> = None;
         for (i, head) in self.heads.iter().enumerate() {
             if let Head::Ready(a) = head {
@@ -785,25 +727,25 @@ pub fn write_csv_stream<W: std::io::Write>(
     stream: impl IntoIterator<Item = LoadResult<Arrival>>,
 ) -> LoadResult<u64> {
     let io_err = |e: std::io::Error| LoadError::Io(e.kind());
-    out.write_all(b"t_ns,function\n").map_err(io_err)?;
+    writeln!(out, "{CSV_HEADER}").map_err(io_err)?;
     let mut rows = 0u64;
     for arrival in stream {
         let a = arrival?;
         validate_function(&a.function)?;
-        writeln!(out, "{},{}", a.at.as_nanos(), a.function).map_err(io_err)?;
+        out.write_all(csv_row(&a).as_bytes()).map_err(io_err)?;
         rows += 1;
     }
     out.flush().map_err(io_err)?;
     Ok(rows)
 }
 
-/// Lazily parses a CSV trace from a buffered reader, yielding arrivals
-/// in file order one row at a time (the chunking is the reader's
-/// buffer). Accepts exactly what [`Schedule::from_csv`] accepts —
-/// optional header, blank lines, `\r\n` — but does **not** sort:
-/// consumers that need time order should stream traces written by
-/// [`write_csv_stream`] (sorted by construction) or fall back to the
-/// materializing parser.
+/// Lazily parses a CSV trace (the [`Schedule::to_csv`] format) from a
+/// buffered reader, yielding arrivals in file order one row at a time
+/// (the chunking is the reader's buffer). The header row and blank
+/// lines are optional and ignored, and `\r\n` line ends are accepted.
+/// The stream does **not** sort: consumers that need time order should
+/// stream traces written by [`write_csv_stream`] (sorted by
+/// construction) or materialize with [`Schedule::from_csv`].
 #[derive(Debug)]
 pub struct CsvArrivalStream<R> {
     reader: R,
@@ -843,7 +785,7 @@ impl<R: std::io::BufRead> Iterator for CsvArrivalStream<R> {
             }
             self.lineno += 1;
             let line = self.line.trim_end_matches('\n').trim_end_matches('\r');
-            if line.is_empty() || (self.lineno == 1 && line == "t_ns,function") {
+            if line.is_empty() || (self.lineno == 1 && line == CSV_HEADER) {
                 continue;
             }
             let parsed = (|| {
@@ -1209,45 +1151,68 @@ mod tests {
         );
     }
 
-    /// Drains a stream into a schedule, panicking on stream errors.
-    fn collect_stream(stream: impl IntoIterator<Item = LoadResult<Arrival>>) -> Schedule {
-        Schedule::from_stream(stream).unwrap()
-    }
-
+    /// Arrival instants pinned at the commit that collapsed the eager
+    /// constructors onto the generators: count, first eight and last
+    /// instant (ns) per generator at a fixed seed.
     #[test]
-    fn arrival_gens_match_eager_constructors_exactly() {
+    fn generators_reproduce_the_pinned_arrival_instants() {
         let start = SimInstant::EPOCH + SimDuration::from_millis(5);
-        let cases: Vec<(Schedule, ArrivalGen)> = vec![
+        let cases: [(ArrivalGen, usize, &[u64], u64); 5] = [
             (
-                Schedule::constant("f", 100, start, SimDuration::from_micros(250)).unwrap(),
                 ArrivalGen::constant("f", 100, start, SimDuration::from_micros(250)).unwrap(),
+                100,
+                &[
+                    5_000_000, 5_250_000, 5_500_000, 5_750_000, 6_000_000, 6_250_000, 6_500_000,
+                    6_750_000,
+                ],
+                29_750_000,
             ),
             (
-                Schedule::burst("f", 7, start).unwrap(),
                 ArrivalGen::burst("f", 7, start).unwrap(),
+                7,
+                &[5_000_000; 7],
+                5_000_000,
             ),
             (
-                Schedule::poisson("f", 100, start, SimDuration::from_millis(3), 42).unwrap(),
                 ArrivalGen::poisson("f", 100, start, SimDuration::from_millis(3), 42).unwrap(),
+                100,
+                &[
+                    5_000_000, 5_896_978, 11_396_403, 15_230_325, 18_430_003, 28_238_130,
+                    28_662_033, 33_226_243,
+                ],
+                303_028_402,
             ),
             (
-                Schedule::pareto("f", 100, start, 2.0, 1.5, 9).unwrap(),
                 ArrivalGen::pareto("f", 100, start, 2.0, 1.5, 9).unwrap(),
+                100,
+                &[
+                    5_000_000, 9_296_113, 14_345_158, 16_801_556, 22_371_108, 24_821_354,
+                    26_990_421, 30_985_617,
+                ],
+                550_875_625,
             ),
             (
-                Schedule::empirical("f", 100, start, &[1.0, 4.0, 0.25], 7).unwrap(),
                 ArrivalGen::empirical("f", 100, start, &[1.0, 4.0, 0.25], 7).unwrap(),
+                100,
+                &[
+                    5_000_000, 9_000_000, 10_000_000, 10_250_000, 14_250_000, 18_250_000,
+                    19_250_000, 23_250_000,
+                ],
+                197_750_000,
             ),
         ];
-        for (eager, lazy) in cases {
-            assert_eq!(lazy.remaining(), eager.len());
-            assert_eq!(lazy.size_hint(), (eager.len(), Some(eager.len())));
-            assert_eq!(collect_stream(lazy), eager);
+        for (gen, count, head, last) in cases {
+            assert_eq!(gen.remaining(), count);
+            assert_eq!(gen.size_hint(), (count, Some(count)));
+            let ns: Vec<u64> = gen.map(|a| a.unwrap().at.as_nanos()).collect();
+            assert_eq!(ns.len(), count);
+            assert_eq!(&ns[..head.len()], head);
+            assert_eq!(ns[count - 1], last);
         }
     }
 
     #[test]
-    fn arrival_gen_validation_matches_eager() {
+    fn arrival_gen_validates_the_id_then_the_parameters() {
         assert_eq!(
             ArrivalGen::constant("f", 2, SimInstant::EPOCH, SimDuration::ZERO).unwrap_err(),
             LoadError::InvalidRate
@@ -1269,6 +1234,24 @@ mod tests {
             ArrivalGen::burst("a,b", 1, SimInstant::EPOCH).unwrap_err(),
             LoadError::InvalidFunction("a,b".to_owned())
         );
+        // Invalid both ways: the id is reported, from either entry point.
+        let bad_id = LoadError::InvalidFunction("a,b".to_owned());
+        assert_eq!(
+            ArrivalGen::poisson("a,b", 2, SimInstant::EPOCH, SimDuration::ZERO, 1).unwrap_err(),
+            bad_id
+        );
+        assert_eq!(
+            ArrivalGen::pareto("a,b", 2, SimInstant::EPOCH, 0.0, 1.0, 1).unwrap_err(),
+            bad_id
+        );
+        assert_eq!(
+            Schedule::constant("a,b", 2, SimInstant::EPOCH, SimDuration::ZERO).unwrap_err(),
+            bad_id
+        );
+        assert_eq!(
+            Schedule::empirical("a,b", 2, SimInstant::EPOCH, &[], 1).unwrap_err(),
+            bad_id
+        );
     }
 
     #[test]
@@ -1278,7 +1261,7 @@ mod tests {
         assert_eq!(gen.next().unwrap().unwrap().at, near_end);
         assert_eq!(gen.next().unwrap().unwrap_err(), LoadError::Overflow);
         assert!(gen.next().is_none(), "stream ends after the error");
-        // The eager constructor rejects the whole schedule instead.
+        // Materializing rejects the whole schedule instead.
         assert_eq!(
             Schedule::constant("f", 3, near_end, SimDuration::from_nanos(10)).unwrap_err(),
             LoadError::Overflow
@@ -1314,29 +1297,30 @@ mod tests {
     }
 
     #[test]
-    fn csv_stream_writes_and_reads_the_eager_format() {
+    fn csv_stream_writes_the_pinned_format_and_reads_it_back() {
         let start = SimInstant::EPOCH;
-        let eager = Schedule::poisson("t0", 40, start, SimDuration::from_millis(2), 3)
-            .unwrap()
-            .merge(Schedule::constant("t1", 40, start, SimDuration::from_millis(3)).unwrap());
-        let expected_csv = eager.to_csv();
+        let sources = || {
+            vec![
+                ArrivalGen::poisson("t0", 5, start, SimDuration::from_millis(2), 3).unwrap(),
+                ArrivalGen::constant("t1", 5, start, SimDuration::from_millis(3)).unwrap(),
+            ]
+        };
+        // Literal text of a ten-row trace, pinned with the generators.
+        let expected_csv = "t_ns,function\n0,t0\n0,t1\n3000000,t1\n4352780,t0\n5065291,t0\n\
+                            6000000,t1\n6044154,t0\n9000000,t1\n11282400,t0\n12000000,t1\n";
 
-        // Streamed writer produces byte-identical CSV from lazy sources.
-        let merged = MergedArrivals::new(vec![
-            ArrivalGen::poisson("t0", 40, start, SimDuration::from_millis(2), 3).unwrap(),
-            ArrivalGen::constant("t1", 40, start, SimDuration::from_millis(3)).unwrap(),
-        ]);
         let mut buf = Vec::new();
-        let rows = write_csv_stream(&mut buf, merged).unwrap();
-        assert_eq!(rows, 80);
+        let rows = write_csv_stream(&mut buf, MergedArrivals::new(sources())).unwrap();
+        assert_eq!(rows, 10);
         assert_eq!(String::from_utf8(buf.clone()).unwrap(), expected_csv);
+        let merged = Schedule::from_stream(MergedArrivals::new(sources())).unwrap();
+        assert_eq!(merged.to_csv(), expected_csv);
 
         // Streamed reader yields the same arrivals in file order.
         let back: Vec<Arrival> = CsvArrivalStream::new(&buf[..])
             .map(|a| a.unwrap())
             .collect();
-        assert_eq!(back, eager.arrivals());
-        assert_eq!(collect_stream(CsvArrivalStream::new(&buf[..])), eager);
+        assert_eq!(back, merged.arrivals());
     }
 
     #[test]
@@ -1348,7 +1332,7 @@ mod tests {
             CsvArrivalStream::new("12 no comma here\n".as_bytes()).collect();
         assert_eq!(items, vec![Err(LoadError::Malformed(1))]);
         assert!(CsvArrivalStream::new("".as_bytes()).next().is_none());
-        // Blank lines and a CRLF header are skipped, as in the eager parser.
+        // Blank lines and a CRLF header are skipped.
         let back: Vec<Arrival> = CsvArrivalStream::new("t_ns,function\r\n\n7,f\r\n".as_bytes())
             .map(|a| a.unwrap())
             .collect();

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification (see ROADMAP.md): everything a PR must keep green.
-# Runs the release build, the full test suite, formatting and lints.
+# CI runs this script and nothing else.
 set -u
 
 fail=0
@@ -15,113 +15,41 @@ run() {
   fi
 }
 
+# Determinism gate for one JSON ablation: a quick run must pass the
+# harness's own asserts (the claims EXPERIMENTS.md reports), and a second
+# quick run must write a byte-identical results/<json>, so nothing but
+# the seed — no thread schedule, map order or wall clock — reaches
+# virtual time.
+gate() {
+  local bin=$1 json=results/$2
+  run cargo run --release -q -p prebake-bench --bin "$bin" -- --quick
+  run cp "$json" "$json.run1"
+  run cargo run --release -q -p prebake-bench --bin "$bin" -- --quick
+  run cmp "$json.run1" "$json"
+  run rm -f "$json.run1"
+}
+
 cd "$(dirname "$0")/.."
 
 run cargo build --release
+# The root manifest's default-members make this the whole workspace:
+# every crate's unit, integration, property and golden suites, the
+# self-diff of the committed BENCH_*.json baselines (crates/bench) and
+# the perfbench build check (tests/perfbench_builds.rs).
 run cargo test -q
-# Page-store invariants (DESIGN.md §9): dedup/CoW property tests and the
-# shared-frame concurrency suite, run explicitly so a filtered `cargo
-# test` invocation can never silently skip them.
-run cargo test -q -p prebake-criu --test proptest_pagestore
-run cargo test -q -p prebake-criu --test cow_concurrency
-# Tracing invariants (DESIGN.md §10): the golden Chrome-trace exporter,
-# tree well-formedness properties, and the bit-exact agreement between
-# span-derived phases and the PhaseTracker fold.
-run cargo test -q -p prebake-sim --test trace_golden
-run cargo test -q -p prebake-sim --test proptest_trace
-run cargo test -q -p prebake-core --test span_phases
-# Extent-restore invariants (DESIGN.md §11): vectored vs page-granular
-# bit-identity across all four restore modes plus legacy-image fallback,
-# and a smoke run of the extent ablation, which asserts the >=20% eager
-# p50 win and the fault-around major-fault collapse.
-run cargo test -q -p prebake-criu --test proptest_roundtrip
-run cargo run --release -q -p prebake-bench --bin ablation_extent_restore -- --quick
-# Fleet-scheduler invariants (DESIGN.md §12): load-schedule property
-# tests (monotonic arrivals, seed determinism, CSV round-trip), the
-# measured-profile end-to-end suite, and a smoke run of the fleet
-# ablation, which asserts a policy beats the vanilla-TTL baseline on
-# both cold-start fraction and p99 latency.
-run cargo test -q -p prebake-platform --test proptest_loadgen
-run cargo test -q -p prebake-fleet
-run cargo run --release -q -p prebake-bench --bin ablation_fleet -- --quick
-# Registry-tier invariants (DESIGN.md §13): pull-through conservation
-# property tests (fetched + deduped == manifest total, repeat pulls
-# free, eviction exact), and a smoke run of the registry ablation,
-# which asserts dedup+affinity beats naive full-pull on both cold p99
-# and egress. The ablation runs twice and the outputs are compared
-# byte-for-byte so any seed non-determinism in the registry path fails
-# the gate.
-run cargo test -q -p prebake-registry
-run cargo run --release -q -p prebake-bench --bin ablation_registry -- --quick
-run cp results/BENCH_registry.json results/BENCH_registry.run1.json
-run cargo run --release -q -p prebake-bench --bin ablation_registry -- --quick
-run cmp results/BENCH_registry.run1.json results/BENCH_registry.json
-run rm -f results/BENCH_registry.run1.json
-# Parallel-restore invariants (DESIGN.md §14): serial-vs-sharded
-# bit-identity, repack/compaction round-trip property tests, the
-# repacking trial builders, the parallel/ordered/compact platform
-# templates, and a smoke run of the parallel-restore ablation, which
-# asserts >=2 shards beat the committed vectored-eager baseline, the
-# fault-order layout improves prefetch p95, and compaction shrinks the
-# hot image. The ablation runs twice and the outputs are compared
-# byte-for-byte so the sharded path stays seed-deterministic.
-run cargo test -q -p prebake-criu restore::
-run cargo test -q -p prebake-criu dump::
-run cargo test -q -p prebake-core measure::
-run cargo test -q -p prebake-platform builder::
-run cargo run --release -q -p prebake-bench --bin ablation_restore_parallel -- --quick
-run cp results/BENCH_parallel.json results/BENCH_parallel.run1.json
-run cargo run --release -q -p prebake-bench --bin ablation_restore_parallel -- --quick
-run cmp results/BENCH_parallel.run1.json results/BENCH_parallel.json
-run rm -f results/BENCH_parallel.run1.json
-# Observability invariants (DESIGN.md §15): histogram-merge and
-# window-ring property tests, the dashboard / exemplar-trace golden
-# renders, and a smoke run of the obs ablation, which asserts the SLO
-# burn engine localizes the injected cold-start burst to the right
-# tenant and window while tail sampling keeps every breaching trace at
-# a >=10x span reduction. The ablation runs twice and the outputs are
-# compared byte-for-byte so the telemetry path stays seed-deterministic.
-run cargo test -q -p prebake-obs
-run cargo test -q -p prebake-platform --test proptest_metrics
-run cargo run --release -q -p prebake-bench --bin ablation_obs -- --quick
-run cp results/BENCH_obs.json results/BENCH_obs.run1.json
-run cargo run --release -q -p prebake-bench --bin ablation_obs -- --quick
-run cmp results/BENCH_obs.run1.json results/BENCH_obs.json
-run rm -f results/BENCH_obs.run1.json
-# Sharded event-loop invariants (DESIGN.md §16): threading-invisibility
-# and streaming-vs-eager property tests, and a smoke run of the scale
-# ablation, which streams a 54k-arrival trace through 200 workers at 1
-# and 4 shards, prints sim events/sec (visible in this log), and
-# asserts the threaded drain is bit-identical to the serial one. The
-# ablation runs twice and the outputs are compared byte-for-byte so
-# the sharded scheduler stays seed-deterministic.
-run cargo test -q -p prebake-fleet --test proptest_shards
-run cargo run --release -q -p prebake-bench --bin ablation_scale -- --quick
-run cp results/BENCH_scale.json results/BENCH_scale.run1.json
-run cargo run --release -q -p prebake-bench --bin ablation_scale -- --quick
-run cmp results/BENCH_scale.run1.json results/BENCH_scale.json
-run rm -f results/BENCH_scale.run1.json
-# Streaming-gateway invariants (DESIGN.md §17): admission-conservation
-# and cache-TTL property tests plus the end-to-end gateway/SDK suite,
-# and a smoke run of the gateway ablation, which asserts per-arm
-# conservation (arrivals == admitted + shed + cache hits), the <10ms
-# cached path, and the cold-TTFC ordering lazy < prefetch < eager. The
-# ablation runs twice and the outputs are compared byte-for-byte so
-# the gateway frontier stays seed-deterministic.
-run cargo test -q -p prebake-gateway
-run cargo run --release -q -p prebake-bench --bin ablation_gateway -- --quick
-run cp results/BENCH_gateway.json results/BENCH_gateway.run1.json
-run cargo run --release -q -p prebake-bench --bin ablation_gateway -- --quick
-run cmp results/BENCH_gateway.run1.json results/BENCH_gateway.json
-run rm -f results/BENCH_gateway.run1.json
-# Bench regression gate: committed baselines must diff clean against
-# themselves (guards the flatten/tolerance logic and catches accidental
-# baseline edits that no longer parse).
-run cargo run --release -q -p prebake-bench --bin benchdiff -- BENCH_fleet.json BENCH_fleet.json
-run cargo run --release -q -p prebake-bench --bin benchdiff -- BENCH_parallel.json BENCH_parallel.json
-run cargo run --release -q -p prebake-bench --bin benchdiff -- BENCH_obs.json BENCH_obs.json
-run cargo run --release -q -p prebake-bench --bin benchdiff -- BENCH_scale.json BENCH_scale.json
-run cargo run --release -q -p prebake-bench --bin benchdiff -- BENCH_gateway.json BENCH_gateway.json
+gate ablation_extent_restore BENCH_restore.json
+gate ablation_fleet BENCH_fleet.json
+gate ablation_registry BENCH_registry.json
+gate ablation_restore_parallel BENCH_parallel.json
+gate ablation_obs BENCH_obs.json
+gate ablation_scale BENCH_scale.json
+gate ablation_gateway BENCH_gateway.json
+# perfbench (BENCHMARK.json) is a workspace of its own: its unit tests,
+# then one quick pass of every workload and the traced pass for their
+# verification checks. Exit code only — shared runners are too noisy
+# for a timing gate.
+run cargo test -q --offline --manifest-path perfbench/Cargo.toml
+run cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- all --quick
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 

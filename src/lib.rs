@@ -15,7 +15,7 @@
 //! | [`prebake_sim`] | virtual-clock kernel: processes, pages, VMAs, simfs + page cache, ptrace, `/proc`, capabilities |
 //! | [`prebake_runtime`] | "JLVM" managed runtime: real class-file parsing/verification, lazy JIT, in-guest state |
 //! | [`prebake_criu`] | checkpoint/restore: parasite dump pipeline, image format, privileged restore, image cache |
-//! | [`prebake_lazy`] | lazy restore: working-set recording, `ws.img`, prefetch planning over the demand-paging kernel |
+//! | [`prebake_lazy`] | lazy restore: working-set recording into `ws.img` over the demand-paging kernel |
 //! | [`prebake_functions`] | the paper's workloads: NOOP, Markdown renderer, Image Resizer, synthetic class sets |
 //! | [`prebake_core`] | the contribution: snapshot policies, vanilla vs prebake starters, phase measurement, trial harness |
 //! | [`prebake_platform`] | SPEC-RG / OpenFaaS platform: function registry, builder templates, autoscaler, gateway, load generation |

@@ -1,0 +1,20 @@
+//! `perfbench/` (the benchmark `BENCHMARK.json` declares) is a workspace
+//! of its own that path-depends on the crates here, so no root test
+//! compiles it: a rename of anything it imports would pass tier-1 and
+//! break the benchmark. This check makes that break a test failure.
+
+use std::process::Command;
+
+#[test]
+fn perfbench_still_builds_against_the_workspace() {
+    let manifest = concat!(env!("CARGO_MANIFEST_DIR"), "/perfbench/Cargo.toml");
+    let out = Command::new(env!("CARGO"))
+        .args(["check", "--offline", "--quiet", "--manifest-path", manifest])
+        .output()
+        .expect("spawn cargo");
+    assert!(
+        out.status.success(),
+        "cargo check of perfbench failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
