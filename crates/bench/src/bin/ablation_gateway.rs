@@ -167,7 +167,7 @@ fn main() {
     let args = HarnessArgs::parse();
     let quick = !args.is_full();
     // The full run streams 1.008M invocations (4 arms x 6 tenants x
-    // 42k); quick replays 12k per arm for the CI determinism gate.
+    // 42k); quick replays 12k per arm for the tier-1 golden check.
     let per_tenant: usize = if quick { 2_000 } else { 42_000 };
     let per_arm = per_tenant * 6;
     println!(

@@ -18,7 +18,8 @@
 //!
 //! Writes `BENCH_obs.json`; with the default `--seed` the file (and the
 //! dashboard and exemplar-annotated trace export under `results/`) is
-//! bit-reproducible — the tier-1 gate double-runs `--quick` and `cmp`s.
+//! bit-reproducible — tier-1 diffs the `--quick` artifact against
+//! `baselines/quick/BENCH_obs.json`.
 
 use prebake_bench::fleetmix::{fig5_profiles, workload};
 use prebake_bench::{hr, HarnessArgs};

@@ -17,7 +17,8 @@
 //!    correctness is covered by the bit-identity fallback proptests.
 //!
 //! Writes `BENCH_parallel.json`; with the default `--seed` the file is
-//! bit-reproducible (the CI determinism gate runs it twice and `cmp`s).
+//! bit-reproducible (tier-1 diffs the `--quick` artifact against
+//! `baselines/quick/BENCH_parallel.json`).
 
 use prebake_bench::{hr, improvement_pct, parallel_startup_trials, HarnessArgs};
 use prebake_core::measure::{StartMode, StartupTrial, TrialRunner};

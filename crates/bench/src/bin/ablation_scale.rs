@@ -261,7 +261,7 @@ fn main() {
 
     // The throughput bar is checked after the deterministic artifact is
     // on disk: a loaded machine can depress wall-clock events/sec (and
-    // fail this gate) without costing the double-run JSON comparison.
+    // fail this check) without costing the JSON golden comparison.
     if !quick {
         assert!(
             best_speedup >= 3.0,

@@ -7,9 +7,10 @@
 //! trial, the Fig. 4 phases derived *from the span tree* must equal the
 //! `PhaseTracker`'s probe-fold output exactly, or the run aborts.
 //!
-//! `--quick` traces the small function only; the default sweeps all
-//! three sizes. `--reps` is ignored (one traced run per cell — span
-//! artifacts, not statistics).
+//! A quick run (`--quick`, or `--reps` below the full threshold) traces
+//! the small function only; a full run sweeps all three sizes. Beyond
+//! that `--reps` is ignored (one traced run per cell — span artifacts,
+//! not statistics).
 
 use prebake_bench::{hr, HarnessArgs};
 use prebake_core::measure::{StartMode, TrialRunner};
@@ -30,10 +31,10 @@ fn modes() -> [StartMode; 4] {
 
 fn main() {
     let args = HarnessArgs::parse();
-    let sizes: Vec<SyntheticSize> = if args.reps <= 30 {
-        vec![SyntheticSize::Small]
-    } else {
+    let sizes: Vec<SyntheticSize> = if args.is_full() {
         SyntheticSize::all().to_vec()
+    } else {
+        vec![SyntheticSize::Small]
     };
     std::fs::create_dir_all(OUT_DIR).expect("create results/traces");
 

@@ -1,10 +1,11 @@
 //! A minimal JSON reader for the committed `BENCH_*.json` baselines.
 //!
 //! The bench harnesses *write* JSON with hand-formatted `format!` calls;
-//! this module is the matching *reader* for the regression gate
-//! (`benchdiff`), so the repo stays free of a serde dependency. It
-//! parses the full JSON grammar (objects, arrays, strings with escapes,
-//! numbers as `f64`, booleans, null) with byte positions in errors.
+//! this module is the matching *reader* (used by `perfbench` and by the
+//! test that every committed baseline and quick golden parses), so the
+//! repo stays free of a serde dependency. It parses the full JSON
+//! grammar (objects, arrays, strings with escapes, numbers as `f64`,
+//! booleans, null) with byte positions in errors.
 
 use std::fmt;
 
@@ -309,5 +310,42 @@ mod tests {
             layout.get("seek_bytes_avoided").and_then(Value::as_f64),
             Some(65_359_872.0)
         );
+    }
+
+    /// Every committed full-run baseline (`BENCH_*.json` at the root) and
+    /// every JSON quick golden (`baselines/quick/`) must parse to an
+    /// object with numeric fields: keeps the reader tested against the
+    /// real schemas and catches a committed file that no longer parses.
+    #[test]
+    fn committed_baselines_and_quick_goldens_parse() {
+        fn has_number(v: &Value) -> bool {
+            match v {
+                Value::Num(_) => true,
+                Value::Arr(items) => items.iter().any(has_number),
+                Value::Obj(members) => members.iter().any(|(_, v)| has_number(v)),
+                _ => false,
+            }
+        }
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        for (dir, prefix) in [
+            (root.to_owned(), "BENCH_"),
+            (format!("{root}/baselines/quick"), ""),
+        ] {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+                .filter(|name| name.starts_with(prefix) && name.ends_with(".json"))
+                .collect();
+            names.sort();
+            assert_eq!(names.len(), 7, "{dir}: {names:?}");
+            for name in names {
+                let text = std::fs::read_to_string(format!("{dir}/{name}")).unwrap();
+                let v = parse(&text).unwrap_or_else(|e| panic!("{dir}/{name}: {e}"));
+                assert!(
+                    matches!(v, Value::Obj(_)) && has_number(&v),
+                    "{dir}/{name} has no numeric fields"
+                );
+            }
+        }
     }
 }

@@ -21,7 +21,6 @@
 
 #![warn(missing_docs)]
 
-pub mod diff;
 pub mod fleetmix;
 pub mod json;
 
@@ -53,9 +52,10 @@ impl HarnessArgs {
     /// Parses `std::env::args()`; exits with a usage message on error.
     pub fn parse() -> HarnessArgs {
         HarnessArgs::parse_from(&std::env::args().skip(1).collect::<Vec<_>>())
+            .unwrap_or_else(|msg| usage(&msg))
     }
 
-    fn parse_from(argv: &[String]) -> HarnessArgs {
+    fn parse_from(argv: &[String]) -> Result<HarnessArgs, String> {
         let mut args = HarnessArgs::default();
         let mut i = 0;
         while i < argv.len() {
@@ -68,20 +68,21 @@ impl HarnessArgs {
                     args.reps = argv
                         .get(i + 1)
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--reps needs a number"));
+                        .filter(|&n| n > 0)
+                        .ok_or("--reps needs a positive number")?;
                     i += 2;
                 }
                 "--seed" => {
                     args.seed = argv
                         .get(i + 1)
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--seed needs a number"));
+                        .ok_or("--seed needs a number")?;
                     i += 2;
                 }
-                other => usage(&format!("unknown flag {other}")),
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        args
+        Ok(args)
     }
 
     /// Whether this is a full run rather than a quick smoke run.
@@ -227,9 +228,10 @@ mod tests {
 
     #[test]
     fn quick_and_reseeded_runs_stay_out_of_the_checked_in_baselines() {
-        let parse = |argv: &[&str]| {
+        let try_parse = |argv: &[&str]| {
             HarnessArgs::parse_from(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>())
         };
+        let parse = |argv: &[&str]| try_parse(argv).unwrap();
         let default = parse(&[]);
         assert!(default.is_full());
         assert_eq!(default.artifact_path("BENCH_x.json"), "BENCH_x.json");
@@ -247,6 +249,10 @@ mod tests {
         assert!(!parse(&["--reps", "39"]).is_full());
         assert_eq!(default.capped_reps(), FULL_REPS);
         assert_eq!(quick.capped_reps(), 30);
+        // Zero repetitions is a usage error, not an empty experiment.
+        assert!(try_parse(&["--reps", "0"]).is_err());
+        assert!(try_parse(&["--reps"]).is_err());
+        assert!(try_parse(&["--bogus"]).is_err());
     }
 
     #[test]

@@ -86,18 +86,6 @@ impl RestoreMode {
     pub fn needs_ws(self) -> bool {
         matches!(self, RestoreMode::Prefetch | RestoreMode::CowPrefetch)
     }
-
-    /// Whether this mode registers a userfaultfd backend for pages left
-    /// missing at resume.
-    pub fn uses_uffd(self) -> bool {
-        matches!(
-            self,
-            RestoreMode::Lazy
-                | RestoreMode::Record
-                | RestoreMode::Prefetch
-                | RestoreMode::CowPrefetch
-        )
-    }
 }
 
 /// Options for a restore.

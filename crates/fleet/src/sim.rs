@@ -1465,8 +1465,8 @@ impl FleetSim {
     ///
     /// With a registry tier configured, every gear with an image is
     /// auto-published as a synthetic manifest shaped by
-    /// [`RegistryConfig::shared_fraction`]; [`FleetSim::publish_manifest`]
-    /// replaces one with a real (dump-derived) manifest afterwards.
+    /// [`RegistryConfig::shared_fraction`], unless the registry already
+    /// holds a manifest under that image id.
     pub fn register(&mut self, profile: FunctionProfile) {
         let name = profile.name().to_owned();
         if let (Some(reg), Some(rc)) = (self.registry.as_mut(), self.config.registry.as_ref()) {
@@ -1502,20 +1502,6 @@ impl FleetSim {
     /// Registry image id of one `(function, gear)` snapshot.
     pub fn image_id(function: &str, gear: Gear) -> String {
         image_id(function, gear)
-    }
-
-    /// Publishes a real manifest for `(function, gear)` — e.g. derived
-    /// from a dumped image set via [`ImageManifest::from_image_set`] —
-    /// replacing the synthetic one auto-published at registration.
-    /// No-op without a registry tier.
-    pub fn publish_manifest(&mut self, function: &str, gear: Gear, manifest: &ImageManifest) {
-        if let Some(reg) = self.registry.as_mut() {
-            reg.publish(ImageManifest::new(
-                image_id(function, gear),
-                manifest.frame_hashes().iter().copied(),
-                manifest.metadata_bytes(),
-            ));
-        }
     }
 
     /// The snapshot registry, when the tier is configured. Pull

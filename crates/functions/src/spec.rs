@@ -71,7 +71,7 @@ enum Kind {
     Noop,
     Markdown,
     ImageResizer,
-    Synthetic(SyntheticSize),
+    Synthetic,
 }
 
 /// A ~6 KB Markdown document in the shape of the project README the
@@ -197,7 +197,7 @@ impl FunctionSpec {
             archive: Archive::from_classes(&classes),
             resources: Vec::new(),
             lazy_link: true,
-            kind: Kind::Synthetic(size),
+            kind: Kind::Synthetic,
             runtime: RuntimeProfile::JavaLike,
             name,
         }
@@ -221,14 +221,6 @@ impl FunctionSpec {
     /// Whether the application links lazily on first request.
     pub fn lazy_link(&self) -> bool {
         self.lazy_link
-    }
-
-    /// The synthetic size, if this is one of the §4.2.2 functions.
-    pub fn synthetic_size(&self) -> Option<SyntheticSize> {
-        match self.kind {
-            Kind::Synthetic(size) => Some(size),
-            _ => None,
-        }
     }
 
     /// The runtime flavour replicas of this function boot
@@ -288,7 +280,7 @@ impl FunctionSpec {
                 self.class_names.clone(),
                 join_path(&join_path(app_dir, "assets"), "source.pbic"),
             )),
-            Kind::Synthetic(_) => Box::new(SyntheticHandler::new(
+            Kind::Synthetic => Box::new(SyntheticHandler::new(
                 self.name.clone(),
                 self.class_names.clone(),
             )),

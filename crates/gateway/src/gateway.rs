@@ -224,11 +224,6 @@ impl Gateway {
         &self.metrics
     }
 
-    /// Admission accounting (live; includes currently queued arrivals).
-    pub fn admission_stats(&self) -> AdmissionStats {
-        *self.admission.stats()
-    }
-
     /// The conservation identity over everything offered so far:
     /// `arrivals == cached + admitted + shed + queued`.
     pub fn conserved(&self) -> bool {

@@ -3,8 +3,8 @@
 //!
 //! Both outputs are byte-stable for a given recorder/report state —
 //! fixed field order, fixed float precision, BTreeMap-backed iteration —
-//! so they can be golden-tested and double-run `cmp`-gated exactly like
-//! the plain span export.
+//! so they can be golden-tested byte for byte exactly like the plain
+//! span export.
 
 use prebake_platform::metrics::fmt_le;
 use prebake_sim::time::SimInstant;

@@ -618,11 +618,6 @@ impl PoissonProcess {
             noise: Noise::new(seed, 0.0),
         })
     }
-
-    /// The exclusive end of the emission window.
-    pub fn horizon_end(&self) -> SimInstant {
-        self.end
-    }
 }
 
 impl Iterator for PoissonProcess {

@@ -8,7 +8,7 @@
 //! paper's `docker run --privileged`).
 
 use prebake_functions::FunctionSpec;
-use prebake_runtime::http::{Request, Response};
+use prebake_runtime::http::Request;
 use prebake_sim::error::{Errno, SysResult};
 use prebake_sim::time::SimInstant;
 
@@ -224,12 +224,6 @@ impl CompletedLatency for crate::platform::CompletedRequest {
     fn latency_ms_of(&self) -> f64 {
         self.latency_ms()
     }
-}
-
-/// A dummy response constructor for tests and examples (the gateway
-/// reports latencies; bodies live at the replicas).
-pub fn gateway_ack() -> Response {
-    Response::ok(&b"accepted"[..])
 }
 
 #[cfg(test)]

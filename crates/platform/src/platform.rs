@@ -100,11 +100,6 @@ impl CompletedRequest {
     pub fn latency_ms(&self) -> f64 {
         (self.completed - self.arrived).as_millis_f64()
     }
-
-    /// Queue + cold-start wait before service began, in milliseconds.
-    pub fn dispatch_wait_ms(&self) -> f64 {
-        (self.dispatched - self.arrived).as_millis_f64()
-    }
 }
 
 struct Container {
