@@ -68,10 +68,8 @@ fn run_point(
         policy.label(),
         (workers, budget >> 20),
     );
-    let mut latency: Vec<f64> = sim.completed().iter().map(|r| r.latency_ms()).collect();
-    let mut queue: Vec<f64> = sim.completed().iter().map(|r| r.queue_delay_ms()).collect();
-    latency.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    queue.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let latency: Vec<f64> = sim.completed().iter().map(|r| r.latency_ms()).collect();
+    let queue: Vec<f64> = sim.completed().iter().map(|r| r.queue_delay_ms()).collect();
     let m = sim.metrics();
     Outcome {
         workers,

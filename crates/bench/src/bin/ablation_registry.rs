@@ -179,15 +179,13 @@ fn run_variant(
         "every admitted request must be served ({})",
         variant.label,
     );
-    let mut latency: Vec<f64> = sim.completed().iter().map(|r| r.latency_ms()).collect();
-    let mut cold: Vec<f64> = sim
+    let latency: Vec<f64> = sim.completed().iter().map(|r| r.latency_ms()).collect();
+    let cold: Vec<f64> = sim
         .completed()
         .iter()
         .filter(|r| r.cold)
         .map(|r| r.latency_ms())
         .collect();
-    latency.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    cold.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     assert!(
         !cold.is_empty(),
         "the trace must exercise cold starts ({})",

@@ -14,7 +14,7 @@ use prebake_functions::{FunctionSpec, SyntheticSize};
 
 fn main() {
     let args = HarnessArgs::parse();
-    let reps = args.reps.min(60); // sweep has 6 treatments; keep it brisk
+    let reps = args.reps.min(60); // sweep has 5 treatments; keep it brisk
     println!("Ablation — snapshot-point sweep, medium synthetic function ({reps} reps/point)");
     hr();
     println!(

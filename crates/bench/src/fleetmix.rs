@@ -11,7 +11,7 @@ use prebake_platform::loadgen::{ArrivalGen, MergedArrivals, Schedule};
 use prebake_sim::time::{SimDuration, SimInstant};
 
 /// Name of the timer-driven tenant (profiled like the medium function).
-pub const CRON_FUNCTION: &str = "synthetic-cron";
+pub(crate) const CRON_FUNCTION: &str = "synthetic-cron";
 
 /// Profiles the Fig. 5 synthetic mix (small/medium/big) under every
 /// gear, and appends the cron tenant sharing the medium function's

@@ -11,7 +11,7 @@
 //! - `--quick` — 30 repetitions, for smoke runs
 //! - `--seed <S>` — base RNG seed (default 1)
 //!
-//! The ablations run their full experiment at [`FULL_REPS`] repetitions
+//! The ablations run their full experiment at `FULL_REPS` repetitions
 //! or more and a reduced smoke experiment below it
 //! ([`HarnessArgs::is_full`]).
 //!
@@ -40,7 +40,7 @@ pub struct HarnessArgs {
 /// Repetitions at or above which a JSON ablation runs its full
 /// experiment. Trial counts are capped here, so every larger value runs
 /// the identical experiment; `--quick` (30) sits below it.
-pub const FULL_REPS: usize = 40;
+pub(crate) const FULL_REPS: usize = 40;
 
 impl Default for HarnessArgs {
     fn default() -> Self {
@@ -91,7 +91,7 @@ impl HarnessArgs {
     }
 
     /// Repetitions an ablation runs per treatment: the requested count,
-    /// capped at [`FULL_REPS`].
+    /// capped at `FULL_REPS`.
     pub fn capped_reps(&self) -> usize {
         self.reps.min(FULL_REPS)
     }
@@ -105,7 +105,7 @@ impl HarnessArgs {
     /// Where the JSON artifact `name` belongs: only a baseline run
     /// refreshes the checked-in copy at the repository root; quick or
     /// reseeded runs land in the gitignored `results/` directory.
-    pub fn artifact_path(&self, name: &str) -> String {
+    pub(crate) fn artifact_path(&self, name: &str) -> String {
         if self.is_baseline_run() {
             name.to_owned()
         } else {
@@ -114,7 +114,7 @@ impl HarnessArgs {
     }
 
     /// Writes the JSON artifact `name` to its
-    /// [`HarnessArgs::artifact_path`] and returns that path.
+    /// `HarnessArgs::artifact_path` and returns that path.
     ///
     /// # Panics
     ///

@@ -19,7 +19,7 @@ pub const RUNTIME_BIN: &str = "/bin/jlvm";
 
 /// Size of the runtime binary (kept small and pre-warmed: the paper's
 /// EXEC phase is ≈1 ms).
-pub const RUNTIME_BIN_LEN: usize = 512 << 10;
+pub(crate) const RUNTIME_BIN_LEN: usize = 512 << 10;
 
 /// Installs the runtime binary and spawns the supervisor (watchdog)
 /// process that starts replicas and runs CRIU. The supervisor inherits

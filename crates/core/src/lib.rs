@@ -40,6 +40,6 @@ pub mod starter;
 
 pub use env::{provision_machine, Deployment};
 pub use measure::{StartMode, StartupTrial, TrialRunner};
-pub use phases::{phases_from_span_tree, PhaseTracker, Phases};
+pub use phases::{phases_from_span_tree, Phases};
 pub use prebaker::{bake, BakeReport, SnapshotPolicy};
 pub use starter::{PrebakeStarter, Started, Starter, VanillaStarter};

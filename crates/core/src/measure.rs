@@ -56,7 +56,7 @@ pub enum StartMode {
 
 impl StartMode {
     /// The snapshot policy this mode bakes with, if any.
-    pub fn policy(&self) -> Option<SnapshotPolicy> {
+    pub(crate) fn policy(&self) -> Option<SnapshotPolicy> {
         match self {
             StartMode::Vanilla => None,
             StartMode::PrebakeNoWarmup => Some(SnapshotPolicy::AfterReady),
@@ -73,7 +73,7 @@ impl StartMode {
     }
 
     /// How the restore reinstates memory, if this mode restores at all.
-    pub fn restore_mode(&self) -> Option<RestoreMode> {
+    pub(crate) fn restore_mode(&self) -> Option<RestoreMode> {
         match self {
             StartMode::Vanilla => None,
             StartMode::PrebakeNoWarmup | StartMode::PrebakeWarmup(_) => Some(RestoreMode::Eager),
@@ -85,7 +85,7 @@ impl StartMode {
     }
 
     /// Whether baking must also run the working-set record pass.
-    pub fn needs_working_set(&self) -> bool {
+    pub(crate) fn needs_working_set(&self) -> bool {
         self.restore_mode().is_some_and(RestoreMode::needs_ws)
     }
 
@@ -176,16 +176,6 @@ pub struct StartupTrial {
 }
 
 impl StartupTrial {
-    /// Fraction of stored pages that another stored page's content
-    /// already covers (`0.0` when nothing dedups or nothing is stored).
-    pub fn dedup_ratio(&self) -> f64 {
-        if self.pages_stored == 0 {
-            0.0
-        } else {
-            (self.pages_stored - self.pages_unique) as f64 / self.pages_stored as f64
-        }
-    }
-
     /// Copy-on-write breaks taken across start-up and first request
     /// (non-zero only under the CoW restore modes).
     pub fn cow_breaks(&self) -> u64 {
@@ -334,30 +324,9 @@ impl TrialRunner {
         self.repack
     }
 
-    /// The mode this runner measures.
-    pub fn mode(&self) -> StartMode {
-        self.mode
-    }
-
-    /// The function this runner measures.
-    pub fn spec(&self) -> &FunctionSpec {
-        &self.spec
-    }
-
     /// Size of the baked snapshot (0 for vanilla).
     pub fn snapshot_bytes(&self) -> u64 {
         self.snapshot_bytes
-    }
-
-    /// Stored pages in the baked snapshot (0 for vanilla).
-    pub fn pages_stored(&self) -> usize {
-        self.pages_stored
-    }
-
-    /// Distinct page contents in the baked snapshot's dedup view (0 for
-    /// vanilla).
-    pub fn pages_unique(&self) -> usize {
-        self.pages_unique
     }
 
     /// Builds the trial machine: provision, deploy, ship snapshot images,
@@ -624,7 +593,7 @@ mod tests {
             t_c.pages_unique,
             t_c.pages_stored
         );
-        assert!(t_c.dedup_ratio() > 0.0 && t_c.dedup_ratio() < 1.0);
+        assert!(t_c.pages_unique > 0 && t_c.pages_unique < t_c.pages_stored);
 
         // Only the CoW restore takes write-protect breaks; the first
         // invocation writes some shared pages but far from all of them.
@@ -639,10 +608,10 @@ mod tests {
     #[test]
     fn vanilla_trials_have_no_dedup_view() {
         let runner = TrialRunner::new(FunctionSpec::noop(), StartMode::Vanilla).unwrap();
-        assert_eq!(runner.pages_stored(), 0);
-        assert_eq!(runner.pages_unique(), 0);
+        assert_eq!(runner.pages_stored, 0);
+        assert_eq!(runner.pages_unique, 0);
         let t = runner.startup_trial(3).unwrap();
-        assert_eq!(t.dedup_ratio(), 0.0);
+        assert_eq!(t.pages_stored, 0);
         assert_eq!(t.cow_breaks(), 0);
     }
 

@@ -9,7 +9,7 @@
 //!    bootstrap);
 //! 4. **APPINIT** — `main()` to ready-to-serve.
 //!
-//! [`PhaseTracker`] folds a kernel probe trace into those components. On
+//! `PhaseTracker` folds a kernel probe trace into those components. On
 //! the prebake path there is no exec and no runtime bootstrap, so EXEC
 //! and RTS collapse to zero and the restore work lands in APPINIT —
 //! matching the paper's observation that restored start-up is "almost
@@ -33,23 +33,6 @@ pub struct Phases {
     pub appinit: SimDuration,
 }
 
-impl Phases {
-    /// Sum of all components.
-    pub fn total(&self) -> SimDuration {
-        self.clone + self.exec + self.rts + self.appinit
-    }
-
-    /// Components as `(label, millis)` rows for reports.
-    pub fn rows(&self) -> [(&'static str, f64); 4] {
-        [
-            ("CLONE", self.clone.as_millis_f64()),
-            ("EXEC", self.exec.as_millis_f64()),
-            ("RTS", self.rts.as_millis_f64()),
-            ("APPINIT", self.appinit.as_millis_f64()),
-        ]
-    }
-}
-
 impl std::fmt::Display for Phases {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -70,19 +53,19 @@ impl std::fmt::Display for Phases {
 /// `execve` on the restore path): a missing boundary collapses the
 /// corresponding phase to zero and attributes the time to the next one.
 #[derive(Debug)]
-pub struct PhaseTracker {
+pub(crate) struct PhaseTracker {
     start: SimInstant,
     ready: SimInstant,
 }
 
 impl PhaseTracker {
     /// Creates a tracker over a `[start, ready]` window.
-    pub fn new(start: SimInstant, ready: SimInstant) -> PhaseTracker {
+    pub(crate) fn new(start: SimInstant, ready: SimInstant) -> PhaseTracker {
         PhaseTracker { start, ready }
     }
 
     /// Computes the phase decomposition from the recorded events.
-    pub fn phases(&self, trace: &[ProbeEvent]) -> Phases {
+    pub(crate) fn phases(&self, trace: &[ProbeEvent]) -> Phases {
         let window = |t: SimInstant| t >= self.start && t <= self.ready;
         let find_enter = |name: &str| {
             trace
@@ -141,7 +124,7 @@ impl PhaseTracker {
     /// markers ride on spans as annotations, so this yields *exactly* the
     /// same [`Phases`] as [`PhaseTracker::phases`] over the probe trace
     /// of the same window — the cross-check `trace_startup` asserts.
-    pub fn phases_from_spans(&self, spans: &[TraceSpan]) -> Phases {
+    pub(crate) fn phases_from_spans(&self, spans: &[TraceSpan]) -> Phases {
         let window = |t: SimInstant| t >= self.start && t <= self.ready;
         let find_span = |name: &str| {
             spans
@@ -228,7 +211,6 @@ mod tests {
         assert_eq!(p.exec.as_millis(), 2);
         assert_eq!(p.rts.as_millis(), 70);
         assert_eq!(p.appinit.as_millis(), 30);
-        assert_eq!(p.total().as_millis(), 103);
     }
 
     #[test]
@@ -245,7 +227,6 @@ mod tests {
         assert_eq!(p.rts, SimDuration::ZERO);
         assert_eq!(p.clone.as_millis(), 1);
         assert_eq!(p.appinit.as_millis(), 59);
-        assert_eq!(p.total().as_millis(), 60);
     }
 
     #[test]
@@ -261,7 +242,7 @@ mod tests {
         let p = PhaseTracker::new(SimInstant::EPOCH, SimInstant::from_nanos(5 * 1_000_000))
             .phases(&trace);
         assert_eq!(p.clone.as_millis(), 1);
-        assert_eq!(p.total().as_millis(), 5);
+        assert_eq!((p.clone + p.exec + p.rts + p.appinit).as_millis(), 5);
     }
 
     #[test]
@@ -282,9 +263,6 @@ mod tests {
             rts: SimDuration::from_millis(70),
             appinit: SimDuration::from_millis(30),
         };
-        let rows = p.rows();
-        assert_eq!(rows[0], ("CLONE", 1.0));
-        assert_eq!(rows[3], ("APPINIT", 30.0));
         let s = p.to_string();
         assert!(s.contains("RTS 70.00ms"), "{s}");
     }

@@ -2,7 +2,6 @@
 //! *Prebaking* restore path, behind one [`Starter`] abstraction.
 
 use prebake_criu::{restore, RestoreMode, RestoreOptions, RestoreStats};
-use prebake_functions::FunctionSpec;
 use prebake_runtime::Replica;
 use prebake_sim::error::SysResult;
 use prebake_sim::kernel::Kernel;
@@ -166,28 +165,6 @@ impl PrebakeStarter {
             ..PrebakeStarter::default()
         }
     }
-
-    /// Selects the page-granular restore paths (no extent vectoring).
-    #[must_use]
-    pub fn page_granular(mut self) -> PrebakeStarter {
-        self.vectored = false;
-        self
-    }
-
-    /// Sets the fault-around window for uffd-backed restore modes.
-    #[must_use]
-    pub fn fault_around(mut self, window: usize) -> PrebakeStarter {
-        self.fault_around = window;
-        self
-    }
-
-    /// Sets the restorer worker-thread count for the sharded parallel
-    /// install (values below 2 keep the serial path).
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> PrebakeStarter {
-        self.threads = threads;
-        self
-    }
 }
 
 impl Starter for PrebakeStarter {
@@ -239,25 +216,12 @@ impl Starter for PrebakeStarter {
     }
 }
 
-/// Convenience: start a replica of `spec` the vanilla way on a fresh
-/// throwaway machine (quickstart/demo path, not a measured experiment).
-///
-/// # Errors
-///
-/// Propagates kernel/runtime errors.
-pub fn quick_start(spec: FunctionSpec, seed: u64) -> SysResult<(Kernel, Started)> {
-    let mut kernel = Kernel::new(seed);
-    let watchdog = crate::env::provision_machine(&mut kernel)?;
-    let dep = Deployment::install(&mut kernel, spec, 8080)?;
-    let started = VanillaStarter.start(&mut kernel, watchdog, &dep)?;
-    Ok((kernel, started))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::env::provision_machine;
     use crate::prebaker::{bake, SnapshotPolicy};
+    use prebake_functions::FunctionSpec;
     use prebake_runtime::Request;
 
     fn deployed(seed: u64) -> (Kernel, Pid, Deployment) {
@@ -337,15 +301,5 @@ mod tests {
             (0.25..0.55).contains(&improvement),
             "improvement {improvement} (v={v}, p={p})"
         );
-    }
-
-    #[test]
-    fn quick_start_helper() {
-        let (mut kernel, mut started) = quick_start(FunctionSpec::noop(), 9).unwrap();
-        let resp = started
-            .replica
-            .handle(&mut kernel, &Request::empty())
-            .unwrap();
-        assert!(resp.is_success());
     }
 }

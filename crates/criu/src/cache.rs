@@ -7,10 +7,10 @@
 //! snapshot — a substantial share for large snapshots like the Image
 //! Resizer's 99 MB. The `ablation_memcache` bench quantifies exactly this.
 //!
-//! The cache can be bounded: [`ImageCache::with_capacity`] sets a byte
-//! budget, and inserts evict least-recently-used snapshots until the
-//! charged size of everything resident — *including* recorded
-//! working-set images (`ws.img`) — fits the bound.
+//! The cache can be bounded to a byte budget; inserts then evict
+//! least-recently-used snapshots until the charged size of everything
+//! resident — *including* recorded working-set images (`ws.img`) — fits
+//! the bound.
 //!
 //! Accounting is dedup-aware. A snapshot carrying a page store
 //! (`pagestore.img`) is charged its metadata plus each *distinct* page
@@ -46,25 +46,6 @@ impl ImageCache {
         ImageCache::default()
     }
 
-    /// An empty cache bounded to `capacity_bytes` of encoded image data
-    /// (pages, metadata and working-set images all count).
-    pub fn with_capacity(capacity_bytes: u64) -> Self {
-        ImageCache {
-            capacity_bytes: Some(capacity_bytes),
-            ..ImageCache::default()
-        }
-    }
-
-    /// Number of cached snapshots.
-    pub fn len(&self) -> usize {
-        self.sets.len()
-    }
-
-    /// Returns `true` if the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
-    }
-
     /// Raw encoded bytes of everything resident, `ws.img` and
     /// `pagestore.img` included — what the snapshots would occupy
     /// *without* cross-snapshot dedup. The byte budget is enforced
@@ -94,16 +75,11 @@ impl ImageCache {
 
     /// What one snapshot would be charged standing alone: its dedup-aware
     /// footprint, before any cross-snapshot frame sharing.
-    pub fn standalone_bytes(set: &ImageSet) -> u64 {
+    pub(crate) fn standalone_bytes(set: &ImageSet) -> u64 {
         match &set.pagestore {
             Some(store) => set.non_payload_bytes() + store.unique_bytes(),
             None => set.total_bytes(),
         }
-    }
-
-    /// The configured byte budget, if any.
-    pub fn capacity_bytes(&self) -> Option<u64> {
-        self.capacity_bytes
     }
 
     /// Inserts a snapshot under `name`, returning the names evicted to
@@ -142,11 +118,6 @@ impl ImageCache {
         let evicted = self.insert(name, set?);
         kernel.span_attr(span, "evicted", evicted.len().to_string());
         Ok(evicted)
-    }
-
-    /// Looks up a cached snapshot (does not refresh its recency).
-    pub fn get(&self, name: &str) -> Option<&ImageSet> {
-        self.sets.get(name)
     }
 
     /// Restores directly from the cache, skipping all image-file I/O.
@@ -212,6 +183,14 @@ mod tests {
     use prebake_sim::mem::{Prot, VmaKind, PAGE_SIZE};
     use prebake_sim::noise::Noise;
 
+    /// An empty cache bounded to `capacity_bytes`.
+    fn bounded(capacity_bytes: u64) -> ImageCache {
+        ImageCache {
+            capacity_bytes: Some(capacity_bytes),
+            ..ImageCache::default()
+        }
+    }
+
     fn kernel_with_snapshot() -> (Kernel, Pid) {
         let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
         let tracer = k.sys_clone(INIT_PID).unwrap();
@@ -252,7 +231,7 @@ mod tests {
     fn missing_snapshot_is_enoent() {
         let (mut k, tracer) = kernel_with_snapshot();
         let mut cache = ImageCache::new();
-        assert!(cache.is_empty());
+        assert!(cache.sets.is_empty());
         assert_eq!(
             cache
                 .restore_cached(&mut k, tracer, "nope", &RestoreOptions::new("/img"))
@@ -266,11 +245,11 @@ mod tests {
         let (mut k, _) = kernel_with_snapshot();
         let mut cache = ImageCache::new();
         cache.preload(&mut k, "fn", "/img").unwrap();
-        assert_eq!(cache.len(), 1);
-        assert!(cache.get("fn").is_some());
+        assert_eq!(cache.sets.len(), 1);
+        assert!(cache.sets.contains_key("fn"));
         assert!(cache.evict("fn").is_some());
         assert!(cache.evict("fn").is_none());
-        assert!(cache.is_empty());
+        assert!(cache.sets.is_empty());
     }
 
     /// Dumps a snapshot whose pages are all distinct from each other
@@ -305,19 +284,18 @@ mod tests {
         let one = ImageCache::standalone_bytes(&sets[0]);
 
         // Room for two unrelated snapshots, not three.
-        let mut cache = ImageCache::with_capacity(2 * one + one / 2);
+        let mut cache = bounded(2 * one + one / 2);
         assert!(cache.insert("a", sets[0].clone()).is_empty());
         assert!(cache.insert("b", sets[1].clone()).is_empty());
         assert_eq!(cache.charged_bytes(), 2 * one);
 
         // "a" is refreshed, so inserting "c" evicts "b".
-        let _ = cache.get("a");
         cache.touch("a");
         let evicted = cache.insert("c", sets[2].clone());
         assert_eq!(evicted, vec!["b".to_owned()]);
-        assert!(cache.get("a").is_some());
-        assert!(cache.get("c").is_some());
-        assert!(cache.charged_bytes() <= cache.capacity_bytes().unwrap());
+        assert!(cache.sets.contains_key("a"));
+        assert!(cache.sets.contains_key("c"));
+        assert!(cache.charged_bytes() <= cache.capacity_bytes.unwrap());
     }
 
     #[test]
@@ -334,16 +312,16 @@ mod tests {
         // Bound fits two plain-size sets but not plain + ws-augmented:
         // the ws.img bytes must tip it over and evict the older entry.
         let cap = ImageCache::standalone_bytes(&plain) * 2 + 16;
-        let mut cache = ImageCache::with_capacity(cap);
+        let mut cache = bounded(cap);
         assert!(cache.insert("plain", plain).is_empty());
         let evicted = cache.insert("with-ws", with_ws);
         assert_eq!(evicted, vec!["plain".to_owned()]);
 
         // A snapshot bigger than the whole budget is refused outright.
-        let mut tiny = ImageCache::with_capacity(8);
+        let mut tiny = bounded(8);
         let huge = cache.evict("with-ws").unwrap();
         assert_eq!(tiny.insert("huge", huge), vec!["huge".to_owned()]);
-        assert!(tiny.is_empty());
+        assert!(tiny.sets.is_empty());
     }
 
     #[test]
@@ -358,17 +336,18 @@ mod tests {
 
         // The budget fits one-and-a-half standalone snapshots: under
         // additive accounting the pair would not fit.
-        let mut cache = ImageCache::with_capacity(one + one / 2);
+        let mut cache = bounded(one + one / 2);
         assert!(cache.insert("a", a).is_empty());
         assert!(
             cache.insert("b", b).is_empty(),
             "identical twin shares every frame; nothing to evict"
         );
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.sets.len(), 2);
 
         // Charged: two metadata bases + ONE copy of the shared frames.
-        let base = cache.get("a").unwrap().non_payload_bytes();
+        let base = cache.sets.get("a").unwrap().non_payload_bytes();
         let unique = cache
+            .sets
             .get("a")
             .unwrap()
             .pagestore

@@ -2,8 +2,11 @@
 //!
 //! The paper's prototype (and its OpenFaaS templates) drive CRIU through
 //! its CLI — `criu dump -t <pid> -D <dir> [--leave-running]` and
-//! `criu restore -D <dir>`. This module parses exactly that surface so
-//! platform templates can embed real-looking commands.
+//! `criu restore -D <dir>`. This module parses exactly that surface, so
+//! those command lines run unchanged against the simulated kernel. The
+//! platform and the starters call the library functions (`dump`,
+//! `restore`) directly; only the tests and the crate example drive the
+//! CLI.
 
 use std::fmt;
 
@@ -80,12 +83,6 @@ impl CriuCli {
             caller,
             costs: CriuCosts::paper_calibrated(),
         }
-    }
-
-    /// Overrides the cost table.
-    pub fn with_costs(mut self, costs: CriuCosts) -> CriuCli {
-        self.costs = costs;
-        self
     }
 
     /// Runs one `criu ...` command line.
@@ -350,10 +347,18 @@ mod tests {
         (k, caller, target)
     }
 
+    /// A CLI that charges nothing for criu's own work.
+    fn free_cli(caller: Pid) -> CriuCli {
+        CriuCli {
+            caller,
+            costs: CriuCosts::free(),
+        }
+    }
+
     #[test]
     fn cli_dump_then_restore() {
         let (mut k, caller, target) = setup();
-        let cli = CriuCli::new(caller).with_costs(CriuCosts::free());
+        let cli = free_cli(caller);
         let pid_str = target.0.to_string();
         let out = cli
             .run(&mut k, &["criu", "dump", "-t", &pid_str, "-D", "/img"])
@@ -400,7 +405,7 @@ mod tests {
     #[test]
     fn leave_running_flag_parsed() {
         let (mut k, caller, target) = setup();
-        let cli = CriuCli::new(caller).with_costs(CriuCosts::free());
+        let cli = free_cli(caller);
         let pid_str = target.0.to_string();
         cli.run(
             &mut k,
@@ -413,7 +418,7 @@ mod tests {
     #[test]
     fn cli_check_validates_images() {
         let (mut k, caller, target) = setup();
-        let cli = CriuCli::new(caller).with_costs(CriuCosts::free());
+        let cli = free_cli(caller);
         let pid_str = target.0.to_string();
         cli.run(&mut k, &["dump", "-t", &pid_str, "-D", "/img"])
             .unwrap();
@@ -432,7 +437,7 @@ mod tests {
     #[test]
     fn cow_flag_parsed() {
         let (mut k, caller, target) = setup();
-        let cli = CriuCli::new(caller).with_costs(CriuCosts::free());
+        let cli = free_cli(caller);
         let pid_str = target.0.to_string();
         cli.run(&mut k, &["dump", "-t", &pid_str, "-D", "/img"])
             .unwrap();
@@ -458,7 +463,7 @@ mod tests {
     #[test]
     fn extent_flags_parsed() {
         let (mut k, caller, target) = setup();
-        let cli = CriuCli::new(caller).with_costs(CriuCosts::free());
+        let cli = free_cli(caller);
         let pid_str = target.0.to_string();
         cli.run(&mut k, &["dump", "-t", &pid_str, "-D", "/img"])
             .unwrap();
@@ -502,7 +507,7 @@ mod tests {
     #[test]
     fn threads_flag_parsed() {
         let (mut k, caller, target) = setup();
-        let cli = CriuCli::new(caller).with_costs(CriuCosts::free());
+        let cli = free_cli(caller);
         let pid_str = target.0.to_string();
         cli.run(&mut k, &["dump", "-t", &pid_str, "-D", "/img"])
             .unwrap();
@@ -529,7 +534,7 @@ mod tests {
         use crate::image::WsImage;
 
         let (mut k, caller, target) = setup();
-        let cli = CriuCli::new(caller).with_costs(CriuCosts::free());
+        let cli = free_cli(caller);
         let pid_str = target.0.to_string();
         let page_index = {
             let vma = k
@@ -578,7 +583,7 @@ mod tests {
     #[test]
     fn same_pid_flag_parsed() {
         let (mut k, caller, target) = setup();
-        let cli = CriuCli::new(caller).with_costs(CriuCosts::free());
+        let cli = free_cli(caller);
         let pid_str = target.0.to_string();
         cli.run(&mut k, &["dump", "-t", &pid_str, "-D", "/img"])
             .unwrap();

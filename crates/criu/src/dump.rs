@@ -78,22 +78,6 @@ pub struct DumpStats {
     pub frozen_for: SimDuration,
 }
 
-/// Builds the in-memory [`ImageSet`] of a (frozen) process without writing
-/// it to the filesystem. Shared by [`dump`] and the in-memory cache
-/// ablation.
-///
-/// # Errors
-///
-/// Propagates kernel/ptrace errors.
-pub fn collect_images(
-    kernel: &mut Kernel,
-    tracer: Pid,
-    target: Pid,
-    costs: &CriuCosts,
-) -> SysResult<ImageSet> {
-    collect_images_inner(kernel, tracer, target, costs, false)
-}
-
 fn collect_images_inner(
     kernel: &mut Kernel,
     tracer: Pid,

@@ -12,15 +12,15 @@ use prebake_sim::mem::{Page, Prot, VirtAddr, Vma, VmaKind, PAGE_SIZE};
 use prebake_sim::proc::{FdEntry, Pid, Regs, Tid};
 
 /// Magic prefix of every image file: `"CRIM"`.
-pub const IMAGE_MAGIC: u32 = 0x4352_494D;
+pub(crate) const IMAGE_MAGIC: u32 = 0x4352_494D;
 /// Image format version written by this build. Version 2 added the
 /// fault-order `repack` layout and the compaction fallback layer
 /// (`fallback-pagemap.img`/`fallback-pages.img`); the encoding of every
 /// individual image is unchanged, so readers accept version 1 files —
 /// legacy images restore exactly as before.
-pub const IMAGE_VERSION: u16 = 2;
+pub(crate) const IMAGE_VERSION: u16 = 2;
 /// Oldest image format version readers still accept.
-pub const IMAGE_VERSION_MIN: u16 = 1;
+pub(crate) const IMAGE_VERSION_MIN: u16 = 1;
 
 /// Errors produced while encoding/decoding images.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -454,7 +454,7 @@ pub struct PagemapEntry {
 
 /// Where one page's contents come from at restore time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PageSource<'a> {
+pub(crate) enum PageSource<'a> {
     /// Demand-zero page: nothing stored.
     Zero,
     /// Payload stored in this image.
@@ -515,12 +515,12 @@ impl PagesImage {
     }
 
     /// Number of pages deferred to the parent snapshot.
-    pub fn parent_pages(&self) -> usize {
+    pub(crate) fn parent_pages(&self) -> usize {
         self.entries.iter().filter(|e| e.in_parent).count()
     }
 
     /// Iterates `(page_index, PageSource)` in entry order.
-    pub fn iter_pages(&self) -> impl Iterator<Item = (u64, PageSource<'_>)> {
+    pub(crate) fn iter_pages(&self) -> impl Iterator<Item = (u64, PageSource<'_>)> {
         let mut offset = 0usize;
         self.entries.iter().map(move |e| {
             if e.zero {
@@ -599,7 +599,7 @@ impl PagesImage {
     /// [`ImageError::BadPages`] if the parent lacks a referenced page or
     /// itself defers to a grandparent (only one level is supported, as in
     /// a single pre-dump round).
-    pub fn resolve_parent(&self, parent: &PagesImage) -> Result<PagesImage, ImageError> {
+    pub(crate) fn resolve_parent(&self, parent: &PagesImage) -> Result<PagesImage, ImageError> {
         use std::collections::BTreeMap;
         let mut parent_pages: BTreeMap<u64, PageSource<'_>> = BTreeMap::new();
         for (idx, src) in parent.iter_pages() {
@@ -650,7 +650,7 @@ impl PagesImage {
     /// instead of seeking. Indices in `order` that the image does not
     /// hold (or that repeat) are ignored. Guest contents are unchanged:
     /// the same `(page_index, bytes)` pairs come back, permuted.
-    pub fn reordered(&self, order: &[u64]) -> PagesImage {
+    pub(crate) fn reordered(&self, order: &[u64]) -> PagesImage {
         use std::collections::BTreeMap;
         let mut by_index: BTreeMap<u64, usize> = BTreeMap::new();
         for (slot, e) in self.entries.iter().enumerate() {
@@ -698,7 +698,7 @@ impl PagesImage {
     /// with [`PagesImage::reordered`] keeps the fault-order layout of
     /// the hot half. Returns `None` when the image defers payload to a
     /// parent snapshot (compaction needs a self-contained image).
-    pub fn split_hot(
+    pub(crate) fn split_hot(
         &self,
         hot_set: &std::collections::BTreeSet<u64>,
     ) -> Option<(PagesImage, PagesImage)> {
@@ -758,11 +758,6 @@ impl WsImage {
     /// Whether no faults were recorded.
     pub fn is_empty(&self) -> bool {
         self.pages.is_empty()
-    }
-
-    /// Bytes the working set spans in guest memory.
-    pub fn span_bytes(&self) -> u64 {
-        self.pages.len() as u64 * PAGE_SIZE as u64
     }
 
     /// Serialises the working-set image.
@@ -869,25 +864,20 @@ impl PageStoreImage {
         self.refs.len()
     }
 
-    /// Stored pages whose payload another page already carries.
-    pub fn duplicate_pages(&self) -> usize {
-        self.refs.len() - self.hashes.len()
-    }
-
     /// Bytes of unique page payload.
     pub fn unique_bytes(&self) -> u64 {
         self.payload.len() as u64
     }
 
     /// Payload slice of frame `frame_index`.
-    pub fn frame_bytes(&self, frame_index: u32) -> &[u8] {
+    pub(crate) fn frame_bytes(&self, frame_index: u32) -> &[u8] {
         let at = frame_index as usize * PAGE_SIZE;
         &self.payload[at..at + PAGE_SIZE]
     }
 
     /// Iterates `(page_index, frame_hash, frame_bytes)` over every
     /// reference, in pagemap order.
-    pub fn iter_refs(&self) -> impl Iterator<Item = (u64, u64, &[u8])> {
+    pub(crate) fn iter_refs(&self) -> impl Iterator<Item = (u64, u64, &[u8])> {
         self.refs.iter().map(|&(page_index, frame_idx)| {
             (
                 page_index,
@@ -1010,7 +1000,7 @@ pub struct PageExtent {
 
 impl PageExtent {
     /// One past the last page index of the run.
-    pub fn end_index(&self) -> u64 {
+    pub(crate) fn end_index(&self) -> u64 {
         self.start_index + self.pages as u64
     }
 }
@@ -1025,7 +1015,7 @@ impl PageExtent {
 /// real CRIU uses to amortise per-page syscall overhead. The table is
 /// derivable from the pagemap, so the file is optional: old per-page
 /// images parse unchanged and a restore can recompute the runs on the
-/// fly via [`ExtentsImage::from_pages`].
+/// fly via `ExtentsImage::from_pages`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExtentsImage {
     /// Coalesced runs in ascending `start_index` order.
@@ -1034,7 +1024,7 @@ pub struct ExtentsImage {
 
 impl ExtentsImage {
     /// Coalesces a pages image into maximal stored-page runs.
-    pub fn from_pages(pages: &PagesImage) -> ExtentsImage {
+    pub(crate) fn from_pages(pages: &PagesImage) -> ExtentsImage {
         let mut extents: Vec<PageExtent> = Vec::new();
         for (page_index, src) in pages.iter_pages() {
             if !matches!(src, PageSource::Bytes(_)) {
@@ -1052,23 +1042,12 @@ impl ExtentsImage {
     }
 
     /// Number of runs.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.extents.len()
     }
 
-    /// Whether the table holds no runs.
-    pub fn is_empty(&self) -> bool {
-        self.extents.is_empty()
-    }
-
-    /// Total pages covered by all runs (equals the pages image's
-    /// stored-page count).
-    pub fn covered_pages(&self) -> u64 {
-        self.extents.iter().map(|e| e.pages as u64).sum()
-    }
-
     /// Serialises the extent table.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new(KIND_EXTENTS);
         w.u32(self.extents.len() as u32);
         for e in &self.extents {
@@ -1086,7 +1065,7 @@ impl ExtentsImage {
     /// [`ImageError::BadExtents`] when the runs do not exactly match the
     /// coalescing of `pages` (coverage, order, or adjacency), or any
     /// codec error.
-    pub fn parse(bytes: &[u8], pages: &PagesImage) -> Result<ExtentsImage, ImageError> {
+    pub(crate) fn parse(bytes: &[u8], pages: &PagesImage) -> Result<ExtentsImage, ImageError> {
         let mut r = Reader::open(bytes, KIND_EXTENTS)?;
         let count = r.u32()?;
         let mut extents = Vec::with_capacity(count as usize);
@@ -1222,15 +1201,15 @@ impl ImageSet {
     /// `ws.img` — the recorded working set (optional).
     pub const WS_NAME: &'static str = "ws.img";
     /// `pagestore.img` — the content-addressed dedup view (optional).
-    pub const PAGESTORE_NAME: &'static str = "pagestore.img";
+    pub(crate) const PAGESTORE_NAME: &'static str = "pagestore.img";
     /// `extents.img` — the coalesced pagemap runs (optional).
-    pub const EXTENTS_NAME: &'static str = "extents.img";
+    pub(crate) const EXTENTS_NAME: &'static str = "extents.img";
     /// `fallback-pagemap.img` — pagemap of the compaction fallback layer
     /// (optional; only `--compact` repacks write it).
-    pub const FALLBACK_PAGEMAP_NAME: &'static str = "fallback-pagemap.img";
+    pub(crate) const FALLBACK_PAGEMAP_NAME: &'static str = "fallback-pagemap.img";
     /// `fallback-pages.img` — payload of the compaction fallback layer
     /// (optional).
-    pub const FALLBACK_PAGES_NAME: &'static str = "fallback-pages.img";
+    pub(crate) const FALLBACK_PAGES_NAME: &'static str = "fallback-pages.img";
     /// The parent link file written by incremental dumps (CRIU uses a
     /// symlink named `parent`; we store the path as file contents).
     pub const PARENT_LINK: &'static str = "parent";
@@ -1286,7 +1265,7 @@ impl ImageSet {
     /// Total serialised size across all image files — `ws.img`,
     /// `pagestore.img`, `extents.img` and the compaction fallback layer
     /// included.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.hot_bytes()
             + self.fallback.as_ref().map_or(0, |f| {
                 (f.encode_pagemap().len() + f.encode_pages().len()) as u64
@@ -1298,7 +1277,7 @@ impl ImageSet {
     /// misses the hot set. This is what `--compact` shrinks — and what a
     /// registry tier ships to a node ahead of a start. Equals
     /// [`ImageSet::total_bytes`] for uncompacted sets.
-    pub fn hot_bytes(&self) -> u64 {
+    pub(crate) fn hot_bytes(&self) -> u64 {
         (self.core.encode().len()
             + self.mm.encode().len()
             + self.pages.encode_pagemap().len()
@@ -1311,7 +1290,7 @@ impl ImageSet {
 
     /// The extent view to restore by: the dumped table when present, a
     /// fresh coalescing of the pagemap otherwise (old per-page images).
-    pub fn extent_view(&self) -> ExtentsImage {
+    pub(crate) fn extent_view(&self) -> ExtentsImage {
         self.extents
             .clone()
             .unwrap_or_else(|| ExtentsImage::from_pages(&self.pages))
@@ -1322,7 +1301,7 @@ impl ImageSet {
     /// carries no payload on disk). A dedup-aware cache charges this base
     /// per snapshot and the unique frame payload once per distinct frame
     /// across all residents.
-    pub fn non_payload_bytes(&self) -> u64 {
+    pub(crate) fn non_payload_bytes(&self) -> u64 {
         let stored =
             self.pages.stored_pages() + self.fallback.as_ref().map_or(0, |f| f.stored_pages());
         self.total_bytes() - (stored * PAGE_SIZE) as u64
@@ -1558,7 +1537,6 @@ mod tests {
         let ws = WsImage::from_fault_log(vec![900, 3, 77, 12]);
         assert_eq!(ws.len(), 4);
         assert!(!ws.is_empty());
-        assert_eq!(ws.span_bytes(), 4 * PAGE_SIZE as u64);
         let back = WsImage::parse(&ws.encode()).unwrap();
         assert_eq!(back, ws);
         assert_eq!(back.pages, vec![900, 3, 77, 12], "fault order kept");
@@ -1613,7 +1591,6 @@ mod tests {
         let store = PageStoreImage::from_pages(&pages).unwrap();
         assert_eq!(store.unique_pages(), 2, "0xAA and 0xBB frames");
         assert_eq!(store.total_refs(), 4, "zero page carries no ref");
-        assert_eq!(store.duplicate_pages(), 2);
         assert_eq!(store.unique_bytes(), 2 * PAGE_SIZE as u64);
         store.verify_against(&pages).unwrap();
 
@@ -1706,8 +1683,8 @@ mod tests {
             ]
         );
         assert_eq!(ext.len(), 3);
-        assert!(!ext.is_empty());
-        assert_eq!(ext.covered_pages() as usize, pages.stored_pages());
+        let covered: u64 = ext.extents.iter().map(|e| e.pages as u64).sum();
+        assert_eq!(covered as usize, pages.stored_pages());
         assert_eq!(ext.extents[0].end_index(), 12);
     }
 
@@ -1719,7 +1696,7 @@ mod tests {
         pages.push(7, &filled(2));
         let ext = ExtentsImage::from_pages(&pages);
         assert_eq!(ext.len(), 2, "parent-deferred page is not in pages.img");
-        assert_eq!(ext.covered_pages(), 2);
+        assert_eq!(ext.extents.iter().map(|e| e.pages as u64).sum::<u64>(), 2);
     }
 
     #[test]
@@ -1736,7 +1713,7 @@ mod tests {
         let mut zeros = PagesImage::default();
         zeros.push(1, &Page::zeroed());
         let empty = ExtentsImage::from_pages(&zeros);
-        assert!(empty.is_empty());
+        assert_eq!(empty.len(), 0);
         assert_eq!(ExtentsImage::parse(&empty.encode(), &zeros).unwrap(), empty);
 
         // A table that disagrees with the pagemap is rejected.

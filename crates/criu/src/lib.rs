@@ -57,8 +57,8 @@ pub use check::{check, CheckReport};
 pub use cli::{criu_dump, criu_restore, CliOutcome, CriuCli};
 pub use costs::CriuCosts;
 pub use dump::{
-    collect_images, dump, pre_dump, read_images, read_images_lazy, repack, DumpOptions, DumpStats,
-    RepackOptions, RepackStats,
+    dump, pre_dump, read_images, read_images_lazy, repack, DumpOptions, DumpStats, RepackOptions,
+    RepackStats,
 };
 pub use image::{
     page_content_hash, ExtentsImage, ImageError, ImageSet, PageExtent, PageStoreImage, PagesImage,

@@ -76,11 +76,6 @@ impl RestoreMode {
         !matches!(self, RestoreMode::Eager)
     }
 
-    /// Whether this mode maps shared frames copy-on-write.
-    pub fn is_cow(self) -> bool {
-        matches!(self, RestoreMode::Cow | RestoreMode::CowPrefetch)
-    }
-
     /// Whether this mode consumes a recorded working set (`ws.img`) —
     /// builders must run the record pass before shipping such images.
     pub fn needs_ws(self) -> bool {

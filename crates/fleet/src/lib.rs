@@ -43,10 +43,9 @@ pub mod sim;
 pub mod worker;
 
 pub use metrics::FleetMetrics;
-pub use policy::{ArrivalStats, KeepAlive, Policy, StartSelection};
+pub use policy::{KeepAlive, Policy, StartSelection};
 pub use prebake_gateway::{
     AdmissionStats, CacheConfig, GatewayConfig, GatewayMetrics, StreamConfig,
 };
 pub use profile::{FunctionProfile, Gear, GearCost};
 pub use sim::{default_fleet_obs, FleetConfig, FleetError, FleetRequest, FleetSim, RegistryConfig};
-pub use worker::{Replica, ReplicaState, Worker};

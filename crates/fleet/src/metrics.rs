@@ -39,7 +39,7 @@ pub struct FleetMetrics {
     pub latency: Histogram,
     /// Arrival → completion latency split by serving gear, ms. One
     /// pre-registered slot per [`Gear::ALL`] entry (indexed by
-    /// [`Gear::index`]), so the serve path never allocates or probes a
+    /// `Gear::index`), so the serve path never allocates or probes a
     /// map to find its histogram.
     pub latency_by_gear: [Histogram; Gear::ALL.len()],
     /// Arrival → completion latency of cold-served requests only, ms —
@@ -84,7 +84,7 @@ impl FleetMetrics {
     /// Records one served request: aggregate + per-gear latency, and the
     /// cold-only split when the request waited on a cold start. The gear
     /// slot is pre-registered, so this is allocation-free.
-    pub fn observe_latency(&mut self, gear: Gear, latency_ms: f64, cold: bool) {
+    pub(crate) fn observe_latency(&mut self, gear: Gear, latency_ms: f64, cold: bool) {
         self.latency.observe(latency_ms);
         self.latency_by_gear[gear.index()].observe(latency_ms);
         if cold {
@@ -94,7 +94,7 @@ impl FleetMetrics {
 
     /// Folds another metrics block into this one — the shard-merge path.
     /// Counters add; histograms merge bucket-wise (shared bounds).
-    pub fn merge(&mut self, other: &FleetMetrics) {
+    pub(crate) fn merge(&mut self, other: &FleetMetrics) {
         self.requests.add(other.requests.get());
         self.cold_starts.add(other.cold_starts.get());
         self.shed.add(other.shed.get());
@@ -128,7 +128,7 @@ impl FleetMetrics {
 
     /// Renders the fleet series in the Prometheus text exposition format;
     /// `worker_high_water` adds one gauge row per worker.
-    pub fn render(&self, worker_high_water: &[u64]) -> String {
+    pub(crate) fn render(&self, worker_high_water: &[u64]) -> String {
         let mut out = String::new();
         for (name, value) in [
             ("fleet_requests_total", self.requests.get()),

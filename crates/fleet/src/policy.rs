@@ -43,7 +43,7 @@ pub enum KeepAlive {
 
 impl KeepAlive {
     /// Short label used in reports.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             KeepAlive::FixedTtl(ttl) => format!("ttl{}s", ttl.as_millis() / 1000),
             KeepAlive::LruPressure { ttl } => {
@@ -60,12 +60,12 @@ impl KeepAlive {
     }
 
     /// Whether memory pressure may evict idle replicas before their TTL.
-    pub fn evicts_under_pressure(&self) -> bool {
+    pub(crate) fn evicts_under_pressure(&self) -> bool {
         matches!(self, KeepAlive::LruPressure { .. })
     }
 
     /// Whether expiry-to-zero schedules a predictive pre-warm.
-    pub fn prewarms(&self) -> bool {
+    pub(crate) fn prewarms(&self) -> bool {
         matches!(self, KeepAlive::Histogram { prewarm: true, .. })
     }
 }
@@ -82,7 +82,7 @@ pub enum StartSelection {
 
 impl StartSelection {
     /// Resolves the gear for one function.
-    pub fn gear_for(&self, profile: &FunctionProfile) -> Gear {
+    pub(crate) fn gear_for(&self, profile: &FunctionProfile) -> Gear {
         match self {
             StartSelection::Fixed(g) => *g,
             StartSelection::Adaptive => profile.best_gear(),
@@ -90,7 +90,7 @@ impl StartSelection {
     }
 
     /// Short label used in reports.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             StartSelection::Fixed(g) => g.label().to_owned(),
             StartSelection::Adaptive => "adaptive".to_owned(),
@@ -125,7 +125,7 @@ impl Policy {
 /// Observed inter-arrival statistics for one function: drives the
 /// histogram keep-alive policy and the pre-warm predictor.
 #[derive(Debug, Clone)]
-pub struct ArrivalStats {
+pub(crate) struct ArrivalStats {
     gaps_ms: Histogram,
     last_arrival: Option<SimInstant>,
 }
@@ -153,7 +153,7 @@ impl Default for ArrivalStats {
 
 impl ArrivalStats {
     /// Empty statistics.
-    pub fn new() -> ArrivalStats {
+    pub(crate) fn new() -> ArrivalStats {
         ArrivalStats {
             gaps_ms: Histogram::new(&GAP_BOUNDS_MS),
             last_arrival: None,
@@ -161,20 +161,12 @@ impl ArrivalStats {
     }
 
     /// Records one arrival at `now`.
-    pub fn observe(&mut self, now: SimInstant) {
+    pub(crate) fn observe(&mut self, now: SimInstant) {
         if let Some(last) = self.last_arrival {
             self.gaps_ms
                 .observe(now.saturating_duration_since(last).as_millis_f64());
         }
         self.last_arrival = Some(now);
-    }
-
-    /// Arrivals observed (gaps + 1, once anything arrived).
-    pub fn arrivals(&self) -> u64 {
-        match self.last_arrival {
-            None => 0,
-            Some(_) => self.gaps_ms.count() + 1,
-        }
     }
 
     /// The idle TTL the policy grants a replica of this function.
@@ -183,7 +175,7 @@ impl ArrivalStats {
     /// configured inter-arrival quantile clamped to `[floor, cap]`
     /// (falling back to `cap` while fewer than two arrivals have been
     /// seen — new functions get the benefit of the doubt).
-    pub fn keep_alive_for(&self, policy: &KeepAlive) -> SimDuration {
+    pub(crate) fn keep_alive_for(&self, policy: &KeepAlive) -> SimDuration {
         match policy {
             KeepAlive::FixedTtl(ttl) | KeepAlive::LruPressure { ttl } => *ttl,
             KeepAlive::Histogram {
@@ -208,7 +200,7 @@ impl ArrivalStats {
     /// mean observed gap (the histogram tracks its sum and count exactly,
     /// so the mean has no bucket-resolution error). `None` until two
     /// arrivals have been seen.
-    pub fn predicted_next_arrival(&self) -> Option<SimInstant> {
+    pub(crate) fn predicted_next_arrival(&self) -> Option<SimInstant> {
         let last = self.last_arrival?;
         if self.gaps_ms.count() == 0 {
             return None;
@@ -304,13 +296,13 @@ mod tests {
         let mut one = ArrivalStats::new();
         one.observe(SimInstant::EPOCH);
         assert!(one.predicted_next_arrival().is_none());
-        assert_eq!(one.arrivals(), 1);
+        assert_eq!(one.gaps_ms.count(), 0);
 
         let stats = stats_with_gaps(&[1000, 1000, 1000]);
         let predicted = stats.predicted_next_arrival().unwrap();
         // Last arrival was t=3s; the median bucketised gap predicts t+1s.
         assert_eq!(predicted, SimInstant::EPOCH + SimDuration::from_secs(4));
-        assert_eq!(stats.arrivals(), 4);
+        assert_eq!(stats.gaps_ms.count(), 3);
     }
 
     #[test]

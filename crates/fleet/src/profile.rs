@@ -48,7 +48,7 @@ impl Gear {
     ];
 
     /// The single-machine start mode this gear measures with.
-    pub fn start_mode(self) -> StartMode {
+    pub(crate) fn start_mode(self) -> StartMode {
         match self {
             Gear::Vanilla => StartMode::Vanilla,
             Gear::Eager => StartMode::PrebakeWarmup(1),
@@ -60,7 +60,7 @@ impl Gear {
 
     /// The gear's ordinal in [`Gear::ALL`] — a dense index for
     /// pre-registered per-gear metric arrays.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Gear::Vanilla => 0,
             Gear::Eager => 1,
@@ -102,7 +102,7 @@ pub struct GearCost {
 impl GearCost {
     /// Start → first response: the latency a queued request pays when it
     /// has to wait for a cold start.
-    pub fn cold_to_first_response_ms(&self) -> f64 {
+    pub(crate) fn cold_to_first_response_ms(&self) -> f64 {
         self.cold_ms + self.first_service_ms
     }
 }

@@ -1027,21 +1027,20 @@ impl Shard {
             .max(SimDuration::from_nanos(1));
         // The image must land on the node before the restore can begin:
         // the pull serializes ahead of the gear's startup cost.
-        let (pull_wait, pull_bytes) =
-            match self.pull_image(worker, function, gear, cost.image_bytes) {
-                Some((wait, bytes)) => {
-                    self.metrics.pull_wait.observe(wait.as_millis_f64());
-                    let (at, key) = (
-                        self.now,
-                        SeriesKey::new("fleet_pull_wait_ms")
-                            .tenant(function)
-                            .node(self.global_worker(worker) as u32),
-                    );
-                    self.obs_observe(at, key, wait.as_millis_f64(), None);
-                    (wait, bytes)
-                }
-                None => (SimDuration::ZERO, 0),
-            };
+        let pull_wait = match self.pull_image(worker, function, gear, cost.image_bytes) {
+            Some(wait) => {
+                self.metrics.pull_wait.observe(wait.as_millis_f64());
+                let (at, key) = (
+                    self.now,
+                    SeriesKey::new("fleet_pull_wait_ms")
+                        .tenant(function)
+                        .node(self.global_worker(worker) as u32),
+                );
+                self.obs_observe(at, key, wait.as_millis_f64(), None);
+                wait
+            }
+            None => SimDuration::ZERO,
+        };
         let ready_at = start_at + pull_wait + startup;
         let rid = self.next_replica;
         self.next_replica += 1;
@@ -1058,7 +1057,6 @@ impl Shard {
                 last_used: ready_at,
                 served: 0,
                 pull_wait,
-                pull_bytes,
             },
             cost.image_bytes,
         );
@@ -1089,15 +1087,15 @@ impl Shard {
 
     /// Pulls the `(function, gear)` image through `worker`'s node cache,
     /// charging the transfer and the fleet egress/dedup counters.
-    /// Returns `(wait, bytes fetched)`, or `None` without a registry
-    /// tier or for image-less gears.
+    /// Returns the pull wait, or `None` without a registry tier or for
+    /// image-less gears.
     fn pull_image(
         &mut self,
         worker: usize,
         function: &str,
         gear: Gear,
         image_bytes: u64,
-    ) -> Option<(SimDuration, u64)> {
+    ) -> Option<SimDuration> {
         if image_bytes == 0 {
             return None;
         }
@@ -1137,7 +1135,7 @@ impl Shard {
                 .node(node);
             self.obs_inc(at, key, 1);
         }
-        Some((receipt.wait, receipt.stats.bytes_fetched))
+        Some(receipt.wait)
     }
 
     /// Chooses the worker for a new replica: among this cell's workers
@@ -1499,11 +1497,6 @@ impl FleetSim {
         self.profiles.insert(name, profile);
     }
 
-    /// Registry image id of one `(function, gear)` snapshot.
-    pub fn image_id(function: &str, gear: Gear) -> String {
-        image_id(function, gear)
-    }
-
     /// The snapshot registry, when the tier is configured. Pull
     /// accounting is folded in at the end of each run.
     pub fn registry(&self) -> Option<&SnapshotRegistry> {
@@ -1521,7 +1514,7 @@ impl FleetSim {
     /// # Errors
     ///
     /// [`FleetError::UnknownFunction`] if no profile is registered.
-    pub fn submit(&mut self, at: SimInstant, function: &str) -> Result<(), FleetError> {
+    pub(crate) fn submit(&mut self, at: SimInstant, function: &str) -> Result<(), FleetError> {
         let Some(&home) = self.home.get(function) else {
             return Err(FleetError::UnknownFunction(function.to_owned()));
         };
@@ -1772,7 +1765,7 @@ impl FleetSim {
     }
 
     /// Arrivals currently parked in admission queues, fleet-wide.
-    pub fn gateway_queue_depth(&self) -> usize {
+    pub(crate) fn gateway_queue_depth(&self) -> usize {
         self.shards
             .iter()
             .filter_map(|s| s.gateway.as_ref())
@@ -1815,11 +1808,6 @@ impl FleetSim {
             .iter()
             .flat_map(|s| s.workers.iter().map(|w| w.mem_high_water))
             .collect()
-    }
-
-    /// Live replicas (any state) of `function` across the fleet.
-    pub fn replica_count(&self, function: &str) -> usize {
-        self.shards.iter().map(|s| s.replica_count(function)).sum()
     }
 
     /// Renders every fleet metric in the Prometheus exposition format,
@@ -1938,7 +1926,8 @@ mod tests {
         assert_eq!(s.completed().len(), 2);
         assert_eq!(s.metrics().cold_starts.get(), 2, "ttl expired in the gap");
         assert!(s.metrics().expirations.get() >= 1);
-        assert_eq!(s.replica_count("fn-a"), 0, "everything expired at the end");
+        let live: usize = s.shards.iter().map(|sh| sh.replica_count("fn-a")).sum();
+        assert_eq!(live, 0, "everything expired at the end");
     }
 
     #[test]

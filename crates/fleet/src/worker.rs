@@ -21,7 +21,7 @@ use crate::profile::Gear;
 
 /// Lifecycle of a replica on a worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicaState {
+pub(crate) enum ReplicaState {
     /// Restore/boot in flight; ready at the given instant.
     Starting {
         /// When the replica becomes ready.
@@ -41,7 +41,7 @@ pub enum ReplicaState {
 
 /// A warm (or warming) function replica.
 #[derive(Debug, Clone)]
-pub struct Replica {
+pub(crate) struct Replica {
     /// Function the replica serves.
     pub function: String,
     /// Gear it was started with.
@@ -65,8 +65,6 @@ pub struct Replica {
     /// snapshot registry (zero without a registry tier, on node-cache
     /// hits, and for image-less gears).
     pub pull_wait: SimDuration,
-    /// Registry bytes the pull fetched over the network.
-    pub pull_bytes: u64,
 }
 
 /// One `(function, gear)` image's node-local charge: the bytes it pins
@@ -79,7 +77,7 @@ struct ImageCharge {
 
 /// One worker node.
 #[derive(Debug)]
-pub struct Worker {
+pub(crate) struct Worker {
     /// Worker index in the fleet.
     pub id: usize,
     /// Memory budget in bytes.
@@ -98,7 +96,7 @@ pub struct Worker {
 
 impl Worker {
     /// An empty worker.
-    pub fn new(id: usize, mem_budget: u64) -> Worker {
+    pub(crate) fn new(id: usize, mem_budget: u64) -> Worker {
         Worker {
             id,
             mem_budget,
@@ -111,14 +109,14 @@ impl Worker {
     }
 
     /// Bytes currently charged: resident replicas + cached images.
-    pub fn mem_in_use(&self) -> u64 {
+    pub(crate) fn mem_in_use(&self) -> u64 {
         self.replicas.values().map(|r| r.mem_bytes).sum::<u64>()
             + self.image_charges.values().map(|c| c.bytes).sum::<u64>()
     }
 
     /// Extra bytes starting `function` with `gear` would charge (the
     /// image is charged only once per `(function, gear)` per node).
-    pub fn charge_for(
+    pub(crate) fn charge_for(
         &self,
         function: &str,
         gear: Gear,
@@ -137,12 +135,12 @@ impl Worker {
     }
 
     /// Whether `extra` more bytes fit in the budget.
-    pub fn fits(&self, extra: u64) -> bool {
+    pub(crate) fn fits(&self, extra: u64) -> bool {
         self.mem_in_use() + extra <= self.mem_budget
     }
 
     /// Live replicas (any state) of `function`.
-    pub fn replicas_of(&self, function: &str) -> usize {
+    pub(crate) fn replicas_of(&self, function: &str) -> usize {
         self.replicas
             .values()
             .filter(|r| r.function == function)
@@ -152,7 +150,7 @@ impl Worker {
     /// Adds a replica under `id`, charging its memory (and its
     /// `(function, gear)` image on this node's first use). Updates the
     /// high-water mark.
-    pub fn add_replica(&mut self, id: u64, replica: Replica, image_bytes: u64) {
+    pub(crate) fn add_replica(&mut self, id: u64, replica: Replica, image_bytes: u64) {
         let charge = self
             .image_charges
             .entry((replica.function.clone(), replica.gear))
@@ -169,7 +167,7 @@ impl Worker {
     /// image charge is released with the node's last replica of that
     /// pair — and only on this node: a sibling node holding the same
     /// function keeps its own charge.
-    pub fn remove_replica(&mut self, id: u64) -> Option<Replica> {
+    pub(crate) fn remove_replica(&mut self, id: u64) -> Option<Replica> {
         let replica = self.replicas.remove(&id)?;
         let key = (replica.function.clone(), replica.gear);
         if let Some(charge) = self.image_charges.get_mut(&key) {
@@ -183,7 +181,7 @@ impl Worker {
 
     /// Ids of idle replicas, least-recently-used first (stable on ties by
     /// replica id, so eviction order is deterministic).
-    pub fn idle_lru(&self) -> Vec<u64> {
+    pub(crate) fn idle_lru(&self) -> Vec<u64> {
         let mut idle: Vec<(SimInstant, u64)> = self
             .replicas
             .iter()
@@ -201,7 +199,7 @@ impl Worker {
     /// becoming chargeable if this worker's copies of the same pair are
     /// all evicted. Returns `None` when even a full idle purge would
     /// not make room.
-    pub fn pressure_victims(
+    pub(crate) fn pressure_victims(
         &self,
         function: &str,
         gear: Gear,
@@ -253,7 +251,11 @@ impl Worker {
     /// Reserves a cold-start slot: starts immediately while fewer than
     /// `concurrency` starts are in flight, else queues behind the
     /// earliest-finishing one. Returns `(slot index, start instant)`.
-    pub fn reserve_slot(&mut self, now: SimInstant, concurrency: usize) -> (usize, SimInstant) {
+    pub(crate) fn reserve_slot(
+        &mut self,
+        now: SimInstant,
+        concurrency: usize,
+    ) -> (usize, SimInstant) {
         let cap = concurrency.max(1);
         if self.slots.len() < cap {
             self.slots.push(now);
@@ -269,7 +271,7 @@ impl Worker {
     }
 
     /// Marks a reserved slot busy until `ready_at`.
-    pub fn occupy_slot(&mut self, slot: usize, ready_at: SimInstant) {
+    pub(crate) fn occupy_slot(&mut self, slot: usize, ready_at: SimInstant) {
         self.slots[slot] = ready_at;
     }
 }
@@ -291,7 +293,6 @@ mod tests {
             last_used: t,
             served: 0,
             pull_wait: SimDuration::ZERO,
-            pull_bytes: 0,
         }
     }
 

@@ -17,55 +17,55 @@ use crate::image::{resize_box, working_buffers, Bitmap, CompressedImage};
 use crate::markdown::render_page;
 
 /// NOOP framework initialisation (paper Fig. 4: APPINIT ≈ 31 ms).
-pub const NOOP_INIT: SimDuration = SimDuration::from_micros(27_800);
+pub(crate) const NOOP_INIT: SimDuration = SimDuration::from_micros(27_800);
 /// NOOP post-restore residual re-initialisation (paper Fig. 3: prebaked
 /// NOOP starts in ≈ 62 ms, noticeably above its restore floor).
-pub const NOOP_ATTACH_RESIDUAL: SimDuration = SimDuration::from_micros(11_000);
+pub(crate) const NOOP_ATTACH_RESIDUAL: SimDuration = SimDuration::from_micros(11_000);
 /// NOOP request service cost.
-pub const NOOP_SERVICE: SimDuration = SimDuration::from_micros(1_000);
+pub(crate) const NOOP_SERVICE: SimDuration = SimDuration::from_micros(1_000);
 
 /// Markdown framework initialisation beyond library class loading.
-pub const MD_INIT: SimDuration = SimDuration::from_micros(13_000);
+pub(crate) const MD_INIT: SimDuration = SimDuration::from_micros(13_000);
 /// Markdown post-restore residual.
-pub const MD_ATTACH_RESIDUAL: SimDuration = SimDuration::from_micros(1_500);
+pub(crate) const MD_ATTACH_RESIDUAL: SimDuration = SimDuration::from_micros(1_500);
 /// Markdown fixed service cost per request.
-pub const MD_SERVICE_BASE: SimDuration = SimDuration::from_micros(800);
+pub(crate) const MD_SERVICE_BASE: SimDuration = SimDuration::from_micros(800);
 /// Markdown per-byte render cost (ns per body byte).
-pub const MD_SERVICE_NS_PER_BYTE: f64 = 300.0 / 1024.0 * 1000.0; // 0.3 ms/KiB
+pub(crate) const MD_SERVICE_NS_PER_BYTE: f64 = 300.0 / 1024.0 * 1000.0; // 0.3 ms/KiB
 
 /// Image Resizer decode cost per pixel (ns). 3440×1440 ≈ 4.95 Mpx makes
 /// decode ≈ 224 ms of the paper's ≈ 238 ms APPINIT.
-pub const IMG_DECODE_NS_PER_PIXEL: f64 = 45.2;
+pub(crate) const IMG_DECODE_NS_PER_PIXEL: f64 = 45.2;
 /// Image Resizer framework initialisation.
-pub const IMG_INIT: SimDuration = SimDuration::from_micros(3_000);
+pub(crate) const IMG_INIT: SimDuration = SimDuration::from_micros(3_000);
 /// Image Resizer post-restore residual (re-opening codecs and temp
 /// files; calibrated to the paper's ≈87 ms prebaked start).
-pub const IMG_ATTACH_RESIDUAL: SimDuration = SimDuration::from_micros(9_500);
+pub(crate) const IMG_ATTACH_RESIDUAL: SimDuration = SimDuration::from_micros(9_500);
 /// Image Resizer fixed service cost per request (scaling 4.95 Mpx down
 /// to 10 %).
-pub const IMG_SERVICE: SimDuration = SimDuration::from_micros(11_000);
+pub(crate) const IMG_SERVICE: SimDuration = SimDuration::from_micros(11_000);
 /// Number of full-size derived working buffers the decoder keeps.
-pub const IMG_WORK_BUFFERS: usize = 4;
+pub(crate) const IMG_WORK_BUFFERS: usize = 4;
 /// Extra decoder scratch bytes (tail buffer), sized so the snapshot
 /// lands on the paper's 99.2 MB.
-pub const IMG_SCRATCH_BYTES: usize = 10_900_000;
+pub(crate) const IMG_SCRATCH_BYTES: usize = 10_900_000;
 
 /// Synthetic-function framework initialisation.
-pub const SYNTH_INIT: SimDuration = SimDuration::from_micros(8_000);
+pub(crate) const SYNTH_INIT: SimDuration = SimDuration::from_micros(8_000);
 /// Synthetic-function service cost per request (after loading).
-pub const SYNTH_SERVICE: SimDuration = SimDuration::from_micros(400);
+pub(crate) const SYNTH_SERVICE: SimDuration = SimDuration::from_micros(400);
 
 // ------------------------------------------------------------------ NOOP
 
 /// The paper's "do-nothing" function: returns success to every request.
 #[derive(Debug, Default)]
-pub struct NoopHandler {
+pub(crate) struct NoopHandler {
     classes: Vec<String>,
 }
 
 impl NoopHandler {
     /// Creates the handler with its (tiny) eager class list.
-    pub fn new(classes: Vec<String>) -> NoopHandler {
+    pub(crate) fn new(classes: Vec<String>) -> NoopHandler {
         NoopHandler { classes }
     }
 }
@@ -99,13 +99,13 @@ impl Handler for NoopHandler {
 /// The Markdown Render function: converts the request body (a Markdown
 /// document) into a full HTML page.
 #[derive(Debug, Default)]
-pub struct MarkdownHandler {
+pub(crate) struct MarkdownHandler {
     classes: Vec<String>,
 }
 
 impl MarkdownHandler {
     /// Creates the handler with its markdown-library class list.
-    pub fn new(classes: Vec<String>) -> MarkdownHandler {
+    pub(crate) fn new(classes: Vec<String>) -> MarkdownHandler {
         MarkdownHandler { classes }
     }
 }
@@ -163,7 +163,7 @@ fn decode_img_blob(blob: &[u8]) -> SysResult<(u32, u32, VirtAddr)> {
 /// guest heap buffers (the paper's 99.2 MB snapshot) and scales it to
 /// 10 % per request with a real box filter.
 #[derive(Debug)]
-pub struct ImageResizerHandler {
+pub(crate) struct ImageResizerHandler {
     classes: Vec<String>,
     source_path: String,
 }
@@ -171,7 +171,7 @@ pub struct ImageResizerHandler {
 impl ImageResizerHandler {
     /// Creates the handler; `source_path` is the guest path of the
     /// compressed source image.
-    pub fn new(classes: Vec<String>, source_path: impl Into<String>) -> ImageResizerHandler {
+    pub(crate) fn new(classes: Vec<String>, source_path: impl Into<String>) -> ImageResizerHandler {
         ImageResizerHandler {
             classes,
             source_path: source_path.into(),
@@ -254,14 +254,14 @@ impl Handler for ImageResizerHandler {
 /// invocation, exactly like the paper's "loads a predefined number of
 /// classes when invoked".
 #[derive(Debug)]
-pub struct SyntheticHandler {
+pub(crate) struct SyntheticHandler {
     name: String,
     classes: Vec<String>,
 }
 
 impl SyntheticHandler {
     /// Creates the handler over the class-name list of its archive.
-    pub fn new(name: impl Into<String>, classes: Vec<String>) -> SyntheticHandler {
+    pub(crate) fn new(name: impl Into<String>, classes: Vec<String>) -> SyntheticHandler {
         SyntheticHandler {
             name: name.into(),
             classes,

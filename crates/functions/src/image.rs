@@ -11,9 +11,9 @@
 use prebake_runtime::gen::SplitMix64;
 
 /// Raw-bitmap magic: `"PBI1"`.
-pub const BITMAP_MAGIC: u32 = 0x5042_4931;
+pub(crate) const BITMAP_MAGIC: u32 = 0x5042_4931;
 /// Compressed-source magic: `"PBIC"`.
-pub const COMPRESSED_MAGIC: u32 = 0x5042_4943;
+pub(crate) const COMPRESSED_MAGIC: u32 = 0x5042_4943;
 
 /// Errors decoding image containers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,7 +80,7 @@ impl Bitmap {
     /// # Panics
     ///
     /// Panics if out of bounds.
-    pub fn pixel(&self, x: u32, y: u32) -> [u8; 3] {
+    pub(crate) fn pixel(&self, x: u32, y: u32) -> [u8; 3] {
         assert!(x < self.width && y < self.height, "pixel out of bounds");
         let i = (3 * (y * self.width + x)) as usize;
         [self.data[i], self.data[i + 1], self.data[i + 2]]
@@ -91,7 +91,7 @@ impl Bitmap {
     /// # Panics
     ///
     /// Panics if out of bounds.
-    pub fn set_pixel(&mut self, x: u32, y: u32, rgb: [u8; 3]) {
+    pub(crate) fn set_pixel(&mut self, x: u32, y: u32, rgb: [u8; 3]) {
         assert!(x < self.width && y < self.height, "pixel out of bounds");
         let i = (3 * (y * self.width + x)) as usize;
         self.data[i..i + 3].copy_from_slice(&rgb);
@@ -164,7 +164,7 @@ pub struct CompressedImage {
 
 impl CompressedImage {
     /// Builds the paper's source: 3440×1440 with a 1 MiB residual stream.
-    pub fn paper_source(seed: u64) -> CompressedImage {
+    pub(crate) fn paper_source(seed: u64) -> CompressedImage {
         CompressedImage::synthetic(3440, 1440, seed, 1 << 20)
     }
 
@@ -343,7 +343,7 @@ pub fn resize_bilinear(src: &Bitmap, out_w: u32, out_h: u32) -> Bitmap {
 /// Image Resizer snapshot up to 99.2 MB. Each buffer is a cheap byte
 /// transform of the bitmap so generation stays fast while the bytes stay
 /// unique and non-zero.
-pub fn working_buffers(bmp: &Bitmap, count: usize) -> Vec<Vec<u8>> {
+pub(crate) fn working_buffers(bmp: &Bitmap, count: usize) -> Vec<Vec<u8>> {
     (0..count)
         .map(|i| {
             let k = 0x35u8.wrapping_add((i as u8) * 0x4F);

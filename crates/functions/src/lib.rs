@@ -24,7 +24,6 @@ pub mod image;
 pub mod markdown;
 pub mod spec;
 
-pub use handlers::{ImageResizerHandler, MarkdownHandler, NoopHandler, SyntheticHandler};
 pub use image::{resize_bilinear, resize_box, Bitmap, CompressedImage};
-pub use markdown::{render, render_page};
+pub use markdown::render;
 pub use spec::{sample_markdown, FunctionSpec, SyntheticSize};

@@ -290,7 +290,7 @@ fn list_item(trimmed: &str) -> Option<ListKind> {
 
 /// Wraps a rendered fragment into a complete HTML page (what the function
 /// returns over HTTP).
-pub fn render_page(title: &str, input: &str) -> String {
+pub(crate) fn render_page(title: &str, input: &str) -> String {
     format!(
         "<!DOCTYPE html>\n<html><head><title>{}</title></head><body>\n{}</body></html>\n",
         escape_html(title),

@@ -39,7 +39,7 @@ impl SyntheticSize {
     }
 
     /// Target total archive bytes.
-    pub fn total_bytes(self) -> usize {
+    pub(crate) fn total_bytes(self) -> usize {
         match self {
             SyntheticSize::Small => 2_800_000,
             SyntheticSize::Medium => 9_200_000,
@@ -218,17 +218,6 @@ impl FunctionSpec {
         &self.class_names
     }
 
-    /// Whether the application links lazily on first request.
-    pub fn lazy_link(&self) -> bool {
-        self.lazy_link
-    }
-
-    /// The runtime flavour replicas of this function boot
-    /// ([`RuntimeProfile::JavaLike`] unless overridden).
-    pub fn runtime(&self) -> RuntimeProfile {
-        self.runtime
-    }
-
     /// Re-targets the function at a different runtime flavour (the §7
     /// future-work exploration: Node.JS- and Python-like runtimes).
     pub fn with_runtime(mut self, runtime: RuntimeProfile) -> FunctionSpec {
@@ -318,14 +307,14 @@ mod tests {
         let ratio = bytes / 2_800_000.0;
         assert!((0.85..1.15).contains(&ratio), "archive {bytes} bytes");
         assert_eq!(spec.class_names().len(), 374);
-        assert!(spec.lazy_link());
+        assert!(spec.lazy_link);
     }
 
     #[test]
     fn noop_is_tiny() {
         let spec = FunctionSpec::noop();
         assert!(spec.archive().payload_bytes() < 32_000);
-        assert!(!spec.lazy_link());
+        assert!(!spec.lazy_link);
         assert_eq!(spec.name(), "noop");
     }
 

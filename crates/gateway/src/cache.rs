@@ -99,14 +99,9 @@ impl<V: Clone> ResultCache<V> {
         }
     }
 
-    /// The configuration the cache was built with.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
     /// TTL for `function`: the per-function override, else the default.
     /// `None` means the function is not cacheable.
-    pub fn ttl_for(&self, function: &str) -> Option<SimDuration> {
+    pub(crate) fn ttl_for(&self, function: &str) -> Option<SimDuration> {
         self.config
             .per_function
             .get(function)
@@ -163,16 +158,6 @@ impl<V: Clone> ResultCache<V> {
             },
         );
         CacheInsert::Stored { evicted }
-    }
-
-    /// Live entries (stale ones linger until looked up or evicted).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -241,7 +226,7 @@ mod tests {
         c.insert("b", "f", 2, t0 + SimDuration::from_millis(10)); // 1010ms
         let out = c.insert("c", "f", 3, t0 + SimDuration::from_millis(20));
         assert_eq!(out, CacheInsert::Stored { evicted: true });
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.entries.len(), 2);
         // "a" (earliest expiry) was the victim.
         assert_eq!(
             c.lookup("a", "f", t0 + SimDuration::from_millis(30)),

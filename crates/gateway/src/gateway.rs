@@ -214,11 +214,6 @@ impl Gateway {
         self.platform.now()
     }
 
-    /// The fronted platform (e.g. for registry inspection).
-    pub fn platform(&self) -> &Platform {
-        &self.platform
-    }
-
     /// Gateway metrics accumulated so far.
     pub fn metrics(&self) -> &GatewayMetrics {
         &self.metrics
@@ -311,7 +306,7 @@ impl Gateway {
     /// # Errors
     ///
     /// Propagates platform errors.
-    pub fn drain(&mut self) -> Result<(), GatewayError> {
+    pub(crate) fn drain(&mut self) -> Result<(), GatewayError> {
         let tick = SimDuration::from_nanos(1);
         while !self.inflight.is_empty() || self.admission.queue_depth() > 0 {
             let Some(t) = self.platform.next_event_time() else {
@@ -326,12 +321,12 @@ impl Gateway {
     }
 
     /// Replies recorded so far, in completion order.
-    pub fn replies(&self) -> &[InvokeReply] {
+    pub(crate) fn replies(&self) -> &[InvokeReply] {
         &self.replies
     }
 
     /// Takes the recorded replies, leaving the log empty.
-    pub fn take_replies(&mut self) -> Vec<InvokeReply> {
+    pub(crate) fn take_replies(&mut self) -> Vec<InvokeReply> {
         std::mem::take(&mut self.replies)
     }
 

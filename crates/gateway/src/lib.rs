@@ -36,6 +36,6 @@ pub mod stream;
 pub use admission::{AdmissionController, AdmissionOutcome, AdmissionStats};
 pub use cache::{CacheConfig, CacheInsert, CacheLookup, ResultCache};
 pub use gateway::{ArrivalOutcome, DriveReport, Gateway, GatewayConfig, GatewayError, InvokeReply};
-pub use metrics::{GatewayMetrics, GATEWAY_BOUNDS_MS};
+pub use metrics::GatewayMetrics;
 pub use sdk::GatewayClient;
-pub use stream::{first_chunk_at, plan, Chunk, StreamConfig};
+pub use stream::{first_chunk_at, Chunk, StreamConfig};

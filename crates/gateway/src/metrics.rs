@@ -15,12 +15,12 @@ use prebake_platform::metrics::{render_histogram, Counter, Histogram};
 /// TTFC / cached-path buckets: finer than the fleet latency bounds
 /// below 10ms, because the cached path and the prefetch first chunk
 /// both live there.
-pub const GATEWAY_BOUNDS_MS: [f64; 14] = [
+pub(crate) const GATEWAY_BOUNDS_MS: [f64; 14] = [
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1_000.0, 10_000.0,
 ];
 
 /// Queue-depth buckets (entries, not milliseconds).
-pub const QUEUE_DEPTH_BOUNDS: [f64; 10] =
+pub(crate) const QUEUE_DEPTH_BOUNDS: [f64; 10] =
     [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0, 1_024.0, 4_096.0];
 
 /// Counters and distributions for one gateway (or one fleet shard's

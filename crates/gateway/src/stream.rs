@@ -40,7 +40,7 @@ impl Default for StreamConfig {
 impl StreamConfig {
     /// Chunk count for a body of `bytes` (at least 1 — even an empty
     /// response sends one terminating chunk).
-    pub fn chunks_for(&self, bytes: u64) -> usize {
+    pub(crate) fn chunks_for(&self, bytes: u64) -> usize {
         let per = self.chunk_bytes.max(1) as u64;
         (bytes.div_ceil(per)).max(1) as usize
     }
@@ -66,7 +66,7 @@ pub fn first_chunk_at(dispatched: SimInstant, completed: SimInstant, n: usize) -
 /// Lays a body of `total_bytes` out as `n` chunks across the service
 /// window, even-sized with the remainder on the last chunk. The final
 /// chunk always lands exactly at `completed`.
-pub fn plan(
+pub(crate) fn plan(
     dispatched: SimInstant,
     completed: SimInstant,
     total_bytes: u64,

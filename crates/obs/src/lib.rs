@@ -13,7 +13,7 @@
 //! - [`slo`] — declarative objectives ("cold-start p99 < 250ms over 60s
 //!   windows", "cold fraction < 10%") evaluated as SRE-style error-budget
 //!   burn rates with multi-window burn alerts and per-tenant worst-offender
-//!   attribution, emitted as typed [`SloEvent`](slo::SloEvent)s.
+//!   attribution, emitted as typed [`SloEvent`]s.
 //! - [`sampler`] — tail-based span sampling: keep every SLO-breaching or
 //!   erroring trace in full, keep the boring rest with a small seeded
 //!   hash probability. Pure function of (seed, trace id) — bit-reproducible.
@@ -32,11 +32,8 @@ pub mod slo;
 pub mod stack;
 
 pub use export::{chrome_trace_with_exemplars, dashboard, DashboardSpec};
-pub use recorder::{
-    Exemplar, KeyTable, Recorder, RecorderConfig, SeriesId, SeriesKey, Window, WindowHistogram,
-    WindowView,
-};
-pub use sampler::{sample_trees, SampleStats, SamplerConfig, TailSampler};
+pub use recorder::{Exemplar, Recorder, RecorderConfig, SeriesId, SeriesKey, WindowView};
+pub use sampler::{SampleStats, SamplerConfig};
 pub use slo::{
     Objective, ObjectiveStatus, Sli, SloEngine, SloEvent, SloEventKind, SloReport, WindowBurn,
 };
@@ -44,6 +41,6 @@ pub use stack::{ObsConfig, ObsStack};
 
 /// Default latency bucket bounds (ms), matching the fleet scheduler's
 /// `LATENCY_BOUNDS_MS` so windowed series merge with fleet aggregates.
-pub const DEFAULT_LATENCY_BOUNDS_MS: [f64; 12] = [
+pub(crate) const DEFAULT_LATENCY_BOUNDS_MS: [f64; 12] = [
     1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1_000.0, 2_500.0, 10_000.0,
 ];

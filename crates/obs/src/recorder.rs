@@ -8,7 +8,7 @@
 //! (metric, tenant, node, gear). Everything is `BTreeMap`-backed so a
 //! given event sequence renders byte-identically on every run.
 //!
-//! Series identities are **interned**: the recorder owns a [`KeyTable`]
+//! Series identities are **interned**: the recorder owns a `KeyTable`
 //! mapping each distinct [`SeriesKey`] to a dense [`SeriesId`], and the
 //! per-window maps are keyed by id. Hot paths intern a key once and feed
 //! [`Recorder::inc_id`] / [`Recorder::observe_exemplar_id`] with no
@@ -70,7 +70,7 @@ impl SeriesKey {
 
     /// Prometheus label pairs without braces (`tenant="a",node="0"`),
     /// empty when no label is set.
-    pub fn labels(&self) -> String {
+    pub(crate) fn labels(&self) -> String {
         let mut parts = Vec::new();
         if !self.tenant.is_empty() {
             parts.push(format!("tenant=\"{}\"", self.tenant));
@@ -85,7 +85,7 @@ impl SeriesKey {
     }
 
     /// Full series name, `metric{labels}` or bare `metric`.
-    pub fn series(&self) -> String {
+    pub(crate) fn series(&self) -> String {
         let labels = self.labels();
         if labels.is_empty() {
             self.metric.clone()
@@ -96,14 +96,14 @@ impl SeriesKey {
 }
 
 /// Dense handle for an interned [`SeriesKey`] — an index into the
-/// recorder's [`KeyTable`]. Ids are assigned in first-intern order and
+/// recorder's `KeyTable`. Ids are assigned in first-intern order and
 /// are only meaningful against the table that issued them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SeriesId(u32);
 
 impl SeriesId {
     /// The id's table index.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -111,14 +111,14 @@ impl SeriesId {
 /// Append-only intern table mapping [`SeriesKey`]s to dense
 /// [`SeriesId`]s and back.
 #[derive(Debug, Clone, Default)]
-pub struct KeyTable {
+pub(crate) struct KeyTable {
     keys: Vec<SeriesKey>,
     ids: BTreeMap<SeriesKey, SeriesId>,
 }
 
 impl KeyTable {
     /// The id for `key`, interning it on first sight.
-    pub fn intern(&mut self, key: &SeriesKey) -> SeriesId {
+    pub(crate) fn intern(&mut self, key: &SeriesKey) -> SeriesId {
         if let Some(&id) = self.ids.get(key) {
             return id;
         }
@@ -129,7 +129,7 @@ impl KeyTable {
     }
 
     /// The id for `key` if it has been interned.
-    pub fn get(&self, key: &SeriesKey) -> Option<SeriesId> {
+    pub(crate) fn get(&self, key: &SeriesKey) -> Option<SeriesId> {
         self.ids.get(key).copied()
     }
 
@@ -138,18 +138,8 @@ impl KeyTable {
     /// # Panics
     ///
     /// Panics if `id` came from a different table.
-    pub fn resolve(&self, id: SeriesId) -> &SeriesKey {
+    pub(crate) fn resolve(&self, id: SeriesId) -> &SeriesKey {
         &self.keys[id.index()]
-    }
-
-    /// Number of interned series.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether no series has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 }
 
@@ -170,7 +160,7 @@ pub struct Exemplar {
 /// interesting trace to follow from a latency bucket — with first-seen
 /// winning ties so replays are deterministic.
 #[derive(Debug, Clone)]
-pub struct WindowHistogram {
+pub(crate) struct WindowHistogram {
     /// The bucketed distribution for this window.
     pub hist: Histogram,
     /// Per-bucket exemplar slots, same length as `hist.bucket_counts()`.
@@ -233,7 +223,7 @@ impl WindowHistogram {
 /// [`SeriesId`]; read it through [`WindowView`], which carries the
 /// resolving [`KeyTable`].
 #[derive(Debug, Clone)]
-pub struct Window {
+pub(crate) struct Window {
     /// Window ordinal: `floor(t / width)`.
     pub index: u64,
     /// Inclusive window start (`index * width`).
@@ -276,34 +266,13 @@ impl<'a> WindowView<'a> {
         }
     }
 
-    /// Value of one counter series in this window (0 when absent).
-    pub fn counter(&self, key: &SeriesKey) -> u64 {
-        self.keys
-            .get(key)
-            .and_then(|id| self.win.counters.get(&id))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// All counter series in this window, in key order.
-    pub fn counters(&self) -> Vec<(&'a SeriesKey, u64)> {
-        let mut out: Vec<(&SeriesKey, u64)> = self
-            .win
-            .counters
-            .iter()
-            .map(|(&id, &v)| (self.keys.resolve(id), v))
-            .collect();
-        out.sort_by_key(|(k, _)| *k);
-        out
-    }
-
     /// One histogram series in this window, if it received observations.
-    pub fn histogram(&self, key: &SeriesKey) -> Option<&'a WindowHistogram> {
+    pub(crate) fn histogram(&self, key: &SeriesKey) -> Option<&'a WindowHistogram> {
         self.keys.get(key).and_then(|id| self.win.hists.get(&id))
     }
 
     /// All histogram series in this window, in key order.
-    pub fn histograms(&self) -> Vec<(&'a SeriesKey, &'a WindowHistogram)> {
+    pub(crate) fn histograms(&self) -> Vec<(&'a SeriesKey, &'a WindowHistogram)> {
         let mut out: Vec<(&SeriesKey, &WindowHistogram)> = self
             .win
             .hists
@@ -325,7 +294,7 @@ impl<'a> WindowView<'a> {
     }
 
     /// Sum of a counter metric restricted to one tenant in this window.
-    pub fn counter_metric_tenant(&self, metric: &str, tenant: &str) -> u64 {
+    pub(crate) fn counter_metric_tenant(&self, metric: &str, tenant: &str) -> u64 {
         self.win
             .counters
             .iter()
@@ -427,13 +396,8 @@ impl Recorder {
     }
 
     /// The recorder's configuration.
-    pub fn config(&self) -> &RecorderConfig {
+    pub(crate) fn config(&self) -> &RecorderConfig {
         &self.config
-    }
-
-    /// The series intern table.
-    pub fn keys(&self) -> &KeyTable {
-        &self.keys
     }
 
     /// Interns a series key, returning the dense id hot paths should
@@ -444,7 +408,7 @@ impl Recorder {
     }
 
     /// Window ordinal containing `at`.
-    pub fn index_of(&self, at: SimInstant) -> u64 {
+    pub(crate) fn index_of(&self, at: SimInstant) -> u64 {
         at.as_nanos() / self.config.width.as_nanos()
     }
 
@@ -548,7 +512,7 @@ impl Recorder {
     ///
     /// Panics if the window widths differ (the rings would not align) or
     /// if a shared series carries mismatched histogram bounds.
-    pub fn absorb(&mut self, other: &Recorder) {
+    pub(crate) fn absorb(&mut self, other: &Recorder) {
         assert_eq!(
             self.config.width.as_nanos(),
             other.config.width.as_nanos(),
@@ -647,7 +611,7 @@ impl Recorder {
     /// Renders the ring-aggregated series in the Prometheus text
     /// exposition format: counters summed across windows, histograms
     /// merged across windows, plus the recorder's own meta counters.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut counters: BTreeMap<&SeriesKey, u64> = BTreeMap::new();
         let mut hists: BTreeMap<&SeriesKey, Histogram> = BTreeMap::new();
         for w in &self.windows {
@@ -738,6 +702,15 @@ mod tests {
         }
     }
 
+    /// Value of one counter series in a window (0 when absent).
+    fn counter(w: &WindowView<'_>, key: &SeriesKey) -> u64 {
+        w.keys
+            .get(key)
+            .and_then(|id| w.win.counters.get(&id))
+            .copied()
+            .unwrap_or(0)
+    }
+
     #[test]
     fn series_key_labels_and_ordering() {
         let bare = SeriesKey::new("m");
@@ -756,13 +729,13 @@ mod tests {
         let b = r.intern(&SeriesKey::new("m").tenant("b"));
         assert_ne!(a, b);
         assert_eq!(r.intern(&SeriesKey::new("m").tenant("a")), a);
-        assert_eq!(r.keys().len(), 2);
-        assert_eq!(r.keys().resolve(a).tenant, "a");
+        assert_eq!(r.keys.keys.len(), 2);
+        assert_eq!(r.keys.resolve(a).tenant, "a");
         // The id path and the key path land on the same series.
         r.inc_id(at_secs(0), a, 2);
         r.inc(at_secs(0), SeriesKey::new("m").tenant("a"), 3);
         let w = r.window_containing(at_secs(0)).unwrap();
-        assert_eq!(w.counter(&SeriesKey::new("m").tenant("a")), 5);
+        assert_eq!(counter(&w, &SeriesKey::new("m").tenant("a")), 5);
     }
 
     #[test]
@@ -775,9 +748,9 @@ mod tests {
         let windows: Vec<_> = r.windows().collect();
         assert_eq!(windows.len(), 2);
         assert_eq!(windows[0].index, 0);
-        assert_eq!(windows[0].counter(&key), 3);
+        assert_eq!(counter(&windows[0], &key), 3);
         assert_eq!(windows[1].index, 1);
-        assert_eq!(windows[1].counter(&key), 4);
+        assert_eq!(counter(&windows[1], &key), 4);
         assert_eq!(windows[1].start, at_secs(60));
         assert_eq!(r.counter_total("req"), 7);
     }
@@ -882,7 +855,7 @@ mod tests {
         a.observe_exemplar(at_secs(0), SeriesKey::new("lat").tenant("a"), 5.0, Some(1));
         a.absorb(&b);
         let w0 = a.window_containing(at_secs(0)).unwrap();
-        assert_eq!(w0.counter(&SeriesKey::new("req").tenant("a")), 3);
+        assert_eq!(counter(&w0, &SeriesKey::new("req").tenant("a")), 3);
         let wh = w0.histogram(&SeriesKey::new("lat").tenant("a")).unwrap();
         assert_eq!(wh.hist.count(), 2);
         // The larger exemplar (9.0, trace 2) wins the shared bucket.

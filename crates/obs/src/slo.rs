@@ -140,7 +140,7 @@ impl Objective {
     }
 
     /// The error budget: allowed bad fraction `1 - target`.
-    pub fn budget(&self) -> f64 {
+    pub(crate) fn budget(&self) -> f64 {
         1.0 - self.target
     }
 }
@@ -217,7 +217,7 @@ pub struct ObjectiveStatus {
 
 impl ObjectiveStatus {
     /// Overall good fraction (1 when no events).
-    pub fn good_fraction(&self) -> f64 {
+    pub(crate) fn good_fraction(&self) -> f64 {
         if self.total == 0 {
             1.0
         } else {
@@ -273,7 +273,7 @@ impl SloEngine {
     }
 
     /// The configured objectives.
-    pub fn objectives(&self) -> &[Objective] {
+    pub(crate) fn objectives(&self) -> &[Objective] {
         &self.objectives
     }
 

@@ -45,11 +45,6 @@ impl ObsStack {
         }
     }
 
-    /// The configured objectives.
-    pub fn objectives(&self) -> &[Objective] {
-        self.engine.objectives()
-    }
-
     /// Whether `value_ms` on `metric` breaches any latency objective's
     /// threshold — the "interesting" signal for tail sampling.
     pub fn latency_breach(&self, metric: &str, value_ms: f64) -> bool {
@@ -167,7 +162,7 @@ mod tests {
         assert!(stack.latency_breach("fleet_latency_ms", 251.0));
         assert!(!stack.latency_breach("fleet_latency_ms", 250.0));
         assert!(!stack.latency_breach("other_ms", 9999.0));
-        assert_eq!(stack.objectives().len(), 2);
+        assert_eq!(stack.engine.objectives().len(), 2);
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl Template {
     /// The copy-on-write CRIU template: the 1-warm-up snapshot restored
     /// by mapping shared frames from the machine's content-addressed
     /// page store; replicas pay the page copy on first write only.
-    pub fn java11_criu_cow() -> Template {
+    pub(crate) fn java11_criu_cow() -> Template {
         Template::base(
             "java11-criu-cow".to_owned(),
             Some(SnapshotPolicy::AfterWarmup(1)),
@@ -108,7 +108,7 @@ impl Template {
     /// The CoW-prefetch CRIU template: the recorded working set maps
     /// copy-on-write, residual pages demand-fault (page store + `ws.img`,
     /// both produced at build time).
-    pub fn java11_criu_cow_prefetch() -> Template {
+    pub(crate) fn java11_criu_cow_prefetch() -> Template {
         Template::base(
             "java11-criu-cow-prefetch".to_owned(),
             Some(SnapshotPolicy::AfterWarmup(1)),
@@ -119,7 +119,7 @@ impl Template {
     /// The parallel-restore CRIU template: the 1-warm-up snapshot
     /// restored with `threads` install shards working disjoint extent
     /// ranges (DESIGN.md §14).
-    pub fn java11_criu_parallel(threads: usize) -> Template {
+    pub(crate) fn java11_criu_parallel(threads: usize) -> Template {
         let mut t = Template::base(
             format!("java11-criu-par{threads}"),
             Some(SnapshotPolicy::AfterWarmup(1)),
@@ -132,7 +132,7 @@ impl Template {
     /// The fault-order CRIU template: prefetch restore over images the
     /// build repacked into recorded fault order, so the working-set read
     /// streams sequentially instead of seeking.
-    pub fn java11_criu_ordered() -> Template {
+    pub(crate) fn java11_criu_ordered() -> Template {
         let mut t = Template::base(
             "java11-criu-ordered".to_owned(),
             Some(SnapshotPolicy::AfterWarmup(1)),
@@ -145,7 +145,7 @@ impl Template {
     /// The compacted CRIU template: eager restore of a hot image holding
     /// only the pages the recorded first invocation touched; the rest sit
     /// in the fallback layer behind the fault handler.
-    pub fn java11_criu_compact() -> Template {
+    pub(crate) fn java11_criu_compact() -> Template {
         let mut t = Template::base(
             "java11-criu-compact".to_owned(),
             Some(SnapshotPolicy::AfterWarmup(1)),
@@ -157,7 +157,7 @@ impl Template {
     }
 
     /// The built-in template repository.
-    pub fn repository() -> Vec<Template> {
+    pub(crate) fn repository() -> Vec<Template> {
         vec![
             Template::java11(),
             Template::java11_criu(),
@@ -173,7 +173,7 @@ impl Template {
     }
 
     /// Looks a template up by name.
-    pub fn lookup(name: &str) -> Option<Template> {
+    pub(crate) fn lookup(name: &str) -> Option<Template> {
         if let Some(rest) = name.strip_prefix("java11-criu-warm") {
             if let Ok(n) = rest.parse::<u32>() {
                 return Some(Template::java11_criu_warm(n));

@@ -49,8 +49,7 @@ pub mod registry;
 
 pub use builder::{FunctionBuilder, Template};
 pub use loadgen::{
-    write_csv_stream, Arrival, ArrivalGen, CsvArrivalStream, LoadError, LoadResult, MergedArrivals,
-    PoissonProcess, Schedule,
+    Arrival, ArrivalGen, LoadError, LoadResult, MergedArrivals, PoissonProcess, Schedule,
 };
 pub use metrics::Metrics;
 pub use openfaas::{FaasGateway, ProviderConfig};

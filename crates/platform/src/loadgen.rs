@@ -9,7 +9,7 @@
 //! multi-tenant workloads the fleet scheduler (`prebake-fleet`) faces.
 //!
 //! Every arrival process is a lazy stream ([`ArrivalGen`],
-//! [`MergedArrivals`], [`CsvArrivalStream`]). [`Schedule`] is the
+//! [`MergedArrivals`], `CsvArrivalStream`). [`Schedule`] is the
 //! materialized form: an ordered list of `(instant, function)` arrivals
 //! collected from a stream, which can be merged, serialised to CSV and
 //! replayed — either into a [`Platform`] or into any other consumer. The
@@ -135,16 +135,11 @@ fn csv_row(a: &Arrival) -> String {
 }
 
 impl Schedule {
-    /// An empty schedule.
-    pub fn new() -> Schedule {
-        Schedule::default()
-    }
-
-    /// [`ArrivalGen::constant`], materialized.
+    /// `ArrivalGen::constant`, materialized.
     ///
     /// # Errors
     ///
-    /// As [`ArrivalGen::constant`]; [`LoadError::Overflow`] fails the
+    /// As `ArrivalGen::constant`; [`LoadError::Overflow`] fails the
     /// whole schedule.
     pub fn constant(
         function: &str,
@@ -205,11 +200,11 @@ impl Schedule {
         )?)
     }
 
-    /// [`ArrivalGen::empirical`], materialized.
+    /// `ArrivalGen::empirical`, materialized.
     ///
     /// # Errors
     ///
-    /// As [`ArrivalGen::empirical`]; [`LoadError::Overflow`] fails the
+    /// As `ArrivalGen::empirical`; [`LoadError::Overflow`] fails the
     /// whole schedule.
     pub fn empirical(
         function: &str,
@@ -254,11 +249,6 @@ impl Schedule {
         self.arrivals.is_empty()
     }
 
-    /// Instant of the last arrival, if any.
-    pub fn end(&self) -> Option<SimInstant> {
-        self.arrivals.iter().map(|a| a.at).max()
-    }
-
     /// Serialises the schedule as a CSV trace: a `t_ns,function` header
     /// followed by one row per arrival, nanosecond timestamps. The
     /// format round-trips bit-exactly through [`Schedule::from_csv`].
@@ -270,7 +260,7 @@ impl Schedule {
         out
     }
 
-    /// Parses a CSV trace with [`CsvArrivalStream`]. Rows may appear in
+    /// Parses a CSV trace with `CsvArrivalStream`. Rows may appear in
     /// any order — the result is sorted by time, stable for equal
     /// instants.
     ///
@@ -289,7 +279,7 @@ impl Schedule {
     /// # Errors
     ///
     /// The first error the stream yields.
-    pub fn from_stream(
+    pub(crate) fn from_stream(
         stream: impl IntoIterator<Item = LoadResult<Arrival>>,
     ) -> LoadResult<Schedule> {
         let mut arrivals = stream.into_iter().collect::<LoadResult<Vec<Arrival>>>()?;
@@ -303,7 +293,7 @@ impl Schedule {
     /// # Errors
     ///
     /// [`LoadError::Submit`] on submission failure (unknown function).
-    pub fn submit(
+    pub(crate) fn submit(
         &self,
         platform: &mut Platform,
         make_request: impl Fn(usize) -> Request,
@@ -374,7 +364,7 @@ impl ArrivalGen {
     /// [`LoadError::InvalidFunction`] on a malformed function id;
     /// [`LoadError::InvalidRate`] if `interval` is zero and `n > 1`
     /// (distinct arrivals could not advance).
-    pub fn constant(
+    pub(crate) fn constant(
         function: &str,
         n: usize,
         start: SimInstant,
@@ -479,7 +469,7 @@ impl ArrivalGen {
     /// [`LoadError::InvalidFunction`] on a malformed function id;
     /// [`LoadError::InvalidShape`] if `observed_gaps_ms` is empty or
     /// contains a non-finite or negative gap.
-    pub fn empirical(
+    pub(crate) fn empirical(
         function: &str,
         n: usize,
         start: SimInstant,
@@ -501,11 +491,6 @@ impl ArrivalGen {
                 noise: Noise::new(seed, 0.0),
             },
         ))
-    }
-
-    /// Arrivals not yet yielded.
-    pub fn remaining(&self) -> usize {
-        self.remaining
     }
 }
 
@@ -707,42 +692,14 @@ impl<I: Iterator<Item = LoadResult<Arrival>>> Iterator for MergedArrivals<I> {
     }
 }
 
-/// Streams arrivals to `out` in the [`Schedule::to_csv`] format
-/// (`t_ns,function` header + one row per arrival) without materializing
-/// the trace, returning the number of rows written. Wrap `out` in a
-/// `BufWriter` for file targets — rows are written one at a time.
-///
-/// # Errors
-///
-/// [`LoadError::Io`] on write failure; [`LoadError::InvalidFunction`]
-/// if a streamed function id cannot be carried by the format; any error
-/// the stream itself yields.
-pub fn write_csv_stream<W: std::io::Write>(
-    mut out: W,
-    stream: impl IntoIterator<Item = LoadResult<Arrival>>,
-) -> LoadResult<u64> {
-    let io_err = |e: std::io::Error| LoadError::Io(e.kind());
-    writeln!(out, "{CSV_HEADER}").map_err(io_err)?;
-    let mut rows = 0u64;
-    for arrival in stream {
-        let a = arrival?;
-        validate_function(&a.function)?;
-        out.write_all(csv_row(&a).as_bytes()).map_err(io_err)?;
-        rows += 1;
-    }
-    out.flush().map_err(io_err)?;
-    Ok(rows)
-}
-
 /// Lazily parses a CSV trace (the [`Schedule::to_csv`] format) from a
 /// buffered reader, yielding arrivals in file order one row at a time
 /// (the chunking is the reader's buffer). The header row and blank
 /// lines are optional and ignored, and `\r\n` line ends are accepted.
 /// The stream does **not** sort: consumers that need time order should
-/// stream traces written by [`write_csv_stream`] (sorted by
-/// construction) or materialize with [`Schedule::from_csv`].
+/// materialize with [`Schedule::from_csv`].
 #[derive(Debug)]
-pub struct CsvArrivalStream<R> {
+pub(crate) struct CsvArrivalStream<R> {
     reader: R,
     line: String,
     lineno: usize,
@@ -751,7 +708,7 @@ pub struct CsvArrivalStream<R> {
 
 impl<R: std::io::BufRead> CsvArrivalStream<R> {
     /// Wraps a buffered reader positioned at the start of a trace.
-    pub fn new(reader: R) -> CsvArrivalStream<R> {
+    pub(crate) fn new(reader: R) -> CsvArrivalStream<R> {
         CsvArrivalStream {
             reader,
             line: String::new(),
@@ -1086,7 +1043,7 @@ mod tests {
         assert_eq!(order, ["a", "b", "a", "b", "a", "b"]);
         assert!(merged.arrivals().windows(2).all(|w| w[0].at <= w[1].at));
         assert_eq!(
-            merged.end(),
+            merged.arrivals().last().map(|a| a.at),
             Some(SimInstant::EPOCH + SimDuration::from_millis(20))
         );
     }
@@ -1197,7 +1154,7 @@ mod tests {
             ),
         ];
         for (gen, count, head, last) in cases {
-            assert_eq!(gen.remaining(), count);
+            assert_eq!(gen.remaining, count);
             assert_eq!(gen.size_hint(), (count, Some(count)));
             let ns: Vec<u64> = gen.map(|a| a.unwrap().at.as_nanos()).collect();
             assert_eq!(ns.len(), count);
@@ -1304,15 +1261,11 @@ mod tests {
         let expected_csv = "t_ns,function\n0,t0\n0,t1\n3000000,t1\n4352780,t0\n5065291,t0\n\
                             6000000,t1\n6044154,t0\n9000000,t1\n11282400,t0\n12000000,t1\n";
 
-        let mut buf = Vec::new();
-        let rows = write_csv_stream(&mut buf, MergedArrivals::new(sources())).unwrap();
-        assert_eq!(rows, 10);
-        assert_eq!(String::from_utf8(buf.clone()).unwrap(), expected_csv);
         let merged = Schedule::from_stream(MergedArrivals::new(sources())).unwrap();
         assert_eq!(merged.to_csv(), expected_csv);
 
         // Streamed reader yields the same arrivals in file order.
-        let back: Vec<Arrival> = CsvArrivalStream::new(&buf[..])
+        let back: Vec<Arrival> = CsvArrivalStream::new(expected_csv.as_bytes())
             .map(|a| a.unwrap())
             .collect();
         assert_eq!(back, merged.arrivals());

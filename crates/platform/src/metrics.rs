@@ -209,23 +209,18 @@ pub struct Metrics {
 
 impl Metrics {
     /// Creates an empty registry.
-    pub fn new() -> Metrics {
+    pub(crate) fn new() -> Metrics {
         Metrics::default()
     }
 
     /// Metrics for `name`, created on first use.
-    pub fn function(&mut self, name: &str) -> &mut FunctionMetrics {
+    pub(crate) fn function(&mut self, name: &str) -> &mut FunctionMetrics {
         self.functions.entry(name.to_owned()).or_default()
     }
 
     /// Read-only view, if the function has metrics.
     pub fn get(&self, name: &str) -> Option<&FunctionMetrics> {
         self.functions.get(name)
-    }
-
-    /// Function names with metrics.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.functions.keys().map(String::as_str)
     }
 
     /// Renders the registry in the Prometheus text exposition format:
@@ -556,7 +551,6 @@ mod tests {
         let text = m.render();
         assert!(text.contains("faas_requests_total{function=\"noop\"} 3"));
         assert!(text.contains("faas_latency_ms_count{function=\"noop\"} 1"));
-        assert_eq!(m.names().collect::<Vec<_>>(), vec!["noop"]);
         assert!(m.get("noop").is_some());
         assert!(m.get("ghost").is_none());
     }

@@ -21,7 +21,6 @@ use prebake_sim::error::{Errno, SysResult};
 use prebake_sim::event::EventQueue;
 use prebake_sim::kernel::Kernel;
 use prebake_sim::probe::ProbeCounters;
-use prebake_sim::proc::Pid;
 use prebake_sim::time::{SimDuration, SimInstant};
 use prebake_sim::trace::TraceSpan;
 
@@ -105,8 +104,6 @@ impl CompletedRequest {
 struct Container {
     function: String,
     kernel: Kernel,
-    #[allow(dead_code)]
-    watchdog: Pid,
     replica: Replica,
     node: usize,
     busy_until: SimInstant,
@@ -245,21 +242,8 @@ impl Platform {
         &self.completed
     }
 
-    /// Drains every recorded [`TraceSpan`]: spans stashed from removed
-    /// containers plus whatever live containers have accumulated so far.
-    /// Empty unless [`PlatformConfig::span_tracing`] is on. Span ids are
-    /// unique per container kernel, not across the platform, so group by
-    /// pid/tree when merging into one timeline.
-    pub fn take_spans(&mut self) -> Vec<TraceSpan> {
-        let mut spans = std::mem::take(&mut self.spans);
-        for container in self.containers.values_mut() {
-            spans.extend(container.kernel.take_spans());
-        }
-        spans
-    }
-
     /// Live replicas of `function`.
-    pub fn replica_count(&self, function: &str) -> usize {
+    pub(crate) fn replica_count(&self, function: &str) -> usize {
         self.containers
             .values()
             .filter(|c| c.function == function)
@@ -591,7 +575,6 @@ impl Platform {
             Container {
                 function: function.to_owned(),
                 kernel,
-                watchdog,
                 replica,
                 node,
                 busy_until: ready_at,
@@ -1020,6 +1003,16 @@ mod tests {
         }
     }
 
+    /// Drains every recorded span: those stashed from removed containers
+    /// plus whatever live containers have accumulated so far.
+    fn take_spans(p: &mut Platform) -> Vec<TraceSpan> {
+        let mut spans = std::mem::take(&mut p.spans);
+        for container in p.containers.values_mut() {
+            spans.extend(container.kernel.take_spans());
+        }
+        spans
+    }
+
     #[test]
     fn span_tracing_records_cold_start_and_request_trees() {
         let config = PlatformConfig {
@@ -1030,7 +1023,7 @@ mod tests {
         p.submit(SimInstant::EPOCH, "noop", Request::empty())
             .unwrap();
         p.run().unwrap();
-        let spans = p.take_spans();
+        let spans = take_spans(&mut p);
         let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
         for expected in ["cold_start", "startup", "criu_restore", "request"] {
             assert!(names.contains(&expected), "missing span {expected:?}");
@@ -1039,7 +1032,7 @@ mod tests {
         let cold = spans.iter().find(|s| s.name == "cold_start").unwrap();
         let startup = spans.iter().find(|s| s.name == "startup").unwrap();
         assert_eq!(startup.parent, Some(cold.id));
-        assert!(p.take_spans().is_empty(), "take_spans drains");
+        assert!(take_spans(&mut p).is_empty(), "take_spans drains");
 
         // Restore-path metrics were fed from the probe trace. Eager
         // restore copies everything up front, so no faults here.
@@ -1068,7 +1061,7 @@ mod tests {
             .submit(SimInstant::EPOCH, "noop", Request::empty())
             .unwrap();
         quiet.run().unwrap();
-        assert!(quiet.take_spans().is_empty());
+        assert!(take_spans(&mut quiet).is_empty());
     }
 
     #[test]

@@ -106,16 +106,6 @@ impl Registry {
     pub fn remove(&self, name: &str) -> bool {
         self.inner.write().images.remove(name).is_some()
     }
-
-    /// Number of registered functions.
-    pub fn len(&self) -> usize {
-        self.inner.read().images.len()
-    }
-
-    /// Returns `true` if no functions are registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -140,14 +130,14 @@ mod tests {
         assert_eq!(reg.push(image("java11")), 1);
         assert_eq!(reg.push(image("java11")), 2);
         assert_eq!(reg.pull("noop").unwrap().version, 2);
-        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.inner.read().images.len(), 1);
     }
 
     #[test]
     fn pull_missing_is_none() {
         let reg = Registry::new();
         assert!(reg.pull("ghost").is_none());
-        assert!(reg.is_empty());
+        assert!(reg.inner.read().images.is_empty());
     }
 
     #[test]
@@ -157,7 +147,7 @@ mod tests {
         assert_eq!(reg.names(), vec!["noop".to_owned()]);
         assert!(reg.remove("noop"));
         assert!(!reg.remove("noop"));
-        assert!(reg.is_empty());
+        assert!(reg.inner.read().images.is_empty());
     }
 
     #[test]
@@ -175,6 +165,6 @@ mod tests {
         let a = Registry::new();
         let b = a.clone();
         a.push(image("java11"));
-        assert_eq!(b.len(), 1, "clones share state");
+        assert_eq!(b.inner.read().images.len(), 1, "clones share state");
     }
 }

@@ -28,17 +28,6 @@ pub enum PullMode {
     DedupPullThrough,
 }
 
-impl PullMode {
-    /// Short label used in reports and policy names.
-    pub fn label(self) -> &'static str {
-        match self {
-            PullMode::Naive => "naive",
-            PullMode::PullThrough => "pull-through",
-            PullMode::DedupPullThrough => "dedup",
-        }
-    }
-}
-
 /// Outcome of one image pull against a node cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PullStats {
@@ -84,7 +73,7 @@ impl NodeCache {
     }
 
     /// Whether `image_id` is resident.
-    pub fn contains(&self, image_id: &str) -> bool {
+    pub(crate) fn contains(&self, image_id: &str) -> bool {
         self.images.contains_key(image_id)
     }
 

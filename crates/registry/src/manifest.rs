@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use prebake_criu::image::{page_content_hash, ImageSet};
+use prebake_criu::image::page_content_hash;
 use prebake_sim::mem::PAGE_SIZE;
 
 /// The registry's view of one snapshot image: an id, the content hashes
@@ -25,7 +25,7 @@ pub struct ImageManifest {
 
 impl ImageManifest {
     /// Builds a manifest from raw parts. Duplicate hashes collapse.
-    pub fn new(
+    pub(crate) fn new(
         id: impl Into<String>,
         hashes: impl IntoIterator<Item = u64>,
         metadata_bytes: u64,
@@ -35,20 +35,6 @@ impl ImageManifest {
             id: id.into(),
             frame_hashes: set.into_iter().collect(),
             metadata_bytes,
-        }
-    }
-
-    /// Derives the manifest of a dumped [`ImageSet`]: the page store's
-    /// frame hashes plus the set's non-payload bytes. Snapshots without
-    /// a dedup view (incremental dumps, pre-dedup images) become opaque
-    /// blobs — no frames, full encoded size as metadata — which the
-    /// cache tier can still pull through, just never dedup.
-    pub fn from_image_set(id: impl Into<String>, set: &ImageSet) -> ImageManifest {
-        match &set.pagestore {
-            Some(store) => {
-                ImageManifest::new(id, store.hashes.iter().copied(), set.non_payload_bytes())
-            }
-            None => ImageManifest::new(id, [], set.total_bytes()),
         }
     }
 
@@ -84,7 +70,7 @@ impl ImageManifest {
     }
 
     /// Unique frame hashes, ascending.
-    pub fn frame_hashes(&self) -> &[u64] {
+    pub(crate) fn frame_hashes(&self) -> &[u64] {
         &self.frame_hashes
     }
 
@@ -94,12 +80,12 @@ impl ImageManifest {
     }
 
     /// Bytes of unique frame payload.
-    pub fn frame_bytes(&self) -> u64 {
+    pub(crate) fn frame_bytes(&self) -> u64 {
         (self.frame_hashes.len() * PAGE_SIZE) as u64
     }
 
     /// Non-page metadata bytes (always fetched, never deduped).
-    pub fn metadata_bytes(&self) -> u64 {
+    pub(crate) fn metadata_bytes(&self) -> u64 {
         self.metadata_bytes
     }
 
@@ -173,40 +159,5 @@ mod tests {
         let all = ImageManifest::synthetic("f", 1 << 20, 2.0, 1);
         let none = ImageManifest::synthetic("g", 1 << 20, -1.0, 1);
         assert_eq!(all.frame_count(), none.frame_count());
-    }
-
-    #[test]
-    fn from_image_set_uses_the_pagestore() {
-        use prebake_criu::dump::{dump, read_images, DumpOptions};
-        use prebake_sim::kernel::{Kernel, INIT_PID};
-        use prebake_sim::mem::{Prot, VmaKind};
-
-        let mut k = Kernel::free(1);
-        let tracer = k.sys_clone(INIT_PID).unwrap();
-        let target = k.sys_clone(INIT_PID).unwrap();
-        let a = k
-            .sys_mmap(target, 8 * PAGE_SIZE as u64, Prot::RW, VmaKind::RuntimeHeap)
-            .unwrap();
-        // 8 pages, 2 distinct fills -> 2 unique frames.
-        for i in 0..8u64 {
-            k.mem_write(target, a.add(i * PAGE_SIZE as u64), &[1 + (i % 2) as u8])
-                .unwrap();
-        }
-        dump(&mut k, tracer, &DumpOptions::new(target, "/img")).unwrap();
-        let set = read_images(&mut k, "/img").unwrap();
-
-        let m = ImageManifest::from_image_set("fn", &set);
-        assert_eq!(
-            m.frame_count(),
-            set.pagestore.as_ref().unwrap().unique_pages()
-        );
-        assert_eq!(m.metadata_bytes(), set.non_payload_bytes());
-
-        // An opaque (store-less) set is all metadata.
-        let mut opaque = set.clone();
-        opaque.pagestore = None;
-        let o = ImageManifest::from_image_set("fn", &opaque);
-        assert_eq!(o.frame_count(), 0);
-        assert_eq!(o.total_bytes(), opaque.total_bytes());
     }
 }

@@ -24,7 +24,7 @@ pub struct RegistryCost {
 
 impl RegistryCost {
     /// A cost model from link bandwidth in gigabits per second.
-    pub fn from_gbps(latency: SimDuration, gbps: f64) -> RegistryCost {
+    pub(crate) fn from_gbps(latency: SimDuration, gbps: f64) -> RegistryCost {
         assert!(gbps > 0.0, "bandwidth must be positive");
         RegistryCost {
             latency,
@@ -145,11 +145,6 @@ impl SnapshotRegistry {
         self.manifests.get(id)
     }
 
-    /// Number of published manifests.
-    pub fn manifest_count(&self) -> usize {
-        self.manifests.len()
-    }
-
     /// Pulls `id` into `node` under `mode`: admits the image to the
     /// node cache, charges the transfer, and returns the receipt.
     ///
@@ -233,7 +228,7 @@ mod tests {
         let m = ImageManifest::new("f", [1, 2, 3], 100);
         let total = m.total_bytes();
         assert!(reg.publish(m).is_none());
-        assert_eq!(reg.manifest_count(), 1);
+        assert_eq!(reg.manifests.len(), 1);
 
         let mut node_a = NodeCache::new();
         let mut node_b = NodeCache::new();
@@ -271,7 +266,7 @@ mod tests {
 
         let mut shard_a = reg.fork();
         let mut shard_b = reg.fork();
-        assert_eq!(shard_a.manifest_count(), 1, "manifests shared, not copied");
+        assert_eq!(shard_a.manifests.len(), 1, "manifests shared, not copied");
 
         let mut node_a = NodeCache::new();
         let mut node_b = NodeCache::new();
@@ -301,8 +296,8 @@ mod tests {
 
         // Publishing after a fork copies-on-write: forks keep the old view.
         reg.publish(ImageManifest::new("g", [7], 0));
-        assert_eq!(reg.manifest_count(), 2);
-        assert_eq!(shard_a.manifest_count(), 1);
+        assert_eq!(reg.manifests.len(), 2);
+        assert_eq!(shard_a.manifests.len(), 1);
     }
 
     #[test]

@@ -7,9 +7,9 @@ use std::fmt;
 use crate::classfile::{fnv1a, ClassFile};
 
 /// Format magic: `"JLAR"`.
-pub const ARCHIVE_MAGIC: u32 = 0x4A4C_4152;
+pub(crate) const ARCHIVE_MAGIC: u32 = 0x4A4C_4152;
 /// Current format version.
-pub const ARCHIVE_VERSION: u16 = 1;
+pub(crate) const ARCHIVE_VERSION: u16 = 1;
 
 /// Errors produced while parsing an archive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,11 +92,6 @@ impl Archive {
     /// Looks up an entry's bytes by name.
     pub fn get(&self, name: &str) -> Option<&[u8]> {
         self.index.get(name).map(|&i| self.entries[i].1.as_slice())
-    }
-
-    /// Entry names in insertion order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(n, _)| n.as_str())
     }
 
     /// Number of entries.
@@ -233,7 +228,13 @@ mod tests {
     #[test]
     fn get_by_name() {
         let a = sample();
-        let name = a.names().next().unwrap().to_owned();
+        let name = a
+            .entries
+            .iter()
+            .map(|(n, _)| n.as_str())
+            .next()
+            .unwrap()
+            .to_owned();
         assert!(a.get(&name).is_some());
         assert!(a.get("no.such.Class").is_none());
     }
@@ -283,7 +284,7 @@ mod tests {
     fn entry_offset_points_at_payload() {
         let a = sample();
         let encoded = a.encode();
-        for name in a.names() {
+        for name in a.entries.iter().map(|(n, _)| n.as_str()) {
             let (off, len) = a.entry_offset(name).unwrap();
             let slice = &encoded[off as usize..(off + len) as usize];
             assert_eq!(slice, a.get(name).unwrap(), "offset wrong for {name}");

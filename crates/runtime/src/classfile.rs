@@ -11,9 +11,9 @@
 use std::fmt;
 
 /// Format magic: `"JLVC"`.
-pub const CLASS_MAGIC: u32 = 0x4A4C_5643;
+pub(crate) const CLASS_MAGIC: u32 = 0x4A4C_5643;
 /// Current format version.
-pub const CLASS_VERSION: u16 = 1;
+pub(crate) const CLASS_VERSION: u16 = 1;
 
 /// Errors produced by parsing or verifying a class file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,7 +134,7 @@ pub enum Constant {
 /// Bytecode opcodes of the JLVM stack machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
-pub enum Op {
+pub(crate) enum Op {
     /// Do nothing.
     Nop = 0x01,
     /// Push an immediate `u32` (stack +1).
@@ -157,7 +157,7 @@ pub enum Op {
 
 impl Op {
     /// Decodes an opcode byte.
-    pub fn from_byte(b: u8) -> Option<Op> {
+    pub(crate) fn from_byte(b: u8) -> Option<Op> {
         match b {
             0x01 => Some(Op::Nop),
             0x02 => Some(Op::Push),
@@ -173,7 +173,7 @@ impl Op {
     }
 
     /// Total encoded size (opcode + operands) in bytes.
-    pub fn encoded_len(self) -> usize {
+    pub(crate) fn encoded_len(self) -> usize {
         match self {
             Op::Nop | Op::Pop | Op::Add | Op::Mul | Op::Ret => 1,
             Op::Load | Op::Store | Op::Jmp => 3,
@@ -182,7 +182,7 @@ impl Op {
     }
 
     /// Net stack effect.
-    pub fn stack_effect(self) -> i32 {
+    pub(crate) fn stack_effect(self) -> i32 {
         match self {
             Op::Push | Op::Load => 1,
             Op::Pop | Op::Add | Op::Mul | Op::Store => -1,
@@ -214,7 +214,7 @@ pub struct ClassFile {
 }
 
 /// FNV-1a 64-bit hash, used as the class-file checksum.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -453,11 +453,6 @@ impl ClassFile {
         }
         Ok(())
     }
-
-    /// Total bytecode bytes across all methods.
-    pub fn code_bytes(&self) -> usize {
-        self.methods.iter().map(|m| m.code.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -643,11 +638,5 @@ mod tests {
         for e in errs {
             assert!(!e.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn code_bytes_sums_methods() {
-        let c = tiny_class();
-        assert_eq!(c.code_bytes(), 11);
     }
 }

@@ -24,13 +24,6 @@ pub struct BaseFootprint {
     pub metaspace_touch: u64,
 }
 
-impl BaseFootprint {
-    /// Total bytes touched at bootstrap.
-    pub fn total(&self) -> u64 {
-        self.code_cache_touch + self.heap_touch + self.metaspace_touch
-    }
-}
-
 /// Cost table for the managed runtime ("JLVM").
 #[derive(Debug, Clone)]
 pub struct RuntimeCosts {
@@ -65,7 +58,7 @@ pub struct RuntimeCosts {
 
 impl RuntimeCosts {
     /// The calibration used by every experiment in `EXPERIMENTS.md`.
-    pub fn paper_calibrated() -> Self {
+    pub(crate) fn paper_calibrated() -> Self {
         RuntimeCosts {
             rts_core_init: SimDuration::from_millis(39),
             rts_heap_init: SimDuration::from_millis(12),
@@ -107,11 +100,6 @@ impl RuntimeCosts {
             code_cache_expansion: 0.3,
         }
     }
-
-    /// Sum of the fixed RTS phases (the paper's ≈70 ms).
-    pub fn rts_total(&self) -> SimDuration {
-        self.rts_core_init + self.rts_heap_init + self.rts_services_init
-    }
 }
 
 impl Default for RuntimeCosts {
@@ -127,14 +115,18 @@ mod tests {
     #[test]
     fn rts_sums_to_about_70ms() {
         let c = RuntimeCosts::paper_calibrated();
-        let rts = c.rts_total().as_millis_f64();
+        let rts = (c.rts_core_init + c.rts_heap_init + c.rts_services_init).as_millis_f64();
         assert!((66.0..=70.0).contains(&rts), "RTS fixed part = {rts}ms");
     }
 
     #[test]
     fn base_footprint_is_13mb() {
         let c = RuntimeCosts::paper_calibrated();
-        assert_eq!(c.base_footprint.total(), 13 << 20);
+        let f = c.base_footprint;
+        assert_eq!(
+            f.code_cache_touch + f.heap_touch + f.metaspace_touch,
+            13 << 20
+        );
     }
 
     #[test]
@@ -152,7 +144,7 @@ mod tests {
     #[test]
     fn free_table_charges_nothing() {
         let c = RuntimeCosts::free();
-        assert!(c.rts_total().is_zero());
+        assert!((c.rts_core_init + c.rts_heap_init + c.rts_services_init).is_zero());
         assert_eq!(c.jit_compile_ns_per_byte, 0.0);
     }
 }

@@ -23,7 +23,7 @@ impl SplitMix64 {
     }
 
     /// Next 64 pseudo-random bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -36,7 +36,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
-    pub fn below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0)");
         self.next_u64() % bound
     }

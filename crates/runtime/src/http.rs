@@ -51,14 +51,6 @@ impl Response {
         }
     }
 
-    /// An empty error response with the given status.
-    pub fn error(status: u16) -> Response {
-        Response {
-            status,
-            body: Bytes::new(),
-        }
-    }
-
     /// Returns `true` for 2xx statuses.
     pub fn is_success(&self) -> bool {
         (200..300).contains(&self.status)
@@ -81,7 +73,10 @@ mod tests {
     #[test]
     fn response_predicates() {
         assert!(Response::ok("x".as_bytes().to_vec()).is_success());
-        assert!(!Response::error(500).is_success());
-        assert_eq!(Response::error(404).status, 404);
+        let error = Response {
+            status: 500,
+            body: Bytes::new(),
+        };
+        assert!(!error.is_success());
     }
 }

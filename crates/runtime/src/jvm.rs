@@ -23,11 +23,11 @@ use crate::http::{Request, Response};
 use crate::state::{ClassEntry, Phase, RuntimeState, STATE_BASE, STATE_REGION_LEN};
 
 /// Reserved (not necessarily touched) size of the runtime heap region.
-pub const HEAP_REGION_LEN: u64 = 256 << 20;
+pub(crate) const HEAP_REGION_LEN: u64 = 256 << 20;
 /// Reserved size of the metaspace region.
-pub const METASPACE_REGION_LEN: u64 = 128 << 20;
+pub(crate) const METASPACE_REGION_LEN: u64 = 128 << 20;
 /// Reserved size of the JIT code cache region.
-pub const CODE_CACHE_REGION_LEN: u64 = 64 << 20;
+pub(crate) const CODE_CACHE_REGION_LEN: u64 = 64 << 20;
 
 /// Configuration of one runtime instance.
 #[derive(Debug, Clone)]
@@ -74,7 +74,7 @@ impl Jlvm {
     /// # Errors
     ///
     /// Propagates kernel errors (bad pid, address-space exhaustion).
-    pub fn boot(kernel: &mut Kernel, pid: Pid, config: JlvmConfig) -> SysResult<Jlvm> {
+    pub(crate) fn boot(kernel: &mut Kernel, pid: Pid, config: JlvmConfig) -> SysResult<Jlvm> {
         kernel.emit_marker(pid, "rts-start");
         let costs = config.costs.clone();
         let mut state = RuntimeState::new(config.port);
@@ -152,19 +152,9 @@ impl Jlvm {
         })
     }
 
-    /// The guest process this runtime lives in.
-    pub fn pid(&self) -> Pid {
-        self.pid
-    }
-
     /// The current (host-mirrored) runtime state.
     pub fn state(&self) -> &RuntimeState {
         &self.state
-    }
-
-    /// The runtime configuration.
-    pub fn config(&self) -> &JlvmConfig {
-        &self.config
     }
 
     /// Maps and reads the application archive (APPINIT step one): the
@@ -177,7 +167,7 @@ impl Jlvm {
     ///
     /// [`Errno::Enoent`] if the archive is missing, [`Errno::Einval`] if
     /// it is corrupt.
-    pub fn load_archive(&mut self, kernel: &mut Kernel) -> SysResult<()> {
+    pub(crate) fn load_archive(&mut self, kernel: &mut Kernel) -> SysResult<()> {
         let bytes = kernel.fs_read_file(&self.config.archive_path)?;
         let len = bytes.len() as u64;
         let base = kernel.sys_mmap(
@@ -207,7 +197,7 @@ impl Jlvm {
     ///
     /// [`Errno::Enoent`] for an unknown class, [`Errno::Einval`] for a
     /// corrupt one or a missing archive.
-    pub fn load_class(&mut self, kernel: &mut Kernel, name: &str) -> SysResult<bool> {
+    pub(crate) fn load_class(&mut self, kernel: &mut Kernel, name: &str) -> SysResult<bool> {
         if self.state.class(name).is_some() {
             self.touch_class(kernel, name)?;
             return Ok(false);
@@ -246,7 +236,7 @@ impl Jlvm {
     /// # Errors
     ///
     /// [`Errno::Enoent`] if the class is not loaded.
-    pub fn jit_class(&mut self, kernel: &mut Kernel, name: &str) -> SysResult<bool> {
+    pub(crate) fn jit_class(&mut self, kernel: &mut Kernel, name: &str) -> SysResult<bool> {
         let costs = self.config.costs.clone();
         let entry = self.state.class(name).ok_or(Errno::Enoent)?;
         if entry.jitted {
@@ -268,7 +258,7 @@ impl Jlvm {
     /// # Errors
     ///
     /// Propagates [`jit_class`](Jlvm::jit_class) errors.
-    pub fn jit_pending(&mut self, kernel: &mut Kernel) -> SysResult<usize> {
+    pub(crate) fn jit_pending(&mut self, kernel: &mut Kernel) -> SysResult<usize> {
         let pending: Vec<String> = self
             .state
             .classes
@@ -288,7 +278,7 @@ impl Jlvm {
     /// # Errors
     ///
     /// [`Errno::Eaddrinuse`] if the port is bound.
-    pub fn serve_ready(&mut self, kernel: &mut Kernel) -> SysResult<()> {
+    pub(crate) fn serve_ready(&mut self, kernel: &mut Kernel) -> SysResult<()> {
         kernel.charge(self.config.costs.http_server_init);
         let fd = kernel.sys_listen(self.pid, self.config.port)?;
         self.state.listener_fd = fd;
@@ -305,7 +295,7 @@ impl Jlvm {
     /// # Errors
     ///
     /// [`Errno::Enomem`] if the heap region is exhausted.
-    pub fn alloc_heap(&mut self, len: u64) -> SysResult<VirtAddr> {
+    pub(crate) fn alloc_heap(&mut self, len: u64) -> SysResult<VirtAddr> {
         let aligned = (self.state.heap_cursor + 63) & !63;
         if aligned + len > HEAP_REGION_LEN {
             return Err(Errno::Enomem);
@@ -382,7 +372,7 @@ impl Jlvm {
     /// # Errors
     ///
     /// [`Errno::Enomem`] if the record outgrew the region.
-    pub fn persist_state(&mut self, kernel: &mut Kernel) -> SysResult<()> {
+    pub(crate) fn persist_state(&mut self, kernel: &mut Kernel) -> SysResult<()> {
         let record = self.state.encode();
         if 4 + record.len() as u64 > STATE_REGION_LEN {
             return Err(Errno::Enomem);
@@ -396,7 +386,7 @@ impl Jlvm {
 
 /// Deterministic non-zero filler bytes (so guest pages defeat zero-page
 /// dedup, like real runtime data).
-pub fn pattern_bytes(tag: u64, len: usize) -> Vec<u8> {
+pub(crate) fn pattern_bytes(tag: u64, len: usize) -> Vec<u8> {
     SplitMix64::new(tag).nonzero_bytes(len)
 }
 
@@ -404,7 +394,7 @@ pub fn pattern_bytes(tag: u64, len: usize) -> Vec<u8> {
 /// pages: pages beyond the first period are byte-identical to their
 /// counterpart in it. Models memory regions where whole pages recur —
 /// the duplicate content a content-addressed snapshot view dedups.
-pub fn tiled_pattern_bytes(tag: u64, len: usize, period_pages: usize) -> Vec<u8> {
+pub(crate) fn tiled_pattern_bytes(tag: u64, len: usize, period_pages: usize) -> Vec<u8> {
     let period = period_pages.max(1) * prebake_sim::mem::PAGE_SIZE;
     let tile = pattern_bytes(tag, period.min(len));
     let mut out = Vec::with_capacity(len);
@@ -425,13 +415,8 @@ pub struct Ctx<'a> {
 
 impl<'a> Ctx<'a> {
     /// Creates a context over a runtime and its kernel.
-    pub fn new(jvm: &'a mut Jlvm, kernel: &'a mut Kernel) -> Ctx<'a> {
+    pub(crate) fn new(jvm: &'a mut Jlvm, kernel: &'a mut Kernel) -> Ctx<'a> {
         Ctx { jvm, kernel }
-    }
-
-    /// The guest pid.
-    pub fn pid(&self) -> Pid {
-        self.jvm.pid
     }
 
     /// Charges application-level work to the clock.
@@ -439,11 +424,11 @@ impl<'a> Ctx<'a> {
         self.kernel.charge(d);
     }
 
-    /// Loads a class (idempotent). See [`Jlvm::load_class`].
+    /// Loads a class (idempotent). See `Jlvm::load_class`.
     ///
     /// # Errors
     ///
-    /// Propagates [`Jlvm::load_class`] errors.
+    /// Propagates `Jlvm::load_class` errors.
     pub fn load_class(&mut self, name: &str) -> SysResult<bool> {
         self.jvm.load_class(self.kernel, name)
     }
@@ -492,16 +477,6 @@ impl<'a> Ctx<'a> {
     /// Replaces the application blob. Persisted with the next state write.
     pub fn set_app_blob(&mut self, blob: Vec<u8>) {
         self.jvm.state.app_blob = blob;
-    }
-
-    /// The runtime cost table.
-    pub fn costs(&self) -> &RuntimeCosts {
-        &self.jvm.config.costs
-    }
-
-    /// Number of requests served so far (0 during `init`).
-    pub fn requests_served(&self) -> u64 {
-        self.jvm.state.requests_served
     }
 }
 
@@ -706,7 +681,8 @@ mod tests {
     #[test]
     fn boot_touches_base_footprint() {
         let (mut kernel, pid, config, _) = setup(false);
-        let footprint = config.costs.base_footprint.total();
+        let f = config.costs.base_footprint;
+        let footprint = f.code_cache_touch + f.heap_touch + f.metaspace_touch;
         let jvm = Jlvm::boot(&mut kernel, pid, config).unwrap();
         let resident = kernel.process(pid).unwrap().mem.resident_bytes();
         assert!(

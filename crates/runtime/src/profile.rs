@@ -104,30 +104,29 @@ impl RuntimeProfile {
             },
         }
     }
-
-    /// The fixed bootstrap duration of this profile.
-    pub fn rts_total(self) -> SimDuration {
-        self.costs().rts_total()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn rts_total(c: &RuntimeCosts) -> SimDuration {
+        c.rts_core_init + c.rts_heap_init + c.rts_services_init
+    }
+
     #[test]
     fn java_profile_is_the_paper_calibration() {
         let java = RuntimeProfile::JavaLike.costs();
         let paper = RuntimeCosts::paper_calibrated();
-        assert_eq!(java.rts_total(), paper.rts_total());
+        assert_eq!(rts_total(&java), rts_total(&paper));
         assert_eq!(java.jit_compile_ns_per_byte, paper.jit_compile_ns_per_byte);
     }
 
     #[test]
     fn bootstrap_ordering_java_heaviest() {
-        let java = RuntimeProfile::JavaLike.rts_total();
-        let node = RuntimeProfile::NodeLike.rts_total();
-        let python = RuntimeProfile::PythonLike.rts_total();
+        let java = rts_total(&RuntimeProfile::JavaLike.costs());
+        let node = rts_total(&RuntimeProfile::NodeLike.costs());
+        let python = rts_total(&RuntimeProfile::PythonLike.costs());
         assert!(java > node && node > python, "{java} > {node} > {python}");
         assert!((45.0..55.0).contains(&node.as_millis_f64()));
         assert!((30.0..40.0).contains(&python.as_millis_f64()));

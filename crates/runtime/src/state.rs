@@ -14,13 +14,13 @@ use crate::classfile::fnv1a;
 
 /// Guest address of the state region (below the `mmap` allocator base, so
 /// it never collides with dynamic mappings).
-pub const STATE_BASE: VirtAddr = VirtAddr(0x0F00_0000);
+pub(crate) const STATE_BASE: VirtAddr = VirtAddr(0x0F00_0000);
 
 /// Size of the state region mapping (1 MiB).
-pub const STATE_REGION_LEN: u64 = 1 << 20;
+pub(crate) const STATE_REGION_LEN: u64 = 1 << 20;
 
 /// State record magic.
-pub const STATE_MAGIC: u32 = 0x4A53_5431;
+pub(crate) const STATE_MAGIC: u32 = 0x4A53_5431;
 
 /// Lifecycle phase recorded in the state region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,18 +150,13 @@ impl RuntimeState {
     }
 
     /// Finds a loaded class entry by name.
-    pub fn class(&self, name: &str) -> Option<&ClassEntry> {
+    pub(crate) fn class(&self, name: &str) -> Option<&ClassEntry> {
         self.classes.iter().find(|c| c.name == name)
     }
 
     /// Mutable lookup of a loaded class entry.
-    pub fn class_mut(&mut self, name: &str) -> Option<&mut ClassEntry> {
+    pub(crate) fn class_mut(&mut self, name: &str) -> Option<&mut ClassEntry> {
         self.classes.iter_mut().find(|c| c.name == name)
-    }
-
-    /// Total class-file bytes loaded.
-    pub fn loaded_bytes(&self) -> u64 {
-        self.classes.iter().map(|c| c.size as u64).sum()
     }
 
     /// Serialises the record (length-framed, checksummed).
@@ -346,7 +341,6 @@ mod tests {
         assert!(s.class("zzz").is_none());
         s.class_mut("a.C").unwrap().jitted = true;
         assert!(s.class("a.C").unwrap().jitted);
-        assert_eq!(s.loaded_bytes(), 1024 + 77);
     }
 
     #[test]

@@ -215,7 +215,7 @@ impl CostModel {
     }
 
     /// Cost of reading `bytes` from a file, given its cache state.
-    pub fn fs_read(&self, bytes: u64, cached: bool) -> SimDuration {
+    pub(crate) fn fs_read(&self, bytes: u64, cached: bool) -> SimDuration {
         let ns_per_byte = if cached {
             self.fs_read_warm_ns_per_byte
         } else {
@@ -225,12 +225,12 @@ impl CostModel {
     }
 
     /// Cost of writing `bytes` to a file.
-    pub fn fs_write(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn fs_write(&self, bytes: u64) -> SimDuration {
         self.fs_meta + per_byte(bytes, self.fs_write_ns_per_byte)
     }
 
     /// Cost of streaming `bytes` through a pipe.
-    pub fn pipe_xfer(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn pipe_xfer(&self, bytes: u64) -> SimDuration {
         per_byte(bytes, self.pipe_ns_per_byte)
     }
 }

@@ -20,7 +20,7 @@ use crate::error::{Errno, SysResult};
 ///
 /// Returns [`Errno::Einval`] unless the path starts with `/` and has no
 /// empty or `.`/`..` components.
-pub fn split_path(path: &str) -> SysResult<Vec<&str>> {
+pub(crate) fn split_path(path: &str) -> SysResult<Vec<&str>> {
     let rest = path.strip_prefix('/').ok_or(Errno::Einval)?;
     if rest.is_empty() {
         return Ok(Vec::new());
@@ -240,7 +240,7 @@ impl SimFs {
     }
 
     /// Returns `true` if the path exists.
-    pub fn exists(&self, path: &str) -> bool {
+    pub(crate) fn exists(&self, path: &str) -> bool {
         self.lookup(path).is_ok()
     }
 
@@ -261,7 +261,7 @@ impl SimFs {
     /// # Errors
     ///
     /// [`Errno::Enoent`] if missing, [`Errno::Eisdir`] if it is a directory.
-    pub fn remove_file(&mut self, path: &str) -> SysResult<()> {
+    pub(crate) fn remove_file(&mut self, path: &str) -> SysResult<()> {
         let (entries, name) = self.parent_dir_mut(path)?;
         match entries.get(&name) {
             Some(Node::File(_)) => {
@@ -269,23 +269,6 @@ impl SimFs {
                 Ok(())
             }
             Some(Node::Dir(_)) => Err(Errno::Eisdir),
-            None => Err(Errno::Enoent),
-        }
-    }
-
-    /// Removes a directory tree recursively.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Enoent`] if missing, [`Errno::Enotdir`] if it is a file.
-    pub fn remove_dir_all(&mut self, path: &str) -> SysResult<()> {
-        let (entries, name) = self.parent_dir_mut(path)?;
-        match entries.get(&name) {
-            Some(Node::Dir(_)) => {
-                entries.remove(&name);
-                Ok(())
-            }
-            Some(Node::File(_)) => Err(Errno::Enotdir),
             None => Err(Errno::Enoent),
         }
     }
@@ -424,12 +407,9 @@ mod tests {
         fs.create_dir_all("/d/sub").unwrap();
         fs.write_file("/d/f", Vec::new()).unwrap();
         assert_eq!(fs.remove_file("/d/sub").unwrap_err(), Errno::Eisdir);
-        assert_eq!(fs.remove_dir_all("/d/f").unwrap_err(), Errno::Enotdir);
         fs.remove_file("/d/f").unwrap();
         assert!(!fs.exists("/d/f"));
-        fs.remove_dir_all("/d").unwrap();
-        assert!(!fs.exists("/d"));
-        assert_eq!(fs.remove_file("/d").unwrap_err(), Errno::Enoent);
+        assert_eq!(fs.remove_file("/d/f").unwrap_err(), Errno::Enoent);
     }
 
     #[test]

@@ -12,12 +12,12 @@ use std::collections::BTreeMap;
 
 use crate::cost::{per_byte, CostModel};
 use crate::error::{Errno, SysResult};
-use crate::fs::{SimFs, Stat};
+use crate::fs::SimFs;
 use crate::mem::{Page, Prot, VirtAddr, VmaKind, PAGE_SIZE};
 use crate::noise::Noise;
 use crate::pagestore::SharedPageStore;
 use crate::probe::{ProbeEvent, ProbeKind};
-use crate::proc::{Cap, CapSet, FdEntry, Pid, ProcState, Process, ThreadState, Tid};
+use crate::proc::{CapSet, FdEntry, Pid, ProcState, Process, ThreadState, Tid};
 use crate::time::{Clock, SimDuration, SimInstant};
 use crate::trace::{SpanId, TraceSpan, Tracer};
 use crate::uffd::UffdBackend;
@@ -48,7 +48,6 @@ pub struct Kernel {
     fs: SimFs,
     next_pid: u32,
     next_tid: u32,
-    next_pipe: u64,
     bound_ports: BTreeMap<u16, Pid>,
     tracing: bool,
     trace: Vec<ProbeEvent>,
@@ -81,7 +80,6 @@ impl Kernel {
             fs: SimFs::new(),
             next_pid: 2,
             next_tid: 2,
-            next_pipe: 1,
             bound_ports: BTreeMap::new(),
             tracing: false,
             trace: Vec::new(),
@@ -147,12 +145,6 @@ impl Kernel {
     /// The cost table in force.
     pub fn costs(&self) -> &CostModel {
         &self.costs
-    }
-
-    /// Mutable access to the noise source (shared deterministic stream
-    /// for workload generators).
-    pub fn noise_mut(&mut self) -> &mut Noise {
-        &mut self.noise
     }
 
     // ------------------------------------------------------------- tracing
@@ -224,13 +216,8 @@ impl Kernel {
         self.tracer.set_enabled(on);
     }
 
-    /// Whether span recording is on.
-    pub fn span_tracing(&self) -> bool {
-        self.tracer.enabled()
-    }
-
     /// Opens a named span at the current virtual time, nested under the
-    /// innermost open span. Returns [`SpanId::NONE`] (ignored everywhere)
+    /// innermost open span. Returns `SpanId::NONE` (ignored everywhere)
     /// while span tracing is off, so call sites bracket unconditionally.
     pub fn span_begin(&mut self, name: &'static str, pid: Pid) -> SpanId {
         let now = self.clock.now();
@@ -280,16 +267,6 @@ impl Kernel {
     /// [`Errno::Esrch`] if no such process.
     pub fn process_mut(&mut self, pid: Pid) -> SysResult<&mut Process> {
         self.procs.get_mut(&pid).ok_or(Errno::Esrch)
-    }
-
-    /// Number of live (non-zombie) processes.
-    pub fn live_processes(&self) -> usize {
-        self.procs.values().filter(|p| !p.is_zombie()).count()
-    }
-
-    /// All pids currently in the table.
-    pub fn pids(&self) -> Vec<Pid> {
-        self.procs.keys().copied().collect()
     }
 
     fn alloc_tid(&mut self) -> Tid {
@@ -431,19 +408,6 @@ impl Kernel {
         Ok(code)
     }
 
-    /// Grants a capability to a process (platform provisioning step; the
-    /// OpenFaaS integration models `--privileged` / `CAP_CHECKPOINT_RESTORE`
-    /// with this).
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Esrch`] if no such process.
-    pub fn grant_cap(&mut self, pid: Pid, cap: Cap) -> SysResult<()> {
-        let proc = self.procs.get_mut(&pid).ok_or(Errno::Esrch)?;
-        proc.caps = proc.caps.with(cap);
-        Ok(())
-    }
-
     // -------------------------------------------------------------- memory
 
     /// `mmap` at an allocator-chosen address.
@@ -487,22 +451,6 @@ impl Kernel {
             .ok_or(Errno::Esrch)?
             .mem
             .mmap_fixed(start, len, prot, kind)
-    }
-
-    /// `munmap` the mapping starting at `start`.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Einval`] if no mapping starts there.
-    pub fn sys_munmap(&mut self, pid: Pid, start: VirtAddr) -> SysResult<()> {
-        let cost = self.costs.munmap_base;
-        self.charge(cost);
-        self.procs
-            .get_mut(&pid)
-            .ok_or(Errno::Esrch)?
-            .mem
-            .munmap(start)
-            .map(|_| ())
     }
 
     /// Writes guest memory, charging fault + copy costs. Missing pages in
@@ -610,29 +558,6 @@ impl Kernel {
         Ok(())
     }
 
-    /// Marks a run of contiguous pages missing in one vectored operation
-    /// — the extent-granular `UFFDIO_REGISTER` analogue a lazy restore
-    /// uses to withhold whole runs. Charges one
-    /// [`CostModel::extent_setup`] for the run.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Esrch`] if no such process; [`Errno::Efault`] /
-    /// [`Errno::Eexist`] per [`crate::mem::AddressSpace::mark_missing`]
-    /// (pages before the bad one stay marked).
-    pub fn map_extent(&mut self, pid: Pid, start_index: u64, pages: u64) -> SysResult<()> {
-        if pages == 0 {
-            return Ok(());
-        }
-        let cost = self.costs.extent_setup;
-        self.charge(cost);
-        let proc = self.procs.get_mut(&pid).ok_or(Errno::Esrch)?;
-        for idx in start_index..start_index + pages {
-            proc.mem.mark_missing(idx)?;
-        }
-        Ok(())
-    }
-
     // ------------------------------------------------------- demand paging
 
     /// Registers a demand-paging backend for `pid` — the `UFFDIO_REGISTER`
@@ -687,22 +612,6 @@ impl Kernel {
             .get_mut(&pid)
             .ok_or(Errno::Esrch)?
             .set_recording(on);
-        Ok(())
-    }
-
-    /// Sets the fault-around window for `pid`'s backend: one trapping
-    /// fault services up to `window` pages (trap page plus
-    /// forward-consecutive withheld neighbours) under a single service
-    /// charge. `0`/`1` disable fault-around.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Esrch`] if `pid` has no registered backend.
-    pub fn uffd_set_fault_around(&mut self, pid: Pid, window: usize) -> SysResult<()> {
-        self.uffd
-            .get_mut(&pid)
-            .ok_or(Errno::Esrch)?
-            .set_fault_around(window);
         Ok(())
     }
 
@@ -916,12 +825,6 @@ impl Kernel {
         &self.page_store
     }
 
-    /// Mutable access to the shared frame pool (restore engines insert
-    /// frames here; tests reclaim through it).
-    pub fn page_store_mut(&mut self) -> &mut SharedPageStore {
-        &mut self.page_store
-    }
-
     /// Maps the pool frame for `hash` at `page_index` of `pid`,
     /// copy-on-write, inserting the frame from `make` on first use
     /// machine-wide. No bytes move — the restore engine prices the
@@ -931,7 +834,7 @@ impl Kernel {
     /// # Errors
     ///
     /// [`Errno::Esrch`] if no such process; [`Errno::Efault`] /
-    /// [`Errno::Eexist`] per [`crate::mem::AddressSpace::map_shared`].
+    /// [`Errno::Eexist`] per `AddressSpace::map_shared`.
     pub fn cow_map(
         &mut self,
         pid: Pid,
@@ -957,7 +860,7 @@ impl Kernel {
     /// # Errors
     ///
     /// [`Errno::Esrch`] if no such process; [`Errno::Efault`] /
-    /// [`Errno::Eexist`] per [`crate::mem::AddressSpace::map_shared`]
+    /// [`Errno::Eexist`] per `AddressSpace::map_shared`
     /// (pages before the bad one stay mapped).
     pub fn cow_map_extent(
         &mut self,
@@ -1019,33 +922,11 @@ impl Kernel {
         Ok(data)
     }
 
-    /// Stats a path (metadata cost only).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimFs::stat`] errors.
-    pub fn fs_stat(&mut self, path: &str) -> SysResult<Stat> {
-        let cost = self.costs.fs_meta;
-        self.charge(cost);
-        self.fs.stat(path)
-    }
-
-    /// Lists a directory (metadata cost only).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimFs::list_dir`] errors.
-    pub fn fs_list_dir(&mut self, path: &str) -> SysResult<Vec<String>> {
-        let cost = self.costs.fs_meta;
-        self.charge(cost);
-        self.fs.list_dir(path)
-    }
-
     /// Removes a file (metadata cost only).
     ///
     /// # Errors
     ///
-    /// Propagates [`SimFs::remove_file`] errors.
+    /// Propagates `SimFs::remove_file` errors.
     pub fn fs_remove_file(&mut self, path: &str) -> SysResult<()> {
         let cost = self.costs.fs_meta;
         self.charge(cost);
@@ -1096,28 +977,6 @@ impl Kernel {
                 path: path.to_owned(),
                 offset: 0,
             }))
-    }
-
-    /// Reads up to `len` bytes from an open file descriptor, advancing its
-    /// offset. Charges cold/warm per byte actually read.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Ebadf`] for non-file descriptors.
-    pub fn sys_read_fd(&mut self, pid: Pid, fd: i32, len: u64) -> SysResult<Vec<u8>> {
-        let (path, offset) = match self.procs.get(&pid).ok_or(Errno::Esrch)?.fds.get(fd)? {
-            FdEntry::File { path, offset } => (path.clone(), *offset),
-            _ => return Err(Errno::Ebadf),
-        };
-        let (data, cached) = self.fs.read_file(&path)?;
-        let end = (offset + len).min(data.len() as u64);
-        let slice = data[offset as usize..end as usize].to_vec();
-        let cost = self.costs.fs_read(slice.len() as u64, cached);
-        self.charge(cost);
-        if let FdEntry::File { offset, .. } = self.procs.get_mut(&pid).unwrap().fds.get_mut(fd)? {
-            *offset = end;
-        }
-        Ok(slice)
     }
 
     /// Closes a descriptor. Releases the port if it was a listener.
@@ -1196,22 +1055,6 @@ impl Kernel {
         let cost = self.costs.socket_accept;
         self.charge(cost);
         Ok(owner)
-    }
-
-    /// Creates a pipe, returning `(read_fd, write_fd)`.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Esrch`] if no such process.
-    pub fn sys_pipe(&mut self, pid: Pid) -> SysResult<(i32, i32)> {
-        let cost = self.costs.pipe_create;
-        self.charge(cost);
-        let pipe = self.next_pipe;
-        self.next_pipe += 1;
-        let proc = self.procs.get_mut(&pid).ok_or(Errno::Esrch)?;
-        let r = proc.fds.insert(FdEntry::PipeRead { pipe });
-        let w = proc.fds.insert(FdEntry::PipeWrite { pipe });
-        Ok((r, w))
     }
 
     /// Charges the cost of streaming `bytes` through a pipe (the parasite
@@ -1437,23 +1280,6 @@ impl Kernel {
 
     // ---------------------------------------------------------------- /proc
 
-    /// Renders `/proc/<pid>/maps`.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Esrch`] if no such process.
-    pub fn proc_maps(&mut self, pid: Pid) -> SysResult<String> {
-        let cost = self.costs.procfs_read;
-        self.charge(cost);
-        let proc = self.procs.get(&pid).ok_or(Errno::Esrch)?;
-        let mut out = String::new();
-        for vma in proc.mem.vmas() {
-            out.push_str(&vma.to_string());
-            out.push('\n');
-        }
-        Ok(out)
-    }
-
     /// Walks `/proc/<pid>/pagemap` for the mapping starting at `start`,
     /// returning indices of present (materialised) pages.
     ///
@@ -1510,31 +1336,6 @@ impl Kernel {
             .mem
             .clear_soft_dirty();
         Ok(())
-    }
-
-    /// Renders a `/proc/<pid>/status`-style summary.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Esrch`] if no such process.
-    pub fn proc_status(&mut self, pid: Pid) -> SysResult<String> {
-        let cost = self.costs.procfs_read;
-        self.charge(cost);
-        let proc = self.procs.get(&pid).ok_or(Errno::Esrch)?;
-        Ok(format!(
-            "Name:\t{}\nState:\t{}\nPid:\t{}\nPPid:\t{}\nThreads:\t{}\nVmSize:\t{} kB\nVmRSS:\t{} kB\n",
-            proc.comm,
-            match proc.state {
-                ProcState::Running => "R (running)",
-                ProcState::Frozen => "t (tracing stop)",
-                ProcState::Zombie => "Z (zombie)",
-            },
-            proc.pid,
-            proc.ppid,
-            proc.threads.len(),
-            proc.mem.mapped_bytes() / 1024,
-            proc.mem.resident_bytes() / 1024,
-        ))
     }
 }
 
@@ -1668,7 +1469,7 @@ mod tests {
             "double seize"
         );
         k.ptrace_freeze(tracer, target).unwrap();
-        assert!(k.process(target).unwrap().all_frozen());
+        assert_eq!(k.process(target).unwrap().state, ProcState::Frozen);
         k.ptrace_resume(tracer, target).unwrap();
         assert_eq!(k.process(target).unwrap().state, ProcState::Running);
         k.ptrace_detach(tracer, target).unwrap();
@@ -1735,12 +1536,8 @@ mod tests {
             .sys_mmap(pid, 3 * PAGE_SIZE as u64, Prot::RW, VmaKind::RuntimeHeap)
             .unwrap();
         k.mem_write(pid, addr.add(PAGE_SIZE as u64), &[1]).unwrap();
-        let maps = k.proc_maps(pid).unwrap();
-        assert!(maps.contains("[runtime:heap]"), "{maps}");
         let present = k.proc_pagemap(pid, addr).unwrap();
         assert_eq!(present, vec![addr.page_index() + 1]);
-        let status = k.proc_status(pid).unwrap();
-        assert!(status.contains("VmRSS:\t4 kB"), "{status}");
     }
 
     #[test]
@@ -1835,7 +1632,7 @@ mod tests {
         let breaks: Vec<_> = k
             .take_trace()
             .into_iter()
-            .filter(|e| e.kind.is_cow_break())
+            .filter(|e| e.kind == ProbeKind::CowBreak)
             .collect();
         assert_eq!(breaks.len(), 1);
         assert_eq!(breaks[0].pid, a_pid);
@@ -1884,7 +1681,6 @@ mod tests {
         // the shared mapping, exactly like private pages.
         let mut k = Kernel::free(78);
         let tracer = k.sys_clone(INIT_PID).unwrap();
-        k.grant_cap(tracer, Cap::CheckpointRestore).unwrap();
         let target = k.sys_clone(INIT_PID).unwrap();
         let addr = k
             .sys_mmap(target, PAGE_SIZE as u64, Prot::RW, VmaKind::Anon)
@@ -1898,37 +1694,6 @@ mod tests {
             .ptrace_peek_page(tracer, target, addr.page_index())
             .unwrap();
         assert!(page.bytes().iter().all(|&b| b == 5));
-    }
-
-    #[test]
-    fn read_fd_advances_offset() {
-        let mut k = Kernel::free(12);
-        k.fs_write_file("/data", (0u8..100).collect::<Vec<u8>>())
-            .unwrap();
-        let pid = k.sys_clone(INIT_PID).unwrap();
-        let fd = k.sys_open(pid, "/data").unwrap();
-        let first = k.sys_read_fd(pid, fd, 10).unwrap();
-        assert_eq!(first, (0u8..10).collect::<Vec<u8>>());
-        let second = k.sys_read_fd(pid, fd, 10).unwrap();
-        assert_eq!(second, (10u8..20).collect::<Vec<u8>>());
-        let rest = k.sys_read_fd(pid, fd, 1000).unwrap();
-        assert_eq!(rest.len(), 80);
-        let eof = k.sys_read_fd(pid, fd, 10).unwrap();
-        assert!(eof.is_empty());
-    }
-
-    #[test]
-    fn pipe_fds_are_paired() {
-        let mut k = Kernel::free(13);
-        let pid = k.sys_clone(INIT_PID).unwrap();
-        let (r, w) = k.sys_pipe(pid).unwrap();
-        let proc = k.process(pid).unwrap();
-        match (proc.fds.get(r).unwrap(), proc.fds.get(w).unwrap()) {
-            (FdEntry::PipeRead { pipe: a }, FdEntry::PipeWrite { pipe: b }) => {
-                assert_eq!(a, b)
-            }
-            other => panic!("unexpected fd entries: {other:?}"),
-        }
     }
 
     #[test]
@@ -2040,7 +1805,10 @@ mod tests {
         let trace = k.take_trace();
         let faults: Vec<bool> = trace
             .iter()
-            .filter_map(|e| e.kind.as_page_fault())
+            .filter_map(|e| match e.kind {
+                ProbeKind::PageFault { major } => Some(major),
+                _ => None,
+            })
             .collect();
         assert_eq!(faults, vec![false]);
     }
@@ -2107,9 +1875,9 @@ mod tests {
     #[test]
     fn fault_around_services_neighbours_in_one_trap() {
         let mut k = Kernel::free(38);
-        let (pid, addr, backend) = lazy_proc(&mut k, 8);
+        let (pid, addr, mut backend) = lazy_proc(&mut k, 8);
+        backend.set_fault_around(4);
         k.uffd_register(pid, backend).unwrap();
-        k.uffd_set_fault_around(pid, 4).unwrap();
         k.set_tracing(true);
 
         // One touch traps once but installs the whole window.
@@ -2140,8 +1908,8 @@ mod tests {
         for i in [0u64, 1, 3] {
             backend.insert_page(base + i, Page::from_bytes(&[i as u8 + 1; PAGE_SIZE]));
         }
+        backend.set_fault_around(16);
         k.uffd_register(pid, backend).unwrap();
-        k.uffd_set_fault_around(pid, 16).unwrap();
         k.mem_read(pid, addr, 1).unwrap();
         // The run stops at the gap: pages 0 and 1 installed, 3 still missing.
         assert_eq!(k.uffd_fault_counts(pid).0, 1);
@@ -2154,9 +1922,9 @@ mod tests {
         let n_pages = 64u64;
         let run = |window: usize| -> (SimDuration, u64) {
             let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
-            let (pid, addr, backend) = lazy_proc(&mut k, n_pages);
+            let (pid, addr, mut backend) = lazy_proc(&mut k, n_pages);
+            backend.set_fault_around(window);
             k.uffd_register(pid, backend).unwrap();
-            k.uffd_set_fault_around(pid, window).unwrap();
             let t0 = k.now();
             k.mem_read(pid, addr, n_pages * PAGE_SIZE as u64).unwrap();
             (k.now() - t0, k.uffd_fault_counts(pid).0)
@@ -2216,22 +1984,6 @@ mod tests {
             k.process(pid).unwrap().mem.resident_pages(),
             2,
             "pages before the fault stay installed, like a partial pwritev"
-        );
-    }
-
-    #[test]
-    fn map_extent_marks_a_run_missing() {
-        let mut k = Kernel::free(41);
-        let pid = k.sys_clone(INIT_PID).unwrap();
-        let addr = k
-            .sys_mmap(pid, 8 * PAGE_SIZE as u64, Prot::RW, VmaKind::Anon)
-            .unwrap();
-        k.map_extent(pid, addr.page_index(), 8).unwrap();
-        assert_eq!(k.process(pid).unwrap().mem.missing_pages(), 8);
-        k.map_extent(pid, addr.page_index(), 0).unwrap();
-        assert_eq!(
-            k.map_extent(pid, addr.page_index() + 8, 1).unwrap_err(),
-            Errno::Efault
         );
     }
 
@@ -2348,16 +2100,5 @@ mod tests {
         let (t_b, counts_b) = run(43);
         assert_eq!(counts_a, counts_b);
         assert_ne!(t_a, t_b, "different seed perturbs the jitter");
-    }
-
-    #[test]
-    fn live_process_count() {
-        let mut k = Kernel::free(14);
-        assert_eq!(k.live_processes(), 1); // init
-        let a = k.sys_clone(INIT_PID).unwrap();
-        let _b = k.sys_clone(INIT_PID).unwrap();
-        assert_eq!(k.live_processes(), 3);
-        k.sys_exit(a, 0).unwrap();
-        assert_eq!(k.live_processes(), 2);
     }
 }

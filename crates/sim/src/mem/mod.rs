@@ -4,6 +4,6 @@ pub mod page;
 pub mod space;
 pub mod vma;
 
-pub use page::{pages_for, Page, PAGE_SHIFT, PAGE_SIZE};
+pub use page::{Page, PAGE_SIZE};
 pub use space::{AddressSpace, TouchStats, MMAP_BASE};
 pub use vma::{Prot, VirtAddr, Vma, VmaKind};

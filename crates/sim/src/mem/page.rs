@@ -5,11 +5,8 @@ use std::fmt;
 /// Size of a guest page in bytes (matches Linux on x86-64).
 pub const PAGE_SIZE: usize = 4096;
 
-/// Bit shift from byte address to page index.
-pub const PAGE_SHIFT: u32 = 12;
-
 /// Rounds `len` up to a whole number of pages.
-pub const fn pages_for(len: u64) -> u64 {
+pub(crate) const fn pages_for(len: u64) -> u64 {
     len.div_ceil(PAGE_SIZE as u64)
 }
 

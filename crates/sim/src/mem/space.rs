@@ -23,15 +23,6 @@ pub struct TouchStats {
     pub cow_broken: u64,
 }
 
-impl TouchStats {
-    /// Accumulates another access's statistics.
-    pub fn merge(&mut self, other: TouchStats) {
-        self.pages_touched += other.pages_touched;
-        self.pages_materialized += other.pages_materialized;
-        self.cow_broken += other.cow_broken;
-    }
-}
-
 /// A process's virtual address space: a set of non-overlapping [`Vma`]s and
 /// the materialised [`Page`]s behind them.
 ///
@@ -86,7 +77,7 @@ impl AddressSpace {
     }
 
     /// Looks up the mapping containing `addr`.
-    pub fn find_vma(&self, addr: VirtAddr) -> Option<&Vma> {
+    pub(crate) fn find_vma(&self, addr: VirtAddr) -> Option<&Vma> {
         self.vmas
             .range(..=addr.0)
             .next_back()
@@ -239,7 +230,7 @@ impl AddressSpace {
     }
 
     /// Direct view of one resident page — private or shared — if present.
-    pub fn page(&self, page_index: u64) -> Option<&Page> {
+    pub(crate) fn page(&self, page_index: u64) -> Option<&Page> {
         self.pages
             .get(&page_index)
             .or_else(|| self.cow.get(&page_index).map(Arc::as_ref))
@@ -273,7 +264,7 @@ impl AddressSpace {
     ///
     /// [`Errno::Efault`] if the page is not inside any mapping,
     /// [`Errno::Eexist`] if a private page is already materialised there.
-    pub fn map_shared(&mut self, page_index: u64, frame: Arc<Page>) -> SysResult<()> {
+    pub(crate) fn map_shared(&mut self, page_index: u64, frame: Arc<Page>) -> SysResult<()> {
         let addr = VirtAddr(page_index * PAGE_SIZE as u64);
         if self.find_vma(addr).is_none() {
             return Err(Errno::Efault);
@@ -285,11 +276,6 @@ impl AddressSpace {
         self.cow.insert(page_index, frame);
         self.dirty.insert(page_index);
         Ok(())
-    }
-
-    /// Returns `true` if the page is a shared (unbroken) CoW mapping.
-    pub fn is_cow(&self, page_index: u64) -> bool {
-        self.cow.contains_key(&page_index)
     }
 
     /// Shared frames still mapped copy-on-write (not yet broken).
@@ -306,7 +292,7 @@ impl AddressSpace {
     ///
     /// [`Errno::Efault`] if the page is not inside any mapping,
     /// [`Errno::Eexist`] if the page is already materialised.
-    pub fn mark_missing(&mut self, page_index: u64) -> SysResult<()> {
+    pub(crate) fn mark_missing(&mut self, page_index: u64) -> SysResult<()> {
         let addr = VirtAddr(page_index * PAGE_SIZE as u64);
         if self.find_vma(addr).is_none() {
             return Err(Errno::Efault);
@@ -319,12 +305,12 @@ impl AddressSpace {
     }
 
     /// Returns `true` if the page is marked missing.
-    pub fn is_missing(&self, page_index: u64) -> bool {
+    pub(crate) fn is_missing(&self, page_index: u64) -> bool {
         self.missing.contains(&page_index)
     }
 
     /// Missing page indices intersecting `[addr, addr + len)`, ascending.
-    pub fn missing_in_range(&self, addr: VirtAddr, len: u64) -> Vec<u64> {
+    pub(crate) fn missing_in_range(&self, addr: VirtAddr, len: u64) -> Vec<u64> {
         if len == 0 || self.missing.is_empty() {
             return Vec::new();
         }
@@ -351,28 +337,22 @@ impl AddressSpace {
 
     /// Clears the soft-dirty bits (`echo 4 > /proc/<pid>/clear_refs`).
     /// Subsequent writes re-mark pages dirty.
-    pub fn clear_soft_dirty(&mut self) {
+    pub(crate) fn clear_soft_dirty(&mut self) {
         self.dirty.clear();
     }
 
     /// Page indices materialised within `vma` that were written since the
     /// last [`clear_soft_dirty`](AddressSpace::clear_soft_dirty) —
     /// the pagemap soft-dirty view CRIU's incremental dump consumes.
-    pub fn soft_dirty_pages(&self, vma: &Vma) -> Vec<u64> {
+    pub(crate) fn soft_dirty_pages(&self, vma: &Vma) -> Vec<u64> {
         let first = vma.first_page();
         let last = first + vma.page_count();
         self.dirty.range(first..last).copied().collect()
     }
 
-    /// Returns `true` if the page was written since the last soft-dirty
-    /// clear.
-    pub fn is_soft_dirty(&self, page_index: u64) -> bool {
-        self.dirty.contains(&page_index)
-    }
-
     /// Page indices resident within `vma` — private or shared —
     /// ascending: the `/proc/<pid>/pagemap` "present" view.
-    pub fn present_pages(&self, vma: &Vma) -> Vec<u64> {
+    pub(crate) fn present_pages(&self, vma: &Vma) -> Vec<u64> {
         let first = vma.first_page();
         let last = first + vma.page_count();
         let mut present: Vec<u64> = self
@@ -394,11 +374,6 @@ impl AddressSpace {
     /// Total materialised bytes (RSS analogue).
     pub fn resident_bytes(&self) -> u64 {
         self.resident_pages() * PAGE_SIZE as u64
-    }
-
-    /// Total mapped bytes (VSZ analogue).
-    pub fn mapped_bytes(&self) -> u64 {
-        self.vmas.values().map(|v| v.len).sum()
     }
 
     fn check_range(&self, addr: VirtAddr, len: u64, need_write: bool) -> SysResult<()> {
@@ -516,7 +491,12 @@ mod tests {
     #[test]
     fn write_to_readonly_is_eperm() {
         let mut s = AddressSpace::new();
-        let a = s.mmap(PAGE_SIZE as u64, Prot::R, VmaKind::Anon).unwrap();
+        let read_only = Prot {
+            read: true,
+            write: false,
+            exec: false,
+        };
+        let a = s.mmap(PAGE_SIZE as u64, read_only, VmaKind::Anon).unwrap();
         assert_eq!(s.write(a, b"x").unwrap_err(), Errno::Eperm);
     }
 
@@ -616,7 +596,6 @@ mod tests {
     #[test]
     fn resident_and_mapped_bytes() {
         let (mut s, a) = space_with_map(8 * PAGE_SIZE as u64);
-        assert_eq!(s.mapped_bytes(), 8 * PAGE_SIZE as u64);
         assert_eq!(s.resident_bytes(), 0);
         s.write(a, &vec![1u8; 2 * PAGE_SIZE]).unwrap();
         assert_eq!(s.resident_bytes(), 2 * PAGE_SIZE as u64);
@@ -628,12 +607,13 @@ mod tests {
         s.write(a, &[1u8; 10]).unwrap();
         s.write(a.add(2 * PAGE_SIZE as u64), &[2u8; 10]).unwrap();
         let vma = s.find_vma(a).unwrap().clone();
-        assert_eq!(s.soft_dirty_pages(&vma).len(), 2);
-        assert!(s.is_soft_dirty(a.page_index()));
+        assert_eq!(
+            s.soft_dirty_pages(&vma),
+            vec![a.page_index(), a.page_index() + 2]
+        );
 
         s.clear_soft_dirty();
         assert!(s.soft_dirty_pages(&vma).is_empty());
-        assert!(!s.is_soft_dirty(a.page_index()));
 
         // Re-writing one page re-marks only that page.
         s.write(a.add(2 * PAGE_SIZE as u64), &[3u8; 10]).unwrap();
@@ -656,7 +636,8 @@ mod tests {
     fn install_page_marks_dirty() {
         let (mut s, a) = space_with_map(PAGE_SIZE as u64);
         s.install_page(a.page_index(), Page::zeroed()).unwrap();
-        assert!(s.is_soft_dirty(a.page_index()));
+        let vma = s.find_vma(a).unwrap().clone();
+        assert_eq!(s.soft_dirty_pages(&vma), vec![a.page_index()]);
     }
 
     #[test]
@@ -729,7 +710,7 @@ mod tests {
         let (mut s, a) = space_with_map(2 * PAGE_SIZE as u64);
         let f = frame(7);
         s.map_shared(a.page_index(), Arc::clone(&f)).unwrap();
-        assert!(s.is_cow(a.page_index()));
+        assert!(s.cow.contains_key(&a.page_index()));
         assert_eq!(s.cow_pages(), 1);
         assert_eq!(s.resident_pages(), 1);
         assert_eq!(Arc::strong_count(&f), 2, "space holds one reference");
@@ -738,14 +719,14 @@ mod tests {
         let (back, stats) = s.read(a, 8).unwrap();
         assert_eq!(back, vec![7u8; 8]);
         assert_eq!(stats.cow_broken, 0);
-        assert!(s.is_cow(a.page_index()));
+        assert!(s.cow.contains_key(&a.page_index()));
 
         // The first write breaks into a private copy preserving the
         // untouched bytes; the frame itself stays pristine.
         let stats = s.write(a.add(4), &[9u8; 4]).unwrap();
         assert_eq!(stats.cow_broken, 1);
         assert_eq!(stats.pages_materialized, 0);
-        assert!(!s.is_cow(a.page_index()));
+        assert!(!s.cow.contains_key(&a.page_index()));
         assert_eq!(Arc::strong_count(&f), 1, "reference released on break");
         let (back, _) = s.read(a, 12).unwrap();
         assert_eq!(back, [vec![7u8; 4], vec![9u8; 4], vec![7u8; 4]].concat());
@@ -817,7 +798,7 @@ mod tests {
         // The child's break leaves the parent's mapping shared.
         child.write(a, &[1u8]).unwrap();
         assert_eq!(Arc::strong_count(&f), 2);
-        assert!(s.is_cow(a.page_index()));
+        assert!(s.cow.contains_key(&a.page_index()));
         let (parent_view, _) = s.read(a, 1).unwrap();
         assert_eq!(parent_view, vec![8u8]);
     }

@@ -12,18 +12,13 @@ pub struct VirtAddr(pub u64);
 
 impl VirtAddr {
     /// The page index containing this address.
-    pub const fn page_index(self) -> u64 {
+    pub(crate) const fn page_index(self) -> u64 {
         self.0 / PAGE_SIZE as u64
     }
 
     /// Offset of this address within its page.
-    pub const fn page_offset(self) -> usize {
+    pub(crate) const fn page_offset(self) -> usize {
         (self.0 % PAGE_SIZE as u64) as usize
-    }
-
-    /// Rounds down to the containing page boundary.
-    pub const fn page_align_down(self) -> VirtAddr {
-        VirtAddr(self.0 & !(PAGE_SIZE as u64 - 1))
     }
 
     /// Returns `true` if the address is page-aligned.
@@ -55,12 +50,6 @@ pub struct Prot {
 }
 
 impl Prot {
-    /// `r--`
-    pub const R: Prot = Prot {
-        read: true,
-        write: false,
-        exec: false,
-    };
     /// `rw-`
     pub const RW: Prot = Prot {
         read: true,
@@ -81,7 +70,7 @@ impl Prot {
     };
 
     /// `/proc/<pid>/maps`-style rendering (`rw-p`).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         format!(
             "{}{}{}p",
             if self.read { 'r' } else { '-' },
@@ -130,7 +119,7 @@ pub enum VmaKind {
 
 impl VmaKind {
     /// Label rendered in `/proc/<pid>/maps`.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             VmaKind::Anon => String::new(),
             VmaKind::Stack => "[stack]".to_owned(),
@@ -159,12 +148,12 @@ pub struct Vma {
 
 impl Vma {
     /// One-past-the-end address.
-    pub fn end(&self) -> VirtAddr {
+    pub(crate) fn end(&self) -> VirtAddr {
         VirtAddr(self.start.0 + self.len)
     }
 
     /// Number of pages spanned.
-    pub fn page_count(&self) -> u64 {
+    pub(crate) fn page_count(&self) -> u64 {
         self.len / PAGE_SIZE as u64
     }
 
@@ -176,11 +165,6 @@ impl Vma {
     /// Returns `true` if `addr` falls inside this mapping.
     pub fn contains(&self, addr: VirtAddr) -> bool {
         addr >= self.start && addr < self.end()
-    }
-
-    /// Returns `true` if the byte range `[addr, addr+len)` is fully inside.
-    pub fn contains_range(&self, addr: VirtAddr, len: u64) -> bool {
-        addr >= self.start && addr.0 + len <= self.end().0
     }
 
     /// Returns `true` if two mappings overlap.
@@ -220,7 +204,6 @@ mod tests {
         let a = VirtAddr(0x5003);
         assert_eq!(a.page_index(), 5);
         assert_eq!(a.page_offset(), 3);
-        assert_eq!(a.page_align_down(), VirtAddr(0x5000));
         assert!(!a.is_page_aligned());
         assert!(VirtAddr(0x5000).is_page_aligned());
     }
@@ -232,14 +215,6 @@ mod tests {
         assert!(v.contains(VirtAddr(0x2FFF)));
         assert!(!v.contains(VirtAddr(0x3000)));
         assert!(!v.contains(VirtAddr(0xFFF)));
-    }
-
-    #[test]
-    fn vma_contains_range() {
-        let v = vma(0x1000, 0x2000);
-        assert!(v.contains_range(VirtAddr(0x1000), 0x2000));
-        assert!(!v.contains_range(VirtAddr(0x1000), 0x2001));
-        assert!(v.contains_range(VirtAddr(0x2FFF), 1));
     }
 
     #[test]
@@ -255,7 +230,12 @@ mod tests {
     fn prot_renders_like_proc_maps() {
         assert_eq!(Prot::RW.render(), "rw-p");
         assert_eq!(Prot::RX.render(), "r-xp");
-        assert_eq!(Prot::R.render(), "r--p");
+        let r = Prot {
+            read: true,
+            write: false,
+            exec: false,
+        };
+        assert_eq!(r.render(), "r--p");
         assert_eq!(Prot::RWX.render(), "rwxp");
     }
 

@@ -14,7 +14,7 @@ use crate::time::SimDuration;
 
 /// Multiplicative log-normal noise source.
 ///
-/// Every call to [`factor`](Noise::factor) returns `exp(sigma * z)` for a
+/// Every call to `factor` returns `exp(sigma * z)` for a
 /// standard-normal `z`, i.e. a factor centred slightly above 1.0 with
 /// relative spread `sigma`. Typical configuration is `sigma = 0.02` (±2 %).
 ///
@@ -55,16 +55,6 @@ impl Noise {
         Noise::new(0, 0.0)
     }
 
-    /// The configured relative spread.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    /// Returns `true` if this source never perturbs values.
-    pub fn is_disabled(&self) -> bool {
-        self.sigma == 0.0
-    }
-
     /// Draws a standard-normal variate via Box-Muller.
     fn standard_normal(&mut self) -> f64 {
         if let Some(z) = self.spare.take() {
@@ -80,7 +70,7 @@ impl Noise {
     }
 
     /// Draws one multiplicative noise factor.
-    pub fn factor(&mut self) -> f64 {
+    pub(crate) fn factor(&mut self) -> f64 {
         if self.sigma == 0.0 {
             return 1.0;
         }
@@ -117,7 +107,6 @@ mod tests {
     #[test]
     fn disabled_noise_is_identity() {
         let mut n = Noise::disabled();
-        assert!(n.is_disabled());
         assert_eq!(n.factor(), 1.0);
         let d = SimDuration::from_millis(7);
         assert_eq!(n.jitter(d), d);
@@ -162,9 +151,9 @@ mod tests {
     #[test]
     fn sigma_is_clamped() {
         let n = Noise::new(0, 3.0);
-        assert_eq!(n.sigma(), 0.5);
+        assert_eq!(n.sigma, 0.5);
         let n = Noise::new(0, -1.0);
-        assert_eq!(n.sigma(), 0.0);
+        assert_eq!(n.sigma, 0.0);
     }
 
     #[test]

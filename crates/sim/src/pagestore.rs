@@ -25,19 +25,14 @@ pub struct SharedPageStore {
 
 impl SharedPageStore {
     /// An empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SharedPageStore::default()
     }
 
     /// Returns the frame for `hash`, inserting it from `make` on first
     /// use. Identical content dedups to one frame machine-wide.
-    pub fn get_or_insert(&mut self, hash: u64, make: impl FnOnce() -> Page) -> Arc<Page> {
+    pub(crate) fn get_or_insert(&mut self, hash: u64, make: impl FnOnce() -> Page) -> Arc<Page> {
         Arc::clone(self.frames.entry(hash).or_insert_with(|| Arc::new(make())))
-    }
-
-    /// Looks up a frame without inserting.
-    pub fn get(&self, hash: u64) -> Option<Arc<Page>> {
-        self.frames.get(&hash).map(Arc::clone)
     }
 
     /// Number of distinct frames resident in the pool.
@@ -68,7 +63,7 @@ impl SharedPageStore {
     /// Drops frames no mapping references any more, returning how many
     /// were reclaimed. The kernel runs this after process teardown so
     /// an idle machine holds no snapshot memory.
-    pub fn reclaim(&mut self) -> usize {
+    pub(crate) fn reclaim(&mut self) -> usize {
         let before = self.frames.len();
         self.frames.retain(|_, f| Arc::strong_count(f) > 1);
         before - self.frames.len()
@@ -103,8 +98,8 @@ mod tests {
         assert_eq!(store.frame_count(), 2);
         assert_eq!(store.reclaim(), 1);
         assert_eq!(store.frame_count(), 1);
-        assert!(store.get(1).is_some());
-        assert!(store.get(2).is_none());
+        assert!(store.frames.contains_key(&1));
+        assert!(!store.frames.contains_key(&2));
         drop(held);
         assert_eq!(store.reclaim(), 1);
         assert!(store.is_empty());

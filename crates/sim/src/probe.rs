@@ -87,35 +87,6 @@ impl ProbeKind {
             _ => None,
         }
     }
-
-    /// Returns `Some(major)` if this is a page-fault event.
-    pub fn as_page_fault(&self) -> Option<bool> {
-        match self {
-            ProbeKind::PageFault { major } => Some(*major),
-            _ => None,
-        }
-    }
-
-    /// Returns `true` if this is a copy-on-write break event.
-    pub fn is_cow_break(&self) -> bool {
-        matches!(self, ProbeKind::CowBreak)
-    }
-
-    /// Returns the run length if this is an extent-copy event.
-    pub fn as_extent_copy(&self) -> Option<u64> {
-        match self {
-            ProbeKind::ExtentCopy { pages } => Some(*pages),
-            _ => None,
-        }
-    }
-
-    /// Returns the neighbour count if this is a fault-around event.
-    pub fn as_fault_around(&self) -> Option<u64> {
-        match self {
-            ProbeKind::FaultAround { pages } => Some(*pages),
-            _ => None,
-        }
-    }
 }
 
 /// Aggregate counts over a probe trace.
@@ -164,11 +135,6 @@ impl ProbeCounters {
         c
     }
 
-    /// Total page faults of either kind.
-    pub fn total_faults(&self) -> u64 {
-        self.major_faults + self.minor_faults
-    }
-
     /// Accumulates another counter set into this one.
     pub fn merge(&mut self, other: &ProbeCounters) {
         self.syscall_enters += other.syscall_enters;
@@ -201,24 +167,7 @@ mod tests {
         assert_eq!(x.as_exit(), Some("execve"));
 
         let f = ProbeKind::PageFault { major: true };
-        assert_eq!(f.as_page_fault(), Some(true));
         assert_eq!(f.as_marker(), None);
-        assert_eq!(m.as_page_fault(), None);
-
-        let c = ProbeKind::CowBreak;
-        assert!(c.is_cow_break());
-        assert!(!f.is_cow_break());
-        assert_eq!(c.as_page_fault(), None);
-
-        let ext = ProbeKind::ExtentCopy { pages: 16 };
-        assert_eq!(ext.as_extent_copy(), Some(16));
-        assert_eq!(ext.as_fault_around(), None);
-        assert_eq!(c.as_extent_copy(), None);
-
-        let fa = ProbeKind::FaultAround { pages: 3 };
-        assert_eq!(fa.as_fault_around(), Some(3));
-        assert_eq!(fa.as_extent_copy(), None);
-        assert_eq!(fa.as_page_fault(), None);
     }
 
     #[test]
@@ -287,7 +236,6 @@ mod tests {
         assert_eq!(c.cow_breaks, 1);
         assert_eq!(c.extents_restored, 2, "extent runs counted, not pages");
         assert_eq!(c.faults_avoided, 3, "fault-around sums neighbour pages");
-        assert_eq!(c.total_faults(), 3);
 
         let mut m = ProbeCounters::default();
         m.merge(&c);

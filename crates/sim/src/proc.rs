@@ -72,7 +72,7 @@ impl CapSet {
     }
 
     /// All modelled capabilities (a root-ish task).
-    pub const fn all() -> Self {
+    pub(crate) const fn all() -> Self {
         CapSet(Cap::SysAdmin.bit() | Cap::SysPtrace.bit() | Cap::CheckpointRestore.bit())
     }
 
@@ -168,7 +168,7 @@ impl FdTable {
     }
 
     /// Installs an entry at the next free descriptor.
-    pub fn insert(&mut self, entry: FdEntry) -> i32 {
+    pub(crate) fn insert(&mut self, entry: FdEntry) -> i32 {
         let fd = self.next_fd;
         self.next_fd += 1;
         self.entries.insert(fd, entry);
@@ -193,34 +193,14 @@ impl FdTable {
         Ok(())
     }
 
-    /// Looks up a descriptor.
-    pub fn get(&self, fd: i32) -> SysResult<&FdEntry> {
-        self.entries.get(&fd).ok_or(Errno::Ebadf)
-    }
-
-    /// Mutable lookup.
-    pub fn get_mut(&mut self, fd: i32) -> SysResult<&mut FdEntry> {
-        self.entries.get_mut(&fd).ok_or(Errno::Ebadf)
-    }
-
     /// Removes a descriptor, returning its entry.
-    pub fn remove(&mut self, fd: i32) -> SysResult<FdEntry> {
+    pub(crate) fn remove(&mut self, fd: i32) -> SysResult<FdEntry> {
         self.entries.remove(&fd).ok_or(Errno::Ebadf)
     }
 
     /// Iterates `(fd, entry)` pairs in descriptor order.
     pub fn iter(&self) -> impl Iterator<Item = (i32, &FdEntry)> {
         self.entries.iter().map(|(fd, e)| (*fd, e))
-    }
-
-    /// Number of open descriptors.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if no descriptors are open.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -267,7 +247,7 @@ pub struct Process {
 
 impl Process {
     /// Creates a fresh single-threaded process shell.
-    pub fn new(pid: Pid, ppid: Pid, comm: impl Into<String>, main_tid: Tid) -> Self {
+    pub(crate) fn new(pid: Pid, ppid: Pid, comm: impl Into<String>, main_tid: Tid) -> Self {
         Process {
             pid,
             ppid,
@@ -285,16 +265,6 @@ impl Process {
             exit_code: None,
             traced_by: None,
         }
-    }
-
-    /// Returns `true` if every thread is frozen.
-    pub fn all_frozen(&self) -> bool {
-        self.threads.iter().all(|t| t.state == ThreadState::Frozen)
-    }
-
-    /// Returns `true` if the process has exited.
-    pub fn is_zombie(&self) -> bool {
-        self.state == ProcState::Zombie
     }
 }
 
@@ -326,7 +296,7 @@ mod tests {
         assert_eq!(fd, 3);
         let fd2 = t.insert(FdEntry::PipeRead { pipe: 1 });
         assert_eq!(fd2, 4);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.entries.len(), 2);
     }
 
     #[test]
@@ -352,7 +322,7 @@ mod tests {
             path: "/f".into(),
             offset: 0,
         });
-        assert!(t.get(fd).is_ok());
+        assert!(t.entries.contains_key(&fd));
         let entry = t.remove(fd).unwrap();
         assert_eq!(
             entry,
@@ -361,16 +331,8 @@ mod tests {
                 offset: 0
             }
         );
-        assert_eq!(t.get(fd).unwrap_err(), Errno::Ebadf);
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn process_freeze_predicate() {
-        let mut p = Process::new(Pid(10), Pid(1), "jlvm", Tid(10));
-        assert!(!p.all_frozen());
-        p.threads[0].state = ThreadState::Frozen;
-        assert!(p.all_frozen());
+        assert_eq!(t.remove(fd).unwrap_err(), Errno::Ebadf);
+        assert!(t.entries.is_empty());
     }
 
     #[test]
@@ -378,8 +340,7 @@ mod tests {
         let p = Process::new(Pid(5), Pid(1), "noop", Tid(5));
         assert_eq!(p.state, ProcState::Running);
         assert_eq!(p.threads.len(), 1);
-        assert!(p.fds.is_empty());
+        assert!(p.fds.entries.is_empty());
         assert!(p.exit_code.is_none());
-        assert!(!p.is_zombie());
     }
 }

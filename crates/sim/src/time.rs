@@ -104,37 +104,19 @@ impl SimDuration {
     }
 
     /// Saturating subtraction: returns zero instead of underflowing.
-    pub const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
+    pub(crate) const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
 
     /// Saturating addition.
-    pub const fn saturating_add(self, rhs: SimDuration) -> SimDuration {
+    pub(crate) const fn saturating_add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(rhs.0))
     }
 
     /// Multiplies the duration by a non-negative float factor, rounding to
     /// the nearest nanosecond. Non-finite or negative factors yield zero.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
+    pub(crate) fn mul_f64(self, factor: f64) -> SimDuration {
         SimDuration::from_nanos_f64(self.0 as f64 * factor)
-    }
-
-    /// Returns the larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self <= other {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -228,7 +210,7 @@ impl SimInstant {
     }
 
     /// Fractional milliseconds since the epoch.
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 
@@ -245,15 +227,6 @@ impl SimInstant {
     /// Elapsed time since an earlier instant, or zero if `earlier` is later.
     pub fn saturating_duration_since(self, earlier: SimInstant) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Returns the later of two instants.
-    pub fn max(self, other: SimInstant) -> SimInstant {
-        if self >= other {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -295,31 +268,31 @@ impl fmt::Display for SimInstant {
 /// The clock is owned by a [`Kernel`](crate::kernel::Kernel); one clock
 /// models one machine.
 #[derive(Debug, Clone, Default)]
-pub struct Clock {
+pub(crate) struct Clock {
     now: SimInstant,
 }
 
 impl Clock {
     /// Creates a clock at the epoch.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Clock {
             now: SimInstant::EPOCH,
         }
     }
 
     /// Current virtual time.
-    pub fn now(&self) -> SimInstant {
+    pub(crate) fn now(&self) -> SimInstant {
         self.now
     }
 
     /// Advances the clock by `d`.
-    pub fn advance(&mut self, d: SimDuration) {
+    pub(crate) fn advance(&mut self, d: SimDuration) {
         self.now += d;
     }
 
     /// Moves the clock forward to `t` if `t` is in the future; otherwise
     /// leaves it unchanged. Returns the (possibly unchanged) current time.
-    pub fn advance_to(&mut self, t: SimInstant) -> SimInstant {
+    pub(crate) fn advance_to(&mut self, t: SimInstant) -> SimInstant {
         if t > self.now {
             self.now = t;
         }

@@ -10,7 +10,7 @@
 //! batches.
 //!
 //! The [`Tracer`] lives inside the kernel and is a zero-cost no-op while
-//! disabled: [`Tracer::begin`] returns [`SpanId::NONE`] without
+//! disabled: [`Tracer::begin`] returns `SpanId::NONE` without
 //! allocating, and every other operation on a `NONE` id returns
 //! immediately. Probe events recorded while a span is open are attached
 //! to the innermost open span as *annotations*, preserving the exact
@@ -38,14 +38,14 @@ pub struct SpanId(u64);
 
 impl SpanId {
     /// The disabled-tracing sentinel.
-    pub const NONE: SpanId = SpanId(0);
+    pub(crate) const NONE: SpanId = SpanId(0);
 
     /// Whether this is the disabled sentinel.
     pub fn is_none(self) -> bool {
         self.0 == 0
     }
 
-    /// Raw id (0 for [`SpanId::NONE`]).
+    /// Raw id (0 for `SpanId::NONE`).
     pub fn as_u64(self) -> u64 {
         self.0
     }
@@ -118,7 +118,7 @@ impl Tracer {
     }
 
     /// Opens a span at `now`, nested under the innermost open span.
-    /// Returns [`SpanId::NONE`] while disabled.
+    /// Returns `SpanId::NONE` while disabled.
     pub fn begin(&mut self, name: &'static str, pid: Pid, now: SimInstant) -> SpanId {
         if !self.enabled {
             return SpanId::NONE;
@@ -143,7 +143,7 @@ impl Tracer {
     /// Closes `id` at `now`. Any spans opened inside it that are still
     /// open are closed at the same instant, so the tree stays well-formed
     /// even when an error path skipped their own `end`. Unknown or
-    /// already-closed ids (and [`SpanId::NONE`]) are ignored.
+    /// already-closed ids (and `SpanId::NONE`) are ignored.
     pub fn end(&mut self, id: SpanId, now: SimInstant) {
         if id.is_none() {
             return;
@@ -157,7 +157,7 @@ impl Tracer {
         self.stack.truncate(pos);
     }
 
-    /// Attaches an attribute to `id` (no-op for [`SpanId::NONE`] or an
+    /// Attaches an attribute to `id` (no-op for `SpanId::NONE` or an
     /// unknown id).
     pub fn attr(&mut self, id: SpanId, key: &'static str, value: impl Into<String>) {
         if id.is_none() {
@@ -181,14 +181,8 @@ impl Tracer {
     }
 
     /// Number of spans currently open.
-    pub fn open_spans(&self) -> usize {
+    pub(crate) fn open_spans(&self) -> usize {
         self.stack.len()
-    }
-
-    /// The spans recorded so far (open spans show `end == start` until
-    /// closed).
-    pub fn spans(&self) -> &[TraceSpan] {
-        &self.spans
     }
 
     /// Drains the recorded spans, closing any still open at `now`. Ids
@@ -214,7 +208,7 @@ pub fn probe_events(spans: &[TraceSpan]) -> Vec<ProbeEvent> {
 }
 
 /// Human/Perfetto-readable label for an annotation event.
-pub fn probe_label(kind: &ProbeKind) -> String {
+pub(crate) fn probe_label(kind: &ProbeKind) -> String {
     match kind {
         ProbeKind::SyscallEnter(name) => format!("enter:{name}"),
         ProbeKind::SyscallExit(name) => format!("exit:{name}"),
@@ -387,11 +381,6 @@ impl TraceSummary {
         TraceSummary { wall, stages }
     }
 
-    /// The attribution row for `name`, if any span carried it.
-    pub fn stage(&self, name: &str) -> Option<&StageTotal> {
-        self.stages.iter().find(|s| s.name == name)
-    }
-
     /// Summed self time across all stages. Equals [`TraceSummary::wall`]
     /// for a well-formed tree whose children never outlive their parents.
     pub fn self_total(&self) -> SimDuration {
@@ -526,16 +515,14 @@ mod tests {
         t.end(b, at(9));
         t.end(root, at(10));
         let summary = TraceSummary::from_spans(&t.take(at(10)));
+        let stage = |name| summary.stages.iter().find(|s| s.name == name).unwrap();
         assert_eq!(summary.wall, SimDuration::from_micros(10));
         assert_eq!(
-            summary.stage("root").unwrap().self_time,
+            stage("root").self_time,
             SimDuration::from_micros(2),
             "10 total minus 3+5 in children"
         );
-        assert_eq!(
-            summary.stage("stage-b").unwrap().total,
-            SimDuration::from_micros(5)
-        );
+        assert_eq!(stage("stage-b").total, SimDuration::from_micros(5));
         assert_eq!(summary.self_total(), summary.wall);
         assert_eq!(summary.stages[0].name, "stage-b", "largest self first");
         let table = summary.render();

@@ -58,7 +58,7 @@ impl UffdBackend {
     }
 
     /// Whether `page_index` is served from the fallback layer.
-    pub fn is_fallback(&self, page_index: u64) -> bool {
+    pub(crate) fn is_fallback(&self, page_index: u64) -> bool {
         self.fallback.contains(&page_index)
     }
 
@@ -68,17 +68,17 @@ impl UffdBackend {
     }
 
     /// Notes `n` faults served from the fallback layer.
-    pub fn note_fallback(&mut self, n: u64) {
+    pub(crate) fn note_fallback(&mut self, n: u64) {
         self.fallback_faults += n;
     }
 
     /// Faults served from the fallback layer so far.
-    pub fn fallback_faults(&self) -> u64 {
+    pub(crate) fn fallback_faults(&self) -> u64 {
         self.fallback_faults
     }
 
     /// Looks up a withheld page.
-    pub fn page(&self, page_index: u64) -> Option<&Page> {
+    pub(crate) fn page(&self, page_index: u64) -> Option<&Page> {
         self.pages.get(&page_index)
     }
 
@@ -93,7 +93,7 @@ impl UffdBackend {
     }
 
     /// Page indices the backend holds, ascending.
-    pub fn page_indices(&self) -> Vec<u64> {
+    pub(crate) fn page_indices(&self) -> Vec<u64> {
         self.pages.keys().copied().collect()
     }
 
@@ -107,30 +107,25 @@ impl UffdBackend {
     }
 
     /// The effective fault-around window (always ≥ 1).
-    pub fn fault_around(&self) -> usize {
+    pub(crate) fn fault_around(&self) -> usize {
         self.fault_around.max(1)
     }
 
     /// Turns working-set recording on or off. While on, every major
     /// fault appends its page index to the ordered log.
-    pub fn set_recording(&mut self, on: bool) {
+    pub(crate) fn set_recording(&mut self, on: bool) {
         self.recording = on;
-    }
-
-    /// Whether working-set recording is active.
-    pub fn is_recording(&self) -> bool {
-        self.recording
     }
 
     /// Takes the recorded fault log (ordered, first fault first) and
     /// stops recording.
-    pub fn take_log(&mut self) -> Vec<u64> {
+    pub(crate) fn take_log(&mut self) -> Vec<u64> {
         self.recording = false;
         std::mem::take(&mut self.log)
     }
 
     /// Notes a resolved major fault on `page_index`.
-    pub fn note_major(&mut self, page_index: u64) {
+    pub(crate) fn note_major(&mut self, page_index: u64) {
         self.major_faults += 1;
         if self.recording {
             self.log.push(page_index);
@@ -138,17 +133,17 @@ impl UffdBackend {
     }
 
     /// Notes `n` minor faults.
-    pub fn note_minor(&mut self, n: u64) {
+    pub(crate) fn note_minor(&mut self, n: u64) {
         self.minor_faults += n;
     }
 
     /// Major faults resolved so far.
-    pub fn major_faults(&self) -> u64 {
+    pub(crate) fn major_faults(&self) -> u64 {
         self.major_faults
     }
 
     /// Minor faults observed so far.
-    pub fn minor_faults(&self) -> u64 {
+    pub(crate) fn minor_faults(&self) -> u64 {
         self.minor_faults
     }
 }
@@ -199,7 +194,6 @@ mod tests {
         let mut b = UffdBackend::new();
         b.note_major(5); // not recording yet: counted, not logged
         b.set_recording(true);
-        assert!(b.is_recording());
         b.note_major(9);
         b.note_major(2);
         b.note_major(9); // refaults may repeat in the log
@@ -207,7 +201,7 @@ mod tests {
         assert_eq!(b.major_faults(), 4);
         assert_eq!(b.minor_faults(), 3);
         assert_eq!(b.take_log(), vec![9, 2, 9]);
-        assert!(!b.is_recording());
+        b.note_major(4); // taking the log stopped recording
         assert!(b.take_log().is_empty(), "log is consumed");
     }
 }

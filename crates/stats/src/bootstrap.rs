@@ -28,21 +28,11 @@ impl ConfInterval {
         x >= self.lo && x <= self.hi
     }
 
-    /// Interval width.
-    pub fn width(&self) -> f64 {
-        self.hi - self.lo
-    }
-
     /// Returns `true` if the two intervals share any point. The paper's
     /// Figure 3 argument: non-intersecting CIs are a visual hint that the
     /// medians differ.
     pub fn intersects(&self, other: &ConfInterval) -> bool {
         self.lo <= other.hi && other.lo <= self.hi
-    }
-
-    /// Midpoint of the interval.
-    pub fn mid(&self) -> f64 {
-        (self.lo + self.hi) / 2.0
     }
 }
 
@@ -175,7 +165,7 @@ mod tests {
         let data = sample(3, 100, 10.0, 4.0);
         let narrow = median_ci(&data, 2000, 0.80, 5);
         let wide = median_ci(&data, 2000, 0.99, 5);
-        assert!(wide.width() >= narrow.width());
+        assert!(wide.hi - wide.lo >= narrow.hi - narrow.lo);
     }
 
     #[test]
@@ -184,7 +174,6 @@ mod tests {
         let ci = median_ci(&data, 200, 0.95, 1);
         assert_eq!(ci.lo, 42.0);
         assert_eq!(ci.hi, 42.0);
-        assert_eq!(ci.width(), 0.0);
     }
 
     #[test]
@@ -224,7 +213,6 @@ mod tests {
         assert!(a.intersects(&b));
         assert!(b.intersects(&a));
         assert!(!a.intersects(&c));
-        assert_eq!(a.mid(), 2.0);
         assert_eq!(a.to_string(), "(1.00;3.00)");
     }
 

@@ -35,16 +35,6 @@ impl Ecdf {
         Ecdf { sorted }
     }
 
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Always `false`: construction rejects empty samples.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Fraction of observations ≤ `x` (right-continuous step function).
     pub fn eval(&self, x: f64) -> f64 {
         // partition_point returns the count of elements <= x when used
@@ -85,11 +75,6 @@ impl Ecdf {
             max_d = max_d.max(d);
         }
         max_d
-    }
-
-    /// The sorted underlying sample.
-    pub fn values(&self) -> &[f64] {
-        &self.sorted
     }
 }
 

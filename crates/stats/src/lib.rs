@@ -10,7 +10,7 @@
 //! - [`mannwhitney`] — the Wilcoxon–Mann–Whitney U test with tie and
 //!   continuity corrections, plus the Hodges–Lehmann shift estimator
 //! - [`ecdf`] — empirical CDFs and the Kolmogorov–Smirnov distance
-//! - [`normal`] — standard-normal pdf/cdf/quantile primitives
+//! - [`normal`] — standard-normal cdf/quantile primitives
 //!
 //! ## Example: the paper's Figure 3 analysis
 //!
@@ -42,4 +42,4 @@ pub use bootstrap::{bootstrap_ci, median_ci, median_diff_ci, ConfInterval};
 pub use ecdf::Ecdf;
 pub use mannwhitney::{hodges_lehmann, mann_whitney, MannWhitney};
 pub use shapiro::{shapiro_wilk, ShapiroWilk};
-pub use summary::{mean, median, quantile, std_dev, variance, Summary};
+pub use summary::{median, quantile, std_dev, Summary};

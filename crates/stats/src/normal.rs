@@ -6,7 +6,7 @@
 //! tolerances the hypothesis tests need.
 
 /// The error function, |error| ≤ 1.5e-7 (Abramowitz & Stegun 7.1.26).
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.3275911 * x);
@@ -16,11 +16,6 @@ pub fn erf(x: f64) -> f64 {
             * t
             * (-x * x).exp();
     sign * y
-}
-
-/// Standard normal probability density function.
-pub fn pdf(x: f64) -> f64 {
-    (-(x * x) / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt()
 }
 
 /// Standard normal cumulative distribution function.
@@ -132,11 +127,5 @@ mod tests {
     #[should_panic(expected = "quantile requires p in (0,1)")]
     fn quantile_rejects_zero() {
         quantile(0.0);
-    }
-
-    #[test]
-    fn pdf_peak_and_symmetry() {
-        assert!((pdf(0.0) - 0.3989422804).abs() < 1e-9);
-        assert!((pdf(1.3) - pdf(-1.3)).abs() < 1e-15);
     }
 }

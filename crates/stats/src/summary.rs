@@ -16,7 +16,7 @@ pub fn median(data: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics if `data` is empty.
-pub fn mean(data: &[f64]) -> f64 {
+pub(crate) fn mean(data: &[f64]) -> f64 {
     assert!(!data.is_empty(), "mean of empty sample");
     data.iter().sum::<f64>() / data.len() as f64
 }
@@ -26,7 +26,7 @@ pub fn mean(data: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics if `data` is empty.
-pub fn variance(data: &[f64]) -> f64 {
+pub(crate) fn variance(data: &[f64]) -> f64 {
     assert!(!data.is_empty(), "variance of empty sample");
     if data.len() == 1 {
         return 0.0;

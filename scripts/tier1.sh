@@ -64,6 +64,7 @@ run cargo test -q --offline --manifest-path perfbench/Cargo.toml
 run cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- all --quick
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 if [ "$fail" -ne 0 ]; then
   echo "tier-1: FAILED"
