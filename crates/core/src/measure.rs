@@ -248,8 +248,9 @@ impl TrialRunner {
         })
     }
 
-    /// Selects the page-granular restore paths for every trial (the
+    /// Selects the page-granular eager install for every trial (the
     /// pre-extent baseline; vectored extent restore is the default).
+    /// Eager-only: trials of any other restore mode fail with `Einval`.
     #[must_use]
     pub fn page_granular(mut self) -> TrialRunner {
         self.vectored = false;
@@ -265,7 +266,8 @@ impl TrialRunner {
     }
 
     /// Restores with `threads` parallel install shards per trial. Values
-    /// below 2 take the serial path bit-for-bit.
+    /// below 2 take the serial path bit-for-bit. Eager-only: above 1,
+    /// trials of any other restore mode fail with `Einval`.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> TrialRunner {
         self.threads = threads;

@@ -130,13 +130,16 @@ pub struct PrebakeStarter {
     pub images_dir: Option<String>,
     /// How restore reinstates memory.
     pub mode: RestoreMode,
-    /// Reinstate memory run-at-a-time from the snapshot's extent table
-    /// (on by default); off selects the page-granular baseline.
+    /// Install eager memory run-at-a-time from the snapshot's extent
+    /// table (on by default); off selects the page-granular baseline,
+    /// which only [`RestoreMode::Eager`] has — the restore of any other
+    /// mode fails with `Einval`.
     pub vectored: bool,
     /// Fault-around window for the uffd-backed modes (1 = none).
     pub fault_around: usize,
-    /// Restorer worker threads for the sharded parallel install
-    /// (1 = serial).
+    /// Restorer worker threads for the sharded parallel eager install
+    /// (1 = serial); above 1, the restore of any other mode fails with
+    /// `Einval`.
     pub threads: usize,
 }
 

@@ -7,17 +7,13 @@
 //! snapshot — a substantial share for large snapshots like the Image
 //! Resizer's 99 MB. The `ablation_memcache` bench quantifies exactly this.
 //!
-//! The cache can be bounded to a byte budget; inserts then evict
-//! least-recently-used snapshots until the charged size of everything
-//! resident — *including* recorded working-set images (`ws.img`) — fits
-//! the bound.
-//!
-//! Accounting is dedup-aware. A snapshot carrying a page store
-//! (`pagestore.img`) is charged its metadata plus each *distinct* page
-//! frame once; frames shared between resident snapshots — two replicas
-//! of one function, or different functions with identical runtime pages
-//! — are charged once cache-wide, mirroring how a memfd-backed host
-//! pool would hold them. Snapshots without a store (incremental dumps,
+//! Accounting is dedup-aware, and covers everything resident —
+//! *including* recorded working-set images (`ws.img`). A snapshot
+//! carrying a page store (`pagestore.img`) is charged its metadata plus
+//! each *distinct* page frame once; frames shared between resident
+//! snapshots — two replicas of one function, or different functions
+//! with identical runtime pages — are charged once cache-wide,
+//! mirroring how a memfd-backed host pool would hold them. Snapshots without a store (incremental dumps,
 //! pre-dedup images) are charged their full encoded size.
 
 use std::collections::{HashMap, HashSet};
@@ -35,26 +31,23 @@ use crate::restore::{restore_set, RestoreOptions, RestoreStats};
 #[derive(Debug, Default)]
 pub struct ImageCache {
     sets: HashMap<String, ImageSet>,
-    /// Names ordered least- to most-recently used.
-    recency: Vec<String>,
-    capacity_bytes: Option<u64>,
 }
 
 impl ImageCache {
-    /// An empty, unbounded cache.
+    /// An empty cache.
     pub fn new() -> Self {
         ImageCache::default()
     }
 
     /// Raw encoded bytes of everything resident, `ws.img` and
     /// `pagestore.img` included — what the snapshots would occupy
-    /// *without* cross-snapshot dedup. The byte budget is enforced
-    /// against [`ImageCache::charged_bytes`] instead.
+    /// *without* cross-snapshot dedup; [`ImageCache::charged_bytes`]
+    /// is the deduplicated footprint.
     pub fn total_bytes(&self) -> u64 {
         self.sets.values().map(ImageSet::total_bytes).sum()
     }
 
-    /// Bytes actually charged against the budget: per-snapshot metadata
+    /// Bytes the cache actually holds: per-snapshot metadata
     /// (everything but page payload) plus one [`PAGE_SIZE`] charge per
     /// distinct page frame across all resident page stores. Snapshots
     /// without a store are charged their full encoded size.
@@ -73,35 +66,14 @@ impl ImageCache {
         total + (frames.len() * PAGE_SIZE) as u64
     }
 
-    /// What one snapshot would be charged standing alone: its dedup-aware
-    /// footprint, before any cross-snapshot frame sharing.
-    pub(crate) fn standalone_bytes(set: &ImageSet) -> u64 {
-        match &set.pagestore {
-            Some(store) => set.non_payload_bytes() + store.unique_bytes(),
-            None => set.total_bytes(),
-        }
-    }
-
-    /// Inserts a snapshot under `name`, returning the names evicted to
-    /// honour the byte budget (oldest first). A snapshot whose
-    /// standalone (dedup-aware) footprint exceeds the whole budget is
-    /// refused: it comes back as the sole "evicted" name without
-    /// displacing anything resident.
-    pub fn insert(&mut self, name: impl Into<String>, set: ImageSet) -> Vec<String> {
-        let name = name.into();
-        if let Some(cap) = self.capacity_bytes {
-            if ImageCache::standalone_bytes(&set) > cap {
-                return vec![name];
-            }
-        }
-        self.touch(&name);
-        self.sets.insert(name, set);
-        self.enforce_capacity()
+    /// Inserts a snapshot under `name`, replacing any snapshot already
+    /// there.
+    pub fn insert(&mut self, name: impl Into<String>, set: ImageSet) {
+        self.sets.insert(name.into(), set);
     }
 
     /// Loads image files from the guest filesystem into the cache
     /// (charged once; subsequent restores skip the read entirely).
-    /// Returns the names evicted to honour the byte budget.
     ///
     /// # Errors
     ///
@@ -111,24 +83,22 @@ impl ImageCache {
         kernel: &mut Kernel,
         name: impl Into<String>,
         images_dir: &str,
-    ) -> SysResult<Vec<String>> {
+    ) -> SysResult<()> {
         let span = kernel.span_begin("cache_preload", prebake_sim::kernel::INIT_PID);
         let set = read_images(kernel, images_dir);
         kernel.span_end(span);
-        let evicted = self.insert(name, set?);
-        kernel.span_attr(span, "evicted", evicted.len().to_string());
-        Ok(evicted)
+        self.insert(name, set?);
+        Ok(())
     }
 
     /// Restores directly from the cache, skipping all image-file I/O.
-    /// The snapshot becomes the most recently used.
     ///
     /// # Errors
     ///
     /// [`prebake_sim::Errno::Enoent`] if the snapshot is not cached;
     /// otherwise as [`restore_set`].
     pub fn restore_cached(
-        &mut self,
+        &self,
         kernel: &mut Kernel,
         requester: Pid,
         name: &str,
@@ -143,33 +113,7 @@ impl ImageCache {
         kernel.span_attr(span, "result", "hit");
         let stats = restore_set(kernel, requester, set, opts);
         kernel.span_end(span);
-        let stats = stats?;
-        self.touch(name);
-        Ok(stats)
-    }
-
-    /// Removes a snapshot, returning it if present.
-    pub fn evict(&mut self, name: &str) -> Option<ImageSet> {
-        self.recency.retain(|n| n != name);
-        self.sets.remove(name)
-    }
-
-    fn touch(&mut self, name: &str) {
-        self.recency.retain(|n| n != name);
-        self.recency.push(name.to_owned());
-    }
-
-    fn enforce_capacity(&mut self) -> Vec<String> {
-        let Some(cap) = self.capacity_bytes else {
-            return Vec::new();
-        };
-        let mut evicted = Vec::new();
-        while self.charged_bytes() > cap && self.recency.len() > 1 {
-            let victim = self.recency.remove(0);
-            self.sets.remove(&victim);
-            evicted.push(victim);
-        }
-        evicted
+        stats
     }
 }
 
@@ -182,14 +126,6 @@ mod tests {
     use prebake_sim::kernel::INIT_PID;
     use prebake_sim::mem::{Prot, VmaKind, PAGE_SIZE};
     use prebake_sim::noise::Noise;
-
-    /// An empty cache bounded to `capacity_bytes`.
-    fn bounded(capacity_bytes: u64) -> ImageCache {
-        ImageCache {
-            capacity_bytes: Some(capacity_bytes),
-            ..ImageCache::default()
-        }
-    }
 
     fn kernel_with_snapshot() -> (Kernel, Pid) {
         let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
@@ -230,7 +166,7 @@ mod tests {
     #[test]
     fn missing_snapshot_is_enoent() {
         let (mut k, tracer) = kernel_with_snapshot();
-        let mut cache = ImageCache::new();
+        let cache = ImageCache::new();
         assert!(cache.sets.is_empty());
         assert_eq!(
             cache
@@ -238,18 +174,6 @@ mod tests {
                 .unwrap_err(),
             prebake_sim::Errno::Enoent
         );
-    }
-
-    #[test]
-    fn evict_removes_entry() {
-        let (mut k, _) = kernel_with_snapshot();
-        let mut cache = ImageCache::new();
-        cache.preload(&mut k, "fn", "/img").unwrap();
-        assert_eq!(cache.sets.len(), 1);
-        assert!(cache.sets.contains_key("fn"));
-        assert!(cache.evict("fn").is_some());
-        assert!(cache.evict("fn").is_none());
-        assert!(cache.sets.is_empty());
     }
 
     /// Dumps a snapshot whose pages are all distinct from each other
@@ -275,87 +199,45 @@ mod tests {
         read_images(k, &dir).unwrap()
     }
 
-    #[test]
-    fn capacity_evicts_least_recently_used() {
-        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
-        let sets: Vec<ImageSet> = (1u8..=3)
-            .map(|t| distinct_snapshot(&mut k, t, 64))
-            .collect();
-        let one = ImageCache::standalone_bytes(&sets[0]);
-
-        // Room for two unrelated snapshots, not three.
-        let mut cache = bounded(2 * one + one / 2);
-        assert!(cache.insert("a", sets[0].clone()).is_empty());
-        assert!(cache.insert("b", sets[1].clone()).is_empty());
-        assert_eq!(cache.charged_bytes(), 2 * one);
-
-        // "a" is refreshed, so inserting "c" evicts "b".
-        cache.touch("a");
-        let evicted = cache.insert("c", sets[2].clone());
-        assert_eq!(evicted, vec!["b".to_owned()]);
-        assert!(cache.sets.contains_key("a"));
-        assert!(cache.sets.contains_key("c"));
-        assert!(cache.charged_bytes() <= cache.capacity_bytes.unwrap());
+    /// What `set` charges as the cache's only resident.
+    fn charged_alone(set: ImageSet) -> u64 {
+        let mut cache = ImageCache::new();
+        cache.insert("only", set);
+        cache.charged_bytes()
     }
 
     #[test]
     fn ws_image_bytes_count_toward_the_bound() {
         let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
         let plain = distinct_snapshot(&mut k, 1, 64);
-        let mut with_ws = distinct_snapshot(&mut k, 2, 64);
-        with_ws.ws = Some(WsImage::from_fault_log((0..4096).collect()));
-        assert!(
-            ImageCache::standalone_bytes(&with_ws) > ImageCache::standalone_bytes(&plain),
-            "ws.img bytes are charged"
+        let mut with_ws = plain.clone();
+        let ws = WsImage::from_fault_log((0..4096).collect());
+        let ws_bytes = ws.encode().len() as u64;
+        with_ws.ws = Some(ws);
+        assert_eq!(
+            charged_alone(with_ws),
+            charged_alone(plain) + ws_bytes,
+            "ws.img bytes are charged in full"
         );
-
-        // Bound fits two plain-size sets but not plain + ws-augmented:
-        // the ws.img bytes must tip it over and evict the older entry.
-        let cap = ImageCache::standalone_bytes(&plain) * 2 + 16;
-        let mut cache = bounded(cap);
-        assert!(cache.insert("plain", plain).is_empty());
-        let evicted = cache.insert("with-ws", with_ws);
-        assert_eq!(evicted, vec!["plain".to_owned()]);
-
-        // A snapshot bigger than the whole budget is refused outright.
-        let mut tiny = bounded(8);
-        let huge = cache.evict("with-ws").unwrap();
-        assert_eq!(tiny.insert("huge", huge), vec!["huge".to_owned()]);
-        assert!(tiny.sets.is_empty());
     }
 
     #[test]
     fn identical_snapshots_do_not_double_charge_the_cap() {
-        // Regression: eviction accounting used raw per-set totals, so two
-        // byte-identical snapshots charged twice and the second insert
-        // evicted the first even though their frames are shared.
+        // Regression: accounting used raw per-set totals, so two
+        // byte-identical snapshots were charged twice even though their
+        // frames are shared.
         let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
         let a = distinct_snapshot(&mut k, 1, 64);
         let b = a.clone();
-        let one = ImageCache::standalone_bytes(&a);
-
-        // The budget fits one-and-a-half standalone snapshots: under
-        // additive accounting the pair would not fit.
-        let mut cache = bounded(one + one / 2);
-        assert!(cache.insert("a", a).is_empty());
-        assert!(
-            cache.insert("b", b).is_empty(),
-            "identical twin shares every frame; nothing to evict"
-        );
+        let base = a.non_payload_bytes();
+        let unique = a.pagestore.as_ref().unwrap().unique_bytes();
+        let mut cache = ImageCache::new();
+        cache.insert("a", a);
+        cache.insert("b", b);
         assert_eq!(cache.sets.len(), 2);
 
         // Charged: two metadata bases + ONE copy of the shared frames.
-        let base = cache.sets.get("a").unwrap().non_payload_bytes();
-        let unique = cache
-            .sets
-            .get("a")
-            .unwrap()
-            .pagestore
-            .as_ref()
-            .unwrap()
-            .unique_bytes();
         assert_eq!(cache.charged_bytes(), 2 * base + unique);
-        assert!(cache.charged_bytes() < 2 * one);
         assert!(
             cache.total_bytes() > cache.charged_bytes(),
             "raw total still reports the undeduped footprint"
@@ -374,17 +256,12 @@ mod tests {
         per_page.extents = None;
 
         let table_bytes = coalesced.extents.as_ref().unwrap().encode().len() as u64;
-        let with = ImageCache::standalone_bytes(&coalesced);
-        let without = ImageCache::standalone_bytes(&per_page);
-        assert!(with > without, "the table counts toward the budget");
-        assert_eq!(with, without + table_bytes, "and no more than its size");
-
-        // The cache-wide charge obeys the same bound.
-        let mut cache = ImageCache::new();
-        cache.insert("coalesced", coalesced);
-        let mut twin = ImageCache::new();
-        twin.insert("per-page", per_page);
-        assert_eq!(cache.charged_bytes(), twin.charged_bytes() + table_bytes);
+        assert!(table_bytes > 0, "the table counts toward the charge");
+        assert_eq!(
+            charged_alone(coalesced),
+            charged_alone(per_page) + table_bytes,
+            "and no more than its size"
+        );
     }
 
     #[test]

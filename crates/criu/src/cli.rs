@@ -89,10 +89,11 @@ impl CriuCli {
     ///
     /// Supported:
     /// - `dump -t <pid> -D <dir> [--leave-running]`
-    /// - `restore -D <dir> [--same-pid] [--page-granular]
-    ///   [--fault-around <pages>] [--threads <n>]` plus a memory-mode
-    ///   flag (`--lazy-pages`, `--ws-record`, `--ws-prefetch`, `--cow`,
-    ///   `--cow-prefetch`)
+    /// - `restore -D <dir> [--same-pid] [--fault-around <pages>]` plus
+    ///   either a memory-mode flag (`--lazy-pages`, `--ws-record`,
+    ///   `--ws-prefetch`, `--cow`, `--cow-prefetch`) or the eager-only
+    ///   install flags `[--page-granular] [--threads <n>]`; combining
+    ///   the two fails with `Errno::Einval`
     /// - `repack -D <dir> [--no-fault-order] [--compact]` — rewrite the
     ///   image into recorded fault order and/or compact it to the hot
     ///   working set with a fallback layer

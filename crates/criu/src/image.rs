@@ -458,7 +458,7 @@ pub(crate) enum PageSource<'a> {
     /// Demand-zero page: nothing stored.
     Zero,
     /// Payload stored in this image.
-    Bytes(&'a [u8]),
+    Bytes(&'a [u8; PAGE_SIZE]),
     /// Payload lives in the parent snapshot.
     Parent,
 }
@@ -530,7 +530,8 @@ impl PagesImage {
             } else {
                 let slice = &self.payload[offset..offset + PAGE_SIZE];
                 offset += PAGE_SIZE;
-                (e.page_index, PageSource::Bytes(slice))
+                let page = slice.try_into().expect("a PAGE_SIZE slice");
+                (e.page_index, PageSource::Bytes(page))
             }
         })
     }
@@ -628,7 +629,7 @@ impl PagesImage {
                             zero: false,
                             in_parent: false,
                         });
-                        resolved.payload.extend_from_slice(bytes);
+                        resolved.payload.extend_from_slice(*bytes);
                     }
                     Some(PageSource::Zero) => resolved.entries.push(PagemapEntry {
                         page_index: idx,
@@ -870,14 +871,16 @@ impl PageStoreImage {
     }
 
     /// Payload slice of frame `frame_index`.
-    pub(crate) fn frame_bytes(&self, frame_index: u32) -> &[u8] {
+    pub(crate) fn frame_bytes(&self, frame_index: u32) -> &[u8; PAGE_SIZE] {
         let at = frame_index as usize * PAGE_SIZE;
-        &self.payload[at..at + PAGE_SIZE]
+        self.payload[at..at + PAGE_SIZE]
+            .try_into()
+            .expect("a PAGE_SIZE slice")
     }
 
     /// Iterates `(page_index, frame_hash, frame_bytes)` over every
     /// reference, in pagemap order.
-    pub(crate) fn iter_refs(&self) -> impl Iterator<Item = (u64, u64, &[u8])> {
+    pub(crate) fn iter_refs(&self) -> impl Iterator<Item = (u64, u64, &[u8; PAGE_SIZE])> {
         self.refs.iter().map(|&(page_index, frame_idx)| {
             (
                 page_index,

@@ -9,6 +9,8 @@
 //! OpenFaaS integration (paper §5) models `docker run --privileged` by
 //! granting that capability to the watchdog.
 
+use std::collections::BTreeSet;
+
 use prebake_sim::cost::per_byte;
 use prebake_sim::error::{Errno, SysResult};
 use prebake_sim::kernel::Kernel;
@@ -20,7 +22,7 @@ use prebake_sim::uffd::UffdBackend;
 
 use crate::costs::CriuCosts;
 use crate::dump::{read_images, read_images_lazy};
-use crate::image::ImageSet;
+use crate::image::{ImageSet, PageSource, PagesImage};
 
 /// How the restored process's pid is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -94,22 +96,25 @@ pub struct RestoreOptions {
     pub mode: RestoreMode,
     /// Cost table.
     pub costs: CriuCosts,
-    /// Reinstate memory run-at-a-time from the image's extent table
-    /// (scatter-gather copies, run-granular CoW maps, vectored
-    /// prefetch) instead of page-at-a-time. The page-granular path pays
-    /// [`CriuCosts::restore_page_op`] per page where the vectored path
-    /// pays one [`prebake_sim::cost::CostModel::extent_setup`] per run.
+    /// Install eager memory run-at-a-time from the image's extent table
+    /// (one scatter-gather copy per run) instead of page-at-a-time. The
+    /// page-granular path pays [`CriuCosts::restore_page_op`] per page
+    /// where the vectored path pays one
+    /// [`prebake_sim::cost::CostModel::extent_setup`] per run. The other
+    /// modes always map and prefetch run-at-a-time: `false` with any of
+    /// them is [`Errno::Einval`].
     pub vectored: bool,
     /// Fault-around window for uffd-backed modes: one trap services up
     /// to this many consecutive withheld pages in a single batch.
     /// Values below 1 behave as 1 (no fault-around).
     pub fault_around: usize,
-    /// Restorer worker threads for the sharded parallel install. The
-    /// extent table is partitioned into contiguous shards over disjoint
-    /// page ranges; each worker streams and installs its own shard, so
-    /// the wall cost is the slowest shard plus a
+    /// Restorer worker threads for the sharded parallel eager install.
+    /// The extent table is partitioned into contiguous shards over
+    /// disjoint page ranges; each worker streams and installs its own
+    /// shard, so the wall cost is the slowest shard plus a
     /// [`CriuCosts::shard_spawn`] tax per worker instead of the serial
-    /// sum. Values below 2 take the serial path bit-for-bit.
+    /// sum. Values below 2 take the serial path bit-for-bit. Sharding is
+    /// eager-only: more than 1 with another mode is [`Errno::Einval`].
     pub threads: usize,
 }
 
@@ -164,8 +169,8 @@ pub struct RestoreStats {
     pub extents: usize,
     /// File descriptors re-opened.
     pub fds: usize,
-    /// Parallel shards the memory install ran as (1 on the serial path
-    /// and in modes with no install work to shard).
+    /// Parallel shards the eager install ran as (1 on the serial path
+    /// and in every other mode).
     pub shards: usize,
     /// Payload bytes the prefetch loader streamed sequentially instead
     /// of seeking for — non-zero only under [`RestoreMode::Prefetch`],
@@ -220,13 +225,18 @@ pub fn restore(
 ///
 /// # Errors
 ///
-/// As [`restore`], minus the filesystem reads.
+/// As [`restore`], minus the filesystem reads. The page-granular and
+/// sharded installs are eager-only: [`Errno::Einval`] if `opts` asks
+/// another mode for either.
 pub fn restore_set(
     kernel: &mut Kernel,
     requester: Pid,
     set: &ImageSet,
     opts: &RestoreOptions,
 ) -> SysResult<RestoreStats> {
+    if opts.mode != RestoreMode::Eager && (!opts.vectored || opts.threads > 1) {
+        return Err(Errno::Einval);
+    }
     let t0 = kernel.now();
     if !kernel.process(requester)?.caps.can_checkpoint() {
         return Err(Errno::Eperm);
@@ -253,392 +263,117 @@ pub fn restore_set(
         }
     }
     kernel.span_end(vma_span);
-    let mut installed = 0usize;
-    let mut pages_lazy = 0usize;
-    let mut pages_prefetched = 0usize;
-    let mut pages_cow = 0usize;
-    let mut extents = 0usize;
-    let mut shards = 1usize;
-    let mut seek_bytes_avoided = 0u64;
 
     // Compaction fallback layer (`criu repack --compact`): pages outside
     // the recorded hot set ride in a separate image pair that every mode
     // parks behind the fault handler. A touch outside the working set
     // falls through to the full image at the kernel's `fault_fallback`
     // penalty instead of restoring a hole.
-    let fallback_pages: Vec<(u64, Page)> = match &set.fallback {
-        Some(fb) => {
-            let mut pages = Vec::with_capacity(fb.stored_pages());
-            for (page_index, source) in fb.iter_pages() {
-                match source {
-                    crate::image::PageSource::Bytes(bytes) => pages.push((
-                        page_index,
-                        Page::from_bytes(bytes.try_into().map_err(|_| Errno::Einval)?),
-                    )),
-                    crate::image::PageSource::Zero => {}
-                    crate::image::PageSource::Parent => return Err(Errno::Einval),
-                }
-            }
-            pages
-        }
+    let fallback = match &set.fallback {
+        Some(fb) => stored_pages(fb).collect::<SysResult<Vec<_>>>()?,
         None => Vec::new(),
     };
-    let pages_compacted = fallback_pages.len();
+    let pages_compacted = fallback.len();
+
+    // Each mode installs, shares or withholds the stored pages; zero
+    // pages stay demand-zero in all of them.
+    let mode_span = kernel.span_begin(
+        match opts.mode {
+            RestoreMode::Eager => "restore_eager_copy",
+            RestoreMode::Cow | RestoreMode::CowPrefetch => "restore_cow_map",
+            RestoreMode::Lazy | RestoreMode::Record | RestoreMode::Prefetch => {
+                "restore_lazy_register"
+            }
+        },
+        pid,
+    );
+    let mut withheld = UffdBackend::new();
+    let (mut installed, mut pages_cow, mut extents, mut shards) = (0, 0, 0, 1);
     match opts.mode {
+        RestoreMode::Eager => (installed, extents, shards) = install_eager(kernel, pid, set, opts)?,
         RestoreMode::Cow | RestoreMode::CowPrefetch => {
-            // Map stored pages copy-on-write from the machine's shared
-            // frame pool: one PTE per page, no payload copy. The dedup
-            // view tells us each page's content hash, which keys the
-            // pool — replicas of the same snapshot resolve to the same
-            // physical frames. Zero pages stay demand-zero.
-            let store = set.pagestore.as_ref().ok_or(Errno::Einval)?;
-            let mode_span = kernel.span_begin("restore_cow_map", pid);
-            let ws_filter: Option<std::collections::BTreeSet<u64>> =
-                if opts.mode == RestoreMode::CowPrefetch {
-                    let ws = set.ws.as_ref().ok_or(Errno::Einval)?;
-                    Some(ws.pages.iter().copied().collect())
-                } else {
-                    None
-                };
-            let mut backend = UffdBackend::new();
-            if opts.vectored && opts.threads > 1 {
-                // Sharded CoW map: coalesce in-set refs into runs, then
-                // split the run list into contiguous shards mapped by
-                // concurrent workers. Frame decoding happens on real
-                // host threads; the per-shard mapping charges are
-                // measured serially and overlapped below.
-                // (start page index, per-page (content hash, payload)).
-                type CowRun<'a> = (u64, Vec<(u64, &'a [u8])>);
-                let mut runs: Vec<CowRun<'_>> = Vec::new();
-                for (page_index, hash, bytes) in store.iter_refs() {
-                    if bytes.len() != PAGE_SIZE {
-                        return Err(Errno::Einval);
-                    }
-                    let in_ws = ws_filter.as_ref().is_none_or(|ws| ws.contains(&page_index));
-                    if !in_ws {
-                        let frame: &[u8; PAGE_SIZE] =
-                            bytes.try_into().map_err(|_| Errno::Einval)?;
-                        backend.insert_page(page_index, Page::from_bytes(frame));
-                        continue;
-                    }
-                    match runs.last_mut() {
-                        Some((start, run)) if *start + run.len() as u64 == page_index => {
-                            run.push((hash, bytes));
-                        }
-                        _ => runs.push((page_index, vec![(hash, bytes)])),
-                    }
-                    pages_cow += 1;
-                }
-                let weights: Vec<usize> = runs.iter().map(|(_, r)| r.len()).collect();
-                let ranges = partition_by_weight(&weights, opts.threads);
-                let decoded = decode_shards(&runs, &ranges, |(start, run)| {
-                    let frames: Vec<(u64, Page)> = run
-                        .iter()
-                        .map(|(hash, bytes)| {
-                            (
-                                *hash,
-                                Page::from_bytes((*bytes).try_into().expect("page-sized")),
-                            )
-                        })
-                        .collect();
-                    (*start, frames)
-                });
-                shards = decoded.len().max(1);
-                let mut waves = Vec::with_capacity(decoded.len());
-                for (shard_id, shard) in decoded.iter().enumerate() {
-                    let (shard_pages, cost) = kernel.uncharged(|k| {
-                        let before = k.now();
-                        let mut shard_pages = 0usize;
-                        for (start, frames) in shard {
-                            k.cow_map_extent(pid, *start, frames)?;
-                            shard_pages += frames.len();
-                        }
-                        k.charge(opts.costs.restore_per_cow_page * shard_pages as u64);
-                        Ok((shard_pages, k.now() - before))
-                    })?;
-                    extents += shard.len();
-                    waves.push((shard_id, shard_pages, cost));
-                }
-                charge_overlapped_shards(kernel, pid, &opts.costs, waves);
-            } else {
-                // Run accumulator for the vectored path: consecutive
-                // in-set refs map as one scatter-gather CoW operation.
-                let mut run_start = 0u64;
-                let mut run: Vec<(u64, Page)> = Vec::new();
-                for (page_index, hash, bytes) in store.iter_refs() {
-                    let frame: &[u8; PAGE_SIZE] = bytes.try_into().map_err(|_| Errno::Einval)?;
-                    let in_working_set =
-                        ws_filter.as_ref().is_none_or(|ws| ws.contains(&page_index));
-                    if in_working_set {
-                        if opts.vectored {
-                            if !run.is_empty() && run_start + run.len() as u64 != page_index {
-                                kernel.cow_map_extent(pid, run_start, &run)?;
-                                extents += 1;
-                                run.clear();
-                            }
-                            if run.is_empty() {
-                                run_start = page_index;
-                            }
-                            run.push((hash, Page::from_bytes(frame)));
-                        } else {
-                            kernel.cow_map(pid, page_index, hash, || Page::from_bytes(frame))?;
-                        }
-                        pages_cow += 1;
-                    } else {
-                        backend.insert_page(page_index, Page::from_bytes(frame));
-                    }
-                }
-                if !run.is_empty() {
-                    kernel.cow_map_extent(pid, run_start, &run)?;
-                    extents += 1;
-                }
-                kernel.charge(opts.costs.restore_per_cow_page * pages_cow as u64);
-                if !opts.vectored {
-                    // The page-granular path dispatches one mapping
-                    // operation per page.
-                    kernel.charge(opts.costs.restore_page_op * pages_cow as u64);
-                }
+            (pages_cow, extents) = share_cow(kernel, pid, set, opts, &mut withheld)?;
+        }
+        RestoreMode::Lazy | RestoreMode::Record | RestoreMode::Prefetch => {
+            for page in stored_pages(&set.pages) {
+                let (page_index, page) = page?;
+                withheld.insert_page(page_index, page);
             }
-            for (page_index, page) in fallback_pages {
-                backend.insert_fallback_page(page_index, page);
-            }
-            if opts.mode == RestoreMode::CowPrefetch || backend.fallback_len() > 0 {
-                // Residual pages outside the working set (and any
-                // compaction fallback layer) are served on demand,
-                // exactly as a prefetch-mode restore leaves them.
-                pages_lazy = backend.len();
-                backend.set_fault_around(opts.fault_around);
-                kernel.charge(opts.costs.lazy_register);
-                kernel.uffd_register(pid, backend)?;
-            }
+        }
+    }
+
+    // Withheld pages and the fallback layer go behind the fault handler
+    // together. Eager and plain CoW restores withhold nothing, so they
+    // register only a compacted image's fallback layer.
+    let mut pages_lazy = 0;
+    if !matches!(opts.mode, RestoreMode::Eager | RestoreMode::Cow) || !fallback.is_empty() {
+        for (page_index, page) in fallback {
+            withheld.insert_fallback_page(page_index, page);
+        }
+        pages_lazy = withheld.len();
+        withheld.set_fault_around(opts.fault_around);
+        kernel.charge(opts.costs.lazy_register);
+        kernel.uffd_register(pid, withheld)?;
+    }
+
+    // Record and prefetch work through the registered handler; each
+    // mode's span then reports its own counts.
+    let mut pages_prefetched = 0;
+    let mut seek_bytes_avoided = 0;
+    match opts.mode {
+        RestoreMode::Eager => {
+            kernel.span_attr(mode_span, "pages", installed.to_string());
+            kernel.span_attr(mode_span, "extents", extents.to_string());
+        }
+        RestoreMode::Cow | RestoreMode::CowPrefetch => {
             kernel.span_attr(mode_span, "pages_cow", pages_cow.to_string());
             kernel.span_attr(mode_span, "pages_lazy", pages_lazy.to_string());
             kernel.span_attr(mode_span, "extents", extents.to_string());
-            kernel.span_end(mode_span);
         }
         RestoreMode::Lazy | RestoreMode::Record | RestoreMode::Prefetch => {
-            // Defer the payload behind the fault handler: collect every
-            // non-zero page into a backend, register it, and let first
-            // touches (or an up-front prefetch of the recorded working
-            // set) pull pages in. Zero pages stay demand-zero either way.
-            let mode_span = kernel.span_begin("restore_lazy_register", pid);
-            let mut backend = UffdBackend::new();
-            for (page_index, source) in set.pages.iter_pages() {
-                match source {
-                    crate::image::PageSource::Bytes(bytes) => {
-                        let page = Page::from_bytes(bytes.try_into().map_err(|_| Errno::Einval)?);
-                        backend.insert_page(page_index, page);
-                    }
-                    crate::image::PageSource::Zero => {}
-                    crate::image::PageSource::Parent => return Err(Errno::Einval),
-                }
+            if opts.mode == RestoreMode::Record {
+                kernel.uffd_set_record(pid, true)?;
             }
-            for (page_index, page) in fallback_pages {
-                backend.insert_fallback_page(page_index, page);
-            }
-            pages_lazy = backend.len();
-            backend.set_fault_around(opts.fault_around);
-            kernel.charge(opts.costs.lazy_register);
-            kernel.uffd_register(pid, backend)?;
-            match opts.mode {
-                RestoreMode::Record => kernel.uffd_set_record(pid, true)?,
-                RestoreMode::Prefetch => {
-                    let ws = set.ws.as_ref().ok_or(Errno::Einval)?;
-                    // Seek-vs-sequential read split: the prefetch loader
-                    // streams `pages.img` in working-set order, paying
-                    // one `fs_seek` whenever the next page's image
-                    // position is not the successor of the previous
-                    // one. A fault-order image (`criu repack`) lays the
-                    // working set out contiguously, collapsing this to
-                    // a single seek; a dump-order image pays one per
-                    // address-contiguous run.
-                    let mut position = std::collections::HashMap::new();
-                    let mut next_pos = 0u64;
-                    for (page_index, source) in set.pages.iter_pages() {
-                        if matches!(source, crate::image::PageSource::Bytes(_)) {
-                            position.insert(page_index, next_pos);
-                            next_pos += 1;
-                        }
+            if opts.mode == RestoreMode::Prefetch {
+                let ws = set.ws.as_ref().ok_or(Errno::Einval)?;
+                // Seek-vs-sequential read split: the prefetch loader
+                // streams `pages.img` in working-set order, paying one
+                // `fs_seek` whenever the next page's image position is
+                // not the successor of the previous one. A fault-order
+                // image (`criu repack`) lays the working set out
+                // contiguously, collapsing this to a single seek; a
+                // dump-order image pays one per address-contiguous run.
+                let mut position = std::collections::HashMap::new();
+                let mut next_pos = 0u64;
+                for (page_index, source) in set.pages.iter_pages() {
+                    if matches!(source, PageSource::Bytes(_)) {
+                        position.insert(page_index, next_pos);
+                        next_pos += 1;
                     }
-                    let mut seeks = 0u64;
-                    let mut streamed = 0u64;
-                    let mut prev: Option<u64> = None;
-                    for page_index in &ws.pages {
-                        if let Some(&pos) = position.get(page_index) {
-                            streamed += 1;
-                            if prev.is_none_or(|p| p + 1 != pos) {
-                                seeks += 1;
-                            }
-                            prev = Some(pos);
-                        }
-                    }
-                    seek_bytes_avoided = streamed.saturating_sub(seeks) * PAGE_SIZE as u64;
-                    let seek = kernel.costs().fs_seek;
-                    kernel.charge(seek * seeks);
-                    pages_prefetched = if opts.vectored {
-                        // Push the working set run-at-a-time: one setup
-                        // charge per coalesced extent.
-                        kernel.uffd_prefetch_vectored(pid, &ws.pages)? as usize
-                    } else {
-                        let n = kernel.uffd_prefetch(pid, &ws.pages)? as usize;
-                        kernel.charge(opts.costs.restore_page_op * n as u64);
-                        n
-                    };
-                    pages_lazy -= pages_prefetched;
                 }
-                _ => {}
+                let mut seeks = 0u64;
+                let mut streamed = 0u64;
+                let mut prev: Option<u64> = None;
+                for page_index in &ws.pages {
+                    if let Some(&pos) = position.get(page_index) {
+                        streamed += 1;
+                        if prev.is_none_or(|p| p + 1 != pos) {
+                            seeks += 1;
+                        }
+                        prev = Some(pos);
+                    }
+                }
+                seek_bytes_avoided = streamed.saturating_sub(seeks) * PAGE_SIZE as u64;
+                let seek = kernel.costs().fs_seek;
+                kernel.charge(seek * seeks);
+                pages_prefetched = kernel.uffd_prefetch(pid, &ws.pages)? as usize;
+                pages_lazy -= pages_prefetched;
             }
             kernel.span_attr(mode_span, "pages_lazy", pages_lazy.to_string());
             kernel.span_attr(mode_span, "pages_prefetched", pages_prefetched.to_string());
-            kernel.span_end(mode_span);
-        }
-        RestoreMode::Eager => {
-            // Install payload pages; zero pages stay demand-zero.
-            // Unresolved parent references mean the caller skipped
-            // `read_images`'s parent resolution — refuse rather than
-            // restore holes.
-            let mode_span = kernel.span_begin("restore_eager_copy", pid);
-            if opts.threads > 1 {
-                if set.pages.parent_pages() > 0 {
-                    return Err(Errno::Einval);
-                }
-                // Sharded parallel install. Partition the install units
-                // — coalesced extents on the vectored path, single
-                // pages on the page-granular one — into contiguous
-                // shards over disjoint page ranges. Each worker streams
-                // its own slice of the payload (the caller mapped the
-                // image without charging the read, so every shard
-                // prices one seek to its offset plus a sequential
-                // warm-rate scan of its bytes) and installs its units.
-                // Wall cost is the slowest shard plus the spawn tax.
-                let mut units: Vec<(u64, Vec<&[u8]>)> = Vec::new();
-                if opts.vectored {
-                    let table = set.extent_view();
-                    let mut stored = set.pages.iter_pages().filter_map(|(i, s)| match s {
-                        crate::image::PageSource::Bytes(bytes) => Some((i, bytes)),
-                        _ => None,
-                    });
-                    for extent in &table.extents {
-                        let mut bufs = Vec::with_capacity(extent.pages as usize);
-                        for _ in 0..extent.pages {
-                            let (_, bytes) = stored.next().ok_or(Errno::Einval)?;
-                            if bytes.len() != PAGE_SIZE {
-                                return Err(Errno::Einval);
-                            }
-                            bufs.push(bytes);
-                        }
-                        units.push((extent.start_index, bufs));
-                    }
-                } else {
-                    for (page_index, source) in set.pages.iter_pages() {
-                        if let crate::image::PageSource::Bytes(bytes) = source {
-                            if bytes.len() != PAGE_SIZE {
-                                return Err(Errno::Einval);
-                            }
-                            units.push((page_index, vec![bytes]));
-                        }
-                    }
-                }
-                let weights: Vec<usize> = units.iter().map(|(_, b)| b.len()).collect();
-                let ranges = partition_by_weight(&weights, opts.threads);
-                let decoded = decode_shards(&units, &ranges, |(start, bufs)| {
-                    let pages: Vec<Page> = bufs
-                        .iter()
-                        .map(|b| Page::from_bytes((*b).try_into().expect("page-sized")))
-                        .collect();
-                    (*start, pages)
-                });
-                shards = decoded.len().max(1);
-                let warm = kernel.costs().fs_read_warm_ns_per_byte;
-                let seek = kernel.costs().fs_seek;
-                let mut waves = Vec::with_capacity(decoded.len());
-                for (shard_id, shard) in decoded.iter().enumerate() {
-                    let (shard_pages, cost) = kernel.uncharged(|k| {
-                        let before = k.now();
-                        let shard_pages: usize = shard.iter().map(|(_, p)| p.len()).sum();
-                        k.charge(seek + per_byte((shard_pages * PAGE_SIZE) as u64, warm));
-                        for (start, pages) in shard {
-                            k.copy_extent(pid, *start, pages)?;
-                        }
-                        if !opts.vectored {
-                            // One page-granular dispatch per page — the
-                            // cost the vectored path amortises into one
-                            // `extent_setup` per run.
-                            k.charge(opts.costs.restore_page_op * shard_pages as u64);
-                        }
-                        k.charge(opts.costs.restore_per_page * shard_pages as u64);
-                        Ok((shard_pages, k.now() - before))
-                    })?;
-                    installed += shard_pages;
-                    if opts.vectored {
-                        extents += shard.len();
-                    }
-                    waves.push((shard_id, shard_pages, cost));
-                }
-                charge_overlapped_shards(kernel, pid, &opts.costs, waves);
-            } else if opts.vectored {
-                if set.pages.parent_pages() > 0 {
-                    return Err(Errno::Einval);
-                }
-                // Walk the extent table, gathering each run's payload
-                // pages (stored entries appear in pagemap order, so the
-                // runs consume them sequentially) and installing the
-                // run with one scatter-gather copy.
-                let table = set.extent_view();
-                let mut stored = set.pages.iter_pages().filter_map(|(i, s)| match s {
-                    crate::image::PageSource::Bytes(bytes) => Some((i, bytes)),
-                    _ => None,
-                });
-                for extent in &table.extents {
-                    let mut buf = Vec::with_capacity(extent.pages as usize);
-                    for _ in 0..extent.pages {
-                        let (_, bytes) = stored.next().ok_or(Errno::Einval)?;
-                        buf.push(Page::from_bytes(
-                            bytes.try_into().map_err(|_| Errno::Einval)?,
-                        ));
-                    }
-                    kernel.copy_extent(pid, extent.start_index, &buf)?;
-                    installed += buf.len();
-                    extents += 1;
-                }
-                kernel.charge(opts.costs.restore_per_page * installed as u64);
-            } else {
-                let proc = kernel.process_mut(pid)?;
-                for (page_index, source) in set.pages.iter_pages() {
-                    match source {
-                        crate::image::PageSource::Bytes(bytes) => {
-                            let page =
-                                Page::from_bytes(bytes.try_into().map_err(|_| Errno::Einval)?);
-                            proc.mem.install_page(page_index, page)?;
-                            installed += 1;
-                        }
-                        crate::image::PageSource::Zero => {}
-                        crate::image::PageSource::Parent => return Err(Errno::Einval),
-                    }
-                }
-                // One page-granular dispatch per installed page — the
-                // cost the vectored path amortises into one
-                // `extent_setup` per run.
-                kernel.charge(opts.costs.restore_page_op * installed as u64);
-                kernel.charge(opts.costs.restore_per_page * installed as u64);
-            }
-            if !fallback_pages.is_empty() {
-                // Faults outside the compacted hot set fall through to
-                // the full image behind the fault handler.
-                let mut backend = UffdBackend::new();
-                for (page_index, page) in fallback_pages {
-                    backend.insert_fallback_page(page_index, page);
-                }
-                pages_lazy = backend.len();
-                backend.set_fault_around(opts.fault_around);
-                kernel.charge(opts.costs.lazy_register);
-                kernel.uffd_register(pid, backend)?;
-            }
-            kernel.span_attr(mode_span, "pages", installed.to_string());
-            kernel.span_attr(mode_span, "extents", extents.to_string());
-            kernel.span_end(mode_span);
         }
     }
+    kernel.span_end(mode_span);
 
     // Descriptors.
     let fd_span = kernel.span_begin("restore_fds", pid);
@@ -698,10 +433,193 @@ pub fn restore_set(
     })
 }
 
-/// Splits `weights` (pages per install unit) into at most `threads`
-/// contiguous non-empty ranges balanced by total weight. Units are
-/// whole extents on the vectored path, so a scatter-gather run is never
-/// split across workers and shards cover disjoint page ranges.
+/// Every page whose payload `pages` stores, as `(page_index, page)` in
+/// pagemap order; zero pages are skipped. An unresolved parent reference
+/// is [`Errno::Einval`]: the caller skipped `read_images`'s parent
+/// resolution, and restoring it would leave a hole.
+fn stored_pages(pages: &PagesImage) -> impl Iterator<Item = SysResult<(u64, Page)>> + '_ {
+    pages
+        .iter_pages()
+        .filter_map(|(page_index, source)| match source {
+            PageSource::Bytes(bytes) => Some(Ok((page_index, Page::from_bytes(bytes)))),
+            PageSource::Zero => None,
+            PageSource::Parent => Some(Err(Errno::Einval)),
+        })
+}
+
+/// One extent-table run: its first page index and its pages' payloads.
+type Run<'a> = (u64, Vec<&'a [u8; PAGE_SIZE]>);
+
+/// The stored payload grouped into the extent table's runs, one run at a
+/// time. Stored entries appear in pagemap order, so the runs consume them
+/// sequentially; a table that outruns the payload is [`Errno::Einval`].
+fn extent_runs(set: &ImageSet) -> impl Iterator<Item = SysResult<Run<'_>>> {
+    let mut stored = set
+        .pages
+        .iter_pages()
+        .filter_map(|(_, source)| match source {
+            PageSource::Bytes(bytes) => Some(bytes),
+            _ => None,
+        });
+    set.extent_view().extents.into_iter().map(move |extent| {
+        let payload: Vec<_> = stored.by_ref().take(extent.pages as usize).collect();
+        if payload.len() < extent.pages as usize {
+            return Err(Errno::Einval);
+        }
+        Ok((extent.start_index, payload))
+    })
+}
+
+/// Decodes one run's payload into pages.
+fn decode_run((start, payload): &Run<'_>) -> (u64, Vec<Page>) {
+    let pages = payload
+        .iter()
+        .map(|&bytes| Page::from_bytes(bytes))
+        .collect();
+    (*start, pages)
+}
+
+/// Copies decoded runs in with one scatter-gather copy each, then charges
+/// the per-page install cost. Returns `(pages, runs)` installed.
+fn copy_runs(
+    kernel: &mut Kernel,
+    pid: Pid,
+    costs: &CriuCosts,
+    runs: impl IntoIterator<Item = SysResult<(u64, Vec<Page>)>>,
+) -> SysResult<(usize, usize)> {
+    let (mut pages, mut copied) = (0, 0);
+    for run in runs {
+        let (start, run) = run?;
+        kernel.copy_extent(pid, start, &run)?;
+        pages += run.len();
+        copied += 1;
+    }
+    kernel.charge(costs.restore_per_page * pages as u64);
+    Ok((pages, copied))
+}
+
+/// Installs every stored page before resume: page-at-a-time, one
+/// scatter-gather copy per extent-table run, or (`opts.threads > 1`)
+/// those runs sharded over concurrent workers. Returns
+/// `(pages installed, runs copied, shards)`.
+fn install_eager(
+    kernel: &mut Kernel,
+    pid: Pid,
+    set: &ImageSet,
+    opts: &RestoreOptions,
+) -> SysResult<(usize, usize, usize)> {
+    // Unresolved parent references mean the caller skipped
+    // `read_images`'s parent resolution — refuse rather than restore
+    // holes.
+    if set.pages.parent_pages() > 0 {
+        return Err(Errno::Einval);
+    }
+    if !opts.vectored {
+        let proc = kernel.process_mut(pid)?;
+        let mut installed = 0;
+        for page in stored_pages(&set.pages) {
+            let (page_index, page) = page?;
+            proc.mem.install_page(page_index, page)?;
+            installed += 1;
+        }
+        // One page-granular dispatch per installed page — the cost the
+        // vectored path amortises into one `extent_setup` per run.
+        kernel.charge(opts.costs.restore_page_op * installed as u64);
+        kernel.charge(opts.costs.restore_per_page * installed as u64);
+        return Ok((installed, 0, 1));
+    }
+    if opts.threads <= 1 {
+        let runs = extent_runs(set).map(|run| run.map(|run| decode_run(&run)));
+        let (installed, copied) = copy_runs(kernel, pid, &opts.costs, runs)?;
+        return Ok((installed, copied, 1));
+    }
+
+    // Sharded parallel install: whole runs are partitioned into
+    // contiguous shards over disjoint page ranges and decoded on real
+    // host threads. Each worker streams its own slice of the payload
+    // (the caller mapped the image without charging the read, so every
+    // shard prices one seek to its offset plus a sequential warm-rate
+    // scan of its bytes), then copies its runs in exactly as the serial
+    // install does. Wall cost is the slowest shard plus the spawn tax.
+    let runs = extent_runs(set).collect::<SysResult<Vec<_>>>()?;
+    let weights: Vec<usize> = runs.iter().map(|(_, payload)| payload.len()).collect();
+    let ranges = partition_by_weight(&weights, opts.threads);
+    let decoded = decode_shards(&runs, &ranges, decode_run);
+    let shards = decoded.len().max(1);
+    let warm = kernel.costs().fs_read_warm_ns_per_byte;
+    let seek = kernel.costs().fs_seek;
+    let (mut installed, mut copied) = (0, 0);
+    let mut waves = Vec::with_capacity(decoded.len());
+    for (shard_id, shard) in decoded.into_iter().enumerate() {
+        let ((shard_pages, shard_runs), cost) = kernel.uncharged(|k| {
+            let before = k.now();
+            let bytes: usize = shard.iter().map(|(_, pages)| pages.len() * PAGE_SIZE).sum();
+            k.charge(seek + per_byte(bytes as u64, warm));
+            let done = copy_runs(k, pid, &opts.costs, shard.into_iter().map(Ok))?;
+            Ok((done, k.now() - before))
+        })?;
+        installed += shard_pages;
+        copied += shard_runs;
+        waves.push((shard_id, shard_pages, cost));
+    }
+    charge_overlapped_shards(kernel, pid, &opts.costs, waves);
+    Ok((installed, copied, shards))
+}
+
+/// Maps the stored pages copy-on-write from the machine's shared frame
+/// pool, one scatter-gather run per stretch of consecutive pages: no
+/// payload copy, and the page store's content hashes key the pool, so
+/// replicas of one snapshot resolve to the same physical frames. Under
+/// [`RestoreMode::CowPrefetch`] only the recorded working set is shared
+/// and the residue goes to `withheld`. Returns `(pages shared, runs
+/// mapped)`.
+fn share_cow(
+    kernel: &mut Kernel,
+    pid: Pid,
+    set: &ImageSet,
+    opts: &RestoreOptions,
+    withheld: &mut UffdBackend,
+) -> SysResult<(usize, usize)> {
+    let store = set.pagestore.as_ref().ok_or(Errno::Einval)?;
+    let ws: Option<BTreeSet<u64>> = match opts.mode {
+        RestoreMode::CowPrefetch => {
+            let ws = set.ws.as_ref().ok_or(Errno::Einval)?;
+            Some(ws.pages.iter().copied().collect())
+        }
+        _ => None,
+    };
+    let (mut shared, mut mapped) = (0, 0);
+    let mut run_start = 0u64;
+    let mut run: Vec<(u64, Page)> = Vec::new();
+    for (page_index, hash, bytes) in store.iter_refs() {
+        let page = Page::from_bytes(bytes);
+        if ws.as_ref().is_some_and(|ws| !ws.contains(&page_index)) {
+            withheld.insert_page(page_index, page);
+            continue;
+        }
+        if !run.is_empty() && run_start + run.len() as u64 != page_index {
+            kernel.cow_map_extent(pid, run_start, &run)?;
+            mapped += 1;
+            run.clear();
+        }
+        if run.is_empty() {
+            run_start = page_index;
+        }
+        run.push((hash, page));
+        shared += 1;
+    }
+    if !run.is_empty() {
+        kernel.cow_map_extent(pid, run_start, &run)?;
+        mapped += 1;
+    }
+    kernel.charge(opts.costs.restore_per_cow_page * shared as u64);
+    Ok((shared, mapped))
+}
+
+/// Splits `weights` (pages per extent run) into at most `threads`
+/// contiguous non-empty ranges balanced by total weight. A
+/// scatter-gather run is never split across workers, so shards cover
+/// disjoint page ranges.
 fn partition_by_weight(weights: &[usize], threads: usize) -> Vec<std::ops::Range<usize>> {
     let n = weights.len();
     if n == 0 {
@@ -1051,6 +969,7 @@ mod tests {
         let a = restore(&mut k, tracer, &opts).unwrap();
         let b = restore(&mut k, tracer, &opts).unwrap();
         assert_eq!(a.pages_cow, 2, "5000 bytes = 2 shared pages");
+        assert_eq!(a.extents, 1, "two consecutive shared frames = one run");
         assert_eq!(a.pages_installed, 0);
         assert_eq!(a.pages_lazy, 0);
         assert!(!k.uffd_registered(a.pid), "pure CoW needs no fault handler");
@@ -1255,99 +1174,6 @@ mod tests {
         assert_eq!(k.process(stats.pid).unwrap().mem.missing_pages(), 0);
     }
 
-    #[test]
-    fn vectored_cow_restore_shares_frames_like_per_page() {
-        let (mut k, tracer, payload) = checkpointed_portless(23);
-        let mut per_page = RestoreOptions::with_mode("/img", RestoreMode::Cow);
-        per_page.vectored = false;
-        let a = restore(&mut k, tracer, &per_page).unwrap();
-        let b = restore(
-            &mut k,
-            tracer,
-            &RestoreOptions::with_mode("/img", RestoreMode::Cow),
-        )
-        .unwrap();
-        assert_eq!(a.pages_cow, 2);
-        assert_eq!(b.pages_cow, 2);
-        assert_eq!(a.extents, 0);
-        assert_eq!(b.extents, 1, "two consecutive shared frames = one run");
-        assert_eq!(
-            k.page_store().frame_count(),
-            2,
-            "both paths intern the same frames"
-        );
-        assert_eq!(k.page_store().external_refs(), 4);
-        let vma = k.process(a.pid).unwrap().mem.vmas().next().unwrap().clone();
-        for pid in [a.pid, b.pid] {
-            assert_eq!(
-                k.mem_read(pid, vma.start, payload.len() as u64).unwrap(),
-                payload
-            );
-        }
-    }
-
-    #[test]
-    fn prefetch_paths_agree_and_vectored_is_cheaper() {
-        use crate::image::WsImage;
-        use prebake_sim::cost::CostModel;
-        use prebake_sim::noise::Noise;
-
-        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
-        let tracer = k.sys_clone(INIT_PID).unwrap();
-        let target = k.sys_clone(INIT_PID).unwrap();
-        let pages = 64u64;
-        let a = k
-            .sys_mmap(
-                target,
-                pages * PAGE_SIZE as u64,
-                Prot::RW,
-                VmaKind::RuntimeHeap,
-            )
-            .unwrap();
-        k.mem_write(target, a, &vec![9u8; (pages * PAGE_SIZE as u64) as usize])
-            .unwrap();
-        dump(&mut k, tracer, &DumpOptions::new(target, "/img")).unwrap();
-
-        // Record the full working set.
-        let rec = restore(
-            &mut k,
-            tracer,
-            &RestoreOptions::with_mode("/img", RestoreMode::Record),
-        )
-        .unwrap();
-        let vma = k
-            .process(rec.pid)
-            .unwrap()
-            .mem
-            .vmas()
-            .next()
-            .unwrap()
-            .clone();
-        k.mem_read(rec.pid, vma.start, pages * PAGE_SIZE as u64)
-            .unwrap();
-        let log = k.uffd_take_log(rec.pid).unwrap();
-        k.fs_write_file("/img/ws.img", WsImage::from_fault_log(log).encode())
-            .unwrap();
-        k.sys_exit(rec.pid, 0).unwrap();
-
-        let mut elapsed = Vec::new();
-        for vectored in [false, true] {
-            let mut opts = RestoreOptions::with_mode("/img", RestoreMode::Prefetch);
-            opts.vectored = vectored;
-            let stats = restore(&mut k, tracer, &opts).unwrap();
-            assert_eq!(stats.pages_prefetched, pages as usize);
-            assert_eq!(stats.pages_lazy, 0);
-            assert_eq!(k.uffd_fault_counts(stats.pid), (0, 0));
-            assert_eq!(k.mem_read(stats.pid, vma.start, 64).unwrap(), vec![9u8; 64]);
-            elapsed.push(stats.elapsed);
-            k.sys_exit(stats.pid, 0).unwrap();
-        }
-        assert!(
-            elapsed[1] < elapsed[0],
-            "vectored prefetch beats per-page: {elapsed:?}"
-        );
-    }
-
     /// Checkpoint a target whose dumped pages form `runs` address runs
     /// of `pages_per_run` pages with a one-page hole between runs, so
     /// the extent table has `runs` entries for the shard partitioner to
@@ -1379,25 +1205,73 @@ mod tests {
 
     #[test]
     fn parallel_sharded_restore_matches_serial_state() {
-        for vectored in [true, false] {
-            let (mut k, tracer, a) = checkpointed_runs(Kernel::free(31), 8, 8);
-            let mut serial = RestoreOptions::new("/img");
-            serial.vectored = vectored;
-            let mut parallel = serial.clone();
-            parallel.threads = 4;
-            let s = restore(&mut k, tracer, &serial).unwrap();
-            let p = restore(&mut k, tracer, &parallel).unwrap();
-            assert_eq!(s.pages_installed, p.pages_installed);
-            assert_eq!(s.shards, 1);
-            assert_eq!(p.shards, 4, "vectored={vectored}");
-            let mem_s = k.process(s.pid).unwrap().mem.clone();
-            let mem_p = &k.process(p.pid).unwrap().mem;
-            assert!(mem_s.observably_equal(mem_p));
-            let want = vec![1u8; 64];
-            for pid in [s.pid, p.pid] {
-                assert_eq!(k.mem_read(pid, a, 64).unwrap(), want);
+        let (mut k, tracer, a) = checkpointed_runs(Kernel::free(31), 8, 8);
+        let serial = RestoreOptions::new("/img");
+        let mut parallel = serial.clone();
+        parallel.threads = 4;
+        let s = restore(&mut k, tracer, &serial).unwrap();
+        let p = restore(&mut k, tracer, &parallel).unwrap();
+        assert_eq!(s.pages_installed, p.pages_installed);
+        assert_eq!((s.extents, p.extents), (8, 8), "same run boundaries");
+        assert_eq!(s.shards, 1);
+        assert_eq!(p.shards, 4);
+        let mem_s = k.process(s.pid).unwrap().mem.clone();
+        let mem_p = &k.process(p.pid).unwrap().mem;
+        assert!(mem_s.observably_equal(mem_p));
+        let want = vec![1u8; 64];
+        for pid in [s.pid, p.pid] {
+            assert_eq!(k.mem_read(pid, a, 64).unwrap(), want);
+        }
+    }
+
+    #[test]
+    fn page_granular_and_sharded_installs_are_eager_only() {
+        use crate::cli::{CliError, CriuCli};
+
+        let (mut k, tracer, _) = checkpointed_portless(24);
+        let set = read_images_lazy(&mut k, "/img").unwrap();
+        for mode in [
+            RestoreMode::Lazy,
+            RestoreMode::Record,
+            RestoreMode::Prefetch,
+            RestoreMode::Cow,
+            RestoreMode::CowPrefetch,
+        ] {
+            let mut per_page = RestoreOptions::with_mode("/img", mode);
+            per_page.vectored = false;
+            let mut sharded = RestoreOptions::with_mode("/img", mode);
+            sharded.threads = 2;
+            for opts in [per_page, sharded] {
+                assert_eq!(
+                    restore(&mut k, tracer, &opts).unwrap_err(),
+                    Errno::Einval,
+                    "{mode:?}"
+                );
+                let t0 = k.now();
+                assert_eq!(
+                    restore_set(&mut k, tracer, &set, &opts).unwrap_err(),
+                    Errno::Einval,
+                    "{mode:?}"
+                );
+                assert_eq!(k.now(), t0, "rejected before any restore work");
             }
         }
+        let cli = CriuCli::new(tracer);
+        assert!(matches!(
+            cli.run(
+                &mut k,
+                &["restore", "-D", "/img", "--cow", "--page-granular"]
+            ),
+            Err(CliError::Sys(Errno::Einval))
+        ));
+
+        // Eager takes both.
+        let mut opts = RestoreOptions::new("/img");
+        opts.vectored = false;
+        restore(&mut k, tracer, &opts).unwrap();
+        opts.vectored = true;
+        opts.threads = 2;
+        restore(&mut k, tracer, &opts).unwrap();
     }
 
     #[test]

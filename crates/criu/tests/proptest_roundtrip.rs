@@ -132,10 +132,11 @@ proptest! {
         prop_assert_eq!(kernel.port_owner(port), Some(stats.pid));
     }
 
-    /// An extent-coalesced dump restores bit-identically to the
-    /// page-granular path in all four restore modes, and a legacy image
-    /// set without `extents.img` still round-trips (the vectored path
-    /// recoalesces runs from the pagemap).
+    /// An extent-coalesced dump restores bit-identically in every
+    /// install variant — eager run-at-a-time, page-at-a-time and sharded
+    /// over 2 and 4 threads, then lazy, CoW and prefetch — and a legacy
+    /// image set without `extents.img` still round-trips (the vectored
+    /// path recoalesces runs from the pagemap).
     #[test]
     fn extent_restore_is_bit_identical_across_modes(
         regions in prop::collection::vec((1u64..10, prop::collection::vec(any::<u8>(), 1..2000)), 1..4),
@@ -169,26 +170,29 @@ proptest! {
         }
 
         let expected: Vec<u8> = writes.iter().flat_map(|(_, d)| d.clone()).collect();
-        for mode in [RestoreMode::Eager, RestoreMode::Lazy, RestoreMode::Cow, RestoreMode::Prefetch] {
-            let mut restored = Vec::new();
-            for vectored in [true, false] {
-                let mut opts = RestoreOptions::with_mode("/img", mode);
-                opts.vectored = vectored;
-                opts.fault_around = window;
-                let stats = restore(&mut kernel, tracer, &opts).unwrap();
-                let mut bytes = Vec::new();
-                for (addr, data) in &writes {
-                    bytes.extend(kernel.mem_read(stats.pid, *addr, data.len() as u64).unwrap());
-                }
-                restored.push(bytes);
-                kernel.sys_exit(stats.pid, 0).unwrap();
-                kernel.reap(stats.pid).unwrap();
+        let mut variants = Vec::new();
+        for (vectored, threads) in [(true, 1), (false, 1), (true, 2), (true, 4)] {
+            let mut opts = RestoreOptions::new("/img");
+            opts.vectored = vectored;
+            opts.threads = threads;
+            variants.push(opts);
+        }
+        for mode in [RestoreMode::Lazy, RestoreMode::Cow, RestoreMode::Prefetch] {
+            variants.push(RestoreOptions::with_mode("/img", mode));
+        }
+        for mut opts in variants {
+            opts.fault_around = window;
+            let stats = restore(&mut kernel, tracer, &opts).unwrap();
+            let mut bytes = Vec::new();
+            for (addr, data) in &writes {
+                bytes.extend(kernel.mem_read(stats.pid, *addr, data.len() as u64).unwrap());
             }
             prop_assert_eq!(
-                &restored[0], &restored[1],
-                "vectored and page-granular restores diverge in {:?}", mode
+                &bytes, &expected,
+                "{:?} (vectored {}, threads {}) diverges", opts.mode, opts.vectored, opts.threads
             );
-            prop_assert_eq!(&restored[0], &expected);
+            kernel.sys_exit(stats.pid, 0).unwrap();
+            kernel.reap(stats.pid).unwrap();
         }
 
         // Legacy image set: drop the extent table (absent entirely in

@@ -22,7 +22,6 @@ use prebake_sim::event::EventQueue;
 use prebake_sim::kernel::Kernel;
 use prebake_sim::probe::ProbeCounters;
 use prebake_sim::time::{SimDuration, SimInstant};
-use prebake_sim::trace::TraceSpan;
 
 use crate::metrics::Metrics;
 use crate::registry::Registry;
@@ -52,10 +51,6 @@ pub struct PlatformConfig {
     pub container_port: u16,
     /// Seed driving container-kernel noise.
     pub seed: u64,
-    /// Record [`TraceSpan`] trees on container kernels (cold starts and
-    /// requests). Off by default: spans cost allocation per operation,
-    /// and most experiments only need the aggregate metrics.
-    pub span_tracing: bool,
 }
 
 impl Default for PlatformConfig {
@@ -69,7 +64,6 @@ impl Default for PlatformConfig {
             node_capacity: 64,
             container_port: 8080,
             seed: 0xFAA5,
-            span_tracing: false,
         }
     }
 }
@@ -158,7 +152,6 @@ pub struct Platform {
     next_container: u64,
     next_request: u64,
     nodes: Vec<NodeState>,
-    spans: Vec<TraceSpan>,
 }
 
 impl std::fmt::Debug for Platform {
@@ -189,7 +182,6 @@ impl Platform {
             next_container: 1,
             next_request: 1,
             nodes: (0..node_count).map(|_| NodeState::default()).collect(),
-            spans: Vec::new(),
         }
     }
 
@@ -398,17 +390,9 @@ impl Platform {
         let dispatched = self.now;
         let container = self.containers.get_mut(&cid).expect("container exists");
         container.kernel.advance_to(self.now);
-        let span = container
-            .kernel
-            .span_begin("request", container.replica.pid());
-        container
-            .kernel
-            .span_attr(span, "function", &container.function);
-        container.kernel.span_attr(span, "id", qreq.id.to_string());
         let mut errored = false;
         let mut body = Bytes::new();
         let outcome = container.replica.handle(&mut container.kernel, &qreq.req);
-        container.kernel.span_end(span);
         match outcome {
             Ok(response) => body = response.body,
             Err(Errno::Esrch | Errno::Enotconn | Errno::Ebadf | Errno::Efault) => {
@@ -505,7 +489,6 @@ impl Platform {
         // happens outside the measured timeline — the paper excludes
         // orchestration overheads — so it runs uncharged.
         let mut kernel = Kernel::new(self.config.seed ^ (cid << 8));
-        kernel.set_span_tracing(self.config.span_tracing);
         let port = self.config.container_port;
         let spec = image.spec.clone();
         let snapshot_files = image.snapshot_files.clone();
@@ -534,9 +517,6 @@ impl Platform {
         } else {
             Box::new(VanillaStarter)
         };
-        let cold_span = kernel.span_begin("cold_start", watchdog);
-        kernel.span_attr(cold_span, "function", function);
-        kernel.span_attr(cold_span, "node", node.to_string());
         let Started {
             replica,
             startup,
@@ -544,7 +524,6 @@ impl Platform {
             restore,
             ..
         } = starter.start(&mut kernel, watchdog, &dep)?;
-        kernel.span_end(cold_span);
         let ready_at = kernel.now();
         self.nodes[node].slots[slot] = ready_at;
         self.nodes[node].containers += 1;
@@ -591,8 +570,7 @@ impl Platform {
     /// Removes a container, returning its node capacity and recording
     /// the reason in metrics.
     fn remove_container(&mut self, cid: u64, reason: RemovalReason) {
-        if let Some(mut container) = self.containers.remove(&cid) {
-            self.spans.extend(container.kernel.take_spans());
+        if let Some(container) = self.containers.remove(&cid) {
             self.nodes[container.node].containers =
                 self.nodes[container.node].containers.saturating_sub(1);
             let m = self.metrics.function(&container.function);
@@ -1003,40 +981,16 @@ mod tests {
         }
     }
 
-    /// Drains every recorded span: those stashed from removed containers
-    /// plus whatever live containers have accumulated so far.
-    fn take_spans(p: &mut Platform) -> Vec<TraceSpan> {
-        let mut spans = std::mem::take(&mut p.spans);
-        for container in p.containers.values_mut() {
-            spans.extend(container.kernel.take_spans());
-        }
-        spans
-    }
-
     #[test]
-    fn span_tracing_records_cold_start_and_request_trees() {
-        let config = PlatformConfig {
-            span_tracing: true,
-            ..PlatformConfig::default()
-        };
-        let mut p = platform_with(&Template::java11_criu(), config);
-        p.submit(SimInstant::EPOCH, "noop", Request::empty())
-            .unwrap();
-        p.run().unwrap();
-        let spans = take_spans(&mut p);
-        let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
-        for expected in ["cold_start", "startup", "criu_restore", "request"] {
-            assert!(names.contains(&expected), "missing span {expected:?}");
-        }
-        // The startup tree hangs off the gateway's cold_start root.
-        let cold = spans.iter().find(|s| s.name == "cold_start").unwrap();
-        let startup = spans.iter().find(|s| s.name == "startup").unwrap();
-        assert_eq!(startup.parent, Some(cold.id));
-        assert!(take_spans(&mut p).is_empty(), "take_spans drains");
-
-        // Restore-path metrics were fed from the probe trace. Eager
+    fn parallel_ordered_and_compact_templates_serve_and_export_counters() {
+        // Restore-path metrics are fed from the probe trace. Eager
         // restore copies everything up front, so no faults here.
-        let m = p.metrics().get("noop").unwrap();
+        let mut eager = platform_with(&Template::java11_criu(), PlatformConfig::default());
+        eager
+            .submit(SimInstant::EPOCH, "noop", Request::empty())
+            .unwrap();
+        eager.run().unwrap();
+        let m = eager.metrics().get("noop").unwrap();
         assert_eq!(m.restore_ms.count(), 1);
         assert_eq!(m.restore_major_faults.get(), 0);
         assert!(
@@ -1055,17 +1009,6 @@ mod tests {
         assert_eq!(lm.restore_ms.count(), 1);
         assert!(lm.restore_major_faults.get() > 0, "lazy restore faults");
 
-        // Off by default: no spans accumulate.
-        let mut quiet = platform_with(&Template::java11_criu(), PlatformConfig::default());
-        quiet
-            .submit(SimInstant::EPOCH, "noop", Request::empty())
-            .unwrap();
-        quiet.run().unwrap();
-        assert!(take_spans(&mut quiet).is_empty());
-    }
-
-    #[test]
-    fn parallel_ordered_and_compact_templates_serve_and_export_counters() {
         // Parallel template: restore fans out and the gateway counts the
         // shards; the cold start beats the serial template's.
         let mut serial = platform_with(&Template::java11_criu_warm(1), PlatformConfig::default());

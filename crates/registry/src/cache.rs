@@ -3,7 +3,7 @@
 //! A [`NodeCache`] tracks which images — and, frame-granularly, which
 //! page frames — are already resident on one worker node. Admission is
 //! dedup-aware with the same accounting the host-side
-//! `prebake_criu::ImageCache` enforces its byte budget with: each
+//! `prebake_criu::ImageCache` charges its residents with: each
 //! distinct frame is charged once node-wide no matter how many resident
 //! images reference it, so cross-function sharing translates directly
 //! into bytes that never cross the network.

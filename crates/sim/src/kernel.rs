@@ -641,57 +641,18 @@ impl Kernel {
         self.uffd.get(&pid).map_or(0, |b| b.fallback_faults())
     }
 
-    /// Bulk-installs `pages` from `pid`'s backend in one batched copy —
-    /// the prefetch path. Unlike per-touch faulting there is no per-page
-    /// trap: the batch charges one warm read of the combined span plus a
-    /// page copy per page. Pages that are not missing (already resolved)
-    /// or unknown to the backend are skipped. Returns the number of pages
-    /// installed.
+    /// Bulk-installs `pages` from `pid`'s backend before any touch — the
+    /// prefetch path. The still-missing pages are coalesced into runs of
+    /// consecutive indices, each moved as one scatter-gather operation:
+    /// one [`CostModel::extent_setup`] plus a warm read of the run and a
+    /// page copy per page, with no per-page trap. Pages that are not
+    /// missing (already resolved), unknown to the backend or repeated are
+    /// skipped. Returns the number of pages installed.
     ///
     /// # Errors
     ///
     /// [`Errno::Esrch`] if `pid` has no registered backend or no process.
     pub fn uffd_prefetch(&mut self, pid: Pid, pages: &[u64]) -> SysResult<u64> {
-        let backend = self.uffd.get(&pid).ok_or(Errno::Esrch)?;
-        let proc = self.procs.get(&pid).ok_or(Errno::Esrch)?;
-        let mut seen = std::collections::BTreeSet::new();
-        let mut to_install: Vec<(u64, Page)> = Vec::new();
-        for &idx in pages {
-            if !seen.insert(idx) || !proc.mem.is_missing(idx) {
-                continue;
-            }
-            if let Some(p) = backend.page(idx) {
-                to_install.push((idx, p.clone()));
-            }
-        }
-        let n = to_install.len() as u64;
-        if n == 0 {
-            return Ok(0);
-        }
-        let span = self.span_begin("uffd_prefetch", pid);
-        self.span_attr(span, "pages", n.to_string());
-        let cost = per_byte(n * PAGE_SIZE as u64, self.costs.fs_read_warm_ns_per_byte)
-            + self.costs.page_copy * n;
-        self.charge(cost);
-        let proc = self.procs.get_mut(&pid).expect("looked up above");
-        for (idx, page) in to_install {
-            proc.mem.install_page(idx, page)?;
-        }
-        self.span_end(span);
-        Ok(n)
-    }
-
-    /// Vectored prefetch: like [`Kernel::uffd_prefetch`] but the
-    /// still-missing pages are coalesced into runs of consecutive
-    /// indices, each moved as one scatter-gather operation — one
-    /// [`CostModel::extent_setup`] charge per run instead of a dispatch
-    /// per page, plus the same streaming cost. Returns the number of
-    /// pages installed.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Esrch`] if `pid` has no registered backend or no process.
-    pub fn uffd_prefetch_vectored(&mut self, pid: Pid, pages: &[u64]) -> SysResult<u64> {
         let backend = self.uffd.get(&pid).ok_or(Errno::Esrch)?;
         let proc = self.procs.get(&pid).ok_or(Errno::Esrch)?;
         let mut seen = std::collections::BTreeSet::new();
@@ -825,37 +786,14 @@ impl Kernel {
         &self.page_store
     }
 
-    /// Maps the pool frame for `hash` at `page_index` of `pid`,
-    /// copy-on-write, inserting the frame from `make` on first use
-    /// machine-wide. No bytes move — the restore engine prices the
-    /// mapping itself; the copy is deferred to the first write
-    /// ([`CostModel::cow_break`]).
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Esrch`] if no such process; [`Errno::Efault`] /
-    /// [`Errno::Eexist`] per `AddressSpace::map_shared`.
-    pub fn cow_map(
-        &mut self,
-        pid: Pid,
-        page_index: u64,
-        hash: u64,
-        make: impl FnOnce() -> Page,
-    ) -> SysResult<()> {
-        let frame = self.page_store.get_or_insert(hash, make);
-        self.procs
-            .get_mut(&pid)
-            .ok_or(Errno::Esrch)?
-            .mem
-            .map_shared(page_index, frame)
-    }
-
     /// Maps a run of contiguous shared frames copy-on-write in one
     /// vectored operation, starting at `start_index`: each `(hash, page)`
     /// pair is interned in the pool and its frame mapped at the next
     /// index. One [`CostModel::extent_setup`] charge and one
-    /// [`ProbeKind::ExtentCopy`] event cover the whole run; like
-    /// [`Kernel::cow_map`], the frame mappings themselves move no bytes.
+    /// [`ProbeKind::ExtentCopy`] event cover the whole run; the frame
+    /// mappings themselves move no bytes — the restore engine prices
+    /// them, and the copy is deferred to the first write
+    /// ([`CostModel::cow_break`]).
     ///
     /// # Errors
     ///
@@ -1611,10 +1549,8 @@ mod tests {
 
         // Two replicas map the same content hash: one frame machine-wide.
         for pid in [a_pid, b_pid] {
-            k.cow_map(pid, addr.page_index(), 0xC0FFEE, || {
-                Page::from_bytes(&[6u8; PAGE_SIZE])
-            })
-            .unwrap();
+            let frame = (0xC0FFEE, Page::from_bytes(&[6u8; PAGE_SIZE]));
+            k.cow_map_extent(pid, addr.page_index(), &[frame]).unwrap();
         }
         assert_eq!(k.page_store().frame_count(), 1);
         assert_eq!(k.page_store().external_refs(), 2);
@@ -1661,10 +1597,8 @@ mod tests {
             let addr = k
                 .sys_mmap(pid, PAGE_SIZE as u64, Prot::RW, VmaKind::Anon)
                 .unwrap();
-            k.cow_map(pid, addr.page_index(), 9, || {
-                Page::from_bytes(&[9u8; PAGE_SIZE])
-            })
-            .unwrap();
+            let frame = (9, Page::from_bytes(&[9u8; PAGE_SIZE]));
+            k.cow_map_extent(pid, addr.page_index(), &[frame]).unwrap();
         }
         assert_eq!(k.page_store().external_refs(), 2);
         k.sys_exit(a_pid, 0).unwrap();
@@ -1685,10 +1619,9 @@ mod tests {
         let addr = k
             .sys_mmap(target, PAGE_SIZE as u64, Prot::RW, VmaKind::Anon)
             .unwrap();
-        k.cow_map(target, addr.page_index(), 5, || {
-            Page::from_bytes(&[5u8; PAGE_SIZE])
-        })
-        .unwrap();
+        let frame = (5, Page::from_bytes(&[5u8; PAGE_SIZE]));
+        k.cow_map_extent(target, addr.page_index(), &[frame])
+            .unwrap();
         k.ptrace_seize(tracer, target).unwrap();
         let page = k
             .ptrace_peek_page(tracer, target, addr.page_index())
@@ -2034,7 +1967,7 @@ mod tests {
         k.uffd_register(pid, backend).unwrap();
         k.set_tracing(true);
         let n = k
-            .uffd_prefetch_vectored(pid, &[base + 5, base, base + 1, base + 2, base + 6, base])
+            .uffd_prefetch(pid, &[base + 5, base, base + 1, base + 2, base + 6, base])
             .unwrap();
         assert_eq!(n, 5, "all missing known pages install, dupes skipped");
         assert_eq!(k.process(pid).unwrap().mem.missing_pages(), 0);
@@ -2045,7 +1978,7 @@ mod tests {
         let got = k.mem_read(pid, addr.add(6 * PAGE_SIZE as u64), 3).unwrap();
         assert_eq!(got, vec![7u8; 3]);
         // Nothing left to prefetch.
-        assert_eq!(k.uffd_prefetch_vectored(pid, &[base]).unwrap(), 0);
+        assert_eq!(k.uffd_prefetch(pid, &[base]).unwrap(), 0);
     }
 
     #[test]

@@ -63,6 +63,9 @@ golden ablation_gateway BENCH_gateway.json
 run cargo test -q --offline --manifest-path perfbench/Cargo.toml
 run cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- all --quick
 run cargo fmt --all --check
+# No `#[allow(dead_code)]` or `#[allow(unused...)]` anywhere, so the
+# clippy step's dead-code lint keeps seeing every item.
+run bash -c "! grep -rnE 'allow\((dead_code|unused)' crates src tests examples"
 run cargo clippy --workspace --all-targets -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
