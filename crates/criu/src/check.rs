@@ -156,7 +156,7 @@ pub fn check(kernel: &mut Kernel, images_dir: &str) -> SysResult<CheckReport> {
     Ok(CheckReport {
         pid: set.core.pid.0,
         vmas: set.mm.vmas.len(),
-        pages: set.pages.entries.len(),
+        pages: set.pages.entries().len(),
         pages_stored: set.pages.stored_pages(),
         zero_pages: set.pages.zero_pages(),
         pages_unique,
@@ -220,11 +220,11 @@ mod tests {
         let (mut k, dir) = checkpointed();
         // Re-point the store at different (self-consistent) content: it
         // parses fine but no longer mirrors pages.img.
-        let mut pages = crate::image::PagesImage::default();
+        let mut pages = crate::image::PagesBuilder::default();
         let mut page = prebake_sim::mem::Page::zeroed();
         page.bytes_mut().fill(0x99);
         pages.push(0, &page);
-        let bogus = crate::image::PageStoreImage::from_pages(&pages).unwrap();
+        let bogus = crate::image::PageStoreImage::from_pages(&pages.finish()).unwrap();
         k.fs_mut()
             .write_file(&format!("{dir}/pagestore.img"), bogus.encode())
             .unwrap();

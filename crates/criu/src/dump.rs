@@ -7,6 +7,7 @@
 //! pages, stream their contents through a pipe to the dumper, write the
 //! image files, then cure (remove the parasite) and detach.
 
+use bytes::Bytes;
 use prebake_sim::error::{Errno, SysResult};
 use prebake_sim::kernel::Kernel;
 use prebake_sim::mem::{VmaKind, PAGE_SIZE};
@@ -15,7 +16,8 @@ use prebake_sim::time::SimDuration;
 
 use crate::costs::CriuCosts;
 use crate::image::{
-    CoreImage, ExtentsImage, FilesImage, ImageSet, MmImage, PageStoreImage, PagesImage, ThreadImage,
+    CoreImage, ExtentsImage, FilesImage, ImageSet, MmImage, PageStoreImage, PagesBuilder,
+    PagesImage, ThreadImage,
 };
 
 /// Options for a dump.
@@ -129,7 +131,7 @@ fn collect_images_inner(
     // soft-dirty bit is clear — their payload already sits in the parent
     // snapshot from the pre-dump.
     let walk = kernel.span_begin("pagemap_walk", target);
-    let mut pages = PagesImage::default();
+    let mut pages = PagesBuilder::default();
     for vma in &vmas {
         let present = kernel.proc_pagemap(target, vma.start)?;
         let dirty: std::collections::BTreeSet<u64> = if incremental {
@@ -150,15 +152,17 @@ fn collect_images_inner(
             pages.push(page_index, &page);
         }
     }
-    kernel.span_attr(walk, "pages", pages.entries.len().to_string());
+    let pages = pages.finish();
+    kernel.span_attr(walk, "pages", pages.entries().len().to_string());
     kernel.span_end(walk);
 
     // Cure: drop the parasite mapping.
     kernel.remote_munmap(tracer, target, parasite)?;
 
-    // Dedup view: hash every stored page and collapse identical contents
-    // to one frame. Incremental dumps defer payload to a parent and so
-    // carry no store (`from_pages` returns `None` for them).
+    // Dedup view: collapse stored pages with identical content hashes
+    // (taken as each page was collected) to one frame. Incremental dumps
+    // defer payload to a parent and so carry no store (`from_pages`
+    // returns `None` for them).
     let hash = kernel.span_begin("pagestore_hash", target);
     let pagestore = PageStoreImage::from_pages(&pages);
     kernel.span_end(hash);
@@ -221,21 +225,21 @@ pub fn dump(kernel: &mut Kernel, tracer: Pid, opts: &DumpOptions) -> SysResult<D
     let write = kernel.span_begin("image_write", target);
     kernel.fs_create_dir_all(&opts.images_dir)?;
     let dir = &opts.images_dir;
-    let mut files = vec![
-        (ImageSet::CORE_NAME, set.core.encode()),
-        (ImageSet::MM_NAME, set.mm.encode()),
-        (ImageSet::PAGEMAP_NAME, set.pages.encode_pagemap()),
+    let mut files: Vec<(&str, Bytes)> = vec![
+        (ImageSet::CORE_NAME, set.core.encode().into()),
+        (ImageSet::MM_NAME, set.mm.encode().into()),
+        (ImageSet::PAGEMAP_NAME, set.pages.encode_pagemap().into()),
         (ImageSet::PAGES_NAME, set.pages.encode_pages()),
-        (ImageSet::FILES_NAME, set.files.encode()),
+        (ImageSet::FILES_NAME, set.files.encode().into()),
     ];
     if let Some(store) = &set.pagestore {
-        files.push((ImageSet::PAGESTORE_NAME, store.encode()));
+        files.push((ImageSet::PAGESTORE_NAME, store.encode().into()));
     }
     if let Some(ext) = &set.extents {
-        files.push((ImageSet::EXTENTS_NAME, ext.encode()));
+        files.push((ImageSet::EXTENTS_NAME, ext.encode().into()));
     }
     if let Some(parent) = &opts.parent {
-        files.push((ImageSet::PARENT_LINK, parent.as_bytes().to_vec()));
+        files.push((ImageSet::PARENT_LINK, parent.clone().into()));
     }
     let mut image_bytes = 0u64;
     for (name, data) in files {
@@ -260,7 +264,7 @@ pub fn dump(kernel: &mut Kernel, tracer: Pid, opts: &DumpOptions) -> SysResult<D
     let unique = set.pagestore.as_ref().map_or(stored, |s| s.unique_pages());
     Ok(DumpStats {
         vmas: set.mm.vmas.len(),
-        pages_total: set.pages.entries.len(),
+        pages_total: set.pages.entries().len(),
         pages_stored: stored,
         zero_pages: set.pages.zero_pages(),
         parent_pages: set.pages.parent_pages(),
@@ -299,7 +303,7 @@ pub fn pre_dump(kernel: &mut Kernel, tracer: Pid, opts: &DumpOptions) -> SysResu
             .cloned()
             .collect()
     };
-    let mut pages = PagesImage::default();
+    let mut pages = PagesBuilder::default();
     for vma in &vmas {
         let present = kernel.proc_pagemap(target, vma.start)?;
         for page_index in present {
@@ -308,13 +312,14 @@ pub fn pre_dump(kernel: &mut Kernel, tracer: Pid, opts: &DumpOptions) -> SysResu
             pages.push(page_index, &page);
         }
     }
+    let pages = pages.finish();
     kernel.proc_clear_soft_dirty(target)?;
     kernel.ptrace_detach(tracer, target)?;
 
     kernel.fs_create_dir_all(&opts.images_dir)?;
     let dir = &opts.images_dir;
     let files = [
-        (ImageSet::PAGEMAP_NAME, pages.encode_pagemap()),
+        (ImageSet::PAGEMAP_NAME, pages.encode_pagemap().into()),
         (ImageSet::PAGES_NAME, pages.encode_pages()),
     ];
     let mut image_bytes = 0u64;
@@ -326,7 +331,7 @@ pub fn pre_dump(kernel: &mut Kernel, tracer: Pid, opts: &DumpOptions) -> SysResu
 
     Ok(DumpStats {
         vmas: vmas.len(),
-        pages_total: pages.entries.len(),
+        pages_total: pages.entries().len(),
         pages_stored: pages.stored_pages(),
         zero_pages: pages.zero_pages(),
         parent_pages: 0,
@@ -418,11 +423,9 @@ pub fn repack(kernel: &mut Kernel, opts: &RepackOptions) -> SysResult<RepackStat
     // from the full page population, in page-index order.
     let mut full = match &set.fallback {
         Some(fallback) => {
-            let mut merged = set.pages.clone();
-            merged.entries.extend(fallback.entries.iter().copied());
-            merged.payload.extend_from_slice(&fallback.payload);
+            let merged = set.pages.concat(fallback);
             merged.reordered(&{
-                let mut idx: Vec<u64> = merged.entries.iter().map(|e| e.page_index).collect();
+                let mut idx: Vec<u64> = merged.entries().iter().map(|e| e.page_index).collect();
                 idx.sort_unstable();
                 idx
             })
@@ -443,16 +446,19 @@ pub fn repack(kernel: &mut Kernel, opts: &RepackOptions) -> SysResult<RepackStat
     kernel.span_attr(span, "hot_pages", hot.stored_pages().to_string());
     kernel.span_attr(span, "fallback_pages", fallback.stored_pages().to_string());
 
-    let mut files = vec![
-        (ImageSet::PAGEMAP_NAME, hot.encode_pagemap()),
+    let mut files: Vec<(&str, Bytes)> = vec![
+        (ImageSet::PAGEMAP_NAME, hot.encode_pagemap().into()),
         (ImageSet::PAGES_NAME, hot.encode_pages()),
-        (ImageSet::EXTENTS_NAME, extents.encode()),
+        (ImageSet::EXTENTS_NAME, extents.encode().into()),
     ];
     if let Some(store) = &pagestore {
-        files.push((ImageSet::PAGESTORE_NAME, store.encode()));
+        files.push((ImageSet::PAGESTORE_NAME, store.encode().into()));
     }
     if opts.compact {
-        files.push((ImageSet::FALLBACK_PAGEMAP_NAME, fallback.encode_pagemap()));
+        files.push((
+            ImageSet::FALLBACK_PAGEMAP_NAME,
+            fallback.encode_pagemap().into(),
+        ));
         files.push((ImageSet::FALLBACK_PAGES_NAME, fallback.encode_pages()));
     } else {
         for name in [
@@ -505,7 +511,9 @@ pub fn read_images(kernel: &mut Kernel, images_dir: &str) -> SysResult<ImageSet>
 /// `--lazy-pages` serves `pages.img` over userfaultfd, so its bytes
 /// travel only when faulted (or prefetched). Only `mmap` bookkeeping is
 /// charged for the payload here; the per-page transfer is charged at
-/// fault or prefetch time by the kernel.
+/// fault or prefetch time by the kernel. That deferral is in virtual
+/// time only: on the host, the payload is verified (checksum and page
+/// hashes) exactly as [`read_images`] does.
 ///
 /// # Errors
 ///
@@ -515,10 +523,10 @@ pub fn read_images_lazy(kernel: &mut Kernel, images_dir: &str) -> SysResult<Imag
 }
 
 fn read_images_with(kernel: &mut Kernel, images_dir: &str, lazy: bool) -> SysResult<ImageSet> {
-    let read = |kernel: &mut Kernel, name: &str| -> SysResult<bytes::Bytes> {
+    let read = |kernel: &mut Kernel, name: &str| -> SysResult<Bytes> {
         kernel.fs_read_file(&prebake_sim::fs::join_path(images_dir, name))
     };
-    let read_payload = |kernel: &mut Kernel, path: &str| -> SysResult<bytes::Bytes> {
+    let read_payload = |kernel: &mut Kernel, path: &str| -> SysResult<Bytes> {
         if lazy {
             let cost = kernel.costs().mmap_base;
             kernel.charge(cost);
@@ -547,8 +555,8 @@ fn read_images_with(kernel: &mut Kernel, images_dir: &str, lazy: bool) -> SysRes
 
     // The page store on disk is metadata only — frame hashes plus the
     // reference table — so it reads at ordinary (small-file) cost in
-    // every mode; the frame payload is rebuilt from the pages image just
-    // loaded, never from a second on-disk copy.
+    // every mode; its frames are pages of the pages image just loaded,
+    // checked against the page hashes that parse computed.
     let pagestore_path = prebake_sim::fs::join_path(images_dir, ImageSet::PAGESTORE_NAME);
     let pagestore = if kernel.fs_exists(&pagestore_path) {
         let store_bytes = kernel.fs_read_file(&pagestore_path)?;

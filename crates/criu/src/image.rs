@@ -7,7 +7,9 @@
 //! descriptor table). Each file is a checksummed TLV blob.
 
 use std::fmt;
+use std::ops::{Deref, Range};
 
+use bytes::Bytes;
 use prebake_sim::mem::{Page, Prot, VirtAddr, Vma, VmaKind, PAGE_SIZE};
 use prebake_sim::proc::{FdEntry, Pid, Regs, Tid};
 
@@ -21,6 +23,13 @@ pub(crate) const IMAGE_MAGIC: u32 = 0x4352_494D;
 pub(crate) const IMAGE_VERSION: u16 = 2;
 /// Oldest image format version readers still accept.
 pub(crate) const IMAGE_VERSION_MIN: u16 = 1;
+/// Bytes before every image body: magic, version and kind tag.
+const HEADER_LEN: usize = 4 + 2 + 1;
+/// Bytes after every image body: the FNV-1a checksum of all before it.
+const CHECKSUM_LEN: usize = 8;
+/// Offset of the page payload in `pages.img`: the header, then the
+/// payload's `u32` length.
+const PAGES_PAYLOAD_AT: usize = HEADER_LEN + 4;
 
 /// Errors produced while encoding/decoding images.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,10 +57,10 @@ pub enum ImageError {
     /// Pages payload length is not a multiple of the page size, or does
     /// not match the pagemap.
     BadPages,
-    /// Page-store image is internally inconsistent: payload size
-    /// disagrees with the frame table, a frame's content hash does not
-    /// match its declared hash, or a reference points past the frame
-    /// table.
+    /// Page-store image is internally inconsistent: its reference table
+    /// disagrees with the pages image, a page's content hash does not
+    /// match its frame's declared hash, a reference points past the
+    /// frame table, or a frame is never referenced.
     BadPageStore,
     /// Extent table is internally inconsistent: a zero-length run, or
     /// runs that do not match the coalescing of the pagemap they claim
@@ -84,13 +93,40 @@ impl fmt::Display for ImageError {
 
 impl std::error::Error for ImageError {}
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// `fnv1a(bytes)` together with the [`page_content_hash`] of every whole
+/// [`PAGE_SIZE`] chunk of `bytes[at..]`, in one pass. Each FNV chain is
+/// bound by its multiply latency, so the two independent chains share
+/// the loop at about the cost of one. A ragged tail feeds only the
+/// whole-buffer hash.
+fn fnv1a_with_page_hashes(bytes: &[u8], at: usize) -> (u64, Vec<u64>) {
+    let (head, body) = bytes.split_at(at.min(bytes.len()));
+    let mut whole = fnv1a(head);
+    let pages = body.chunks_exact(PAGE_SIZE);
+    let tail = pages.remainder();
+    let mut hashes = Vec::with_capacity(body.len() / PAGE_SIZE);
+    for page in pages {
+        let mut h = FNV_OFFSET;
+        for &b in page {
+            whole = (whole ^ b as u64).wrapping_mul(FNV_PRIME);
+            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
+        }
+        hashes.push(h);
+    }
+    (fnv1a_extend(whole, tail), hashes)
 }
 
 /// Content hash of a page frame, as used by the dedup page store.
@@ -167,12 +203,22 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn open(bytes: &'a [u8], kind: u8) -> Result<Reader<'a>, ImageError> {
-        if bytes.len() < 7 + 8 {
+        Reader::open_summed(bytes, kind, fnv1a)
+    }
+
+    /// [`Reader::open`] with the checksum computed by `sum` over the
+    /// checksummed part of `bytes` (everything but the trailing sum).
+    fn open_summed(
+        bytes: &'a [u8],
+        kind: u8,
+        sum: impl FnOnce(&[u8]) -> u64,
+    ) -> Result<Reader<'a>, ImageError> {
+        if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
             return Err(ImageError::Truncated);
         }
-        let (payload, tail) = bytes.split_at(bytes.len() - 8);
+        let (payload, tail) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
         let declared = u64::from_be_bytes(tail.try_into().unwrap());
-        if fnv1a(payload) != declared {
+        if sum(payload) != declared {
             return Err(ImageError::BadChecksum);
         }
         let magic = u32::from_be_bytes(payload[0..4].try_into().unwrap());
@@ -192,7 +238,7 @@ impl<'a> Reader<'a> {
         }
         Ok(Reader {
             buf: payload,
-            pos: 7,
+            pos: HEADER_LEN,
         })
     }
 
@@ -230,9 +276,15 @@ impl<'a> Reader<'a> {
         String::from_utf8(self.take(len)?.to_vec()).map_err(|_| ImageError::BadString)
     }
 
-    fn bytes(&mut self) -> Result<Vec<u8>, ImageError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+    /// Reads a `u32` element count and rejects one the remaining bytes
+    /// cannot hold at `min_size` bytes per element, so a corrupt count
+    /// never sizes an allocation.
+    fn count(&mut self, min_size: usize) -> Result<usize, ImageError> {
+        let n = self.u32()? as usize;
+        if n * min_size > self.buf.len() - self.pos {
+            return Err(ImageError::Truncated);
+        }
+        Ok(n)
     }
 
     fn done(&self) -> Result<(), ImageError> {
@@ -297,6 +349,21 @@ impl CoreImage {
             w.u64(t.regs.sp);
         }
         w.finish()
+    }
+
+    /// `encode().len()`, without encoding.
+    pub(crate) fn encoded_len(&self) -> usize {
+        let args: usize = self.cmdline.iter().map(|a| 2 + a.len()).sum();
+        HEADER_LEN
+            + 4
+            + 2
+            + self.comm.len()
+            + 2
+            + args
+            + 1
+            + 2
+            + self.threads.len() * (4 + 8 + 8)
+            + CHECKSUM_LEN
     }
 
     /// Parses a core image.
@@ -408,6 +475,29 @@ impl MmImage {
         w.finish()
     }
 
+    /// `encode().len()`, without encoding.
+    pub(crate) fn encoded_len(&self) -> usize {
+        let vmas: usize = self
+            .vmas
+            .iter()
+            .map(|v| {
+                8 + 8
+                    + 1
+                    + match &v.kind {
+                        VmaKind::Binary { path } => 1 + 2 + path.len(),
+                        VmaKind::File { path, .. } => 1 + 2 + path.len() + 8,
+                        VmaKind::Anon
+                        | VmaKind::Stack
+                        | VmaKind::RuntimeHeap
+                        | VmaKind::Metaspace
+                        | VmaKind::CodeCache
+                        | VmaKind::Parasite => 1,
+                    }
+            })
+            .sum();
+        HEADER_LEN + 4 + vmas + CHECKSUM_LEN
+    }
+
     /// Parses an mm image.
     ///
     /// # Errors
@@ -415,8 +505,8 @@ impl MmImage {
     /// Any [`ImageError`] describing the malformation.
     pub fn parse(bytes: &[u8]) -> Result<MmImage, ImageError> {
         let mut r = Reader::open(bytes, KIND_MM)?;
-        let count = r.u32()?;
-        let mut vmas = Vec::with_capacity(count as usize);
+        let count = r.count(8 + 8 + 1 + 1)?;
+        let mut vmas = Vec::with_capacity(count);
         for _ in 0..count {
             let start = VirtAddr(r.u64()?);
             let len = r.u64()?;
@@ -463,16 +553,75 @@ pub(crate) enum PageSource<'a> {
     Parent,
 }
 
+/// A read-only window onto a shared byte buffer: how a [`PagesImage`]
+/// holds its payload. Parsing points it into the `pages.img` bytes it
+/// was handed and a builder freezes its buffer into one, so clones and
+/// parses never copy page data.
+#[derive(Clone, Default)]
+struct Payload {
+    buf: Bytes,
+    range: Range<usize>,
+}
+
+impl Payload {
+    fn frozen(bytes: Vec<u8>) -> Payload {
+        Payload {
+            range: 0..bytes.len(),
+            buf: Bytes::from(bytes),
+        }
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.range.clone()]
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Payload({} bytes)", self.len())
+    }
+}
+
 /// `pagemap.img` + `pages.img` as one logical unit.
+///
+/// Immutable once made: [`PagesImage::parse`] views the payload inside
+/// the `pages.img` buffer it is given, and a [`PagesBuilder`] freezes
+/// its buffer once, so cloning an image never copies page data. Each
+/// stored page's [`page_content_hash`] is kept beside it, computed once:
+/// by the builder as the page arrives, or by parse in the same pass
+/// that verifies the file's checksum.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PagesImage {
     /// Pagemap records in page-index order.
-    pub entries: Vec<PagemapEntry>,
-    /// Concatenated payload of non-zero pages, in entry order.
-    pub payload: Vec<u8>,
+    entries: Vec<PagemapEntry>,
+    /// Concatenated payload of the stored pages, in entry order.
+    payload: Payload,
+    /// `page_content_hash` of each stored page, in payload order.
+    hashes: Vec<u64>,
 }
 
-impl PagesImage {
+/// Accumulates a [`PagesImage`] page by page in a growable buffer;
+/// [`PagesBuilder::finish`] freezes it once.
+#[derive(Debug, Default)]
+pub struct PagesBuilder {
+    entries: Vec<PagemapEntry>,
+    payload: Vec<u8>,
+    hashes: Vec<u64>,
+}
+
+impl PagesBuilder {
     /// Appends a page, storing payload only when it is non-zero.
     pub fn push(&mut self, page_index: u64, page: &Page) {
         if page.is_zero() {
@@ -482,12 +631,7 @@ impl PagesImage {
                 in_parent: false,
             });
         } else {
-            self.entries.push(PagemapEntry {
-                page_index,
-                zero: false,
-                in_parent: false,
-            });
-            self.payload.extend_from_slice(page.bytes());
+            self.push_stored(page_index, page.bytes(), page_content_hash(page.bytes()));
         }
     }
 
@@ -501,12 +645,49 @@ impl PagesImage {
         });
     }
 
+    fn push_stored(&mut self, page_index: u64, bytes: &[u8], hash: u64) {
+        self.entries.push(PagemapEntry {
+            page_index,
+            zero: false,
+            in_parent: false,
+        });
+        self.payload.extend_from_slice(bytes);
+        self.hashes.push(hash);
+    }
+
+    /// Appends `entry` of `src`, with its payload and hash when `slot`
+    /// (its rank among `src`'s stored pages) is set.
+    fn copy(&mut self, src: &PagesImage, entry: PagemapEntry, slot: Option<usize>) {
+        match slot {
+            Some(slot) => self.push_stored(entry.page_index, src.page(slot), src.hashes[slot]),
+            None => self.entries.push(entry),
+        }
+    }
+
+    /// Freezes the accumulated pages into an image.
+    pub fn finish(self) -> PagesImage {
+        PagesImage {
+            entries: self.entries,
+            payload: Payload::frozen(self.payload),
+            hashes: self.hashes,
+        }
+    }
+}
+
+impl PagesImage {
+    /// Pagemap records in page-index order.
+    pub fn entries(&self) -> &[PagemapEntry] {
+        &self.entries
+    }
+
+    /// Concatenated payload of the stored pages, in entry order.
+    pub fn payload(&self) -> &[u8] {
+        &self.payload
+    }
+
     /// Number of pages whose payload is stored in *this* image.
     pub fn stored_pages(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| !e.zero && !e.in_parent)
-            .count()
+        self.hashes.len()
     }
 
     /// Number of zero-deduplicated pages.
@@ -519,20 +700,42 @@ impl PagesImage {
         self.entries.iter().filter(|e| e.in_parent).count()
     }
 
+    /// Payload of the stored page ranked `slot` among the stored pages.
+    fn page(&self, slot: usize) -> &[u8; PAGE_SIZE] {
+        self.payload[slot * PAGE_SIZE..(slot + 1) * PAGE_SIZE]
+            .try_into()
+            .expect("a PAGE_SIZE slice")
+    }
+
+    /// Every entry with its rank among the stored pages (`None` for zero
+    /// and parent entries), in entry order.
+    fn slots(&self) -> impl Iterator<Item = (PagemapEntry, Option<usize>)> + '_ {
+        let mut next = 0;
+        self.entries.iter().map(move |&e| {
+            if e.zero || e.in_parent {
+                (e, None)
+            } else {
+                next += 1;
+                (e, Some(next - 1))
+            }
+        })
+    }
+
+    /// Page indices of the stored pages, in entry order.
+    fn stored_indices(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slots()
+            .filter_map(|(e, slot)| slot.map(|_| e.page_index))
+    }
+
     /// Iterates `(page_index, PageSource)` in entry order.
     pub(crate) fn iter_pages(&self) -> impl Iterator<Item = (u64, PageSource<'_>)> {
-        let mut offset = 0usize;
-        self.entries.iter().map(move |e| {
-            if e.zero {
-                (e.page_index, PageSource::Zero)
-            } else if e.in_parent {
-                (e.page_index, PageSource::Parent)
-            } else {
-                let slice = &self.payload[offset..offset + PAGE_SIZE];
-                offset += PAGE_SIZE;
-                let page = slice.try_into().expect("a PAGE_SIZE slice");
-                (e.page_index, PageSource::Bytes(page))
-            }
+        self.slots().map(|(e, slot)| {
+            let source = match slot {
+                Some(slot) => PageSource::Bytes(self.page(slot)),
+                None if e.zero => PageSource::Zero,
+                None => PageSource::Parent,
+            };
+            (e.page_index, source)
         })
     }
 
@@ -547,24 +750,37 @@ impl PagesImage {
         w.finish()
     }
 
-    /// Serialises `pages.img`.
-    pub fn encode_pages(&self) -> Vec<u8> {
+    /// Serialises `pages.img` into a shared buffer, the form
+    /// [`PagesImage::parse`] views.
+    pub fn encode_pages(&self) -> Bytes {
         let mut w = Writer::new(KIND_PAGES);
         w.bytes(&self.payload);
-        w.finish()
+        Bytes::from(w.finish())
     }
 
-    /// Parses the pagemap/pages pair back into one unit.
+    /// `encode_pagemap().len()`, without encoding.
+    pub(crate) fn pagemap_encoded_len(&self) -> usize {
+        HEADER_LEN + 4 + self.entries.len() * (8 + 1) + CHECKSUM_LEN
+    }
+
+    /// `encode_pages().len()`, without encoding.
+    pub(crate) fn pages_encoded_len(&self) -> usize {
+        PAGES_PAYLOAD_AT + self.payload.len() + CHECKSUM_LEN
+    }
+
+    /// Parses the pagemap/pages pair back into one unit. The payload
+    /// stays inside `pages` (a view, not a copy), and one pass over
+    /// `pages` both verifies its checksum and hashes every stored page.
     ///
     /// # Errors
     ///
     /// [`ImageError::BadPages`] if the payload size disagrees with the
     /// pagemap (or an entry claims both zero and in-parent), or any codec
     /// error.
-    pub fn parse(pagemap: &[u8], pages: &[u8]) -> Result<PagesImage, ImageError> {
+    pub fn parse(pagemap: &[u8], pages: &Bytes) -> Result<PagesImage, ImageError> {
         let mut r = Reader::open(pagemap, KIND_PAGEMAP)?;
-        let count = r.u32()?;
-        let mut entries = Vec::with_capacity(count as usize);
+        let count = r.count(8 + 1)?;
+        let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
             let page_index = r.u64()?;
             let flags = r.u8()?;
@@ -581,15 +797,30 @@ impl PagesImage {
         }
         r.done()?;
 
-        let mut r = Reader::open(pages, KIND_PAGES)?;
-        let payload = r.bytes()?;
+        let mut hashes = Vec::new();
+        let mut r = Reader::open_summed(pages, KIND_PAGES, |body| {
+            let (sum, page_hashes) = fnv1a_with_page_hashes(body, PAGES_PAYLOAD_AT);
+            hashes = page_hashes;
+            sum
+        })?;
+        let len = r.u32()? as usize;
+        r.take(len)?;
         r.done()?;
 
         let stored = entries.iter().filter(|e| !e.zero && !e.in_parent).count();
-        if payload.len() != stored * PAGE_SIZE {
+        if len != stored * PAGE_SIZE {
             return Err(ImageError::BadPages);
         }
-        Ok(PagesImage { entries, payload })
+        // The payload fills the checksummed body from PAGES_PAYLOAD_AT
+        // on, in whole pages, so `hashes` holds exactly one per page.
+        Ok(PagesImage {
+            entries,
+            payload: Payload {
+                buf: pages.clone(),
+                range: PAGES_PAYLOAD_AT..PAGES_PAYLOAD_AT + len,
+            },
+            hashes,
+        })
     }
 
     /// Replaces every parent reference with the payload found in
@@ -602,45 +833,22 @@ impl PagesImage {
     /// a single pre-dump round).
     pub(crate) fn resolve_parent(&self, parent: &PagesImage) -> Result<PagesImage, ImageError> {
         use std::collections::BTreeMap;
-        let mut parent_pages: BTreeMap<u64, PageSource<'_>> = BTreeMap::new();
-        for (idx, src) in parent.iter_pages() {
-            parent_pages.insert(idx, src);
-        }
-        let mut resolved = PagesImage::default();
-        for (idx, src) in self.iter_pages() {
-            match src {
-                PageSource::Zero => resolved.entries.push(PagemapEntry {
-                    page_index: idx,
-                    zero: true,
-                    in_parent: false,
-                }),
-                PageSource::Bytes(bytes) => {
-                    resolved.entries.push(PagemapEntry {
-                        page_index: idx,
-                        zero: false,
-                        in_parent: false,
-                    });
-                    resolved.payload.extend_from_slice(bytes);
-                }
-                PageSource::Parent => match parent_pages.get(&idx) {
-                    Some(PageSource::Bytes(bytes)) => {
-                        resolved.entries.push(PagemapEntry {
-                            page_index: idx,
-                            zero: false,
-                            in_parent: false,
-                        });
-                        resolved.payload.extend_from_slice(*bytes);
-                    }
-                    Some(PageSource::Zero) => resolved.entries.push(PagemapEntry {
-                        page_index: idx,
-                        zero: true,
-                        in_parent: false,
-                    }),
-                    _ => return Err(ImageError::BadPages),
-                },
+        let parent_slots: BTreeMap<u64, (PagemapEntry, Option<usize>)> = parent
+            .slots()
+            .map(|(e, slot)| (e.page_index, (e, slot)))
+            .collect();
+        let mut resolved = PagesBuilder::default();
+        for (e, slot) in self.slots() {
+            if !e.in_parent {
+                resolved.copy(self, e, slot);
+                continue;
+            }
+            match parent_slots.get(&e.page_index) {
+                Some(&(pe, slot)) if !pe.in_parent => resolved.copy(parent, pe, slot),
+                _ => return Err(ImageError::BadPages),
             }
         }
-        Ok(resolved)
+        Ok(resolved.finish())
     }
 
     /// Rewrites the image so pages listed in `order` come first, in that
@@ -654,41 +862,39 @@ impl PagesImage {
     pub(crate) fn reordered(&self, order: &[u64]) -> PagesImage {
         use std::collections::BTreeMap;
         let mut by_index: BTreeMap<u64, usize> = BTreeMap::new();
-        for (slot, e) in self.entries.iter().enumerate() {
-            by_index.insert(e.page_index, slot);
+        for (at, e) in self.entries.iter().enumerate() {
+            by_index.insert(e.page_index, at);
         }
         let mut picked = vec![false; self.entries.len()];
-        let mut slots: Vec<usize> = Vec::with_capacity(self.entries.len());
+        let mut picks: Vec<usize> = Vec::with_capacity(self.entries.len());
         for idx in order {
-            if let Some(&slot) = by_index.get(idx) {
-                if !picked[slot] {
-                    picked[slot] = true;
-                    slots.push(slot);
+            if let Some(&at) = by_index.get(idx) {
+                if !picked[at] {
+                    picked[at] = true;
+                    picks.push(at);
                 }
             }
         }
-        slots.extend((0..self.entries.len()).filter(|&s| !picked[s]));
+        picks.extend((0..self.entries.len()).filter(|&at| !picked[at]));
 
-        // Payload offset of each entry slot, for slicing out of order.
-        let mut offsets = Vec::with_capacity(self.entries.len());
-        let mut offset = 0usize;
-        for e in &self.entries {
-            offsets.push(offset);
-            if !e.zero && !e.in_parent {
-                offset += PAGE_SIZE;
+        let slots: Vec<Option<usize>> = self.slots().map(|(_, slot)| slot).collect();
+        let mut out = PagesBuilder::default();
+        for at in picks {
+            out.copy(self, self.entries[at], slots[at]);
+        }
+        out.finish()
+    }
+
+    /// This image's entries followed by `other`'s, payload moving with
+    /// each entry.
+    pub(crate) fn concat(&self, other: &PagesImage) -> PagesImage {
+        let mut out = PagesBuilder::default();
+        for image in [self, other] {
+            for (e, slot) in image.slots() {
+                out.copy(image, e, slot);
             }
         }
-        let mut out = PagesImage::default();
-        for slot in slots {
-            let e = self.entries[slot];
-            out.entries.push(e);
-            if !e.zero && !e.in_parent {
-                let at = offsets[slot];
-                out.payload
-                    .extend_from_slice(&self.payload[at..at + PAGE_SIZE]);
-            }
-        }
-        out
+        out.finish()
     }
 
     /// Splits the image into a *hot* layer and a *fallback* layer for
@@ -706,25 +912,17 @@ impl PagesImage {
         if self.parent_pages() > 0 {
             return None;
         }
-        let mut hot = PagesImage::default();
-        let mut fallback = PagesImage::default();
-        let mut offset = 0usize;
-        for e in &self.entries {
-            if e.zero {
-                hot.entries.push(*e);
-                continue;
-            }
-            let bytes = &self.payload[offset..offset + PAGE_SIZE];
-            offset += PAGE_SIZE;
-            let target = if hot_set.contains(&e.page_index) {
-                &mut hot
-            } else {
+        let mut hot = PagesBuilder::default();
+        let mut fallback = PagesBuilder::default();
+        for (e, slot) in self.slots() {
+            let target = if slot.is_some() && !hot_set.contains(&e.page_index) {
                 &mut fallback
+            } else {
+                &mut hot
             };
-            target.entries.push(*e);
-            target.payload.extend_from_slice(bytes);
+            target.copy(self, e, slot);
         }
-        Some((hot, fallback))
+        Some((hot.finish(), fallback.finish()))
     }
 }
 
@@ -771,6 +969,11 @@ impl WsImage {
         w.finish()
     }
 
+    /// `encode().len()`, without encoding.
+    pub(crate) fn encoded_len(&self) -> usize {
+        HEADER_LEN + 4 + self.pages.len() * 8 + CHECKSUM_LEN
+    }
+
     /// Parses a working-set image.
     ///
     /// # Errors
@@ -778,8 +981,8 @@ impl WsImage {
     /// Any [`ImageError`] describing the malformation.
     pub fn parse(bytes: &[u8]) -> Result<WsImage, ImageError> {
         let mut r = Reader::open(bytes, KIND_WS)?;
-        let count = r.u32()?;
-        let mut pages = Vec::with_capacity(count as usize);
+        let count = r.count(8)?;
+        let mut pages = Vec::with_capacity(count);
         for _ in 0..count {
             pages.push(r.u64()?);
         }
@@ -805,25 +1008,26 @@ impl WsImage {
 ///
 /// On disk the store is *metadata only* — frame hashes plus the
 /// reference table. The frame payload already lives in `pages.img`, so
-/// serialising it again would double the snapshot's footprint;
-/// [`PageStoreImage::parse`] rebuilds the in-memory payload from the
-/// pages image instead, verifying every page against its frame's
-/// declared content hash along the way.
+/// serialising it again would double the snapshot's footprint. In
+/// memory the store holds no payload either: each frame is the stored
+/// page of its first reference, read out of the [`PagesImage`] the store
+/// mirrors. [`PageStoreImage::parse`] checks every page's content hash,
+/// as computed when that pages image was parsed, against its frame's
+/// declared hash.
 ///
 /// Incremental dumps (entries deferring to a parent snapshot) have no
 /// page-store view: their payload is split across files, so
 /// [`PageStoreImage::from_pages`] returns `None` for them.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PageStoreImage {
-    /// Content hash of each unique frame, in payload order.
+    /// Content hash of each unique frame, in first-reference order.
     pub hashes: Vec<u64>,
-    /// Concatenated unique page payload, one [`PAGE_SIZE`] slot per
-    /// hash. In-memory only: [`PageStoreImage::encode`] does not write
-    /// it, [`PageStoreImage::parse`] reconstructs it from `pages.img`.
-    pub payload: Vec<u8>,
     /// `(page_index, frame_index)` for every non-zero stored page, in
     /// pagemap order. `frame_index` indexes [`PageStoreImage::hashes`].
     pub refs: Vec<(u64, u32)>,
+    /// Rank among the mirrored image's stored pages of each frame's first
+    /// reference; that page's payload is the frame's. In-memory only.
+    first_slots: Vec<u32>,
 }
 
 impl PageStoreImage {
@@ -837,16 +1041,11 @@ impl PageStoreImage {
         }
         let mut store = PageStoreImage::default();
         let mut frame_of: HashMap<u64, u32> = HashMap::new();
-        for (page_index, src) in pages.iter_pages() {
-            let bytes = match src {
-                PageSource::Bytes(b) => b,
-                PageSource::Zero => continue,
-                PageSource::Parent => unreachable!("parent pages ruled out above"),
-            };
-            let hash = page_content_hash(bytes);
+        for (slot, page_index) in pages.stored_indices().enumerate() {
+            let hash = pages.hashes[slot];
             let frame_idx = *frame_of.entry(hash).or_insert_with(|| {
                 store.hashes.push(hash);
-                store.payload.extend_from_slice(bytes);
+                store.first_slots.push(slot as u32);
                 (store.hashes.len() - 1) as u32
             });
             store.refs.push((page_index, frame_idx));
@@ -867,25 +1066,22 @@ impl PageStoreImage {
 
     /// Bytes of unique page payload.
     pub fn unique_bytes(&self) -> u64 {
-        self.payload.len() as u64
-    }
-
-    /// Payload slice of frame `frame_index`.
-    pub(crate) fn frame_bytes(&self, frame_index: u32) -> &[u8; PAGE_SIZE] {
-        let at = frame_index as usize * PAGE_SIZE;
-        self.payload[at..at + PAGE_SIZE]
-            .try_into()
-            .expect("a PAGE_SIZE slice")
+        (self.hashes.len() * PAGE_SIZE) as u64
     }
 
     /// Iterates `(page_index, frame_hash, frame_bytes)` over every
-    /// reference, in pagemap order.
-    pub(crate) fn iter_refs(&self) -> impl Iterator<Item = (u64, u64, &[u8; PAGE_SIZE])> {
-        self.refs.iter().map(|&(page_index, frame_idx)| {
+    /// reference, in pagemap order, reading frames out of `pages` — the
+    /// image this store mirrors.
+    pub(crate) fn iter_refs<'a>(
+        &'a self,
+        pages: &'a PagesImage,
+    ) -> impl Iterator<Item = (u64, u64, &'a [u8; PAGE_SIZE])> + 'a {
+        self.refs.iter().map(move |&(page_index, frame_idx)| {
+            let frame = frame_idx as usize;
             (
                 page_index,
-                self.hashes[frame_idx as usize],
-                self.frame_bytes(frame_idx),
+                self.hashes[frame],
+                pages.page(self.first_slots[frame] as usize),
             )
         })
     }
@@ -906,9 +1102,14 @@ impl PageStoreImage {
         w.finish()
     }
 
+    /// `encode().len()`, without encoding.
+    pub(crate) fn encoded_len(&self) -> usize {
+        HEADER_LEN + 4 + self.hashes.len() * 8 + 4 + self.refs.len() * (8 + 4) + CHECKSUM_LEN
+    }
+
     /// Parses a page-store image against the pages image it mirrors,
-    /// rebuilding the in-memory frame payload from the stored pages and
-    /// verifying every page's content against its frame's declared hash.
+    /// comparing every stored page's content hash (computed when `pages`
+    /// was parsed or built) with its frame's declared hash.
     ///
     /// # Errors
     ///
@@ -918,12 +1119,12 @@ impl PageStoreImage {
     /// when a frame is never referenced; or any codec error.
     pub fn parse(bytes: &[u8], pages: &PagesImage) -> Result<PageStoreImage, ImageError> {
         let mut r = Reader::open(bytes, KIND_PAGESTORE)?;
-        let frame_count = r.u32()? as usize;
+        let frame_count = r.count(8)?;
         let mut hashes = Vec::with_capacity(frame_count);
         for _ in 0..frame_count {
             hashes.push(r.u64()?);
         }
-        let ref_count = r.u32()? as usize;
+        let ref_count = r.count(8 + 4)?;
         let mut refs = Vec::with_capacity(ref_count);
         for _ in 0..ref_count {
             refs.push((r.u64()?, r.u32()?));
@@ -933,56 +1134,50 @@ impl PageStoreImage {
         if ref_count != pages.stored_pages() {
             return Err(ImageError::BadPageStore);
         }
-        let mut payload = vec![0u8; frame_count * PAGE_SIZE];
-        let mut filled = vec![false; frame_count];
-        let stored = pages.iter_pages().filter_map(|(idx, src)| match src {
-            PageSource::Bytes(b) => Some((idx, b)),
-            _ => None,
-        });
-        for (&(page_index, frame_idx), (idx, bytes)) in refs.iter().zip(stored) {
-            let frame_idx = frame_idx as usize;
-            if frame_idx >= frame_count
-                || idx != page_index
-                || page_content_hash(bytes) != hashes[frame_idx]
-            {
+        const UNSEEN: u32 = u32::MAX;
+        let mut first_slots = vec![UNSEEN; frame_count];
+        for (slot, (&(page_index, frame_idx), idx)) in
+            refs.iter().zip(pages.stored_indices()).enumerate()
+        {
+            let frame = frame_idx as usize;
+            if frame >= frame_count || idx != page_index || pages.hashes[slot] != hashes[frame] {
                 return Err(ImageError::BadPageStore);
             }
-            if !filled[frame_idx] {
-                payload[frame_idx * PAGE_SIZE..(frame_idx + 1) * PAGE_SIZE].copy_from_slice(bytes);
-                filled[frame_idx] = true;
+            if first_slots[frame] == UNSEEN {
+                first_slots[frame] = slot as u32;
             }
         }
-        if filled.iter().any(|&f| !f) {
+        if first_slots.contains(&UNSEEN) {
             return Err(ImageError::BadPageStore);
         }
         Ok(PageStoreImage {
             hashes,
-            payload,
             refs,
+            first_slots,
         })
     }
 
     /// Checks the store against the pages image it claims to mirror:
-    /// same stored pages, identical payload per page.
+    /// same stored pages, and every page byte-identical to its frame.
     ///
     /// # Errors
     ///
     /// [`ImageError::BadPageStore`] when the views disagree.
     pub fn verify_against(&self, pages: &PagesImage) -> Result<(), ImageError> {
-        let mut refs = self.iter_refs();
-        for (page_index, src) in pages.iter_pages() {
-            let bytes = match src {
-                PageSource::Bytes(b) => b,
-                PageSource::Zero => continue,
-                PageSource::Parent => return Err(ImageError::BadPageStore),
-            };
-            match refs.next() {
-                Some((idx, _, frame)) if idx == page_index && frame == bytes => {}
+        if pages.parent_pages() > 0 || self.refs.len() != pages.stored_pages() {
+            return Err(ImageError::BadPageStore);
+        }
+        for (slot, (&(page_index, frame_idx), idx)) in
+            self.refs.iter().zip(pages.stored_indices()).enumerate()
+        {
+            let first = self.first_slots.get(frame_idx as usize);
+            match first {
+                Some(&first)
+                    if idx == page_index
+                        && (first as usize) < pages.stored_pages()
+                        && pages.page(first as usize) == pages.page(slot) => {}
                 _ => return Err(ImageError::BadPageStore),
             }
-        }
-        if refs.next().is_some() {
-            return Err(ImageError::BadPageStore);
         }
         Ok(())
     }
@@ -1060,6 +1255,11 @@ impl ExtentsImage {
         w.finish()
     }
 
+    /// `encode().len()`, without encoding.
+    pub(crate) fn encoded_len(&self) -> usize {
+        HEADER_LEN + 4 + self.extents.len() * (8 + 4) + CHECKSUM_LEN
+    }
+
     /// Parses an extent table and checks it against the pages image it
     /// claims to coalesce.
     ///
@@ -1070,8 +1270,8 @@ impl ExtentsImage {
     /// codec error.
     pub(crate) fn parse(bytes: &[u8], pages: &PagesImage) -> Result<ExtentsImage, ImageError> {
         let mut r = Reader::open(bytes, KIND_EXTENTS)?;
-        let count = r.u32()?;
-        let mut extents = Vec::with_capacity(count as usize);
+        let count = r.count(8 + 4)?;
+        let mut extents = Vec::with_capacity(count);
         for _ in 0..count {
             let start_index = r.u64()?;
             let pages = r.u32()?;
@@ -1128,6 +1328,23 @@ impl FilesImage {
         w.finish()
     }
 
+    /// `encode().len()`, without encoding.
+    pub(crate) fn encoded_len(&self) -> usize {
+        let fds: usize = self
+            .fds
+            .iter()
+            .map(|(_, entry)| {
+                4 + 1
+                    + match entry {
+                        FdEntry::File { path, .. } => 2 + path.len() + 8,
+                        FdEntry::PipeRead { .. } | FdEntry::PipeWrite { .. } => 8,
+                        FdEntry::Listener { .. } => 2,
+                    }
+            })
+            .sum();
+        HEADER_LEN + 4 + fds + CHECKSUM_LEN
+    }
+
     /// Parses a files image.
     ///
     /// # Errors
@@ -1135,8 +1352,8 @@ impl FilesImage {
     /// Any [`ImageError`] describing the malformation.
     pub fn parse(bytes: &[u8]) -> Result<FilesImage, ImageError> {
         let mut r = Reader::open(bytes, KIND_FILES)?;
-        let count = r.u32()?;
-        let mut fds = Vec::with_capacity(count as usize);
+        let count = r.count(4 + 1 + 2)?;
+        let mut fds = Vec::with_capacity(count);
         for _ in 0..count {
             let fd = r.i32()?;
             let entry = match r.u8()? {
@@ -1225,12 +1442,12 @@ impl ImageSet {
     /// # Errors
     ///
     /// [`ImageError::Truncated`] if a file is missing, or any codec error.
-    pub fn parse_files(files: &[(String, impl AsRef<[u8]>)]) -> Result<ImageSet, ImageError> {
-        let get = |name: &str| -> Result<&[u8], ImageError> {
+    pub fn parse_files(files: &[(String, Bytes)]) -> Result<ImageSet, ImageError> {
+        let get = |name: &str| -> Result<&Bytes, ImageError> {
             files
                 .iter()
                 .find(|(n, _)| n == name)
-                .map(|(_, d)| d.as_ref())
+                .map(|(_, d)| d)
                 .ok_or(ImageError::Truncated)
         };
         let ws = match get(ImageSet::WS_NAME) {
@@ -1271,7 +1488,7 @@ impl ImageSet {
     pub(crate) fn total_bytes(&self) -> u64 {
         self.hot_bytes()
             + self.fallback.as_ref().map_or(0, |f| {
-                (f.encode_pagemap().len() + f.encode_pages().len()) as u64
+                (f.pagemap_encoded_len() + f.pages_encoded_len()) as u64
             })
     }
 
@@ -1279,16 +1496,20 @@ impl ImageSet {
     /// the compaction fallback layer, which is only opened when a fault
     /// misses the hot set. This is what `--compact` shrinks — and what a
     /// registry tier ships to a node ahead of a start. Equals
-    /// [`ImageSet::total_bytes`] for uncompacted sets.
+    /// [`ImageSet::total_bytes`] for uncompacted sets. Sized by
+    /// arithmetic: nothing is encoded.
     pub(crate) fn hot_bytes(&self) -> u64 {
-        (self.core.encode().len()
-            + self.mm.encode().len()
-            + self.pages.encode_pagemap().len()
-            + self.pages.encode_pages().len()
-            + self.files.encode().len()
-            + self.ws.as_ref().map_or(0, |w| w.encode().len())
-            + self.pagestore.as_ref().map_or(0, |p| p.encode().len())
-            + self.extents.as_ref().map_or(0, |e| e.encode().len())) as u64
+        (self.core.encoded_len()
+            + self.mm.encoded_len()
+            + self.pages.pagemap_encoded_len()
+            + self.pages.pages_encoded_len()
+            + self.files.encoded_len()
+            + self.ws.as_ref().map_or(0, WsImage::encoded_len)
+            + self
+                .pagestore
+                .as_ref()
+                .map_or(0, PageStoreImage::encoded_len)
+            + self.extents.as_ref().map_or(0, ExtentsImage::encoded_len)) as u64
     }
 
     /// The extent view to restore by: the dumped table when present, a
@@ -1384,12 +1605,13 @@ mod tests {
 
     #[test]
     fn pages_roundtrip_with_zero_dedup() {
-        let mut p = PagesImage::default();
+        let mut p = PagesBuilder::default();
         let mut data = Page::zeroed();
         data.bytes_mut()[17] = 0xAB;
         p.push(100, &data);
         p.push(101, &Page::zeroed());
         p.push(102, &data);
+        let p = p.finish();
         assert_eq!(p.stored_pages(), 2);
         assert_eq!(p.zero_pages(), 1);
 
@@ -1410,20 +1632,22 @@ mod tests {
     #[test]
     fn parent_refs_roundtrip_and_resolve() {
         // Parent holds pages 10 (data) and 11 (zero).
-        let mut parent = PagesImage::default();
+        let mut parent = PagesBuilder::default();
         let mut data = Page::zeroed();
         data.bytes_mut().fill(0x77);
         parent.push(10, &data);
         parent.push(11, &Page::zeroed());
+        let parent = parent.finish();
 
         // Child: page 10 unchanged (parent ref), 11 unchanged (parent
         // ref), 12 freshly written.
-        let mut child = PagesImage::default();
+        let mut child = PagesBuilder::default();
         child.push_parent_ref(10);
         child.push_parent_ref(11);
         let mut fresh = Page::zeroed();
         fresh.bytes_mut().fill(0x33);
         child.push(12, &fresh);
+        let child = child.finish();
 
         assert_eq!(child.parent_pages(), 2);
         assert_eq!(child.stored_pages(), 1);
@@ -1443,18 +1667,20 @@ mod tests {
 
     #[test]
     fn resolve_missing_parent_page_fails() {
-        let mut child = PagesImage::default();
+        let mut child = PagesBuilder::default();
         child.push_parent_ref(99);
+        let child = child.finish();
         let empty = PagesImage::default();
         assert_eq!(child.resolve_parent(&empty), Err(ImageError::BadPages));
     }
 
     #[test]
     fn pages_payload_mismatch_detected() {
-        let mut p = PagesImage::default();
+        let mut p = PagesBuilder::default();
         let mut data = Page::zeroed();
         data.bytes_mut()[0] = 1;
         p.push(5, &data);
+        let p = p.finish();
         let pagemap = p.encode_pagemap();
         // Claim the page but strip the payload.
         let empty = PagesImage::default().encode_pages();
@@ -1464,9 +1690,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn files_roundtrip() {
-        let f = FilesImage {
+    fn sample_files() -> FilesImage {
+        FilesImage {
             fds: vec![
                 (
                     3,
@@ -1479,7 +1704,12 @@ mod tests {
                 (5, FdEntry::PipeRead { pipe: 7 }),
                 (6, FdEntry::PipeWrite { pipe: 7 }),
             ],
-        };
+        }
+    }
+
+    #[test]
+    fn files_roundtrip() {
+        let f = sample_files();
         assert_eq!(FilesImage::parse(&f.encode()).unwrap(), f);
     }
 
@@ -1507,12 +1737,13 @@ mod tests {
 
     #[test]
     fn image_set_total_bytes_dominated_by_pages() {
-        let mut pages = PagesImage::default();
+        let mut pages = PagesBuilder::default();
         let mut page = Page::zeroed();
         page.bytes_mut().fill(0x5A);
         for i in 0..100 {
             pages.push(i, &page);
         }
+        let pages = pages.finish();
         let set = ImageSet {
             core: sample_core(),
             mm: sample_mm(),
@@ -1576,6 +1807,14 @@ mod tests {
         }
     }
 
+    /// Rewrites the trailing checksum of an encoded image to match its
+    /// (edited) contents.
+    fn reseal(raw: &mut [u8]) {
+        let at = raw.len() - CHECKSUM_LEN;
+        let sum = fnv1a(&raw[..at]);
+        raw[at..].copy_from_slice(&sum.to_be_bytes());
+    }
+
     fn filled(fill: u8) -> Page {
         let mut p = Page::zeroed();
         p.bytes_mut().fill(fill);
@@ -1584,12 +1823,13 @@ mod tests {
 
     #[test]
     fn pagestore_dedups_identical_pages() {
-        let mut pages = PagesImage::default();
+        let mut pages = PagesBuilder::default();
         pages.push(10, &filled(0xAA));
         pages.push(11, &filled(0xBB));
         pages.push(12, &Page::zeroed());
         pages.push(13, &filled(0xAA));
         pages.push(14, &filled(0xAA));
+        let pages = pages.finish();
 
         let store = PageStoreImage::from_pages(&pages).unwrap();
         assert_eq!(store.unique_pages(), 2, "0xAA and 0xBB frames");
@@ -1598,31 +1838,35 @@ mod tests {
         store.verify_against(&pages).unwrap();
 
         let refs: Vec<(u64, u8)> = store
-            .iter_refs()
+            .iter_refs(&pages)
             .map(|(idx, _, bytes)| (idx, bytes[0]))
             .collect();
         assert_eq!(refs, vec![(10, 0xAA), (11, 0xBB), (13, 0xAA), (14, 0xAA)]);
-        let (_, h13, _) = store.iter_refs().nth(2).unwrap();
-        let (_, h10, _) = store.iter_refs().next().unwrap();
+        let (_, h13, _) = store.iter_refs(&pages).nth(2).unwrap();
+        let (_, h10, _) = store.iter_refs(&pages).next().unwrap();
         assert_eq!(h10, h13, "identical content shares one hash");
     }
 
     #[test]
     fn pagestore_roundtrip_and_validation() {
-        let mut pages = PagesImage::default();
+        let mut pages = PagesBuilder::default();
         pages.push(1, &filled(1));
         pages.push(2, &filled(2));
         pages.push(3, &filled(1));
+        let pages = pages.finish();
         let store = PageStoreImage::from_pages(&pages).unwrap();
-        // The encoding is metadata-only; parse rebuilds the payload from
-        // the pages image and lands on the identical in-memory store.
+        // The encoding is metadata-only; parse checks it against the
+        // pages image's page hashes and lands on the identical store.
         assert!(store.encode().len() < PAGE_SIZE, "no payload on disk");
         let back = PageStoreImage::parse(&store.encode(), &pages).unwrap();
         assert_eq!(back, store);
 
-        // Flipping a page byte breaks its frame's declared content hash.
-        let mut tampered = pages.clone();
-        tampered.payload[100] ^= 0xFF;
+        // Flipping a page byte breaks its frame's declared content hash,
+        // even in a pages.img resealed with a matching checksum.
+        let mut raw = pages.encode_pages().to_vec();
+        raw[PAGES_PAYLOAD_AT + 100] ^= 0xFF;
+        reseal(&mut raw);
+        let tampered = PagesImage::parse(&pages.encode_pagemap(), &Bytes::from(raw)).unwrap();
         assert_eq!(
             PageStoreImage::parse(&store.encode(), &tampered),
             Err(ImageError::BadPageStore)
@@ -1645,28 +1889,31 @@ mod tests {
         );
 
         // verify_against catches a store for the wrong pages image.
-        let mut other = PagesImage::default();
+        let mut other = PagesBuilder::default();
         other.push(1, &filled(7));
+        let other = other.finish();
         assert_eq!(store.verify_against(&other), Err(ImageError::BadPageStore));
     }
 
     #[test]
     fn pagestore_absent_for_incremental_dumps() {
-        let mut pages = PagesImage::default();
+        let mut pages = PagesBuilder::default();
         pages.push(1, &filled(1));
         pages.push_parent_ref(2);
+        let pages = pages.finish();
         assert!(PageStoreImage::from_pages(&pages).is_none());
     }
 
     #[test]
     fn extents_coalesce_stored_runs_only() {
-        let mut pages = PagesImage::default();
+        let mut pages = PagesBuilder::default();
         pages.push(10, &filled(1));
         pages.push(11, &filled(2));
         pages.push(12, &Page::zeroed()); // zero breaks the run
         pages.push(13, &filled(3));
         pages.push(20, &filled(4)); // index gap breaks the run
         pages.push(21, &filled(5));
+        let pages = pages.finish();
         let ext = ExtentsImage::from_pages(&pages);
         assert_eq!(
             ext.extents,
@@ -1693,10 +1940,11 @@ mod tests {
 
     #[test]
     fn extents_break_at_parent_refs() {
-        let mut pages = PagesImage::default();
+        let mut pages = PagesBuilder::default();
         pages.push(5, &filled(1));
         pages.push_parent_ref(6);
         pages.push(7, &filled(2));
+        let pages = pages.finish();
         let ext = ExtentsImage::from_pages(&pages);
         assert_eq!(ext.len(), 2, "parent-deferred page is not in pages.img");
         assert_eq!(ext.extents.iter().map(|e| e.pages as u64).sum::<u64>(), 2);
@@ -1704,17 +1952,19 @@ mod tests {
 
     #[test]
     fn extents_roundtrip_and_validation() {
-        let mut pages = PagesImage::default();
+        let mut pages = PagesBuilder::default();
         pages.push(1, &filled(1));
         pages.push(2, &filled(2));
         pages.push(9, &filled(3));
+        let pages = pages.finish();
         let ext = ExtentsImage::from_pages(&pages);
         let back = ExtentsImage::parse(&ext.encode(), &pages).unwrap();
         assert_eq!(back, ext);
 
         // An empty table round-trips against an all-zero image.
-        let mut zeros = PagesImage::default();
+        let mut zeros = PagesBuilder::default();
         zeros.push(1, &Page::zeroed());
+        let zeros = zeros.finish();
         let empty = ExtentsImage::from_pages(&zeros);
         assert_eq!(empty.len(), 0);
         assert_eq!(ExtentsImage::parse(&empty.encode(), &zeros).unwrap(), empty);
@@ -1738,9 +1988,10 @@ mod tests {
 
     #[test]
     fn image_set_extent_view_derives_when_absent() {
-        let mut pages = PagesImage::default();
+        let mut pages = PagesBuilder::default();
         pages.push(3, &filled(1));
         pages.push(4, &filled(2));
+        let pages = pages.finish();
         let ext = ExtentsImage::from_pages(&pages);
         let mut set = ImageSet {
             core: sample_core(),
@@ -1765,10 +2016,11 @@ mod tests {
 
     #[test]
     fn image_set_charges_pagestore_and_exposes_non_payload_base() {
-        let mut pages = PagesImage::default();
+        let mut pages = PagesBuilder::default();
         for i in 0..8 {
             pages.push(i, &filled(0x11)); // 8 refs, 1 unique frame
         }
+        let pages = pages.finish();
         let store = PageStoreImage::from_pages(&pages).unwrap();
         let without = ImageSet {
             core: sample_core(),
@@ -1796,6 +2048,114 @@ mod tests {
         assert!(
             dedup_base < plain_base + PAGE_SIZE as u64,
             "table, not payload"
+        );
+    }
+
+    #[test]
+    fn fnv_values_are_the_reference_fnv1a_64() {
+        // FNV-1a 64 reference vectors: checksums, page hashes, registry
+        // manifests and shared-pool keys all depend on these values.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(page_content_hash(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn fused_pass_handles_empty_and_headless_buffers() {
+        assert_eq!(fnv1a_with_page_hashes(&[], 0), (fnv1a(&[]), vec![]));
+        assert_eq!(fnv1a_with_page_hashes(&[], 11), (fnv1a(&[]), vec![]));
+        let short = [7u8; 5];
+        assert_eq!(fnv1a_with_page_hashes(&short, 11), (fnv1a(&short), vec![]));
+    }
+
+    proptest::proptest! {
+        /// One fused pass returns exactly the whole-buffer checksum and
+        /// the content hash of every whole page after `at`; a ragged
+        /// tail and a payload shorter than a page hash no page.
+        #[test]
+        fn fused_pass_matches_separate_hashes(
+            at in 0usize..20,
+            bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..3 * PAGE_SIZE + 100),
+        ) {
+            let (whole, hashes) = fnv1a_with_page_hashes(&bytes, at);
+            proptest::prop_assert_eq!(whole, fnv1a(&bytes));
+            let body = &bytes[at.min(bytes.len())..];
+            let expected: Vec<u64> = body.chunks_exact(PAGE_SIZE).map(page_content_hash).collect();
+            proptest::prop_assert_eq!(hashes, expected);
+        }
+    }
+
+    #[test]
+    fn encoded_len_matches_encode_for_every_kind() {
+        let mut pages = PagesBuilder::default();
+        pages.push(1, &filled(1));
+        pages.push(2, &Page::zeroed());
+        pages.push(3, &filled(1));
+        pages.push(4, &filled(2));
+        let pages = pages.finish();
+        let mut parent_refs = PagesBuilder::default();
+        parent_refs.push_parent_ref(7);
+        let parent_refs = parent_refs.finish();
+        let store = PageStoreImage::from_pages(&pages).unwrap();
+        let extents = ExtentsImage::from_pages(&pages);
+        let ws = WsImage::from_fault_log(vec![3, 1]);
+        let core = sample_core();
+        let mm = sample_mm();
+        let files = sample_files();
+
+        assert_eq!(core.encoded_len(), core.encode().len());
+        assert_eq!(mm.encoded_len(), mm.encode().len());
+        assert_eq!(files.encoded_len(), files.encode().len());
+        assert_eq!(ws.encoded_len(), ws.encode().len());
+        assert_eq!(store.encoded_len(), store.encode().len());
+        assert_eq!(extents.encoded_len(), extents.encode().len());
+        for p in [&pages, &parent_refs, &PagesImage::default()] {
+            assert_eq!(p.pagemap_encoded_len(), p.encode_pagemap().len());
+            assert_eq!(p.pages_encoded_len(), p.encode_pages().len());
+        }
+        let empty = (
+            CoreImage {
+                comm: String::new(),
+                cmdline: vec![],
+                threads: vec![],
+                ..core.clone()
+            },
+            MmImage::default(),
+            FilesImage::default(),
+            WsImage::default(),
+            PageStoreImage::default(),
+            ExtentsImage::default(),
+        );
+        assert_eq!(empty.0.encoded_len(), empty.0.encode().len());
+        assert_eq!(empty.1.encoded_len(), empty.1.encode().len());
+        assert_eq!(empty.2.encoded_len(), empty.2.encode().len());
+        assert_eq!(empty.3.encoded_len(), empty.3.encode().len());
+        assert_eq!(empty.4.encoded_len(), empty.4.encode().len());
+        assert_eq!(empty.5.encoded_len(), empty.5.encode().len());
+
+        // The set's sizes are the sums of its files' encodings.
+        let set = ImageSet {
+            core,
+            mm,
+            pages: pages.clone(),
+            files,
+            ws: Some(ws),
+            pagestore: Some(store),
+            extents: Some(extents),
+            fallback: Some(pages),
+        };
+        let encoded = |p: &PagesImage| (p.encode_pagemap().len() + p.encode_pages().len()) as u64;
+        let hot = (set.core.encode().len()
+            + set.mm.encode().len()
+            + set.files.encode().len()
+            + set.ws.as_ref().unwrap().encode().len()
+            + set.pagestore.as_ref().unwrap().encode().len()
+            + set.extents.as_ref().unwrap().encode().len()) as u64
+            + encoded(&set.pages);
+        assert_eq!(set.hot_bytes(), hot);
+        assert_eq!(
+            set.total_bytes(),
+            hot + encoded(set.fallback.as_ref().unwrap())
         );
     }
 }

@@ -591,7 +591,7 @@ fn share_cow(
     let (mut shared, mut mapped) = (0, 0);
     let mut run_start = 0u64;
     let mut run: Vec<(u64, Page)> = Vec::new();
-    for (page_index, hash, bytes) in store.iter_refs() {
+    for (page_index, hash, bytes) in store.iter_refs(&set.pages) {
         let page = Page::from_bytes(bytes);
         if ws.as_ref().is_some_and(|ws| !ws.contains(&page_index)) {
             withheld.insert_page(page_index, page);

@@ -188,7 +188,7 @@ fn prev_images_dir_requires_track_mem() {
 
 #[test]
 fn restore_without_parent_resolution_refuses() {
-    use prebake_criu::image::PagesImage;
+    use prebake_criu::image::PagesBuilder;
     use prebake_criu::restore::restore_set;
     use prebake_criu::ImageSet;
 
@@ -199,9 +199,9 @@ fn restore_without_parent_resolution_refuses() {
     let mut set = prebake_criu::read_images(&mut k, "/full").unwrap();
 
     // Forge an unresolved parent reference.
-    let mut pages = PagesImage::default();
+    let mut pages = PagesBuilder::default();
     pages.push_parent_ref(set.mm.vmas[0].first_page());
-    set.pages = pages;
+    set.pages = pages.finish();
     let err = restore_set(&mut k, tracer, &set, &RestoreOptions::new("/full")).unwrap_err();
     assert_eq!(err, prebake_sim::Errno::Einval);
     let _ = ImageSet::PARENT_LINK;

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use prebake_criu::dump::{dump, DumpOptions};
-use prebake_criu::image::{PageStoreImage, PagesImage};
+use prebake_criu::image::{PageStoreImage, PagesBuilder};
 use prebake_criu::restore::{restore, RestoreMode, RestoreOptions};
 use prebake_sim::kernel::{Kernel, INIT_PID};
 use prebake_sim::mem::{Page, Prot, VmaKind, PAGE_SIZE};
@@ -21,7 +21,7 @@ proptest! {
     fn pagestore_mirrors_pages_image(
         entries in prop::collection::vec((0u64..64, 0u8..6), 0..32),
     ) {
-        let mut pages = PagesImage::default();
+        let mut pages = PagesBuilder::default();
         let mut seen = std::collections::BTreeSet::new();
         for (idx, fill) in entries {
             if !seen.insert(idx) {
@@ -35,6 +35,7 @@ proptest! {
             }
             pages.push(idx, &page);
         }
+        let pages = pages.finish();
         let store = PageStoreImage::from_pages(&pages).unwrap();
         prop_assert_eq!(store.total_refs(), pages.stored_pages());
         prop_assert!(store.unique_pages() <= store.total_refs());
@@ -43,8 +44,8 @@ proptest! {
             (store.unique_pages() * PAGE_SIZE) as u64
         );
         store.verify_against(&pages).unwrap();
-        // Metadata-only codec: the payload comes back from the pages
-        // image, bit-identical to the pre-encode store.
+        // Metadata-only codec: checked against the pages image's page
+        // hashes, it comes back bit-identical to the pre-encode store.
         let back = PageStoreImage::parse(&store.encode(), &pages).unwrap();
         prop_assert_eq!(back, store);
     }

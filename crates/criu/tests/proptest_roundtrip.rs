@@ -4,7 +4,9 @@
 use proptest::prelude::*;
 
 use prebake_criu::dump::{dump, repack, DumpOptions, RepackOptions};
-use prebake_criu::image::{CoreImage, FilesImage, MmImage, PagesImage, ThreadImage, WsImage};
+use prebake_criu::image::{
+    CoreImage, FilesImage, MmImage, PagesBuilder, PagesImage, ThreadImage, WsImage,
+};
 use prebake_criu::restore::{restore, RestoreMode, RestoreOptions};
 use prebake_sim::kernel::{Kernel, INIT_PID};
 use prebake_sim::mem::{Page, Prot, Vma, VmaKind, PAGE_SIZE};
@@ -82,7 +84,7 @@ proptest! {
     /// for arbitrary mixtures.
     #[test]
     fn pages_image_roundtrip(entries in prop::collection::vec((any::<u64>(), any::<bool>(), any::<u8>()), 0..32)) {
-        let mut pages = PagesImage::default();
+        let mut pages = PagesBuilder::default();
         let mut seen = std::collections::BTreeSet::new();
         for (idx, zero, fill) in entries {
             if !seen.insert(idx) {
@@ -94,9 +96,10 @@ proptest! {
             }
             pages.push(idx, &page);
         }
+        let pages = pages.finish();
         let back = PagesImage::parse(&pages.encode_pagemap(), &pages.encode_pages()).unwrap();
         prop_assert_eq!(&back, &pages);
-        prop_assert_eq!(back.stored_pages() + back.zero_pages(), back.entries.len());
+        prop_assert_eq!(back.stored_pages() + back.zero_pages(), back.entries().len());
     }
 
     /// Dump→restore over a randomly shaped process reproduces every byte

@@ -23,10 +23,14 @@ run() {
 # results/*.txt). To accept an intended change, copy the new output over
 # the golden and commit it.
 golden() {
-  local bin=$1 expected=baselines/quick/$2 out=target/quick/$1.txt
+  local bin=$1 expected=baselines/quick/$2 out=target/quick/$1.txt started=$SECONDS status
   echo "==> $bin --quick vs $expected"
   mkdir -p target/quick
-  if ! cargo run --release -q -p prebake-bench --bin "$bin" -- --quick >"$out"; then
+  cargo run --release -q -p prebake-bench --bin "$bin" -- --quick >"$out"
+  status=$?
+  # Recorded, not gated: shared runners are too noisy for a time bound.
+  echo "    $bin --quick took $((SECONDS - started)) s"
+  if [ "$status" -ne 0 ]; then
     tail -n 40 "$out"
     echo "FAILED: $bin --quick"
     fail=1
