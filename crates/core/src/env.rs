@@ -1,6 +1,6 @@
 //! Machine provisioning shared by experiments and the platform.
 //!
-//! Each cold-start trial runs on a fresh machine ([`prebake_sim::Kernel`])
+//! Each cold-start trial runs on a fresh machine ([`prebake_sim::kernel::Kernel`])
 //! modelling a freshly provisioned container: the runtime layer of the
 //! container image is pre-pulled (warm), the function artifact is not.
 
@@ -173,12 +173,10 @@ mod tests {
         k.fs_write_file("/app/fn.jlar", vec![1u8; 100]).unwrap();
         k.fs_write_file("/app/snap.img", vec![2u8; 100]).unwrap();
         fresh_container(&mut k, &["/app/snap.img".to_owned()]).unwrap();
-        assert!(k.fs().stat(RUNTIME_BIN).unwrap().cached);
-        assert!(k.fs().stat("/app/snap.img").unwrap().cached);
-        assert!(
-            !k.fs().stat("/app/fn.jlar").unwrap().cached,
-            "jar stays cold"
-        );
+        let mut cached = |path: &str| k.fs_mut().read_file(path).unwrap().1;
+        assert!(cached(RUNTIME_BIN));
+        assert!(cached("/app/snap.img"));
+        assert!(!cached("/app/fn.jlar"), "jar stays cold");
     }
 
     #[test]

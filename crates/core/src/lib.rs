@@ -8,7 +8,7 @@
 //!   policies: [`SnapshotPolicy::AfterReady`] (PB-NoWarmup) and
 //!   [`SnapshotPolicy::AfterWarmup`] (PB-Warmup, which captures class
 //!   loading and JIT state)
-//! - [`starter`] — [`VanillaStarter`] (fork-exec) vs [`PrebakeStarter`]
+//! - [`starter`] — [`starter::VanillaStarter`] (fork-exec) vs [`starter::PrebakeStarter`]
 //!   (restore) behind one trait
 //! - [`phases`] — the Figure-4 CLONE/EXEC/RTS/APPINIT decomposition from
 //!   kernel probe traces
@@ -38,8 +38,5 @@ pub mod phases;
 pub mod prebaker;
 pub mod starter;
 
-pub use env::{provision_machine, Deployment};
-pub use measure::{StartMode, StartupTrial, TrialRunner};
 pub use phases::{phases_from_span_tree, Phases};
 pub use prebaker::{bake, BakeReport, SnapshotPolicy};
-pub use starter::{PrebakeStarter, Started, Starter, VanillaStarter};

@@ -201,9 +201,9 @@ mod tests {
             ev(1, ProbeKind::SyscallExit("clone")),
             ev(1, ProbeKind::SyscallEnter("execve")),
             ev(3, ProbeKind::SyscallExit("execve")),
-            ev(3, ProbeKind::marker("rts-start")),
-            ev(73, ProbeKind::marker("main-entry")),
-            ev(103, ProbeKind::marker("ready")),
+            ev(3, ProbeKind::Marker("rts-start".into())),
+            ev(73, ProbeKind::Marker("main-entry".into())),
+            ev(103, ProbeKind::Marker("ready".into())),
         ];
         let p = PhaseTracker::new(SimInstant::EPOCH, SimInstant::from_nanos(103 * 1_000_000))
             .phases(&trace);
@@ -219,7 +219,7 @@ mod tests {
             ev(0, ProbeKind::SyscallEnter("clone")),
             ev(1, ProbeKind::SyscallExit("clone")),
             // restore work... no execve, no main-entry
-            ev(60, ProbeKind::marker("ready")),
+            ev(60, ProbeKind::Marker("ready".into())),
         ];
         let p = PhaseTracker::new(SimInstant::EPOCH, SimInstant::from_nanos(60 * 1_000_000))
             .phases(&trace);
@@ -234,7 +234,7 @@ mod tests {
         let trace = vec![
             ev(0, ProbeKind::SyscallEnter("clone")),
             ev(1, ProbeKind::SyscallExit("clone")),
-            ev(5, ProbeKind::marker("ready")),
+            ev(5, ProbeKind::Marker("ready".into())),
             // a later unrelated start
             ev(100, ProbeKind::SyscallEnter("clone")),
             ev(105, ProbeKind::SyscallExit("clone")),

@@ -28,22 +28,6 @@ pub enum SnapshotPolicy {
     AfterWarmup(u32),
 }
 
-impl SnapshotPolicy {
-    /// Label used in reports.
-    pub fn label(&self) -> String {
-        match self {
-            SnapshotPolicy::AfterReady => "pb-nowarmup".to_owned(),
-            SnapshotPolicy::AfterWarmup(n) => {
-                if *n == 1 {
-                    "pb-warmup".to_owned()
-                } else {
-                    format!("pb-warmup-{n}")
-                }
-            }
-        }
-    }
-}
-
 /// Outcome of a bake.
 #[derive(Debug, Clone)]
 pub struct BakeReport {
@@ -162,13 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_labels() {
-        assert_eq!(SnapshotPolicy::AfterReady.label(), "pb-nowarmup");
-        assert_eq!(SnapshotPolicy::AfterWarmup(1).label(), "pb-warmup");
-        assert_eq!(SnapshotPolicy::AfterWarmup(4).label(), "pb-warmup-4");
-    }
-
-    #[test]
     fn noop_snapshot_is_about_13mb() {
         let (mut kernel, watchdog, dep) = deployed(FunctionSpec::noop(), 1);
         let report = bake(
@@ -216,8 +193,8 @@ mod tests {
         )
         .unwrap();
         let outcome = record_working_set(&mut kernel, watchdog, &dep, "/snap").unwrap();
-        assert!(!outcome.ws.is_empty(), "attach+invoke touches pages");
-        assert_eq!(outcome.major_faults, outcome.ws.len() as u64);
+        assert!(!outcome.ws.pages.is_empty(), "attach+invoke touches pages");
+        assert_eq!(outcome.major_faults, outcome.ws.pages.len() as u64);
         assert!(kernel.fs_exists("/snap/ws.img"));
         // The record replica is retired: its port is free again.
         assert_eq!(kernel.port_owner(8080), None);

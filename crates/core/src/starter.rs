@@ -225,7 +225,8 @@ mod tests {
     use crate::env::provision_machine;
     use crate::prebaker::{bake, SnapshotPolicy};
     use prebake_functions::FunctionSpec;
-    use prebake_runtime::Request;
+    use prebake_runtime::http::Request;
+    use prebake_runtime::state::Phase;
 
     fn deployed(seed: u64) -> (Kernel, Pid, Deployment) {
         let mut kernel = Kernel::new(seed);
@@ -238,12 +239,12 @@ mod tests {
     fn vanilla_start_produces_serving_replica() {
         let (mut kernel, watchdog, dep) = deployed(1);
         let mut started = VanillaStarter.start(&mut kernel, watchdog, &dep).unwrap();
-        assert!(started.replica.is_ready());
+        assert_eq!(started.replica.jvm().state().phase, Phase::Ready);
         let resp = started
             .replica
             .handle(&mut kernel, &Request::empty())
             .unwrap();
-        assert!(resp.is_success());
+        assert_eq!(resp.status, 200);
         // Paper Fig. 3: NOOP vanilla ≈ 103 ms.
         let ms = started.startup.as_millis_f64();
         assert!((90.0..120.0).contains(&ms), "vanilla NOOP startup {ms}ms");
@@ -267,14 +268,14 @@ mod tests {
         let mut started = PrebakeStarter::new()
             .start(&mut kernel, watchdog, &dep)
             .unwrap();
-        assert!(started.replica.is_ready());
+        assert_eq!(started.replica.jvm().state().phase, Phase::Ready);
         assert_eq!(started.phases.rts, SimDuration::ZERO);
         assert_eq!(started.phases.exec, SimDuration::ZERO);
         let resp = started
             .replica
             .handle(&mut kernel, &Request::empty())
             .unwrap();
-        assert!(resp.is_success());
+        assert_eq!(resp.status, 200);
     }
 
     #[test]

@@ -128,7 +128,7 @@ mod tests {
     use prebake_sim::noise::Noise;
 
     fn kernel_with_snapshot() -> (Kernel, Pid) {
-        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
+        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
         let tracer = k.sys_clone(INIT_PID).unwrap();
         let target = k.sys_clone(INIT_PID).unwrap();
         let a = k
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn ws_image_bytes_count_toward_the_bound() {
-        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
+        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
         let plain = distinct_snapshot(&mut k, 1, 64);
         let mut with_ws = plain.clone();
         let ws = WsImage::from_fault_log((0..4096).collect());
@@ -226,11 +226,11 @@ mod tests {
         // Regression: accounting used raw per-set totals, so two
         // byte-identical snapshots were charged twice even though their
         // frames are shared.
-        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
+        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
         let a = distinct_snapshot(&mut k, 1, 64);
         let b = a.clone();
         let base = a.non_payload_bytes();
-        let unique = a.pagestore.as_ref().unwrap().unique_bytes();
+        let unique = (a.pagestore.as_ref().unwrap().unique_pages() * PAGE_SIZE) as u64;
         let mut cache = ImageCache::new();
         cache.insert("a", a);
         cache.insert("b", b);
@@ -249,7 +249,7 @@ mod tests {
         // Regression: the extent table is restore metadata, so the cache
         // must charge it — but a coalesced image may never charge more
         // than its per-page twin plus the table's encoded bytes.
-        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
+        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
         let coalesced = distinct_snapshot(&mut k, 1, 64);
         assert!(coalesced.extents.is_some(), "dump emits the extent table");
         let mut per_page = coalesced.clone();
@@ -277,7 +277,7 @@ mod tests {
         assert_eq!(s2.pages_cow, 512);
         // 512 identical 3u8 pages dedup to ONE machine frame, mapped 1024
         // times across the two replicas.
-        assert_eq!(k.page_store().frame_count(), 1);
+        assert_eq!(k.page_store().resident_bytes(), PAGE_SIZE as u64);
         assert_eq!(k.page_store().external_refs(), 1024);
     }
 }

@@ -69,22 +69,6 @@ impl CriuCosts {
             shard_spawn: SimDuration::from_micros(15),
         }
     }
-
-    /// A zero-cost table for state-only tests.
-    pub fn free() -> Self {
-        CriuCosts {
-            parasite_inject: SimDuration::ZERO,
-            dump_prepare: SimDuration::ZERO,
-            restore_base: SimDuration::ZERO,
-            restore_per_vma: SimDuration::ZERO,
-            restore_per_page: SimDuration::ZERO,
-            restore_per_fd: SimDuration::ZERO,
-            lazy_register: SimDuration::ZERO,
-            restore_per_cow_page: SimDuration::ZERO,
-            restore_page_op: SimDuration::ZERO,
-            shard_spawn: SimDuration::ZERO,
-        }
-    }
 }
 
 impl Default for CriuCosts {
@@ -114,21 +98,12 @@ mod tests {
     }
 
     #[test]
-    fn free_is_zero() {
-        let c = CriuCosts::free();
-        assert!(c.restore_base.is_zero());
-        assert!(c.parasite_inject.is_zero());
-        assert!(c.lazy_register.is_zero());
-    }
-
-    #[test]
     fn cow_mapping_cheaper_than_page_install() {
         // CoW restore only wins if pointing a PTE at a shared frame is
         // cheaper than installing a private copy of the page.
         let c = CriuCosts::paper_calibrated();
         assert!(c.restore_per_cow_page.as_nanos() < c.restore_per_page.as_nanos());
         assert!(c.restore_per_cow_page.as_nanos() > 0);
-        assert!(CriuCosts::free().restore_per_cow_page.is_zero());
     }
 
     #[test]
@@ -138,7 +113,6 @@ mod tests {
         // runs would buy nothing (REAP's per-page-overhead observation).
         let c = CriuCosts::paper_calibrated();
         assert!(c.restore_page_op.as_nanos() > 10 * c.restore_per_page.as_nanos());
-        assert!(CriuCosts::free().restore_page_op.is_zero());
     }
 
     #[test]
@@ -150,7 +124,6 @@ mod tests {
         let c = CriuCosts::paper_calibrated();
         assert!(c.shard_spawn.as_nanos() * 8 * 20 < c.restore_base.as_nanos());
         assert!(c.shard_spawn > c.restore_per_vma);
-        assert!(CriuCosts::free().shard_spawn.is_zero());
     }
 
     #[test]

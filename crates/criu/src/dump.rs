@@ -27,10 +27,10 @@ pub struct DumpOptions {
     pub target: Pid,
     /// Guest directory to write image files into.
     pub images_dir: String,
-    /// Keep the target running afterwards (`criu dump --leave-running`).
+    /// Keep the target running afterwards (real CRIU's `--leave-running`).
     /// The prebaking builder kills the baked process instead.
     pub leave_running: bool,
-    /// Incremental dump (`criu dump --track-mem --prev-images-dir`):
+    /// Incremental dump (real CRIU's `--track-mem --prev-images-dir`):
     /// pages clean since the last [`pre_dump`] are recorded as parent
     /// references instead of payload, shrinking the final image and the
     /// freeze window.
@@ -200,8 +200,8 @@ fn raw_caps(caps: prebake_sim::proc::CapSet) -> u8 {
         | ((caps.has(Cap::CheckpointRestore) as u8) << 2)
 }
 
-/// Checkpoints `opts.target` into `opts.images_dir` (the `criu dump`
-/// entry point). The tracer must hold a checkpoint-capable capability or
+/// Checkpoints `opts.target` into `opts.images_dir` (what real CRIU's
+/// `criu dump` does). The tracer must hold a checkpoint-capable capability or
 /// be the target's parent.
 ///
 /// # Errors
@@ -276,7 +276,7 @@ pub fn dump(kernel: &mut Kernel, tracer: Pid, opts: &DumpOptions) -> SysResult<D
     })
 }
 
-/// Pre-dump (`criu pre-dump --track-mem`): copies the (running) target's
+/// Pre-dump (real CRIU's `criu pre-dump --track-mem`): copies the (running) target's
 /// resident pages into `images_dir` and clears its soft-dirty bits,
 /// without ever freezing it — the task keeps serving while its memory is
 /// staged. A following incremental [`dump`] with
@@ -344,17 +344,15 @@ pub fn pre_dump(kernel: &mut Kernel, tracer: Pid, opts: &DumpOptions) -> SysResu
 }
 
 /// Options for an offline [`repack`] pass over an existing image
-/// directory.
+/// directory. The pass always rewrites `pages.img` + the extent table so
+/// pages appear in the `ws.img` fault order — lazy/prefetch restores
+/// then stream the payload sequentially instead of seeking.
 #[derive(Debug, Clone)]
 pub struct RepackOptions {
     /// Guest directory holding the images to rewrite in place.
     pub images_dir: String,
-    /// Rewrite `pages.img` + the extent table so pages appear in the
-    /// `ws.img` fault order — lazy/prefetch restores then stream the
-    /// payload sequentially instead of seeking.
-    pub fault_order: bool,
     /// Drop stored pages outside the recorded working set into the
-    /// fallback layer (`--compact`): the hot image shrinks to what a
+    /// fallback layer: the hot image shrinks to what a
     /// cold start actually touches; faults past it fall through to the
     /// fallback at a charged penalty.
     pub compact: bool,
@@ -367,7 +365,6 @@ impl RepackOptions {
     pub fn new(images_dir: impl Into<String>) -> RepackOptions {
         RepackOptions {
             images_dir: images_dir.into(),
-            fault_order: true,
             compact: false,
             costs: CriuCosts::paper_calibrated(),
         }
@@ -392,8 +389,8 @@ pub struct RepackStats {
     pub elapsed: SimDuration,
 }
 
-/// Rewrites an existing image directory offline: fault-order layout
-/// and/or hot-image compaction, driven by the recorded `ws.img`. Runs on
+/// Rewrites an existing image directory offline: fault-order layout,
+/// plus hot-image compaction when asked, driven by the recorded `ws.img`. Runs on
 /// the builder machine after a record pass — never on a cold start's
 /// critical path. The extent table and the page store are re-derived
 /// from the rewritten pagemap; guest-visible memory is unchanged.
@@ -421,7 +418,7 @@ pub fn repack(kernel: &mut Kernel, opts: &RepackOptions) -> SysResult<RepackStat
     // Re-merge a previously compacted set so the pass is idempotent:
     // repacking twice (or compacting after a plain reorder) always works
     // from the full page population, in page-index order.
-    let mut full = match &set.fallback {
+    let full = match &set.fallback {
         Some(fallback) => {
             let merged = set.pages.concat(fallback);
             merged.reordered(&{
@@ -431,10 +428,8 @@ pub fn repack(kernel: &mut Kernel, opts: &RepackOptions) -> SysResult<RepackStat
             })
         }
         None => set.pages.clone(),
-    };
-    if opts.fault_order {
-        full = full.reordered(&ws.pages);
     }
+    .reordered(&ws.pages);
     let (hot, fallback) = if opts.compact {
         let hot_set: std::collections::BTreeSet<u64> = ws.pages.iter().copied().collect();
         full.split_hot(&hot_set).ok_or(Errno::Einval)?
@@ -729,7 +724,7 @@ mod tests {
     #[test]
     fn dump_excludes_parasite_vma() {
         let (mut k, tracer, target) = setup();
-        let vmas_before = k.process(target).unwrap().mem.vma_count();
+        let vmas_before = k.process(target).unwrap().mem.vmas().count();
         let mut opts = DumpOptions::new(target, "/img");
         opts.leave_running = true;
         dump(&mut k, tracer, &opts).unwrap();
@@ -769,7 +764,7 @@ mod tests {
         let set = read_images(&mut k, "/img").unwrap();
         let store = set.pagestore.expect("page store read back");
         assert_eq!(store.unique_pages(), 2);
-        assert_eq!(store.total_refs(), 4);
+        assert_eq!(store.refs.len(), 4);
         store.verify_against(&set.pages).unwrap();
     }
 

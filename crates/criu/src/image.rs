@@ -949,16 +949,6 @@ impl WsImage {
         WsImage { pages: log }
     }
 
-    /// Number of recorded pages.
-    pub fn len(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Whether no faults were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
-    }
-
     /// Serialises the working-set image.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new(KIND_WS);
@@ -1056,17 +1046,6 @@ impl PageStoreImage {
     /// Number of unique frames.
     pub fn unique_pages(&self) -> usize {
         self.hashes.len()
-    }
-
-    /// Number of referencing guest pages (equals the pages image's
-    /// stored-page count).
-    pub fn total_refs(&self) -> usize {
-        self.refs.len()
-    }
-
-    /// Bytes of unique page payload.
-    pub fn unique_bytes(&self) -> u64 {
-        (self.hashes.len() * PAGE_SIZE) as u64
     }
 
     /// Iterates `(page_index, frame_hash, frame_bytes)` over every
@@ -1769,14 +1748,13 @@ mod tests {
     #[test]
     fn ws_roundtrip_preserves_order() {
         let ws = WsImage::from_fault_log(vec![900, 3, 77, 12]);
-        assert_eq!(ws.len(), 4);
-        assert!(!ws.is_empty());
+        assert_eq!(ws.pages.len(), 4);
         let back = WsImage::parse(&ws.encode()).unwrap();
         assert_eq!(back, ws);
         assert_eq!(back.pages, vec![900, 3, 77, 12], "fault order kept");
 
         let empty = WsImage::default();
-        assert!(empty.is_empty());
+        assert!(empty.pages.is_empty());
         assert_eq!(WsImage::parse(&empty.encode()).unwrap(), empty);
     }
 
@@ -1833,8 +1811,7 @@ mod tests {
 
         let store = PageStoreImage::from_pages(&pages).unwrap();
         assert_eq!(store.unique_pages(), 2, "0xAA and 0xBB frames");
-        assert_eq!(store.total_refs(), 4, "zero page carries no ref");
-        assert_eq!(store.unique_bytes(), 2 * PAGE_SIZE as u64);
+        assert_eq!(store.refs.len(), 4, "zero page carries no ref");
         store.verify_against(&pages).unwrap();
 
         let refs: Vec<(u64, u8)> = store

@@ -27,7 +27,7 @@
 //! ## Example
 //!
 //! ```
-//! use prebake_criu::{criu_dump, criu_restore};
+//! use prebake_criu::{dump, restore, DumpOptions, RestoreOptions};
 //! use prebake_sim::kernel::{Kernel, INIT_PID};
 //! use prebake_sim::mem::{Prot, VmaKind};
 //!
@@ -36,8 +36,8 @@
 //! let addr = k.sys_mmap(worker, 1 << 16, Prot::RW, VmaKind::RuntimeHeap).unwrap();
 //! k.mem_write(worker, addr, b"warm state worth keeping").unwrap();
 //!
-//! criu_dump(&mut k, INIT_PID, worker, "/snapshots/fn").unwrap();
-//! let restored = criu_restore(&mut k, INIT_PID, "/snapshots/fn").unwrap();
+//! dump(&mut k, INIT_PID, &DumpOptions::new(worker, "/snapshots/fn")).unwrap();
+//! let restored = restore(&mut k, INIT_PID, &RestoreOptions::new("/snapshots/fn")).unwrap();
 //! let bytes = k.mem_read(restored.pid, addr, 24).unwrap();
 //! assert_eq!(&bytes, b"warm state worth keeping");
 //! ```
@@ -46,7 +46,6 @@
 
 pub mod cache;
 pub mod check;
-pub mod cli;
 pub mod costs;
 pub mod dump;
 pub mod image;
@@ -54,7 +53,6 @@ pub mod restore;
 
 pub use cache::ImageCache;
 pub use check::{check, CheckReport};
-pub use cli::{criu_dump, criu_restore, CliOutcome, CriuCli};
 pub use costs::CriuCosts;
 pub use dump::{
     dump, pre_dump, read_images, read_images_lazy, repack, DumpOptions, DumpStats, RepackOptions,

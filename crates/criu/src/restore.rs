@@ -174,17 +174,18 @@ pub struct RestoreStats {
     pub shards: usize,
     /// Payload bytes the prefetch loader streamed sequentially instead
     /// of seeking for — non-zero only under [`RestoreMode::Prefetch`],
-    /// and maximised by a fault-order (`criu repack`) image layout.
+    /// and maximised by a fault-order image layout ([`crate::dump::repack`]).
     pub seek_bytes_avoided: u64,
     /// Pages served from the compaction fallback layer's image rather
-    /// than the hot working-set image (zero without `repack --compact`).
+    /// than the hot working-set image (zero unless a [`crate::dump::repack`]
+    /// compacted it).
     pub pages_compacted: usize,
     /// Virtual time the restore took.
     pub elapsed: SimDuration,
 }
 
-/// Restores a process from image files on the guest filesystem (the
-/// `criu restore` entry point).
+/// Restores a process from image files on the guest filesystem (what
+/// real CRIU's `criu restore` does).
 ///
 /// # Errors
 ///
@@ -264,7 +265,7 @@ pub fn restore_set(
     }
     kernel.span_end(vma_span);
 
-    // Compaction fallback layer (`criu repack --compact`): pages outside
+    // Compaction fallback layer (`repack` with `compact`): pages outside
     // the recorded hot set ride in a separate image pair that every mode
     // parks behind the fault handler. A touch outside the working set
     // falls through to the full image at the kernel's `fault_fallback`
@@ -340,7 +341,7 @@ pub fn restore_set(
                 // streams `pages.img` in working-set order, paying one
                 // `fs_seek` whenever the next page's image position is
                 // not the successor of the previous one. A fault-order
-                // image (`criu repack`) lays the working set out
+                // image (`repack`) lays the working set out
                 // contiguously, collapsing this to a single seek; a
                 // dump-order image pays one per address-contiguous run.
                 let mut position = std::collections::HashMap::new();
@@ -722,7 +723,6 @@ mod tests {
         let payload: Vec<u8> = (0..5000u32).map(|i| (i % 250 + 1) as u8).collect();
         k.mem_write(target, addr, &payload).unwrap();
         k.sys_listen(target, 9090).unwrap();
-        k.sys_open(target, "/data").ok(); // no file: ignore
         dump(&mut k, tracer, &DumpOptions::new(target, "/img")).unwrap();
         (k, tracer, payload)
     }
@@ -742,6 +742,10 @@ mod tests {
         let bytes = k.mem_read(pid, vma.start, payload.len() as u64).unwrap();
         assert_eq!(bytes, payload);
         assert_eq!(k.port_owner(9090), Some(pid), "listener re-bound");
+        assert_eq!(
+            restore(&mut k, tracer, &RestoreOptions::new("/missing")).unwrap_err(),
+            Errno::Enoent
+        );
     }
 
     #[test]
@@ -757,7 +761,6 @@ mod tests {
         // Doing it again: pid now taken.
         k.process_mut(stats.pid).unwrap().fds = FdTable::new(); // free port
         let mut k2 = k;
-        k2.sys_close(stats.pid, 3).ok();
         assert!(matches!(
             restore(&mut k2, tracer, &opts).unwrap_err(),
             Errno::Eexist | Errno::Eaddrinuse
@@ -842,9 +845,6 @@ mod tests {
         assert_eq!(stats.pages_prefetched, 0);
 
         let pid = stats.pid;
-        assert!(k.uffd_registered(pid));
-        assert_eq!(k.process(pid).unwrap().mem.missing_pages(), 2);
-
         // First touch resolves through the fault handler and the content
         // matches the checkpoint byte-for-byte.
         let vma = k.process(pid).unwrap().mem.vmas().next().unwrap().clone();
@@ -852,7 +852,6 @@ mod tests {
         assert_eq!(bytes, payload);
         let (major, _) = k.uffd_fault_counts(pid);
         assert_eq!(major, 2);
-        assert_eq!(k.process(pid).unwrap().mem.missing_pages(), 0);
     }
 
     #[test]
@@ -905,15 +904,13 @@ mod tests {
     #[test]
     fn prefetch_without_recorded_working_set_is_einval() {
         let (mut k, tracer, _) = checkpointed_kernel();
-        assert_eq!(
-            restore(
-                &mut k,
-                tracer,
-                &RestoreOptions::with_mode("/img", RestoreMode::Prefetch),
-            )
-            .unwrap_err(),
-            Errno::Einval
-        );
+        for mode in [RestoreMode::Prefetch, RestoreMode::CowPrefetch] {
+            assert_eq!(
+                restore(&mut k, tracer, &RestoreOptions::with_mode("/img", mode)).unwrap_err(),
+                Errno::Einval,
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]
@@ -923,7 +920,7 @@ mod tests {
 
         let mut elapsed = Vec::new();
         for mode in [RestoreMode::Eager, RestoreMode::Lazy] {
-            let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
+            let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
             let tracer = k.sys_clone(INIT_PID).unwrap();
             let target = k.sys_clone(INIT_PID).unwrap();
             let pages = 512u64;
@@ -972,10 +969,14 @@ mod tests {
         assert_eq!(a.extents, 1, "two consecutive shared frames = one run");
         assert_eq!(a.pages_installed, 0);
         assert_eq!(a.pages_lazy, 0);
-        assert!(!k.uffd_registered(a.pid), "pure CoW needs no fault handler");
+        assert_eq!(
+            k.uffd_set_record(a.pid, false).unwrap_err(),
+            Errno::Esrch,
+            "pure CoW needs no fault handler"
+        );
 
         // One physical frame per distinct page, two mappings each.
-        assert_eq!(k.page_store().frame_count(), 2);
+        assert_eq!(k.page_store().resident_bytes(), 2 * PAGE_SIZE as u64);
         assert_eq!(k.page_store().external_refs(), 4);
 
         // Both replicas read the checkpointed bytes.
@@ -1050,7 +1051,10 @@ mod tests {
         .unwrap();
         assert_eq!(stats.pages_cow, 1, "ws page mapped CoW");
         assert_eq!(stats.pages_lazy, 1, "residual page behind the handler");
-        assert!(k.uffd_registered(stats.pid));
+        assert!(
+            k.uffd_set_record(stats.pid, false).is_ok(),
+            "residual page needs the fault handler"
+        );
 
         // The whole payload still reads back; the residue major-faults.
         let bytes = k
@@ -1068,7 +1072,7 @@ mod tests {
 
         let mut elapsed = Vec::new();
         for mode in [RestoreMode::Eager, RestoreMode::Cow] {
-            let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
+            let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
             let tracer = k.sys_clone(INIT_PID).unwrap();
             let target = k.sys_clone(INIT_PID).unwrap();
             let pages = 512u64;
@@ -1121,7 +1125,7 @@ mod tests {
 
         let mut elapsed = Vec::new();
         for vectored in [false, true] {
-            let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
+            let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
             let tracer = k.sys_clone(INIT_PID).unwrap();
             let target = k.sys_clone(INIT_PID).unwrap();
             let pages = 512u64;
@@ -1171,7 +1175,6 @@ mod tests {
             (1, 0),
             "one trap pulls both withheld pages in"
         );
-        assert_eq!(k.process(stats.pid).unwrap().mem.missing_pages(), 0);
     }
 
     /// Checkpoint a target whose dumped pages form `runs` address runs
@@ -1222,12 +1225,15 @@ mod tests {
         for pid in [s.pid, p.pid] {
             assert_eq!(k.mem_read(pid, a, 64).unwrap(), want);
         }
+
+        // A single run cannot split: one shard whatever the thread count.
+        let (mut k, tracer, _) = checkpointed_runs(Kernel::free(32), 1, 1);
+        let one = restore(&mut k, tracer, &parallel).unwrap();
+        assert_eq!((one.extents, one.shards), (1, 1));
     }
 
     #[test]
     fn page_granular_and_sharded_installs_are_eager_only() {
-        use crate::cli::{CliError, CriuCli};
-
         let (mut k, tracer, _) = checkpointed_portless(24);
         let set = read_images_lazy(&mut k, "/img").unwrap();
         for mode in [
@@ -1256,15 +1262,6 @@ mod tests {
                 assert_eq!(k.now(), t0, "rejected before any restore work");
             }
         }
-        let cli = CriuCli::new(tracer);
-        assert!(matches!(
-            cli.run(
-                &mut k,
-                &["restore", "-D", "/img", "--cow", "--page-granular"]
-            ),
-            Err(CliError::Sys(Errno::Einval))
-        ));
-
         // Eager takes both.
         let mut opts = RestoreOptions::new("/img");
         opts.vectored = false;
@@ -1314,7 +1311,7 @@ mod tests {
         // Big enough that the sharded payload stream dwarfs the spawn
         // tax: 8 runs x 512 pages = 16 MiB.
         let elapsed_for = |threads: usize| {
-            let k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
+            let k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
             let (mut k, tracer, _) = checkpointed_runs(k, 8, 512);
             let mut opts = RestoreOptions::new("/img");
             opts.threads = threads;
@@ -1334,7 +1331,7 @@ mod tests {
         use prebake_sim::cost::CostModel;
         use prebake_sim::noise::Noise;
 
-        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
+        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
         let tracer = k.sys_clone(INIT_PID).unwrap();
         let target = k.sys_clone(INIT_PID).unwrap();
         let pages = 64u64;
@@ -1400,8 +1397,13 @@ mod tests {
     fn compacted_image_restores_identically_with_fallback_faults() {
         use crate::dump::{repack, RepackOptions};
         use crate::image::WsImage;
+        use prebake_sim::cost::CostModel;
+        use prebake_sim::noise::Noise;
 
-        let mut k = Kernel::free(33);
+        // Calibrated costs without noise, so the fallback penalty shows
+        // exactly in virtual time.
+        let costs = CostModel::paper_calibrated();
+        let mut k = Kernel::with_config(costs.clone(), Noise::new(0, 0.0));
         let tracer = k.sys_clone(INIT_PID).unwrap();
         let target = k.sys_clone(INIT_PID).unwrap();
         let pages = 6u64;
@@ -1448,22 +1450,27 @@ mod tests {
         // Eager restore of the compacted image: hot pages install, the
         // fallback layer sits behind the fault handler, and the full
         // payload still reads back byte-for-byte.
+        let half = 3 * PAGE_SIZE as u64;
         let stats = restore(&mut k, tracer, &RestoreOptions::new("/img")).unwrap();
         assert_eq!(stats.pages_installed, 3);
         assert_eq!(stats.pages_compacted, 3);
         assert_eq!(stats.pages_lazy, 3, "fallback pages withheld");
-        assert!(k.uffd_registered(stats.pid));
+        let t0 = k.now();
+        k.mem_read(stats.pid, VirtAddr(a.0 + half), half).unwrap();
+        let fallback_faults = k.now() - t0;
         assert_eq!(
             k.mem_read(stats.pid, a, payload.len() as u64).unwrap(),
             payload
         );
         assert_eq!(
-            k.uffd_fallback_faults(stats.pid),
+            k.uffd_fault_counts(stats.pid).0,
             3,
             "touches outside the hot set fell through to the fallback layer"
         );
 
-        // The lazy modes carry the fallback layer too.
+        // The lazy modes carry the fallback layer too. Their hot pages
+        // are withheld but not fallback pages: the same three faults on
+        // them cost exactly the fallback penalty less.
         let lazy = restore(
             &mut k,
             tracer,
@@ -1472,10 +1479,27 @@ mod tests {
         .unwrap();
         assert_eq!(lazy.pages_lazy, 6, "hot withheld + fallback withheld");
         assert_eq!(lazy.pages_compacted, 3);
+        let t0 = k.now();
+        k.mem_read(lazy.pid, a, half).unwrap();
+        let hot_faults = k.now() - t0;
+        assert_eq!(k.uffd_fault_counts(lazy.pid).0, 3);
+        assert_eq!(
+            fallback_faults,
+            hot_faults + costs.fault_fallback * 3,
+            "each fallback fault pays the fallback penalty"
+        );
         assert_eq!(
             k.mem_read(lazy.pid, a, payload.len() as u64).unwrap(),
             payload
         );
+        assert_eq!(k.uffd_fault_counts(lazy.pid).0, 6);
+
+        // A working set covering the whole image compacts nothing.
+        let all: Vec<u64> = (0..pages).map(|p| a.0 / PAGE_SIZE as u64 + p).collect();
+        k.fs_write_file("/img/ws.img", WsImage::from_fault_log(all).encode())
+            .unwrap();
+        let rstats = repack(&mut k, &ropts).unwrap();
+        assert_eq!((rstats.pages_hot, rstats.pages_compacted), (6, 0));
     }
 
     #[test]
@@ -1485,7 +1509,7 @@ mod tests {
 
         let mut elapsed = Vec::new();
         for pages in [8u64, 64] {
-            let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
+            let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
             let tracer = k.sys_clone(INIT_PID).unwrap();
             let target = k.sys_clone(INIT_PID).unwrap();
             let a = k

@@ -46,7 +46,7 @@ fn refcounts_drop_to_zero_after_all_replicas_exit() {
     for r in &replicas {
         assert_eq!(r.pages_cow, PAGES as usize);
     }
-    assert_eq!(k.page_store().frame_count(), DISTINCT as usize);
+    assert_eq!(k.page_store().resident_bytes(), DISTINCT * PAGE_SIZE as u64);
     assert_eq!(
         k.page_store().external_refs(),
         (REPLICAS as u64) * PAGES,
@@ -70,7 +70,7 @@ fn refcounts_drop_to_zero_after_all_replicas_exit() {
         k.page_store().external_refs(),
         (REPLICAS as u64) * PAGES - (REPLICAS as u64) / 2
     );
-    assert_eq!(k.page_store().frame_count(), DISTINCT as usize);
+    assert_eq!(k.page_store().resident_bytes(), DISTINCT * PAGE_SIZE as u64);
 
     // Retire replicas one by one; the pool drains monotonically and the
     // frames stay resident while anyone still maps them.
@@ -78,13 +78,17 @@ fn refcounts_drop_to_zero_after_all_replicas_exit() {
         k.sys_exit(r.pid, 0).unwrap();
         if i < REPLICAS - 1 {
             assert!(
-                k.page_store().frame_count() > 0,
+                k.page_store().resident_bytes() > 0,
                 "frames alive with mappers"
             );
         }
     }
     assert_eq!(k.page_store().external_refs(), 0, "no dangling frame refs");
-    assert!(k.page_store().is_empty(), "all shared pages reclaimed");
+    assert_eq!(
+        k.page_store().resident_bytes(),
+        0,
+        "all shared pages reclaimed"
+    );
 }
 
 #[test]
@@ -135,17 +139,17 @@ fn replicas_from_distinct_snapshots_share_common_content() {
     assert_eq!(a.pages_cow, 8);
     assert_eq!(b.pages_cow, 8);
     assert_eq!(
-        k.page_store().frame_count(),
-        12,
+        k.page_store().resident_bytes(),
+        12 * PAGE_SIZE as u64,
         "4 shared runtime frames + 2x4 app frames"
     );
 
     k.sys_exit(a.pid, 0).unwrap();
     assert_eq!(
-        k.page_store().frame_count(),
-        8,
+        k.page_store().resident_bytes(),
+        8 * PAGE_SIZE as u64,
         "b's frames survive a's exit"
     );
     k.sys_exit(b.pid, 0).unwrap();
-    assert!(k.page_store().is_empty());
+    assert_eq!(k.page_store().resident_bytes(), 0);
 }

@@ -2,7 +2,6 @@
 //! checkpoint flow — the paper's §7 plan for reducing checkpoint cost on
 //! big functions.
 
-use prebake_criu::cli::{CliOutcome, CriuCli};
 use prebake_criu::dump::{dump, pre_dump, DumpOptions};
 use prebake_criu::restore::{restore, RestoreOptions};
 use prebake_sim::cost::CostModel;
@@ -13,7 +12,7 @@ use prebake_sim::proc::Pid;
 
 /// A target with `pages` resident pages of distinct content.
 fn setup(pages: u64) -> (Kernel, Pid, Pid, VirtAddr) {
-    let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
+    let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
     let tracer = k.sys_clone(INIT_PID).unwrap();
     let target = k.sys_clone(INIT_PID).unwrap();
     let addr = k
@@ -114,76 +113,6 @@ fn incremental_freeze_window_is_much_shorter() {
         "incremental freeze should be fixed-cost bound, got {}",
         inc.frozen_for
     );
-}
-
-#[test]
-fn cli_drives_the_incremental_flow() {
-    let (mut k, tracer, target, addr) = setup(16);
-    let cli = CriuCli::new(tracer);
-    let pid_str = target.0.to_string();
-
-    let out = cli
-        .run(&mut k, &["criu", "pre-dump", "-t", &pid_str, "-D", "/pre"])
-        .unwrap();
-    assert!(matches!(out, CliOutcome::Dumped(s) if s.frozen_for.is_zero()));
-
-    k.mem_write(target, addr, &[7; 100]).unwrap();
-    let out = cli
-        .run(
-            &mut k,
-            &[
-                "criu",
-                "dump",
-                "-t",
-                &pid_str,
-                "-D",
-                "/final",
-                "--track-mem",
-                "--prev-images-dir",
-                "/pre",
-            ],
-        )
-        .unwrap();
-    match out {
-        CliOutcome::Dumped(s) => {
-            assert_eq!(s.pages_stored, 1);
-            assert_eq!(s.parent_pages, 15);
-        }
-        other => panic!("expected dump, got {other:?}"),
-    }
-
-    let out = cli
-        .run(&mut k, &["criu", "restore", "-D", "/final"])
-        .unwrap();
-    match out {
-        CliOutcome::Restored(s) => {
-            let bytes = k.mem_read(s.pid, addr, 100).unwrap();
-            assert_eq!(bytes, vec![7; 100]);
-        }
-        other => panic!("expected restore, got {other:?}"),
-    }
-}
-
-#[test]
-fn prev_images_dir_requires_track_mem() {
-    let (mut k, tracer, target, _) = setup(4);
-    let cli = CriuCli::new(tracer);
-    let pid_str = target.0.to_string();
-    let err = cli
-        .run(
-            &mut k,
-            &[
-                "dump",
-                "-t",
-                &pid_str,
-                "-D",
-                "/x",
-                "--prev-images-dir",
-                "/pre",
-            ],
-        )
-        .unwrap_err();
-    assert!(err.to_string().contains("--track-mem"), "{err}");
 }
 
 #[test]

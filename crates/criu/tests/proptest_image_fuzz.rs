@@ -96,7 +96,7 @@ fn assert_view_in_bounds(k: &mut Kernel, set: &ImageSet) {
         set.pages.stored_pages() * PAGE_SIZE
     );
     if let Some(store) = &set.pagestore {
-        assert_eq!(store.total_refs(), set.pages.stored_pages());
+        assert_eq!(store.refs.len(), set.pages.stored_pages());
         let _ = store.verify_against(&set.pages);
     }
 }

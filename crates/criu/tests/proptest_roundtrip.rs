@@ -297,6 +297,7 @@ proptest! {
         let stats = repack(&mut kernel, &opts).unwrap();
         prop_assert!(stats.pages_compacted > 0, "regions past the ws compact");
         prop_assert!(stats.hot_bytes_after < stats.hot_bytes_before);
+        let (stats_compacted, stats_total) = (stats.pages_compacted, stats.pages_total);
 
         // Fault the memory back in an arbitrary order, eagerly and
         // lazily: contents must match the full image bit for bit.
@@ -310,9 +311,17 @@ proptest! {
                 let back = kernel.mem_read(stats.pid, *addr, data.len() as u64).unwrap();
                 prop_assert_eq!(&back, data, "fallback fault diverges in {:?}", mode);
             }
-            prop_assert!(
-                kernel.uffd_fallback_faults(stats.pid) > 0,
-                "compacted pages fault through the fallback layer"
+            // One trap per page: eager restores fault only the compacted
+            // pages in, lazy ones every stored page.
+            let faults = match mode {
+                RestoreMode::Eager => stats_compacted,
+                _ => stats_total,
+            };
+            prop_assert_eq!(
+                kernel.uffd_fault_counts(stats.pid).0,
+                faults as u64,
+                "compacted pages fault through the fallback layer in {:?}",
+                mode
             );
             kernel.sys_exit(stats.pid, 0).unwrap();
             kernel.reap(stats.pid).unwrap();

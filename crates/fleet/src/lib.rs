@@ -28,8 +28,8 @@
 //! the node that would fetch the fewest bytes, and the pre-warm engine
 //! pre-pulls images to predicted nodes.
 //!
-//! Workloads come from `prebake_platform::loadgen::Schedule` — synthetic
-//! (constant/Poisson/Pareto/empirical) or replayed from CSV traces. The
+//! Workloads come from `prebake_platform::loadgen::Schedule`
+//! (constant/Poisson/Pareto/burst arrivals). The
 //! `ablation_fleet` bench sweeps policy × fleet size × memory budget on
 //! the paper's Fig. 5 function mix; `ablation_registry` sweeps pull
 //! modes × placement on a multi-node fleet.
@@ -42,7 +42,6 @@ pub mod profile;
 pub mod sim;
 pub mod worker;
 
-pub use metrics::FleetMetrics;
 pub use policy::{KeepAlive, Policy, StartSelection};
 pub use prebake_gateway::{
     AdmissionStats, CacheConfig, GatewayConfig, GatewayMetrics, StreamConfig,

@@ -1,5 +1,5 @@
 //! End-to-end: measure real profiles with the single-machine trial
-//! harness, replay a CSV trace through the fleet, and check that a
+//! harness, replay a Pareto trace through the fleet, and check that a
 //! prebake-gear policy beats the vanilla baseline — plus the gateway
 //! frontier: admission conservation, result-cache short-circuiting,
 //! and byte-identical reruns with the frontier enabled.
@@ -31,9 +31,7 @@ fn trace(profiles: &[FunctionProfile]) -> Schedule {
                 .expect("valid pareto args"),
         );
     }
-    // Round-trip through CSV: the fleet consumes the replayed trace the
-    // way an operator would feed a recorded production workload back in.
-    Schedule::from_csv(&schedule.to_csv()).expect("csv roundtrip")
+    schedule
 }
 
 fn run(policy: Policy, profiles: &[FunctionProfile], schedule: &Schedule) -> (f64, f64) {

@@ -24,6 +24,4 @@ pub mod image;
 pub mod markdown;
 pub mod spec;
 
-pub use image::{resize_bilinear, resize_box, Bitmap, CompressedImage};
-pub use markdown::render;
 pub use spec::{sample_markdown, FunctionSpec, SyntheticSize};

@@ -213,11 +213,6 @@ impl FunctionSpec {
         &self.archive
     }
 
-    /// Names of all classes in the archive, in load order.
-    pub fn class_names(&self) -> &[String] {
-        &self.class_names
-    }
-
     /// Re-targets the function at a different runtime flavour (the §7
     /// future-work exploration: Node.JS- and Python-like runtimes).
     pub fn with_runtime(mut self, runtime: RuntimeProfile) -> FunctionSpec {
@@ -306,7 +301,7 @@ mod tests {
         let bytes = spec.archive().payload_bytes() as f64;
         let ratio = bytes / 2_800_000.0;
         assert!((0.85..1.15).contains(&ratio), "archive {bytes} bytes");
-        assert_eq!(spec.class_names().len(), 374);
+        assert_eq!(spec.class_names.len(), 374);
         assert!(spec.lazy_link);
     }
 

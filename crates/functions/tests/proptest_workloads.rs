@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use prebake_functions::image::{resize_bilinear, resize_box, Bitmap, CompressedImage};
+use prebake_functions::image::{resize_box, Bitmap, CompressedImage};
 use prebake_functions::markdown::{escape_html, render};
 
 proptest! {
@@ -74,24 +74,13 @@ proptest! {
         prop_assert!(out.data.iter().all(|&b| b >= min && b <= max));
     }
 
-    /// Averaging preserves mean luminance within quantisation error.
+    /// Averaging preserves mean intensity within quantisation error.
     #[test]
     fn resize_box_preserves_luma(w in 8u32..64, h in 8u32..64, seed in any::<u64>()) {
         let bmp = CompressedImage::synthetic(w, h, seed, 256).decode();
         let out = resize_box(&bmp, 0.5);
-        prop_assert!((out.mean_luma() - bmp.mean_luma()).abs() < 6.0);
-    }
-
-    /// Bilinear resampling hits the requested dimensions exactly and
-    /// interpolated values stay within the source range.
-    #[test]
-    fn bilinear_bounds(w in 2u32..64, h in 2u32..64, ow in 1u32..96, oh in 1u32..96, seed in any::<u64>()) {
-        let bmp = CompressedImage::synthetic(w, h, seed, 256).decode();
-        let out = resize_bilinear(&bmp, ow, oh);
-        prop_assert_eq!((out.width, out.height), (ow, oh));
-        let min = *bmp.data.iter().min().unwrap();
-        let max = *bmp.data.iter().max().unwrap();
-        prop_assert!(out.data.iter().all(|&b| b >= min && b <= max));
+        let mean = |b: &Bitmap| b.data.iter().map(|&v| v as f64).sum::<f64>() / b.data.len() as f64;
+        prop_assert!((mean(&out) - mean(&bmp)).abs() < 6.0);
     }
 
     /// Bitmap containers round-trip arbitrary pixel data.

@@ -148,11 +148,6 @@ impl<T> AdmissionController<T> {
         self.stats.shed += 1;
     }
 
-    /// Invocations currently in flight.
-    pub fn inflight(&self) -> usize {
-        self.inflight
-    }
-
     /// Arrivals currently parked in the queue.
     pub fn queue_depth(&self) -> usize {
         self.queue.len()
@@ -182,7 +177,7 @@ mod tests {
         assert!(matches!(ac.offer(2), AdmissionOutcome::Admitted(2)));
         assert!(matches!(ac.offer(3), AdmissionOutcome::Queued { depth: 1 }));
         assert!(matches!(ac.offer(4), AdmissionOutcome::Shed(4)));
-        assert_eq!(ac.inflight(), 2);
+        assert_eq!(ac.inflight, 2);
         assert_eq!(ac.queue_depth(), 1);
         assert!(ac.conserved());
     }
@@ -194,10 +189,10 @@ mod tests {
         ac.offer(2);
         ac.offer(3);
         assert_eq!(ac.release(), Some(2), "FIFO promotion");
-        assert_eq!(ac.inflight(), 1);
+        assert_eq!(ac.inflight, 1);
         assert_eq!(ac.release(), Some(3));
         assert_eq!(ac.release(), None, "queue drained");
-        assert_eq!(ac.inflight(), 0);
+        assert_eq!(ac.inflight, 0);
         let s = ac.stats();
         assert_eq!((s.offered, s.admitted, s.deferred, s.shed), (3, 3, 2, 0));
         assert!(ac.conserved());
@@ -208,7 +203,7 @@ mod tests {
         let mut ac: AdmissionController<u32> = AdmissionController::new(1, 0);
         assert!(matches!(ac.offer(1), AdmissionOutcome::Admitted(1)));
         ac.abort();
-        assert_eq!(ac.inflight(), 0);
+        assert_eq!(ac.inflight, 0);
         assert_eq!(ac.stats().admitted, 0);
         assert_eq!(ac.stats().shed, 1);
         assert!(ac.conserved());

@@ -14,8 +14,8 @@
 //!   making *time to first chunk* a first-class latency distinct from
 //!   completion (where the lazy/prefetch restore gears' early first
 //!   response becomes visible platform-wide).
-//! - [`sdk`] — a typed client ([`GatewayClient`]) with closed-loop and
-//!   open-loop drivers over `platform::loadgen` streams.
+//! - [`sdk`] — a typed client ([`GatewayClient`]) for single blocking
+//!   invocations.
 //!
 //! [`Gateway`] composes the first three over one
 //! [`Platform`](prebake_platform::Platform); the fleet scheduler embeds

@@ -1,18 +1,12 @@
 //! The typed client SDK.
 //!
 //! [`GatewayClient`] is the caller-facing surface over a [`Gateway`]:
-//! deploy a function, fire single invocations, or drive whole load
-//! shapes — closed-loop (next request leaves when the previous reply
-//! lands, plus think time) and open-loop (arrivals follow a
-//! [`loadgen`](prebake_platform::loadgen) stream regardless of
-//! completions, the shape that exposes queueing).
+//! deploy a function and fire single invocations that block (in
+//! virtual time) until their reply lands.
 
-use prebake_platform::loadgen::{Arrival, LoadResult};
 use prebake_runtime::http::Request;
-use prebake_sim::time::SimDuration;
 
-use crate::gateway::{ArrivalOutcome, DriveReport, Gateway, GatewayError, InvokeReply};
-use crate::metrics::GatewayMetrics;
+use crate::gateway::{ArrivalOutcome, Gateway, GatewayError, InvokeReply};
 
 /// A typed client bound to one [`Gateway`].
 pub struct GatewayClient {
@@ -39,11 +33,6 @@ impl GatewayClient {
     /// Unwraps the client back into its gateway.
     pub fn into_gateway(self) -> Gateway {
         self.gateway
-    }
-
-    /// Gateway metrics accumulated so far.
-    pub fn metrics(&self) -> &GatewayMetrics {
-        self.gateway.metrics()
     }
 
     /// Deploys `function`.
@@ -80,66 +69,5 @@ impl GatewayClient {
             .get(before)
             .cloned()
             .expect("drained invocation produced a reply"))
-    }
-
-    /// Closed-loop driver: `n` back-to-back invocations of `function`,
-    /// each leaving `think` after the previous reply completes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shed or platform error.
-    pub fn closed_loop(
-        &mut self,
-        function: &str,
-        req: &Request,
-        n: usize,
-        think: SimDuration,
-    ) -> Result<Vec<InvokeReply>, GatewayError> {
-        let mut replies = Vec::with_capacity(n);
-        let mut at = self.gateway.now();
-        for _ in 0..n {
-            let before = self.gateway.replies().len();
-            match self.gateway.arrive(at, function, req.clone())? {
-                ArrivalOutcome::Shed => {
-                    return Err(GatewayError::Shed {
-                        function: function.to_owned(),
-                    })
-                }
-                ArrivalOutcome::Cached => {}
-                ArrivalOutcome::Admitted | ArrivalOutcome::Queued => self.gateway.drain()?,
-            }
-            let reply = self
-                .gateway
-                .replies()
-                .get(before)
-                .cloned()
-                .expect("closed-loop invocation produced a reply");
-            at = reply.completed + think;
-            replies.push(reply);
-        }
-        Ok(replies)
-    }
-
-    /// Open-loop driver: offers every arrival of `stream` at its own
-    /// instant (body from `req`), sheds and all, then drains. The
-    /// returned report carries replies in completion order plus final
-    /// admission accounting — `report.admission.shed` counts the
-    /// arrivals that got no reply.
-    ///
-    /// # Errors
-    ///
-    /// In-band generator errors and platform errors; sheds are counted,
-    /// not raised.
-    pub fn open_loop(
-        &mut self,
-        stream: impl IntoIterator<Item = LoadResult<Arrival>>,
-        req: &Request,
-    ) -> Result<DriveReport, GatewayError> {
-        for arrival in stream {
-            let arrival = arrival?;
-            self.gateway
-                .arrive(arrival.at, &arrival.function, req.clone())?;
-        }
-        self.gateway.finish()
     }
 }

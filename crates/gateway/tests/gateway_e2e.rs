@@ -78,7 +78,7 @@ fn invoke_streams_chunks_then_serves_from_cache() {
         second.latency_ms()
     );
 
-    let m = client.metrics();
+    let m = client.gateway().metrics();
     assert_eq!(m.cache_hits.get(), 1);
     assert_eq!(m.cache_misses.get(), 1);
     assert_eq!(m.cache_insertions.get(), 1);
@@ -155,9 +155,9 @@ fn closed_loop_pays_cold_once_then_stays_warm() {
         GatewayConfig::default(),
     );
     let mut client = GatewayClient::new(gw);
-    let replies = client
-        .closed_loop("noop", &Request::empty(), 5, SimDuration::from_millis(10))
-        .unwrap();
+    let replies: Vec<_> = (0..5)
+        .map(|_| client.invoke("noop", Request::empty()).unwrap())
+        .collect();
     assert_eq!(replies.len(), 5);
     assert!(replies[0].cold);
     assert!(replies[1..].iter().all(|r| !r.cold), "replica stays warm");
@@ -185,7 +185,7 @@ impl InvokeReplyExt for prebake_gateway::InvokeReply {
 #[test]
 fn open_loop_poisson_is_deterministic() {
     let run = || {
-        let gw = gateway_with(
+        let mut gw = gateway_with(
             FunctionSpec::noop(),
             &Template::java11_criu_lazy(),
             GatewayConfig {
@@ -194,7 +194,6 @@ fn open_loop_poisson_is_deterministic() {
                 ..GatewayConfig::default()
             },
         );
-        let mut client = GatewayClient::new(gw);
         let stream = PoissonProcess::new(
             "noop",
             200.0,
@@ -203,8 +202,12 @@ fn open_loop_poisson_is_deterministic() {
             7,
         )
         .unwrap();
-        let report = client.open_loop(stream, &Request::empty()).unwrap();
-        let gw = client.into_gateway();
+        for arrival in stream {
+            let arrival = arrival.unwrap();
+            gw.arrive(arrival.at, &arrival.function, Request::empty())
+                .unwrap();
+        }
+        let report = gw.finish().unwrap();
         assert!(gw.conserved());
         (report, gw.metrics().render())
     };

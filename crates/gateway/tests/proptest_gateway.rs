@@ -48,6 +48,7 @@ proptest! {
         let mut ac: AdmissionController<u64> = AdmissionController::new(max_inflight, queue_cap);
         let mut seq = 0u64;
         let (mut admitted, mut shed) = (0u64, 0u64);
+        let mut inflight = 0usize;
         let mut last_promoted: Option<u64> = None;
         for op in raw_ops.into_iter().map(AdmissionOp::decode) {
             match op {
@@ -57,6 +58,7 @@ proptest! {
                         AdmissionOutcome::Admitted(v) => {
                             prop_assert_eq!(v, seq, "offer hands the payload back");
                             admitted += 1;
+                            inflight += 1;
                         }
                         AdmissionOutcome::Queued { depth } => {
                             prop_assert!(depth >= 1 && depth <= queue_cap);
@@ -68,8 +70,10 @@ proptest! {
                     }
                 }
                 AdmissionOp::Release => {
+                    inflight = inflight.saturating_sub(1);
                     if let Some(v) = ac.release() {
                         admitted += 1;
+                        inflight += 1;
                         if let Some(prev) = last_promoted {
                             prop_assert!(v > prev, "promotion must be FIFO");
                         }
@@ -77,15 +81,17 @@ proptest! {
                     }
                 }
                 AdmissionOp::Abort => {
-                    if ac.inflight() > 0 {
+                    if inflight > 0 {
                         ac.abort();
+                        inflight -= 1;
                         admitted -= 1;
                         shed += 1;
                     }
                 }
             }
             prop_assert!(ac.conserved(), "conservation broke: {:?}", ac.stats());
-            prop_assert!(ac.inflight() <= max_inflight);
+            prop_assert!(inflight <= max_inflight);
+            prop_assert!(ac.stats().peak_inflight <= max_inflight);
             prop_assert!(ac.queue_depth() <= queue_cap);
         }
         let stats = ac.stats();

@@ -42,7 +42,7 @@ pub struct RecordOutcome {
     pub ws: WsImage,
     /// Guest path the working set was written to (`<images_dir>/ws.img`).
     pub ws_path: String,
-    /// Major faults the drive took (equals `ws.len()`).
+    /// Major faults the drive took (equals `ws.pages.len()`).
     pub major_faults: u64,
     /// Minor (demand-zero) faults the drive took.
     pub minor_faults: u64,
@@ -129,7 +129,7 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert_eq!(outcome.ws.len(), 3);
+        assert_eq!(outcome.ws.pages.len(), 3);
         assert_eq!(outcome.major_faults, 3);
         assert!(k.fs_exists("/img/ws.img"));
         k.sys_exit(outcome.pid, 0).unwrap();

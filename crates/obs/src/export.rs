@@ -254,7 +254,12 @@ mod tests {
             42.0,
             Some(9),
         );
-        r.observe(at_secs(61), SeriesKey::new("lat_ms").tenant("a"), 9000.0);
+        r.observe_exemplar(
+            at_secs(61),
+            SeriesKey::new("lat_ms").tenant("a"),
+            9000.0,
+            None,
+        );
         r
     }
 

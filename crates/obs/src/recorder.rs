@@ -19,7 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use prebake_platform::metrics::{render_histogram, Histogram};
+use prebake_platform::metrics::Histogram;
 use prebake_sim::time::{SimDuration, SimInstant};
 
 /// Identity of one time series: a metric name plus the label dimensions
@@ -82,16 +82,6 @@ impl SeriesKey {
             parts.push(format!("gear=\"{}\"", self.gear));
         }
         parts.join(",")
-    }
-
-    /// Full series name, `metric{labels}` or bare `metric`.
-    pub(crate) fn series(&self) -> String {
-        let labels = self.labels();
-        if labels.is_empty() {
-            self.metric.clone()
-        } else {
-            format!("{}{{{labels}}}", self.metric)
-        }
     }
 }
 
@@ -330,7 +320,7 @@ impl<'a> WindowView<'a> {
 }
 
 /// Recorder shape: window width, ring capacity, default histogram
-/// bucket bounds (used by [`Recorder::observe`]; merged-in histograms
+/// bucket bounds (used by [`Recorder::observe_exemplar`]; merged-in histograms
 /// keep their own bounds).
 #[derive(Debug, Clone)]
 pub struct RecorderConfig {
@@ -339,7 +329,7 @@ pub struct RecorderConfig {
     /// Maximum number of materialized windows kept; older windows roll
     /// off the front of the ring.
     pub capacity: usize,
-    /// Bucket bounds for histograms created by `observe`.
+    /// Bucket bounds for histograms created by `observe_exemplar`.
     pub bounds: Vec<f64>,
 }
 
@@ -417,15 +407,6 @@ impl Recorder {
         self.windows.iter().map(|w| WindowView::new(&self.keys, w))
     }
 
-    /// The materialized window containing `at`, if any.
-    pub fn window_containing(&self, at: SimInstant) -> Option<WindowView<'_>> {
-        let idx = self.index_of(at);
-        self.windows
-            .iter()
-            .find(|w| w.index == idx)
-            .map(|w| WindowView::new(&self.keys, w))
-    }
-
     fn window_mut_at_index(&mut self, idx: u64) -> Option<&mut Window> {
         locate_window(
             &mut self.windows,
@@ -454,11 +435,6 @@ impl Recorder {
         if let Some(w) = self.window_mut(at) {
             *w.counters.entry(id).or_insert(0) += n;
         }
-    }
-
-    /// Records one histogram observation at virtual time `at`.
-    pub fn observe(&mut self, at: SimInstant, key: SeriesKey, value_ms: f64) {
-        self.observe_exemplar(at, key, value_ms, None);
     }
 
     /// Records one histogram observation carrying an optional exemplar
@@ -549,11 +525,6 @@ impl Recorder {
         self.late_drops += other.late_drops;
     }
 
-    /// Sum of a counter metric over every retained window and label split.
-    pub fn counter_total(&self, metric: &str) -> u64 {
-        self.windows().map(|w| w.counter_metric(metric)).sum()
-    }
-
     /// Tenants that appear on any series of `metric` (counter or
     /// histogram), including the empty tenant when unlabelled series
     /// exist.
@@ -576,21 +547,6 @@ impl Recorder {
         out
     }
 
-    /// Merged histogram for a metric (optionally one tenant) across all
-    /// retained windows.
-    pub fn merged_histogram(&self, metric: &str, tenant: Option<&str>) -> Option<Histogram> {
-        let mut merged: Option<Histogram> = None;
-        for w in self.windows() {
-            if let Some(h) = w.merged_histogram(metric, tenant) {
-                match &mut merged {
-                    None => merged = Some(h),
-                    Some(m) => m.merge(&h),
-                }
-            }
-        }
-        merged
-    }
-
     /// All exemplars across the ring in deterministic order
     /// (window, series, bucket).
     pub fn exemplars(&self) -> Vec<(WindowView<'_>, &SeriesKey, usize, &Exemplar)> {
@@ -605,42 +561,6 @@ impl Recorder {
                 }
             }
         }
-        out
-    }
-
-    /// Renders the ring-aggregated series in the Prometheus text
-    /// exposition format: counters summed across windows, histograms
-    /// merged across windows, plus the recorder's own meta counters.
-    pub(crate) fn render(&self) -> String {
-        let mut counters: BTreeMap<&SeriesKey, u64> = BTreeMap::new();
-        let mut hists: BTreeMap<&SeriesKey, Histogram> = BTreeMap::new();
-        for w in &self.windows {
-            for (&id, &v) in &w.counters {
-                *counters.entry(self.keys.resolve(id)).or_insert(0) += v;
-            }
-            for (&id, wh) in &w.hists {
-                let k = self.keys.resolve(id);
-                match hists.get_mut(k) {
-                    Some(h) => h.merge(&wh.hist),
-                    None => {
-                        hists.insert(k, wh.hist.clone());
-                    }
-                }
-            }
-        }
-        let mut out = String::new();
-        for (k, v) in &counters {
-            out.push_str(&format!("{} {v}\n", k.series()));
-        }
-        for (k, h) in &hists {
-            render_histogram(&mut out, &k.metric, &k.labels(), h);
-        }
-        out.push_str(&format!("obs_windows_retained {}\n", self.windows.len()));
-        out.push_str(&format!(
-            "obs_windows_rolled_total {}\n",
-            self.windows_rolled
-        ));
-        out.push_str(&format!("obs_late_drops_total {}\n", self.late_drops));
         out
     }
 }
@@ -702,6 +622,17 @@ mod tests {
         }
     }
 
+    /// The retained window containing `at`.
+    fn window_at(r: &Recorder, at: SimInstant) -> WindowView<'_> {
+        let idx = r.index_of(at);
+        r.windows().find(|w| w.index == idx).unwrap()
+    }
+
+    /// A counter metric summed over every retained window.
+    fn total(r: &Recorder, metric: &str) -> u64 {
+        r.windows().map(|w| w.counter_metric(metric)).sum()
+    }
+
     /// Value of one counter series in a window (0 when absent).
     fn counter(w: &WindowView<'_>, key: &SeriesKey) -> u64 {
         w.keys
@@ -715,10 +646,8 @@ mod tests {
     fn series_key_labels_and_ordering() {
         let bare = SeriesKey::new("m");
         assert_eq!(bare.labels(), "");
-        assert_eq!(bare.series(), "m");
         let full = SeriesKey::new("m").tenant("a").node(3).gear("cow");
         assert_eq!(full.labels(), "tenant=\"a\",node=\"3\",gear=\"cow\"");
-        assert_eq!(full.series(), "m{tenant=\"a\",node=\"3\",gear=\"cow\"}");
         assert!(bare < full, "unlabelled sorts before labelled");
     }
 
@@ -734,7 +663,7 @@ mod tests {
         // The id path and the key path land on the same series.
         r.inc_id(at_secs(0), a, 2);
         r.inc(at_secs(0), SeriesKey::new("m").tenant("a"), 3);
-        let w = r.window_containing(at_secs(0)).unwrap();
+        let w = window_at(&r, at_secs(0));
         assert_eq!(counter(&w, &SeriesKey::new("m").tenant("a")), 5);
     }
 
@@ -752,7 +681,7 @@ mod tests {
         assert_eq!(windows[1].index, 1);
         assert_eq!(counter(&windows[1], &key), 4);
         assert_eq!(windows[1].start, at_secs(60));
-        assert_eq!(r.counter_total("req"), 7);
+        assert_eq!(total(&r, "req"), 7);
     }
 
     #[test]
@@ -775,7 +704,7 @@ mod tests {
         r.inc(at_secs(30), SeriesKey::new("x"), 1);
         assert_eq!(r.late_drops, 1);
         assert_eq!(r.windows().count(), 2);
-        assert_eq!(r.counter_total("x"), 2);
+        assert_eq!(total(&r, "x"), 2);
     }
 
     #[test]
@@ -795,8 +724,8 @@ mod tests {
         r.observe_exemplar(at_secs(2), key.clone(), 9.0, Some(22));
         r.observe_exemplar(at_secs(3), key.clone(), 9.0, Some(33)); // tie: 22 kept
         r.observe_exemplar(at_secs(4), key.clone(), 50.0, Some(44));
-        r.observe(at_secs(5), key.clone(), 70.0); // no trace: bucket max unchanged
-        let w = r.window_containing(at_secs(1)).unwrap();
+        r.observe_exemplar(at_secs(5), key.clone(), 70.0, None); // no trace: bucket max unchanged
+        let w = window_at(&r, at_secs(1));
         let wh = w.histogram(&key).unwrap();
         let ex0 = wh.exemplars[0].unwrap();
         assert_eq!((ex0.trace_id, ex0.value_ms), (22, 9.0));
@@ -806,41 +735,6 @@ mod tests {
         let all = r.exemplars();
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].2, 0, "bucket order");
-    }
-
-    #[test]
-    fn render_aggregates_ring_deterministically() {
-        let mut r = Recorder::new(small_config(8));
-        r.inc(at_secs(0), SeriesKey::new("req_total").tenant("b"), 2);
-        r.inc(at_secs(61), SeriesKey::new("req_total").tenant("a"), 1);
-        r.inc(at_secs(61), SeriesKey::new("req_total").tenant("b"), 1);
-        r.observe(at_secs(0), SeriesKey::new("lat_ms").tenant("a"), 50.0);
-        let text = r.render();
-        assert!(text.contains("req_total{tenant=\"a\"} 1\n"));
-        assert!(text.contains("req_total{tenant=\"b\"} 3\n"));
-        assert!(text.contains("lat_ms_bucket{tenant=\"a\",le=\"100\"} 1\n"));
-        assert!(text.contains("obs_windows_retained 2\n"));
-        assert!(text.contains("obs_late_drops_total 0\n"));
-        // Tenant a sorts before b, twice over renders byte-identically.
-        assert!(text.find("tenant=\"a\"").unwrap() < text.find("tenant=\"b\"").unwrap());
-        assert_eq!(text, r.render());
-    }
-
-    #[test]
-    fn render_is_intern_order_independent() {
-        // Two recorders fed the same data in different series order
-        // intern different ids but must render the same bytes.
-        let feed = |pairs: &[(&str, u64)]| {
-            let mut r = Recorder::new(small_config(8));
-            for (tenant, n) in pairs {
-                r.inc(at_secs(1), SeriesKey::new("req_total").tenant(tenant), *n);
-                r.observe(at_secs(1), SeriesKey::new("lat_ms").tenant(tenant), 5.0);
-            }
-            r
-        };
-        let fwd = feed(&[("a", 1), ("b", 2)]);
-        let rev = feed(&[("b", 2), ("a", 1)]);
-        assert_eq!(fwd.render(), rev.render());
     }
 
     #[test]
@@ -854,33 +748,54 @@ mod tests {
         a.inc(at_secs(0), SeriesKey::new("req").tenant("a"), 1);
         a.observe_exemplar(at_secs(0), SeriesKey::new("lat").tenant("a"), 5.0, Some(1));
         a.absorb(&b);
-        let w0 = a.window_containing(at_secs(0)).unwrap();
+        let w0 = window_at(&a, at_secs(0));
         assert_eq!(counter(&w0, &SeriesKey::new("req").tenant("a")), 3);
         let wh = w0.histogram(&SeriesKey::new("lat").tenant("a")).unwrap();
         assert_eq!(wh.hist.count(), 2);
         // The larger exemplar (9.0, trace 2) wins the shared bucket.
         assert_eq!(wh.exemplars[0].unwrap().trace_id, 2);
-        assert_eq!(a.counter_total("req"), 10);
+        assert_eq!(total(&a, "req"), 10);
         assert_eq!(a.windows().count(), 2, "b's window 1 materialized");
-        // Absorbing shards in either order renders identically here
+        // Absorbing shards in either order gives the same windows here
         // (exemplar max is symmetric when values differ).
         let mut c = Recorder::new(small_config(8));
         c.inc(at_secs(0), SeriesKey::new("req").tenant("a"), 1);
         c.observe_exemplar(at_secs(0), SeriesKey::new("lat").tenant("a"), 5.0, Some(1));
         let mut b2 = b.clone();
         b2.absorb(&c);
-        assert_eq!(a.render(), b2.render());
+        let contents = |r: &Recorder| {
+            r.windows()
+                .map(|w| {
+                    let lat = w.merged_histogram("lat", None).map(|h| h.count());
+                    (w.index, w.counter_metric("req"), lat)
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(contents(&a), contents(&b2));
+        let traces = |r: &Recorder| {
+            r.exemplars()
+                .iter()
+                .map(|e| e.3.trace_id)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(traces(&a), traces(&b2));
     }
 
     #[test]
     fn merged_histogram_filters_by_tenant() {
         let mut r = Recorder::new(small_config(8));
-        r.observe(at_secs(0), SeriesKey::new("lat").tenant("a"), 5.0);
-        r.observe(at_secs(0), SeriesKey::new("lat").tenant("b"), 500.0);
-        r.observe(at_secs(70), SeriesKey::new("lat").tenant("a"), 50.0);
-        assert_eq!(r.merged_histogram("lat", None).unwrap().count(), 3);
-        assert_eq!(r.merged_histogram("lat", Some("a")).unwrap().count(), 2);
-        assert!(r.merged_histogram("lat", Some("zzz")).is_none());
+        r.observe_exemplar(at_secs(0), SeriesKey::new("lat").tenant("a"), 5.0, None);
+        r.observe_exemplar(at_secs(0), SeriesKey::new("lat").tenant("b"), 500.0, None);
+        r.observe_exemplar(at_secs(70), SeriesKey::new("lat").tenant("a"), 50.0, None);
+        let count = |tenant| {
+            r.windows()
+                .filter_map(|w| w.merged_histogram("lat", tenant))
+                .map(|h| h.count())
+                .sum::<u64>()
+        };
+        assert_eq!(count(None), 3);
+        assert_eq!(count(Some("a")), 2);
+        assert_eq!(count(Some("zzz")), 0);
         assert_eq!(
             r.tenants_of("lat").into_iter().collect::<Vec<_>>(),
             ["a", "b"]

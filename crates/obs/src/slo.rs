@@ -434,7 +434,7 @@ mod tests {
         let mut r = recorder();
         let key = SeriesKey::new("lat_ms").tenant("a");
         for v in [5.0, 50.0, 200.0, 900.0] {
-            r.observe(at_secs(1), key.clone(), v);
+            r.observe_exemplar(at_secs(1), key.clone(), v, None);
         }
         // threshold 250: values <= 250-bucket are good => 3 good, 1 bad.
         let engine = SloEngine::new(vec![Objective::latency("p-lat", "lat_ms", 250.0, 0.5)]);

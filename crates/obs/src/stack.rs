@@ -104,43 +104,11 @@ impl ObsStack {
     pub fn chrome_trace(&self, spans: &[TraceSpan]) -> String {
         chrome_trace_with_exemplars(spans, &self.recorder)
     }
-
-    /// Prometheus exposition: the ring-aggregated series plus the
-    /// stack's own SLO/sampling meta series.
-    pub fn render(&self) -> String {
-        let mut out = self.recorder.render();
-        let report = self.report();
-        for s in &report.statuses {
-            let labels = format!("objective=\"{}\"", s.name);
-            out.push_str(&format!("slo_bad_events_total{{{labels}}} {}\n", s.bad));
-            out.push_str(&format!("slo_events_total{{{labels}}} {}\n", s.total));
-            out.push_str(&format!("slo_burn_rate{{{labels}}} {:.6}\n", s.burn));
-        }
-        out.push_str(&format!(
-            "obs_trace_trees_kept_total {}\n",
-            self.sampling.trees_kept
-        ));
-        out.push_str(&format!(
-            "obs_trace_trees_dropped_total {}\n",
-            self.sampling.trees_dropped
-        ));
-        out.push_str(&format!(
-            "obs_trace_spans_kept_total {}\n",
-            self.sampling.spans_kept
-        ));
-        out.push_str(&format!(
-            "obs_trace_spans_dropped_total {}\n",
-            self.sampling.spans_dropped
-        ));
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::SeriesKey;
-    use prebake_sim::time::{SimDuration, SimInstant};
 
     fn config() -> ObsConfig {
         ObsConfig {
@@ -179,23 +147,5 @@ mod tests {
         let mut keep_all = ObsStack::new(ObsConfig::default());
         assert!(keep_all.keep_trace(2, false, 4));
         assert_eq!(keep_all.sampling.trees_dropped, 0);
-    }
-
-    #[test]
-    fn render_includes_slo_and_sampling_series() {
-        let mut stack = ObsStack::new(config());
-        let at = SimInstant::EPOCH + SimDuration::from_secs(1);
-        stack
-            .recorder
-            .inc(at, SeriesKey::new("req_total").tenant("a"), 10);
-        stack
-            .recorder
-            .inc(at, SeriesKey::new("cold_total").tenant("a"), 3);
-        stack.keep_trace(1, false, 4);
-        let text = stack.render();
-        assert!(text.contains("slo_burn_rate{objective=\"cold\"} 3.000000"));
-        assert!(text.contains("slo_bad_events_total{objective=\"cold\"} 3"));
-        assert!(text.contains("obs_trace_trees_dropped_total 1"));
-        assert_eq!(text, stack.render());
     }
 }

@@ -14,9 +14,8 @@
 //!   and watchdog-style crash recovery (a dead replica is replaced and
 //!   its request retried)
 //! - [`loadgen`] — the paper's hold-first-request constant-rate
-//!   generator, plus Poisson, burst, heavy-tailed (Pareto) and
-//!   empirical-bootstrap patterns, and CSV trace replay via
-//!   [`loadgen::Schedule`]
+//!   generator, plus Poisson, burst and heavy-tailed (Pareto) patterns,
+//!   materialized as [`loadgen::Schedule`]
 //! - [`metrics`] — Prometheus-style gateway metrics
 //! - [`openfaas`] — `faas-cli new/build/push/deploy`, the gateway and the
 //!   privileged-restore requirement
@@ -51,7 +50,5 @@ pub use builder::{FunctionBuilder, Template};
 pub use loadgen::{
     Arrival, ArrivalGen, LoadError, LoadResult, MergedArrivals, PoissonProcess, Schedule,
 };
-pub use metrics::Metrics;
-pub use openfaas::{FaasGateway, ProviderConfig};
 pub use platform::{CompletedRequest, Platform, PlatformConfig};
 pub use registry::{ContainerImage, Registry};

@@ -4,17 +4,16 @@
 //! first request until the replica becomes ready; after that, the load
 //! is sent sequentially and at a constant rate". The ablation studies
 //! additionally use Poisson (open-loop) arrivals, instantaneous bursts,
-//! heavy-tailed (Pareto) inter-arrivals, empirical resampling of
-//! observed gaps, and recorded traces replayed from CSV — the
-//! multi-tenant workloads the fleet scheduler (`prebake-fleet`) faces.
+//! and heavy-tailed (Pareto) inter-arrivals — the multi-tenant
+//! workloads the fleet scheduler (`prebake-fleet`) faces.
 //!
 //! Every arrival process is a lazy stream ([`ArrivalGen`],
-//! [`MergedArrivals`], `CsvArrivalStream`). [`Schedule`] is the
-//! materialized form: an ordered list of `(instant, function)` arrivals
-//! collected from a stream, which can be merged, serialised to CSV and
-//! replayed — either into a [`Platform`] or into any other consumer. The
-//! original free functions ([`constant_rate`], [`poisson`], [`burst`])
-//! remain as validated wrappers that generate and submit in one call.
+//! [`MergedArrivals`]). [`Schedule`] is the materialized form: an
+//! ordered list of `(instant, function)` arrivals collected from a
+//! stream, which can be merged and replayed — either into a
+//! [`Platform`] or into any other consumer. The free functions
+//! ([`poisson`], [`burst`]) are validated wrappers that generate and
+//! submit in one call.
 //!
 //! All generators are deterministic per seed, produce strictly
 //! monotonically increasing arrival times (bursts excepted, which are
@@ -39,20 +38,14 @@ pub enum LoadError {
     /// A rate/interval argument was zero (or saturated to zero from a
     /// negative or non-finite input) where progress is required.
     InvalidRate,
-    /// A shape parameter (Pareto `alpha`/`scale`, empirical gap set) was
-    /// empty, non-positive or non-finite.
+    /// A Pareto `alpha`/`scale` was non-positive or non-finite.
     InvalidShape,
     /// Tick arithmetic overflowed the virtual-time range.
     Overflow,
-    /// A function id contains characters the CSV format reserves
-    /// (comma/newline) or is empty.
+    /// A function id is empty or contains a comma or a newline.
     InvalidFunction(String),
-    /// A CSV trace line failed to parse (1-based line number).
-    Malformed(usize),
     /// Submission into the platform failed.
     Submit(Errno),
-    /// Reading or writing a streamed CSV trace failed at the I/O layer.
-    Io(std::io::ErrorKind),
 }
 
 impl fmt::Display for LoadError {
@@ -67,9 +60,7 @@ impl fmt::Display for LoadError {
                     "function id {name:?} is empty or contains ',' or a newline"
                 )
             }
-            LoadError::Malformed(line) => write!(f, "malformed trace CSV at line {line}"),
             LoadError::Submit(e) => write!(f, "submission failed: {e}"),
-            LoadError::Io(kind) => write!(f, "trace stream I/O failed: {kind}"),
         }
     }
 }
@@ -104,7 +95,7 @@ pub struct Schedule {
     arrivals: Vec<Arrival>,
 }
 
-/// Rejects function ids the CSV format cannot carry.
+/// Rejects empty function ids and ids with a comma or a newline.
 fn validate_function(function: &str) -> LoadResult<()> {
     if function.is_empty() || function.contains(',') || function.contains('\n') {
         return Err(LoadError::InvalidFunction(function.to_owned()));
@@ -124,14 +115,6 @@ fn advance(t: SimInstant, gap: SimDuration) -> LoadResult<SimInstant> {
 /// arrival times are strictly increasing.
 fn sampled_gap(ms: f64) -> SimDuration {
     SimDuration::from_millis_f64(ms).max(SimDuration::from_nanos(1))
-}
-
-/// Header row of the CSV trace format.
-const CSV_HEADER: &str = "t_ns,function";
-
-/// One row of the CSV trace format, newline included.
-fn csv_row(a: &Arrival) -> String {
-    format!("{},{}\n", a.at.as_nanos(), a.function)
 }
 
 impl Schedule {
@@ -200,28 +183,6 @@ impl Schedule {
         )?)
     }
 
-    /// `ArrivalGen::empirical`, materialized.
-    ///
-    /// # Errors
-    ///
-    /// As `ArrivalGen::empirical`; [`LoadError::Overflow`] fails the
-    /// whole schedule.
-    pub fn empirical(
-        function: &str,
-        n: usize,
-        start: SimInstant,
-        observed_gaps_ms: &[f64],
-        seed: u64,
-    ) -> LoadResult<Schedule> {
-        Schedule::from_stream(ArrivalGen::empirical(
-            function,
-            n,
-            start,
-            observed_gaps_ms,
-            seed,
-        )?)
-    }
-
     /// Merges two schedules into one time-ordered trace. Equal-time
     /// arrivals keep `self` before `other` (stable), so merging is
     /// deterministic.
@@ -247,30 +208,6 @@ impl Schedule {
     /// Returns `true` if nothing is scheduled.
     pub fn is_empty(&self) -> bool {
         self.arrivals.is_empty()
-    }
-
-    /// Serialises the schedule as a CSV trace: a `t_ns,function` header
-    /// followed by one row per arrival, nanosecond timestamps. The
-    /// format round-trips bit-exactly through [`Schedule::from_csv`].
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("{CSV_HEADER}\n");
-        for a in &self.arrivals {
-            out.push_str(&csv_row(a));
-        }
-        out
-    }
-
-    /// Parses a CSV trace with `CsvArrivalStream`. Rows may appear in
-    /// any order — the result is sorted by time, stable for equal
-    /// instants.
-    ///
-    /// # Errors
-    ///
-    /// [`LoadError::Malformed`] with the 1-based line number of the
-    /// first unparsable row; [`LoadError::InvalidFunction`] for function
-    /// ids the format cannot carry.
-    pub fn from_csv(text: &str) -> LoadResult<Schedule> {
-        Schedule::from_stream(CsvArrivalStream::new(text.as_bytes()))
     }
 
     /// Materializes a fallible arrival stream into a schedule, sorting
@@ -319,10 +256,6 @@ enum GenKind {
     Pareto {
         scale_ms: f64,
         alpha: f64,
-        noise: Noise,
-    },
-    Empirical {
-        gaps_ms: Vec<f64>,
         noise: Noise,
     },
 }
@@ -457,41 +390,6 @@ impl ArrivalGen {
             },
         ))
     }
-
-    /// `n` arrivals whose gaps are resampled uniformly (with
-    /// replacement) from an observed set of inter-arrival gaps — the
-    /// empirical-bootstrap workload generator. Feeding it gaps measured
-    /// from a production trace reproduces that trace's marginal
-    /// inter-arrival distribution, heavy tail included.
-    ///
-    /// # Errors
-    ///
-    /// [`LoadError::InvalidFunction`] on a malformed function id;
-    /// [`LoadError::InvalidShape`] if `observed_gaps_ms` is empty or
-    /// contains a non-finite or negative gap.
-    pub(crate) fn empirical(
-        function: &str,
-        n: usize,
-        start: SimInstant,
-        observed_gaps_ms: &[f64],
-        seed: u64,
-    ) -> LoadResult<ArrivalGen> {
-        validate_function(function)?;
-        if observed_gaps_ms.is_empty()
-            || observed_gaps_ms.iter().any(|g| !g.is_finite() || *g < 0.0)
-        {
-            return Err(LoadError::InvalidShape);
-        }
-        Ok(ArrivalGen::new(
-            function,
-            n,
-            start,
-            GenKind::Empirical {
-                gaps_ms: observed_gaps_ms.to_vec(),
-                noise: Noise::new(seed, 0.0),
-            },
-        ))
-    }
 }
 
 impl Iterator for ArrivalGen {
@@ -529,10 +427,6 @@ impl Iterator for ArrivalGen {
                     // u^(-1/alpha) stays finite.
                     let u = 1.0 - noise.uniform();
                     Some(sampled_gap(*scale_ms * u.powf(-1.0 / *alpha)))
-                }
-                GenKind::Empirical { gaps_ms, noise } => {
-                    let idx = (noise.uniform() * gaps_ms.len() as f64) as usize;
-                    Some(sampled_gap(gaps_ms[idx.min(gaps_ms.len() - 1)]))
                 }
             };
             if let Some(gap) = gap {
@@ -692,93 +586,6 @@ impl<I: Iterator<Item = LoadResult<Arrival>>> Iterator for MergedArrivals<I> {
     }
 }
 
-/// Lazily parses a CSV trace (the [`Schedule::to_csv`] format) from a
-/// buffered reader, yielding arrivals in file order one row at a time
-/// (the chunking is the reader's buffer). The header row and blank
-/// lines are optional and ignored, and `\r\n` line ends are accepted.
-/// The stream does **not** sort: consumers that need time order should
-/// materialize with [`Schedule::from_csv`].
-#[derive(Debug)]
-pub(crate) struct CsvArrivalStream<R> {
-    reader: R,
-    line: String,
-    lineno: usize,
-    failed: bool,
-}
-
-impl<R: std::io::BufRead> CsvArrivalStream<R> {
-    /// Wraps a buffered reader positioned at the start of a trace.
-    pub(crate) fn new(reader: R) -> CsvArrivalStream<R> {
-        CsvArrivalStream {
-            reader,
-            line: String::new(),
-            lineno: 0,
-            failed: false,
-        }
-    }
-}
-
-impl<R: std::io::BufRead> Iterator for CsvArrivalStream<R> {
-    type Item = LoadResult<Arrival>;
-
-    fn next(&mut self) -> Option<LoadResult<Arrival>> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            self.line.clear();
-            match self.reader.read_line(&mut self.line) {
-                Ok(0) => return None,
-                Ok(_) => {}
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(LoadError::Io(e.kind())));
-                }
-            }
-            self.lineno += 1;
-            let line = self.line.trim_end_matches('\n').trim_end_matches('\r');
-            if line.is_empty() || (self.lineno == 1 && line == CSV_HEADER) {
-                continue;
-            }
-            let parsed = (|| {
-                let (t, function) = line
-                    .split_once(',')
-                    .ok_or(LoadError::Malformed(self.lineno))?;
-                let nanos: u64 = t
-                    .trim()
-                    .parse()
-                    .map_err(|_| LoadError::Malformed(self.lineno))?;
-                validate_function(function)?;
-                Ok(Arrival {
-                    at: SimInstant::from_nanos(nanos),
-                    function: function.to_owned(),
-                })
-            })();
-            if parsed.is_err() {
-                self.failed = true;
-            }
-            return Some(parsed);
-        }
-    }
-}
-
-/// Submits `n` requests at a constant inter-arrival interval starting at
-/// `start`.
-///
-/// # Errors
-///
-/// As [`Schedule::constant`], plus submission errors (unknown function).
-pub fn constant_rate(
-    platform: &mut Platform,
-    function: &str,
-    n: usize,
-    start: SimInstant,
-    interval: SimDuration,
-    make_request: impl Fn(usize) -> Request,
-) -> LoadResult<()> {
-    Schedule::constant(function, n, start, interval)?.submit(platform, make_request)
-}
-
 /// Submits `n` requests with exponentially distributed inter-arrival
 /// times of the given mean (an open-loop Poisson process), deterministic
 /// in `seed`.
@@ -837,15 +644,10 @@ mod tests {
     #[test]
     fn constant_rate_submits_all() {
         let mut p = platform();
-        constant_rate(
-            &mut p,
-            "noop",
-            20,
-            SimInstant::EPOCH,
-            SimDuration::from_millis(50),
-            |_| Request::empty(),
-        )
-        .unwrap();
+        Schedule::constant("noop", 20, SimInstant::EPOCH, SimDuration::from_millis(50))
+            .unwrap()
+            .submit(&mut p, |_| Request::empty())
+            .unwrap();
         p.run().unwrap();
         assert_eq!(p.completed().len(), 20);
         // Sequential constant-rate load after warm-up is all warm.
@@ -947,18 +749,6 @@ mod tests {
             Schedule::pareto("f", 3, SimInstant::EPOCH, f64::NAN, 1.5, 1).unwrap_err(),
             LoadError::InvalidShape
         );
-        assert_eq!(
-            Schedule::empirical("f", 3, SimInstant::EPOCH, &[], 1).unwrap_err(),
-            LoadError::InvalidShape
-        );
-        assert_eq!(
-            Schedule::empirical("f", 3, SimInstant::EPOCH, &[5.0, f64::INFINITY], 1).unwrap_err(),
-            LoadError::InvalidShape
-        );
-        assert_eq!(
-            Schedule::empirical("f", 3, SimInstant::EPOCH, &[5.0, -1.0], 1).unwrap_err(),
-            LoadError::InvalidShape
-        );
     }
 
     #[test]
@@ -992,7 +782,6 @@ mod tests {
     fn error_display_and_source() {
         let e = LoadError::Submit(Errno::Enoent);
         assert!(e.to_string().contains("no such file"));
-        assert!(LoadError::Malformed(3).to_string().contains("line 3"));
         let from: LoadError = Errno::Einval.into();
         assert_eq!(from, LoadError::Submit(Errno::Einval));
     }
@@ -1012,19 +801,6 @@ mod tests {
             max > 200.0,
             "alpha 1.2 should produce occasional huge gaps, max {max}"
         );
-    }
-
-    #[test]
-    fn empirical_resamples_only_observed_gaps() {
-        let observed = [5.0, 50.0, 500.0];
-        let s = Schedule::empirical("f", 400, SimInstant::EPOCH, &observed, 3).unwrap();
-        for w in s.arrivals().windows(2) {
-            let gap = (w[1].at - w[0].at).as_millis_f64();
-            assert!(
-                observed.iter().any(|o| (gap - o).abs() < 1e-6),
-                "gap {gap} not in the observed set"
-            );
-        }
     }
 
     #[test]
@@ -1049,42 +825,9 @@ mod tests {
     }
 
     #[test]
-    fn csv_roundtrip_is_exact() {
-        let s = Schedule::poisson(
-            "noop",
-            25,
-            SimInstant::EPOCH,
-            SimDuration::from_millis(7),
-            11,
-        )
-        .unwrap()
-        .merge(Schedule::burst("fn-b", 3, SimInstant::from_nanos(12345)).unwrap());
-        let csv = s.to_csv();
-        assert!(csv.starts_with("t_ns,function\n"));
-        let back = Schedule::from_csv(&csv).unwrap();
-        assert_eq!(s, back);
-        // Headerless input parses too.
-        let headerless: String = csv.lines().skip(1).map(|l| format!("{l}\n")).collect();
-        assert_eq!(Schedule::from_csv(&headerless).unwrap(), s);
-    }
-
-    #[test]
-    fn csv_rejects_malformed_rows() {
-        assert_eq!(
-            Schedule::from_csv("t_ns,function\nnot-a-number,f\n").unwrap_err(),
-            LoadError::Malformed(2)
-        );
-        assert_eq!(
-            Schedule::from_csv("12 no comma here\n").unwrap_err(),
-            LoadError::Malformed(1)
-        );
-        assert!(Schedule::from_csv("").unwrap().is_empty());
-    }
-
-    #[test]
     fn trace_replay_drives_the_platform() {
-        let csv = "t_ns,function\n0,noop\n1000000000,noop\n2000000000,noop\n";
-        let schedule = Schedule::from_csv(csv).unwrap();
+        let schedule =
+            Schedule::constant("noop", 3, SimInstant::EPOCH, SimDuration::from_secs(1)).unwrap();
         let mut p = platform();
         schedule.submit(&mut p, |_| Request::empty()).unwrap();
         p.run().unwrap();
@@ -1109,7 +852,7 @@ mod tests {
     #[test]
     fn generators_reproduce_the_pinned_arrival_instants() {
         let start = SimInstant::EPOCH + SimDuration::from_millis(5);
-        let cases: [(ArrivalGen, usize, &[u64], u64); 5] = [
+        let cases: [(ArrivalGen, usize, &[u64], u64); 4] = [
             (
                 ArrivalGen::constant("f", 100, start, SimDuration::from_micros(250)).unwrap(),
                 100,
@@ -1143,15 +886,6 @@ mod tests {
                 ],
                 550_875_625,
             ),
-            (
-                ArrivalGen::empirical("f", 100, start, &[1.0, 4.0, 0.25], 7).unwrap(),
-                100,
-                &[
-                    5_000_000, 9_000_000, 10_000_000, 10_250_000, 14_250_000, 18_250_000,
-                    19_250_000, 23_250_000,
-                ],
-                197_750_000,
-            ),
         ];
         for (gen, count, head, last) in cases {
             assert_eq!(gen.remaining, count);
@@ -1179,10 +913,6 @@ mod tests {
             LoadError::InvalidShape
         );
         assert_eq!(
-            ArrivalGen::empirical("f", 2, SimInstant::EPOCH, &[], 1).unwrap_err(),
-            LoadError::InvalidShape
-        );
-        assert_eq!(
             ArrivalGen::burst("a,b", 1, SimInstant::EPOCH).unwrap_err(),
             LoadError::InvalidFunction("a,b".to_owned())
         );
@@ -1198,10 +928,6 @@ mod tests {
         );
         assert_eq!(
             Schedule::constant("a,b", 2, SimInstant::EPOCH, SimDuration::ZERO).unwrap_err(),
-            bad_id
-        );
-        assert_eq!(
-            Schedule::empirical("a,b", 2, SimInstant::EPOCH, &[], 1).unwrap_err(),
             bad_id
         );
     }
@@ -1246,45 +972,5 @@ mod tests {
         let items: Vec<LoadResult<Arrival>> = merged.collect();
         assert!(items.iter().filter(|i| i.is_err()).count() == 1);
         assert!(items.last().unwrap().is_err(), "error terminates the merge");
-    }
-
-    #[test]
-    fn csv_stream_writes_the_pinned_format_and_reads_it_back() {
-        let start = SimInstant::EPOCH;
-        let sources = || {
-            vec![
-                ArrivalGen::poisson("t0", 5, start, SimDuration::from_millis(2), 3).unwrap(),
-                ArrivalGen::constant("t1", 5, start, SimDuration::from_millis(3)).unwrap(),
-            ]
-        };
-        // Literal text of a ten-row trace, pinned with the generators.
-        let expected_csv = "t_ns,function\n0,t0\n0,t1\n3000000,t1\n4352780,t0\n5065291,t0\n\
-                            6000000,t1\n6044154,t0\n9000000,t1\n11282400,t0\n12000000,t1\n";
-
-        let merged = Schedule::from_stream(MergedArrivals::new(sources())).unwrap();
-        assert_eq!(merged.to_csv(), expected_csv);
-
-        // Streamed reader yields the same arrivals in file order.
-        let back: Vec<Arrival> = CsvArrivalStream::new(expected_csv.as_bytes())
-            .map(|a| a.unwrap())
-            .collect();
-        assert_eq!(back, merged.arrivals());
-    }
-
-    #[test]
-    fn csv_stream_rejects_malformed_rows_with_line_numbers() {
-        let items: Vec<LoadResult<Arrival>> =
-            CsvArrivalStream::new("t_ns,function\nnot-a-number,f\n".as_bytes()).collect();
-        assert_eq!(items, vec![Err(LoadError::Malformed(2))]);
-        let items: Vec<LoadResult<Arrival>> =
-            CsvArrivalStream::new("12 no comma here\n".as_bytes()).collect();
-        assert_eq!(items, vec![Err(LoadError::Malformed(1))]);
-        assert!(CsvArrivalStream::new("".as_bytes()).next().is_none());
-        // Blank lines and a CRLF header are skipped.
-        let back: Vec<Arrival> = CsvArrivalStream::new("t_ns,function\r\n\n7,f\r\n".as_bytes())
-            .map(|a| a.unwrap())
-            .collect();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].at, SimInstant::from_nanos(7));
     }
 }

@@ -203,16 +203,6 @@ impl FaasGateway {
     pub fn platform(&self) -> &Platform {
         &self.platform
     }
-
-    /// Mutable platform access (for load generators).
-    pub fn platform_mut(&mut self) -> &mut Platform {
-        &mut self.platform
-    }
-
-    /// The function registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
 }
 
 /// Helper trait alias to keep `invoke_and_wait` readable.

@@ -96,16 +96,6 @@ impl Registry {
     pub fn pull(&self, name: &str) -> Option<ContainerImage> {
         self.inner.read().images.get(name).cloned()
     }
-
-    /// Registered function names.
-    pub fn names(&self) -> Vec<String> {
-        self.inner.read().images.keys().cloned().collect()
-    }
-
-    /// Removes a function's image.
-    pub fn remove(&self, name: &str) -> bool {
-        self.inner.write().images.remove(name).is_some()
-    }
 }
 
 #[cfg(test)]
@@ -137,16 +127,6 @@ mod tests {
     fn pull_missing_is_none() {
         let reg = Registry::new();
         assert!(reg.pull("ghost").is_none());
-        assert!(reg.inner.read().images.is_empty());
-    }
-
-    #[test]
-    fn remove_and_names() {
-        let reg = Registry::new();
-        reg.push(image("java11"));
-        assert_eq!(reg.names(), vec!["noop".to_owned()]);
-        assert!(reg.remove("noop"));
-        assert!(!reg.remove("noop"));
         assert!(reg.inner.read().images.is_empty());
     }
 

@@ -1,6 +1,5 @@
-//! Property tests for load schedules: arrivals are strictly monotonic,
-//! generation is deterministic per seed, and the CSV trace codec is an
-//! exact round-trip for every generator.
+//! Property tests for load schedules: arrivals are strictly monotonic
+//! and generation is deterministic per seed, for every generator.
 
 use proptest::prelude::*;
 
@@ -19,27 +18,10 @@ fn build(
 ) -> Schedule {
     let start = SimInstant::from_nanos(start_ns);
     let interval = SimDuration::from_millis(interval_ms);
-    match gen % 4 {
+    match gen % 3 {
         0 => Schedule::constant(function, n, start, interval).unwrap(),
         1 => Schedule::poisson(function, n, start, interval, seed).unwrap(),
-        2 => Schedule::pareto(function, n, start, interval_ms as f64, 1.3, seed).unwrap(),
-        _ => Schedule::empirical(
-            function,
-            n,
-            start,
-            // Five distinct gaps keep a cross-seed pick-for-pick
-            // collision (which would trip the inequality property)
-            // vanishingly unlikely even for short schedules.
-            &[
-                1.0,
-                interval_ms as f64,
-                interval_ms as f64 * 3.0,
-                interval_ms as f64 * 9.0,
-                interval_ms as f64 * 27.0,
-            ],
-            seed,
-        )
-        .unwrap(),
+        _ => Schedule::pareto(function, n, start, interval_ms as f64, 1.3, seed).unwrap(),
     }
 }
 
@@ -50,7 +32,7 @@ proptest! {
     /// increasing timestamps starting at or after `start`.
     #[test]
     fn arrivals_are_strictly_monotonic(
-        gen in 0u8..4,
+        gen in 0u8..3,
         n in 1usize..200,
         start_ns in 0u64..1_000_000_000,
         interval_ms in 1u64..5_000,
@@ -76,7 +58,7 @@ proptest! {
     /// across every gap is as good as impossible).
     #[test]
     fn schedules_are_deterministic_per_seed(
-        gen in 1u8..4, // skip `constant`: it takes no seed
+        gen in 1u8..3, // skip `constant`: it takes no seed
         n in 8usize..100,
         interval_ms in 2u64..5_000,
         seed in 0u64..1_000,
@@ -120,23 +102,5 @@ proptest! {
         if a.len() > 2 && c.len() > 2 {
             prop_assert_ne!(&a, &c);
         }
-    }
-
-    /// `to_csv` → `from_csv` is the identity for any merged multi-tenant
-    /// schedule, including exact nanosecond timestamps and names.
-    #[test]
-    fn csv_roundtrip_is_exact(
-        gen_a in 0u8..4,
-        gen_b in 0u8..4,
-        n_a in 1usize..60,
-        n_b in 1usize..60,
-        interval_ms in 1u64..2_000,
-        seed in 0u64..1_000,
-    ) {
-        let merged = build(gen_a, "tenant-a", n_a, 0, interval_ms, seed)
-            .merge(build(gen_b, "tenant-b", n_b, 17, interval_ms, seed + 7));
-        prop_assert_eq!(merged.len(), n_a + n_b);
-        let back = Schedule::from_csv(&merged.to_csv()).unwrap();
-        prop_assert_eq!(back, merged);
     }
 }

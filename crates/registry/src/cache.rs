@@ -8,7 +8,7 @@
 //! images reference it, so cross-function sharing translates directly
 //! into bytes that never cross the network.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use crate::manifest::ImageManifest;
 
@@ -51,19 +51,12 @@ impl PullStats {
     }
 }
 
-/// One resident image's bookkeeping.
-#[derive(Debug, Clone)]
-struct ResidentImage {
-    metadata_bytes: u64,
-    frame_hashes: Vec<u64>,
-}
-
 /// One node's pull-through image cache.
 #[derive(Debug, Clone, Default)]
 pub struct NodeCache {
-    /// Frame hash → number of resident images referencing it.
-    frames: BTreeMap<u64, u32>,
-    images: BTreeMap<String, ResidentImage>,
+    /// Hashes of the resident frames.
+    frames: BTreeSet<u64>,
+    images: BTreeSet<String>,
 }
 
 impl NodeCache {
@@ -74,25 +67,7 @@ impl NodeCache {
 
     /// Whether `image_id` is resident.
     pub(crate) fn contains(&self, image_id: &str) -> bool {
-        self.images.contains_key(image_id)
-    }
-
-    /// Number of resident images.
-    pub fn image_count(&self) -> usize {
-        self.images.len()
-    }
-
-    /// Number of distinct resident frames.
-    pub fn frame_count(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Bytes the cache occupies on the node: resident image metadata
-    /// plus one charge per distinct frame (dedup-aware, mirroring
-    /// `ImageCache::charged_bytes`).
-    pub fn resident_bytes(&self) -> u64 {
-        let metadata: u64 = self.images.values().map(|i| i.metadata_bytes).sum();
-        metadata + (self.frames.len() * prebake_sim::mem::PAGE_SIZE) as u64
+        self.images.contains(image_id)
     }
 
     /// Bytes a pull of `manifest` under `mode` would fetch from the
@@ -115,7 +90,7 @@ impl NodeCache {
                 let missing = manifest
                     .frame_hashes()
                     .iter()
-                    .filter(|h| !self.frames.contains_key(h))
+                    .filter(|h| !self.frames.contains(h))
                     .count();
                 manifest.metadata_bytes() + (missing * prebake_sim::mem::PAGE_SIZE) as u64
             }
@@ -152,7 +127,7 @@ impl NodeCache {
                 let missing = manifest
                     .frame_hashes()
                     .iter()
-                    .filter(|h| !self.frames.contains_key(h))
+                    .filter(|h| !self.frames.contains(h))
                     .count() as u64;
                 PullStats {
                     bytes_fetched: manifest.metadata_bytes()
@@ -165,38 +140,10 @@ impl NodeCache {
             }
         };
         if mode != PullMode::Naive {
-            for &h in manifest.frame_hashes() {
-                *self.frames.entry(h).or_insert(0) += 1;
-            }
-            self.images.insert(
-                manifest.id().to_owned(),
-                ResidentImage {
-                    metadata_bytes: manifest.metadata_bytes(),
-                    frame_hashes: manifest.frame_hashes().to_vec(),
-                },
-            );
+            self.frames.extend(manifest.frame_hashes());
+            self.images.insert(manifest.id().to_owned());
         }
         stats
-    }
-
-    /// Drops `image_id` from the node, releasing frames no other
-    /// resident image references. Returns the bytes freed on the node.
-    pub fn evict(&mut self, image_id: &str) -> u64 {
-        let Some(image) = self.images.remove(image_id) else {
-            return 0;
-        };
-        let mut freed = image.metadata_bytes;
-        for h in image.frame_hashes {
-            match self.frames.get_mut(&h) {
-                Some(1) => {
-                    self.frames.remove(&h);
-                    freed += prebake_sim::mem::PAGE_SIZE as u64;
-                }
-                Some(n) => *n -= 1,
-                None => unreachable!("resident image frame missing from the pool"),
-            }
-        }
-        freed
     }
 }
 
@@ -222,7 +169,6 @@ mod tests {
             assert!(!s.cache_hit);
         }
         assert!(!cache.contains("f"));
-        assert_eq!(cache.resident_bytes(), 0);
     }
 
     #[test]
@@ -235,7 +181,6 @@ mod tests {
         assert_eq!(second.bytes_fetched, 0);
         assert_eq!(second.bytes_deduped, m.total_bytes());
         assert!(second.cache_hit);
-        assert_eq!(cache.resident_bytes(), m.total_bytes());
     }
 
     #[test]
@@ -245,8 +190,7 @@ mod tests {
         let s = cache.admit(&manifest("g", &[1, 2, 4], 0), PullMode::PullThrough);
         assert_eq!(s.bytes_fetched, 3 * PG, "whole image re-fetched");
         // The node still holds each distinct frame once.
-        assert_eq!(cache.frame_count(), 4);
-        assert_eq!(cache.resident_bytes(), 4 * PG);
+        assert_eq!(cache.frames.len(), 4);
     }
 
     #[test]
@@ -263,7 +207,7 @@ mod tests {
         assert_eq!(second.bytes_deduped, 2 * PG);
         assert_eq!(second.frames_deduped, 2);
         assert_eq!(second.total_bytes(), g.total_bytes());
-        assert_eq!(cache.frame_count(), 5);
+        assert_eq!(cache.frames.len(), 5);
     }
 
     #[test]
@@ -282,22 +226,5 @@ mod tests {
             f.total_bytes(),
             "naive ignores residency"
         );
-    }
-
-    #[test]
-    fn evict_releases_only_unshared_frames() {
-        let mut cache = NodeCache::new();
-        cache.admit(&manifest("f", &[1, 2, 3], 50), PullMode::DedupPullThrough);
-        cache.admit(&manifest("g", &[2, 3, 4], 30), PullMode::DedupPullThrough);
-        assert_eq!(cache.resident_bytes(), 50 + 30 + 4 * PG);
-
-        // Frames 2,3 stay pinned by g: f's eviction frees metadata + frame 1.
-        assert_eq!(cache.evict("f"), 50 + PG);
-        assert_eq!(cache.frame_count(), 3);
-        assert_eq!(cache.resident_bytes(), 30 + 3 * PG);
-        assert_eq!(cache.evict("f"), 0, "double eviction is a no-op");
-        assert_eq!(cache.evict("g"), 30 + 3 * PG);
-        assert_eq!(cache.resident_bytes(), 0);
-        assert_eq!(cache.image_count(), 0);
     }
 }

@@ -78,28 +78,6 @@ impl RuntimeCosts {
             code_cache_expansion: 0.3,
         }
     }
-
-    /// A zero-cost table for state-only tests.
-    pub fn free() -> Self {
-        RuntimeCosts {
-            rts_core_init: SimDuration::ZERO,
-            rts_heap_init: SimDuration::ZERO,
-            rts_services_init: SimDuration::ZERO,
-            http_server_init: SimDuration::ZERO,
-            class_parse_ns_per_byte: 0.0,
-            class_verify_ns_per_byte: 0.0,
-            jit_compile_ns_per_byte: 0.0,
-            archive_index_per_entry: SimDuration::ZERO,
-            lazy_link_init: SimDuration::ZERO,
-            base_footprint: BaseFootprint {
-                code_cache_touch: 64 << 10,
-                heap_touch: 64 << 10,
-                metaspace_touch: 64 << 10,
-            },
-            metaspace_expansion: 1.2,
-            code_cache_expansion: 0.3,
-        }
-    }
 }
 
 impl Default for RuntimeCosts {
@@ -139,12 +117,5 @@ mod tests {
                 * (1024.0 * 1024.0)
                 / 1e6;
         assert!((per_mib - 30.0).abs() < 0.1, "load slope {per_mib} ms/MiB");
-    }
-
-    #[test]
-    fn free_table_charges_nothing() {
-        let c = RuntimeCosts::free();
-        assert!((c.rts_core_init + c.rts_heap_init + c.rts_services_init).is_zero());
-        assert_eq!(c.jit_compile_ns_per_byte, 0.0);
     }
 }

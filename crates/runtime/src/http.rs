@@ -50,11 +50,6 @@ impl Response {
             body: body.into(),
         }
     }
-
-    /// Returns `true` for 2xx statuses.
-    pub fn is_success(&self) -> bool {
-        (200..300).contains(&self.status)
-    }
 }
 
 #[cfg(test)]
@@ -68,15 +63,5 @@ mod tests {
         assert!(r.body.is_empty());
         let r = Request::with_body("hello".as_bytes().to_vec());
         assert_eq!(&r.body[..], b"hello");
-    }
-
-    #[test]
-    fn response_predicates() {
-        assert!(Response::ok("x".as_bytes().to_vec()).is_success());
-        let error = Response {
-            status: 500,
-            body: Bytes::new(),
-        };
-        assert!(!error.is_success());
     }
 }

@@ -583,11 +583,6 @@ impl Replica {
         self.jvm.pid
     }
 
-    /// Returns `true` once the replica can serve requests.
-    pub fn is_ready(&self) -> bool {
-        self.jvm.state.phase == Phase::Ready
-    }
-
     /// Serves one request: accept, one-time lazy link, handler execution,
     /// JIT of any classes the request pulled in, state persistence.
     ///
@@ -623,9 +618,32 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::costs::BaseFootprint;
     use crate::gen::synth_class_set;
     use prebake_sim::kernel::INIT_PID;
     use prebake_sim::mem::PAGE_SIZE;
+
+    /// A cost table that charges nothing, for state-only tests.
+    fn free_costs() -> RuntimeCosts {
+        RuntimeCosts {
+            rts_core_init: SimDuration::ZERO,
+            rts_heap_init: SimDuration::ZERO,
+            rts_services_init: SimDuration::ZERO,
+            http_server_init: SimDuration::ZERO,
+            class_parse_ns_per_byte: 0.0,
+            class_verify_ns_per_byte: 0.0,
+            jit_compile_ns_per_byte: 0.0,
+            archive_index_per_entry: SimDuration::ZERO,
+            lazy_link_init: SimDuration::ZERO,
+            base_footprint: BaseFootprint {
+                code_cache_touch: 64 << 10,
+                heap_touch: 64 << 10,
+                metaspace_touch: 64 << 10,
+            },
+            metaspace_expansion: 1.2,
+            code_cache_expansion: 0.3,
+        }
+    }
 
     /// A trivial handler that loads `lazy` classes on first request.
     struct TestHandler {
@@ -673,7 +691,7 @@ mod tests {
         let pid = kernel.sys_clone(INIT_PID).unwrap();
         kernel.sys_execve(pid, "/bin/jlvm", &[]).unwrap();
         let mut config = JlvmConfig::new("/app/fn.jlar", 8080);
-        config.costs = RuntimeCosts::free();
+        config.costs = free_costs();
         config.lazy_link = lazy_link;
         (kernel, pid, config, names)
     }
@@ -701,11 +719,11 @@ mod tests {
             attaches: 0,
         });
         let mut replica = Replica::boot(&mut kernel, pid, config, handler).unwrap();
-        assert!(replica.is_ready());
+        assert_eq!(replica.jvm().state().phase, Phase::Ready);
         assert_eq!(replica.jvm().state().classes.len(), 0, "lazy: none yet");
 
         let resp = replica.handle(&mut kernel, &Request::empty()).unwrap();
-        assert!(resp.is_success());
+        assert_eq!(resp.status, 200);
         let st = replica.jvm().state();
         assert_eq!(st.classes.len(), names.len());
         assert!(st.classes.iter().all(|c| c.jitted), "first use JITs");
@@ -773,7 +791,7 @@ mod tests {
         let (_, _, _, names) = setup(false);
         // fresh kernel with calibrated runtime costs but free OS costs, so
         // the only charge we see is lazy_link_init.
-        let mut kernel = Kernel::with_config(CostModel::free(), Noise::disabled());
+        let mut kernel = Kernel::with_config(CostModel::free(), Noise::new(0, 0.0));
         kernel.fs_create_dir_all("/app").unwrap();
         let classes = synth_class_set("app", 5, 6, 30_000);
         let archive = Archive::from_classes(&classes);
@@ -784,7 +802,7 @@ mod tests {
         kernel.fs_write_file("/bin/jlvm", vec![1u8; 1024]).unwrap();
         let pid = kernel.sys_clone(INIT_PID).unwrap();
         let mut config = JlvmConfig::new("/app/fn.jlar", 8080);
-        config.costs = RuntimeCosts::free();
+        config.costs = free_costs();
         config.costs.lazy_link_init = SimDuration::from_millis(35);
         config.lazy_link = true;
         let handler = Box::new(TestHandler {

@@ -67,10 +67,5 @@ pub mod jvm;
 pub mod profile;
 pub mod state;
 
-pub use archive::Archive;
-pub use classfile::ClassFile;
-pub use costs::RuntimeCosts;
-pub use http::{Request, Response};
 pub use jvm::{Ctx, Handler, Jlvm, JlvmConfig, Replica};
 pub use profile::RuntimeProfile;
-pub use state::RuntimeState;

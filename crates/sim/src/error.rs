@@ -52,50 +52,6 @@ pub enum Errno {
     Enomem,
 }
 
-impl Errno {
-    /// The conventional Linux errno value, for log-parity with real tools.
-    pub fn code(self) -> i32 {
-        match self {
-            Errno::Eperm => 1,
-            Errno::Enoent => 2,
-            Errno::Esrch => 3,
-            Errno::Ebadf => 9,
-            Errno::Eagain => 11,
-            Errno::Efault => 14,
-            Errno::Ebusy => 16,
-            Errno::Eexist => 17,
-            Errno::Enotdir => 20,
-            Errno::Eisdir => 21,
-            Errno::Einval => 22,
-            Errno::Echild => 10,
-            Errno::Eaddrinuse => 98,
-            Errno::Enotconn => 107,
-            Errno::Enomem => 12,
-        }
-    }
-
-    /// The conventional symbolic name (`ENOENT`, ...).
-    pub fn name(self) -> &'static str {
-        match self {
-            Errno::Eperm => "EPERM",
-            Errno::Enoent => "ENOENT",
-            Errno::Esrch => "ESRCH",
-            Errno::Ebadf => "EBADF",
-            Errno::Eagain => "EAGAIN",
-            Errno::Efault => "EFAULT",
-            Errno::Ebusy => "EBUSY",
-            Errno::Eexist => "EEXIST",
-            Errno::Enotdir => "ENOTDIR",
-            Errno::Eisdir => "EISDIR",
-            Errno::Einval => "EINVAL",
-            Errno::Echild => "ECHILD",
-            Errno::Eaddrinuse => "EADDRINUSE",
-            Errno::Enotconn => "ENOTCONN",
-            Errno::Enomem => "ENOMEM",
-        }
-    }
-}
-
 impl fmt::Display for Errno {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let msg = match self {
@@ -127,20 +83,6 @@ pub type SysResult<T> = Result<T, Errno>;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn codes_match_linux() {
-        assert_eq!(Errno::Eperm.code(), 1);
-        assert_eq!(Errno::Enoent.code(), 2);
-        assert_eq!(Errno::Einval.code(), 22);
-        assert_eq!(Errno::Eaddrinuse.code(), 98);
-    }
-
-    #[test]
-    fn names_are_symbolic() {
-        assert_eq!(Errno::Efault.name(), "EFAULT");
-        assert_eq!(Errno::Echild.name(), "ECHILD");
-    }
 
     #[test]
     fn display_is_lowercase_no_period() {

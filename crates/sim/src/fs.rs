@@ -61,17 +61,6 @@ enum Node {
     File(FileNode),
 }
 
-/// Metadata returned by [`SimFs::stat`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Stat {
-    /// File size in bytes (0 for directories).
-    pub size: u64,
-    /// `true` for directories.
-    pub is_dir: bool,
-    /// `true` if the file's contents are resident in the page cache.
-    pub cached: bool,
-}
-
 /// An in-memory filesystem tree.
 ///
 /// `SimFs` is pure state: it never charges virtual time itself. The
@@ -219,26 +208,6 @@ impl SimFs {
         }
     }
 
-    /// File/directory metadata.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Enoent`] if the path does not exist.
-    pub fn stat(&self, path: &str) -> SysResult<Stat> {
-        match self.lookup(path)? {
-            Node::File(f) => Ok(Stat {
-                size: f.data.len() as u64,
-                is_dir: false,
-                cached: f.cached,
-            }),
-            Node::Dir(_) => Ok(Stat {
-                size: 0,
-                is_dir: true,
-                cached: true,
-            }),
-        }
-    }
-
     /// Returns `true` if the path exists.
     pub(crate) fn exists(&self, path: &str) -> bool {
         self.lookup(path).is_ok()
@@ -283,17 +252,6 @@ impl SimFs {
             }
         }
         walk(&mut self.root);
-    }
-
-    /// Total bytes stored across all files.
-    pub fn total_bytes(&self) -> u64 {
-        fn walk(node: &Node) -> u64 {
-            match node {
-                Node::File(f) => f.data.len() as u64,
-                Node::Dir(entries) => entries.values().map(walk).sum(),
-            }
-        }
-        walk(&self.root)
     }
 }
 
@@ -347,7 +305,7 @@ mod tests {
         );
         fs.create_dir_all("/missing").unwrap();
         fs.write_file("/missing/f", vec![1, 2, 3]).unwrap();
-        assert_eq!(fs.stat("/missing/f").unwrap().size, 3);
+        assert_eq!(fs.read_file("/missing/f").unwrap().0.len(), 3);
     }
 
     #[test]
@@ -356,7 +314,7 @@ mod tests {
         fs.create_dir_all("/a/b/c").unwrap();
         fs.create_dir_all("/a/b/c").unwrap();
         fs.create_dir_all("/a/b").unwrap();
-        assert!(fs.stat("/a/b/c").unwrap().is_dir);
+        assert!(fs.list_dir("/a/b/c").unwrap().is_empty());
     }
 
     #[test]
@@ -371,9 +329,9 @@ mod tests {
     fn cache_state_transitions() {
         let mut fs = SimFs::new();
         fs.write_file("/f", vec![0u8; 128]).unwrap();
-        assert!(fs.stat("/f").unwrap().cached, "freshly written is cached");
+        let (_, cached) = fs.read_file("/f").unwrap();
+        assert!(cached, "freshly written is cached");
         fs.drop_caches();
-        assert!(!fs.stat("/f").unwrap().cached);
         let (_, cached) = fs.read_file("/f").unwrap();
         assert!(!cached, "first read after drop_caches is cold");
         let (_, cached) = fs.read_file("/f").unwrap();
@@ -413,15 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn total_bytes_sums_tree() {
-        let mut fs = SimFs::new();
-        fs.create_dir_all("/a/b").unwrap();
-        fs.write_file("/a/x", vec![0u8; 10]).unwrap();
-        fs.write_file("/a/b/y", vec![0u8; 32]).unwrap();
-        assert_eq!(fs.total_bytes(), 42);
-    }
-
-    #[test]
     fn read_dir_as_file_fails() {
         let mut fs = SimFs::new();
         fs.create_dir_all("/d").unwrap();
@@ -432,7 +381,7 @@ mod tests {
     fn path_through_file_is_enotdir() {
         let mut fs = SimFs::new();
         fs.write_file("/f", Vec::new()).unwrap();
-        assert_eq!(fs.stat("/f/x").unwrap_err(), Errno::Enotdir);
+        assert_eq!(fs.read_file("/f/x").unwrap_err(), Errno::Enotdir);
     }
 
     #[test]

@@ -596,11 +596,6 @@ impl Kernel {
         Ok(())
     }
 
-    /// Whether `pid` has a registered demand-paging backend.
-    pub fn uffd_registered(&self, pid: Pid) -> bool {
-        self.uffd.contains_key(&pid)
-    }
-
     /// Turns working-set recording on or off for `pid`'s backend. While
     /// on, each major fault appends its page index to an ordered log.
     ///
@@ -633,12 +628,6 @@ impl Kernel {
             .get(&pid)
             .map(|b| (b.major_faults(), b.minor_faults()))
             .unwrap_or((0, 0))
-    }
-
-    /// Faults served from the compaction fallback layer for `pid`'s
-    /// backend; zero if none is registered.
-    pub fn uffd_fallback_faults(&self, pid: Pid) -> u64 {
-        self.uffd.get(&pid).map_or(0, |b| b.fallback_faults())
     }
 
     /// Bulk-installs `pages` from `pid`'s backend before any touch — the
@@ -753,14 +742,11 @@ impl Kernel {
             // Pages missing from the compacted hot image fall through to
             // the full snapshot kept behind it — each pays the extra
             // fallback penalty on top of the normal service charge.
-            let backend = self.uffd.get_mut(&pid).expect("registration checked above");
+            let backend = self.uffd.get(&pid).expect("registration checked above");
             let fallback = batch
                 .iter()
                 .filter(|&&(page_index, _)| backend.is_fallback(page_index))
                 .count() as u64;
-            if fallback > 0 {
-                backend.note_fallback(fallback);
-            }
             let cost = self.costs.fault_trap
                 + per_byte(n * PAGE_SIZE as u64, self.costs.fs_read_warm_ns_per_byte)
                 + self.costs.page_copy * n
@@ -893,49 +879,6 @@ impl Kernel {
     }
 
     // ------------------------------------------------------- fds and sockets
-
-    /// Opens a file descriptor on `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Enoent`] if missing, [`Errno::Eisdir`] for directories.
-    pub fn sys_open(&mut self, pid: Pid, path: &str) -> SysResult<i32> {
-        let cost = self.costs.fs_meta;
-        self.charge(cost);
-        let stat = self.fs.stat(path)?;
-        if stat.is_dir {
-            return Err(Errno::Eisdir);
-        }
-        Ok(self
-            .procs
-            .get_mut(&pid)
-            .ok_or(Errno::Esrch)?
-            .fds
-            .insert(FdEntry::File {
-                path: path.to_owned(),
-                offset: 0,
-            }))
-    }
-
-    /// Closes a descriptor. Releases the port if it was a listener.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Ebadf`] if not open.
-    pub fn sys_close(&mut self, pid: Pid, fd: i32) -> SysResult<()> {
-        let cost = self.costs.fs_meta;
-        self.charge(cost);
-        let entry = self
-            .procs
-            .get_mut(&pid)
-            .ok_or(Errno::Esrch)?
-            .fds
-            .remove(fd)?;
-        if let FdEntry::Listener { port } = entry {
-            self.bound_ports.remove(&port);
-        }
-        Ok(())
-    }
 
     /// Creates a listening socket bound to `port`.
     ///
@@ -1281,6 +1224,14 @@ impl Kernel {
 mod tests {
     use super::*;
 
+    /// Pages of `pid` still marked missing.
+    fn missing_pages(k: &Kernel, pid: Pid) -> u64 {
+        let mem = &k.process(pid).unwrap().mem;
+        mem.vmas()
+            .map(|v| mem.missing_in_range(v.start, v.len).len() as u64)
+            .sum()
+    }
+
     fn kernel_with_bin(path: &str, size: usize) -> Kernel {
         let mut k = Kernel::free(1);
         k.fs_create_dir_all("/bin").unwrap();
@@ -1298,7 +1249,7 @@ mod tests {
         let p = k.process(pid).unwrap();
         assert_eq!(p.comm, "app");
         assert_eq!(p.cmdline, vec!["app", "-x"]);
-        assert_eq!(p.mem.vma_count(), 2, "binary + stack");
+        assert_eq!(p.mem.vmas().count(), 2, "binary + stack");
         k.sys_exit(pid, 0).unwrap();
         assert_eq!(k.reap(pid).unwrap(), 0);
         assert!(k.process(pid).is_err());
@@ -1306,7 +1257,7 @@ mod tests {
 
     #[test]
     fn clone_charges_calibrated_cost() {
-        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
+        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
         let t0 = k.now();
         k.sys_clone(INIT_PID).unwrap();
         assert_eq!((k.now() - t0).as_micros(), 400);
@@ -1314,7 +1265,7 @@ mod tests {
 
     #[test]
     fn exec_charges_cold_then_warm() {
-        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
+        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
         k.fs_create_dir_all("/bin").unwrap();
         k.fs_write_file("/bin/app", vec![0u8; 1 << 20]).unwrap();
         k.drop_caches();
@@ -1371,11 +1322,11 @@ mod tests {
         let mut k = Kernel::free(4);
         let a = k.sys_clone(INIT_PID).unwrap();
         let b = k.sys_clone(INIT_PID).unwrap();
-        let fd = k.sys_listen(a, 8080).unwrap();
+        k.sys_listen(a, 8080).unwrap();
         assert_eq!(k.sys_listen(b, 8080).unwrap_err(), Errno::Eaddrinuse);
         assert_eq!(k.port_owner(8080), Some(a));
         assert_eq!(k.socket_accept(8080).unwrap(), a);
-        k.sys_close(a, fd).unwrap();
+        k.sys_exit(a, 0).unwrap();
         assert_eq!(k.port_owner(8080), None);
         assert_eq!(k.socket_accept(8080).unwrap_err(), Errno::Enotconn);
         k.sys_listen(b, 8080).unwrap();
@@ -1536,7 +1487,7 @@ mod tests {
 
     #[test]
     fn cow_map_dedups_frames_and_write_breaks_with_charge_and_probe() {
-        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
+        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
         let a_pid = k.sys_clone(INIT_PID).unwrap();
         let b_pid = k.sys_clone(INIT_PID).unwrap();
         let addr = k
@@ -1552,7 +1503,7 @@ mod tests {
             let frame = (0xC0FFEE, Page::from_bytes(&[6u8; PAGE_SIZE]));
             k.cow_map_extent(pid, addr.page_index(), &[frame]).unwrap();
         }
-        assert_eq!(k.page_store().frame_count(), 1);
+        assert_eq!(k.page_store().resident_bytes(), PAGE_SIZE as u64);
         assert_eq!(k.page_store().external_refs(), 2);
 
         // Reads observe shared content and never break.
@@ -1603,10 +1554,18 @@ mod tests {
         assert_eq!(k.page_store().external_refs(), 2);
         k.sys_exit(a_pid, 0).unwrap();
         assert_eq!(k.page_store().external_refs(), 1);
-        assert_eq!(k.page_store().frame_count(), 1, "still mapped by b");
+        assert_eq!(
+            k.page_store().resident_bytes(),
+            PAGE_SIZE as u64,
+            "still mapped by b"
+        );
         k.sys_exit(b_pid, 0).unwrap();
         assert_eq!(k.page_store().external_refs(), 0);
-        assert!(k.page_store().is_empty(), "last unmap reclaims the frame");
+        assert_eq!(
+            k.page_store().resident_bytes(),
+            0,
+            "last unmap reclaims the frame"
+        );
     }
 
     #[test]
@@ -1631,7 +1590,7 @@ mod tests {
 
     #[test]
     fn uncharged_preserves_state_but_not_time() {
-        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
+        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
         let before = k.now();
         let pid = k
             .uncharged(|k| {
@@ -1647,7 +1606,7 @@ mod tests {
 
     #[test]
     fn uncharged_restores_clock_on_error() {
-        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
+        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
         let before = k.now();
         let err = k
             .uncharged(|k| {
@@ -1701,15 +1660,15 @@ mod tests {
         let mut k = Kernel::free(30);
         let (pid, addr, backend) = lazy_proc(&mut k, 4);
         k.uffd_register(pid, backend).unwrap();
-        assert!(k.uffd_registered(pid));
-        assert_eq!(k.process(pid).unwrap().mem.missing_pages(), 4);
+        assert!(k.uffd.contains_key(&pid));
+        assert_eq!(missing_pages(&k, pid), 4);
         assert_eq!(k.process(pid).unwrap().mem.resident_pages(), 0);
 
         // First touch demand-pages the content in.
         let got = k.mem_read(pid, addr.add(2 * PAGE_SIZE as u64), 8).unwrap();
         assert_eq!(got, vec![3u8; 8]);
         assert_eq!(k.uffd_fault_counts(pid), (1, 0));
-        assert_eq!(k.process(pid).unwrap().mem.missing_pages(), 3);
+        assert_eq!(missing_pages(&k, pid), 3);
 
         // Refault of the same page: already resolved, no new fault.
         k.mem_read(pid, addr.add(2 * PAGE_SIZE as u64), 8).unwrap();
@@ -1769,7 +1728,7 @@ mod tests {
     fn prefetch_batches_cheaper_than_faulting() {
         let n_pages = 64u64;
         let run = |prefetch: bool| -> (SimDuration, u64) {
-            let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
+            let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
             let (pid, addr, backend) = lazy_proc(&mut k, n_pages);
             let indices = backend.page_indices();
             k.uffd_register(pid, backend).unwrap();
@@ -1802,7 +1761,7 @@ mod tests {
             .uffd_prefetch(pid, &[base, base + 1, base + 1, base + 99])
             .unwrap();
         assert_eq!(n, 1, "only the still-missing known page installs");
-        assert_eq!(k.process(pid).unwrap().mem.missing_pages(), 1);
+        assert_eq!(missing_pages(&k, pid), 1);
     }
 
     #[test]
@@ -1817,7 +1776,7 @@ mod tests {
         let got = k.mem_read(pid, addr, 8).unwrap();
         assert_eq!(got, vec![1u8; 8]);
         assert_eq!(k.uffd_fault_counts(pid), (1, 0), "one trap for the window");
-        assert_eq!(k.process(pid).unwrap().mem.missing_pages(), 4);
+        assert_eq!(missing_pages(&k, pid), 4);
         // The neighbours carry their backend content, not zeroes.
         let got = k.mem_read(pid, addr.add(3 * PAGE_SIZE as u64), 4).unwrap();
         assert_eq!(got, vec![4u8; 4], "fault-around installed real content");
@@ -1846,7 +1805,7 @@ mod tests {
         k.mem_read(pid, addr, 1).unwrap();
         // The run stops at the gap: pages 0 and 1 installed, 3 still missing.
         assert_eq!(k.uffd_fault_counts(pid).0, 1);
-        assert_eq!(k.process(pid).unwrap().mem.missing_pages(), 1);
+        assert_eq!(missing_pages(&k, pid), 1);
         assert!(k.process(pid).unwrap().mem.is_missing(base + 3));
     }
 
@@ -1854,7 +1813,7 @@ mod tests {
     fn fault_around_cuts_majors_and_wall_time_on_sequential_touch() {
         let n_pages = 64u64;
         let run = |window: usize| -> (SimDuration, u64) {
-            let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
+            let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
             let (pid, addr, mut backend) = lazy_proc(&mut k, n_pages);
             backend.set_fault_around(window);
             k.uffd_register(pid, backend).unwrap();
@@ -1874,7 +1833,7 @@ mod tests {
 
     #[test]
     fn copy_extent_installs_a_run_under_one_setup_charge() {
-        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::disabled());
+        let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
         let pid = k.sys_clone(INIT_PID).unwrap();
         let addr = k
             .sys_mmap(pid, 16 * PAGE_SIZE as u64, Prot::RW, VmaKind::Anon)
@@ -1939,8 +1898,8 @@ mod tests {
         k.cow_map_extent(pid1, addr1.page_index(), &frames).unwrap();
         k.cow_map_extent(pid2, addr2.page_index(), &frames).unwrap();
         assert_eq!(
-            k.page_store().frame_count(),
-            4,
+            k.page_store().resident_bytes(),
+            4 * PAGE_SIZE as u64,
             "second mapping reuses the interned frames"
         );
         let got = k.mem_read(pid2, addr2.add(PAGE_SIZE as u64), 2).unwrap();
@@ -1970,7 +1929,7 @@ mod tests {
             .uffd_prefetch(pid, &[base + 5, base, base + 1, base + 2, base + 6, base])
             .unwrap();
         assert_eq!(n, 5, "all missing known pages install, dupes skipped");
-        assert_eq!(k.process(pid).unwrap().mem.missing_pages(), 0);
+        assert_eq!(missing_pages(&k, pid), 0);
         assert_eq!(k.uffd_fault_counts(pid), (0, 0), "prefetch never faults");
         let counters = crate::probe::ProbeCounters::from_events(&k.take_trace());
         assert_eq!(counters.extents_restored, 2, "runs [0..3] and [5..7]");
@@ -1989,7 +1948,7 @@ mod tests {
         let mut bad = UffdBackend::new();
         bad.insert_page(9999999, Page::zeroed());
         assert_eq!(k.uffd_register(pid, bad).unwrap_err(), Errno::Efault);
-        assert_eq!(k.process(pid).unwrap().mem.missing_pages(), 0);
+        assert_eq!(missing_pages(&k, pid), 0);
         // Already-materialised page is rejected.
         k.mem_write(pid, addr, &[1]).unwrap();
         let mut dup = UffdBackend::new();
@@ -2002,7 +1961,7 @@ mod tests {
         assert_eq!(k.uffd_register(pid, backend).unwrap_err(), Errno::Ebusy);
         // Exit clears the registration.
         k.sys_exit(pid, 0).unwrap();
-        assert!(!k.uffd_registered(pid));
+        assert!(!k.uffd.contains_key(&pid));
         assert_eq!(k.uffd_take_log(pid).unwrap_err(), Errno::Esrch);
     }
 

@@ -67,7 +67,3 @@ pub mod trace;
 pub mod uffd;
 
 pub use error::{Errno, SysResult};
-pub use kernel::{Kernel, INIT_PID};
-pub use proc::Pid;
-pub use time::{SimDuration, SimInstant};
-pub use trace::{SpanId, TraceSpan, TraceSummary, Tracer};

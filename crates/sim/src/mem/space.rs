@@ -66,11 +66,6 @@ impl AddressSpace {
         }
     }
 
-    /// Number of mappings.
-    pub fn vma_count(&self) -> usize {
-        self.vmas.len()
-    }
-
     /// Iterates over mappings in address order.
     pub fn vmas(&self) -> impl Iterator<Item = &Vma> {
         self.vmas.values()
@@ -317,11 +312,6 @@ impl AddressSpace {
         let first = addr.page_index();
         let last = VirtAddr(addr.0 + len - 1).page_index() + 1;
         self.missing.range(first..last).copied().collect()
-    }
-
-    /// Total pages currently marked missing.
-    pub fn missing_pages(&self) -> u64 {
-        self.missing.len() as u64
     }
 
     fn check_resolved(&self, addr: VirtAddr, len: u64) -> SysResult<()> {
@@ -646,7 +636,7 @@ mod tests {
         let idx = a.page_index() + 1;
         s.mark_missing(idx).unwrap();
         assert!(s.is_missing(idx));
-        assert_eq!(s.missing_pages(), 1);
+        assert_eq!(s.missing.len() as u64, 1);
 
         // Touching the missing page faults; untouched pages still work.
         assert_eq!(
@@ -688,7 +678,7 @@ mod tests {
         let (mut s, a) = space_with_map(2 * PAGE_SIZE as u64);
         s.mark_missing(a.page_index()).unwrap();
         s.munmap(a).unwrap();
-        assert_eq!(s.missing_pages(), 0);
+        assert_eq!(s.missing.len() as u64, 0);
     }
 
     #[test]

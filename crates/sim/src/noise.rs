@@ -50,11 +50,6 @@ impl Noise {
         }
     }
 
-    /// Creates a disabled noise source (factor is always exactly 1.0).
-    pub fn disabled() -> Self {
-        Noise::new(0, 0.0)
-    }
-
     /// Draws a standard-normal variate via Box-Muller.
     fn standard_normal(&mut self) -> f64 {
         if let Some(z) = self.spare.take() {
@@ -106,7 +101,7 @@ mod tests {
 
     #[test]
     fn disabled_noise_is_identity() {
-        let mut n = Noise::disabled();
+        let mut n = Noise::new(0, 0.0);
         assert_eq!(n.factor(), 1.0);
         let d = SimDuration::from_millis(7);
         assert_eq!(n.jitter(d), d);

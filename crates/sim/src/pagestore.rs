@@ -35,16 +35,6 @@ impl SharedPageStore {
         Arc::clone(self.frames.entry(hash).or_insert_with(|| Arc::new(make())))
     }
 
-    /// Number of distinct frames resident in the pool.
-    pub fn frame_count(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Returns `true` if no frames are resident.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
     /// Bytes of unique page content resident in the pool.
     pub fn resident_bytes(&self) -> u64 {
         (self.frames.len() * PAGE_SIZE) as u64
@@ -84,7 +74,7 @@ mod tests {
         let a = store.get_or_insert(42, || page(1));
         let b = store.get_or_insert(42, || panic!("must not rebuild"));
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(store.frame_count(), 1);
+        assert_eq!(store.frames.len(), 1);
         assert_eq!(store.resident_bytes(), PAGE_SIZE as u64);
         assert_eq!(store.external_refs(), 2);
     }
@@ -95,14 +85,14 @@ mod tests {
         let held = store.get_or_insert(1, || page(1));
         let dropped = store.get_or_insert(2, || page(2));
         drop(dropped);
-        assert_eq!(store.frame_count(), 2);
+        assert_eq!(store.frames.len(), 2);
         assert_eq!(store.reclaim(), 1);
-        assert_eq!(store.frame_count(), 1);
+        assert_eq!(store.frames.len(), 1);
         assert!(store.frames.contains_key(&1));
         assert!(!store.frames.contains_key(&2));
         drop(held);
         assert_eq!(store.reclaim(), 1);
-        assert!(store.is_empty());
+        assert!(store.frames.is_empty());
         assert_eq!(store.external_refs(), 0);
     }
 }

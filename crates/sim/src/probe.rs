@@ -59,11 +59,6 @@ pub enum ProbeKind {
 }
 
 impl ProbeKind {
-    /// Marker constructor.
-    pub fn marker(name: impl Into<String>) -> ProbeKind {
-        ProbeKind::Marker(name.into())
-    }
-
     /// Returns the marker name if this is a marker event.
     pub fn as_marker(&self) -> Option<&str> {
         match self {
@@ -154,7 +149,7 @@ mod tests {
 
     #[test]
     fn kind_accessors() {
-        let m = ProbeKind::marker("ready");
+        let m = ProbeKind::Marker("ready".into());
         assert_eq!(m.as_marker(), Some("ready"));
         assert_eq!(m.as_enter(), None);
 
@@ -189,7 +184,7 @@ mod tests {
             ProbeEvent {
                 time: at,
                 pid,
-                kind: ProbeKind::marker("ready"),
+                kind: ProbeKind::Marker("ready".into()),
             },
             ProbeEvent {
                 time: at,

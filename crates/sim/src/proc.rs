@@ -193,11 +193,6 @@ impl FdTable {
         Ok(())
     }
 
-    /// Removes a descriptor, returning its entry.
-    pub(crate) fn remove(&mut self, fd: i32) -> SysResult<FdEntry> {
-        self.entries.remove(&fd).ok_or(Errno::Ebadf)
-    }
-
     /// Iterates `(fd, entry)` pairs in descriptor order.
     pub fn iter(&self) -> impl Iterator<Item = (i32, &FdEntry)> {
         self.entries.iter().map(|(fd, e)| (*fd, e))
@@ -313,26 +308,6 @@ mod tests {
         );
         // allocator continues after the fixed insert
         assert_eq!(t.insert(FdEntry::PipeRead { pipe: 0 }), 8);
-    }
-
-    #[test]
-    fn fd_remove_and_get() {
-        let mut t = FdTable::new();
-        let fd = t.insert(FdEntry::File {
-            path: "/f".into(),
-            offset: 0,
-        });
-        assert!(t.entries.contains_key(&fd));
-        let entry = t.remove(fd).unwrap();
-        assert_eq!(
-            entry,
-            FdEntry::File {
-                path: "/f".into(),
-                offset: 0
-            }
-        );
-        assert_eq!(t.remove(fd).unwrap_err(), Errno::Ebadf);
-        assert!(t.entries.is_empty());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! allocating, and every other operation on a `NONE` id returns
 //! immediately. Probe events recorded while a span is open are attached
 //! to the innermost open span as *annotations*, preserving the exact
-//! event stream inside the tree (see [`probe_events`]).
+//! event stream inside the tree.
 //!
 //! Two exporters consume a recorded tree:
 //!
@@ -195,16 +195,6 @@ impl Tracer {
         self.stack.clear();
         std::mem::take(&mut self.spans)
     }
-}
-
-/// Reconstructs the flat, time-ordered probe stream from a span tree's
-/// annotations — the inverse of the kernel attaching each probe to the
-/// innermost open span. Feeding the result to `PhaseTracker` reproduces
-/// the phase decomposition the raw trace would give.
-pub fn probe_events(spans: &[TraceSpan]) -> Vec<ProbeEvent> {
-    let mut events: Vec<ProbeEvent> = spans.iter().flat_map(|s| s.events.clone()).collect();
-    events.sort_by_key(|e| e.time);
-    events
 }
 
 /// Human/Perfetto-readable label for an annotation event.
@@ -488,7 +478,7 @@ mod tests {
         let ev = |us| ProbeEvent {
             time: at(us),
             pid: Pid(2),
-            kind: ProbeKind::marker("m"),
+            kind: ProbeKind::Marker("m".into()),
         };
         t.annotate(ev(1));
         let child = t.begin("child", Pid(1), at(2));
@@ -499,9 +489,6 @@ mod tests {
         let spans = t.take(at(6));
         assert_eq!(spans[0].events.len(), 2);
         assert_eq!(spans[1].events.len(), 1);
-        let flat = probe_events(&spans);
-        assert_eq!(flat.len(), 3);
-        assert!(flat.windows(2).all(|w| w[0].time <= w[1].time));
     }
 
     #[test]
@@ -536,7 +523,10 @@ mod tests {
             "enter:clone"
         );
         assert_eq!(probe_label(&ProbeKind::SyscallExit("clone")), "exit:clone");
-        assert_eq!(probe_label(&ProbeKind::marker("ready")), "marker:ready");
+        assert_eq!(
+            probe_label(&ProbeKind::Marker("ready".into())),
+            "marker:ready"
+        );
         assert_eq!(
             probe_label(&ProbeKind::PageFault { major: true }),
             "fault:major"

@@ -34,7 +34,6 @@ pub struct UffdBackend {
     log: Vec<u64>,
     major_faults: u64,
     minor_faults: u64,
-    fallback_faults: u64,
     fault_around: usize,
 }
 
@@ -60,21 +59,6 @@ impl UffdBackend {
     /// Whether `page_index` is served from the fallback layer.
     pub(crate) fn is_fallback(&self, page_index: u64) -> bool {
         self.fallback.contains(&page_index)
-    }
-
-    /// Number of withheld pages that live in the fallback layer.
-    pub fn fallback_len(&self) -> usize {
-        self.fallback.len()
-    }
-
-    /// Notes `n` faults served from the fallback layer.
-    pub(crate) fn note_fallback(&mut self, n: u64) {
-        self.fallback_faults += n;
-    }
-
-    /// Faults served from the fallback layer so far.
-    pub(crate) fn fallback_faults(&self) -> u64 {
-        self.fallback_faults
     }
 
     /// Looks up a withheld page.
@@ -172,11 +156,8 @@ mod tests {
         b.insert_fallback_page(2, Page::from_bytes(&[7u8; PAGE_SIZE]));
         assert!(!b.is_fallback(1));
         assert!(b.is_fallback(2));
-        assert_eq!(b.fallback_len(), 1);
         assert_eq!(b.len(), 2, "fallback pages are still withheld pages");
         assert_eq!(b.page(2).unwrap().bytes()[0], 7);
-        b.note_fallback(3);
-        assert_eq!(b.fallback_faults(), 3);
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn replay(ops: &[(u8, usize)]) -> Vec<Vec<TraceSpan>> {
                 tracer.annotate(ProbeEvent {
                     time: t,
                     pid: Pid(2),
-                    kind: ProbeKind::marker("tick"),
+                    kind: ProbeKind::Marker("tick".into()),
                 });
             }
             _ => {

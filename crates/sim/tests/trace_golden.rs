@@ -14,7 +14,7 @@ fn ns(n: u64) -> SimInstant {
 
 /// The tree every assertion below runs against: a `startup` root with a
 /// `sys_clone` child, bracketed by enter/exit probe annotations.
-fn sample_tree() -> Vec<prebake_sim::TraceSpan> {
+fn sample_tree() -> Vec<prebake_sim::trace::TraceSpan> {
     let mut t = Tracer::new();
     t.set_enabled(true);
     let root = t.begin("startup", Pid(1), ns(1_500));

@@ -94,46 +94,6 @@ pub fn median_ci(data: &[f64], resamples: usize, level: f64, seed: u64) -> ConfI
     bootstrap_ci(data, median, resamples, level, seed)
 }
 
-/// Percentile-bootstrap CI of the difference of medians
-/// `median(a) - median(b)` between two independent samples (the paper's
-/// "median difference was \[40.35, 42.29\] ms" analysis).
-///
-/// # Panics
-///
-/// Panics on empty inputs or invalid `resamples`/`level`.
-pub fn median_diff_ci(
-    a: &[f64],
-    b: &[f64],
-    resamples: usize,
-    level: f64,
-    seed: u64,
-) -> ConfInterval {
-    assert!(!a.is_empty() && !b.is_empty(), "bootstrap of empty sample");
-    assert!(resamples > 0, "bootstrap needs at least one resample");
-    assert!(level > 0.0 && level < 1.0, "level must be in (0,1)");
-
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut stats = Vec::with_capacity(resamples);
-    let mut ra = vec![0.0; a.len()];
-    let mut rb = vec![0.0; b.len()];
-    for _ in 0..resamples {
-        for slot in ra.iter_mut() {
-            *slot = a[rng.gen_range(0..a.len())];
-        }
-        for slot in rb.iter_mut() {
-            *slot = b[rng.gen_range(0..b.len())];
-        }
-        stats.push(median(&ra) - median(&rb));
-    }
-    stats.sort_by(|x, y| x.partial_cmp(y).expect("NaN statistic"));
-    let alpha = (1.0 - level) / 2.0;
-    ConfInterval {
-        lo: crate::summary::quantile_sorted(&stats, alpha),
-        hi: crate::summary::quantile_sorted(&stats, 1.0 - alpha),
-        level,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,23 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn median_diff_ci_detects_separation() {
-        let a = sample(4, 200, 100.0, 5.0);
-        let b = sample(5, 200, 60.0, 5.0);
-        let ci = median_diff_ci(&a, &b, 1000, 0.95, 3);
-        assert!(ci.lo > 30.0 && ci.hi < 50.0, "{ci}");
-        assert!(!ci.contains(0.0), "clearly separated medians");
-    }
-
-    #[test]
-    fn median_diff_ci_covers_zero_for_same_distribution() {
-        let a = sample(6, 200, 70.0, 8.0);
-        let b = sample(7, 200, 70.0, 8.0);
-        let ci = median_diff_ci(&a, &b, 1000, 0.95, 3);
-        assert!(ci.contains(0.0), "{ci}");
-    }
-
-    #[test]
     fn interval_predicates() {
         let a = ConfInterval {
             lo: 1.0,
@@ -225,7 +168,8 @@ mod tests {
     #[test]
     fn custom_statistic_bootstrap() {
         let data = sample(8, 150, 5.0, 1.0);
-        let ci = bootstrap_ci(&data, crate::summary::mean, 1000, 0.95, 11);
-        assert!(ci.contains(crate::summary::mean(&data)));
+        let mean = |d: &[f64]| d.iter().sum::<f64>() / d.len() as f64;
+        let ci = bootstrap_ci(&data, mean, 1000, 0.95, 11);
+        assert!(ci.contains(mean(&data)));
     }
 }

@@ -56,16 +56,6 @@ impl Ecdf {
         self.sorted[k - 1]
     }
 
-    /// The step points `(x, F(x))` of the ECDF, suitable for plotting.
-    pub fn points(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len() as f64;
-        self.sorted
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| (x, (i + 1) as f64 / n))
-            .collect()
-    }
-
     /// The two-sample Kolmogorov–Smirnov statistic
     /// `sup_x |F_self(x) - F_other(x)|`.
     pub fn ks_distance(&self, other: &Ecdf) -> f64 {
@@ -116,15 +106,6 @@ mod tests {
     #[should_panic(expected = "p in (0,1]")]
     fn inverse_rejects_zero() {
         Ecdf::new(&[1.0]).inverse(0.0);
-    }
-
-    #[test]
-    fn points_cover_unit_interval() {
-        let e = Ecdf::new(&[5.0, 1.0, 3.0]);
-        let pts = e.points();
-        assert_eq!(pts.len(), 3);
-        assert_eq!(pts[0], (1.0, 1.0 / 3.0));
-        assert_eq!(pts[2], (5.0, 1.0));
     }
 
     #[test]

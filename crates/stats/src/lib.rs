@@ -3,9 +3,9 @@
 //! The statistical machinery the paper's evaluation uses, implemented
 //! from scratch:
 //!
-//! - [`summary`] — medians, quantiles (R type 7), five-number summaries
-//! - [`bootstrap`] — percentile bootstrap CIs of the median and of median
-//!   differences (Efron & Tibshirani), seeded for determinism
+//! - [`summary`] — medians and quantiles (R type 7)
+//! - [`bootstrap`] — percentile bootstrap CIs of the median (Efron &
+//!   Tibshirani), seeded for determinism
 //! - [`shapiro`] — the Shapiro–Wilk normality test (Royston AS R94)
 //! - [`mannwhitney`] — the Wilcoxon–Mann–Whitney U test with tie and
 //!   continuity corrections, plus the Hodges–Lehmann shift estimator
@@ -37,9 +37,3 @@ pub mod mannwhitney;
 pub mod normal;
 pub mod shapiro;
 pub mod summary;
-
-pub use bootstrap::{bootstrap_ci, median_ci, median_diff_ci, ConfInterval};
-pub use ecdf::Ecdf;
-pub use mannwhitney::{hodges_lehmann, mann_whitney, MannWhitney};
-pub use shapiro::{shapiro_wilk, ShapiroWilk};
-pub use summary::{median, quantile, std_dev, Summary};

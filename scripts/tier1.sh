@@ -5,10 +5,14 @@ set -u
 
 fail=0
 
+# Runs one step; its wall seconds are recorded, not gated (shared
+# runners are too noisy for a time bound).
 run() {
+  local started=$SECONDS
   echo "==> $*"
   "$@" 2>&1 | tail -n 40
   local status=${PIPESTATUS[0]}
+  echo "    took $((SECONDS - started)) s"
   if [ "$status" -ne 0 ]; then
     echo "FAILED ($status): $*"
     fail=1
@@ -70,9 +74,12 @@ run cargo fmt --all --check
 # No `#[allow(dead_code)]` or `#[allow(unused...)]` anywhere, so the
 # clippy step's dead-code lint keeps seeing every item.
 run bash -c "! grep -rnE 'allow\((dead_code|unused)' crates src tests examples"
+# No `pub` item that only tests name (see the script for its allowlist).
+run scripts/test_only_audit.sh
 run cargo clippy --workspace --all-targets -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+echo "tier-1 took $SECONDS s"
 if [ "$fail" -ne 0 ]; then
   echo "tier-1: FAILED"
   exit 1

@@ -4,7 +4,7 @@
 
 use prebake_core::measure::{StartMode, TrialRunner};
 use prebake_functions::FunctionSpec;
-use prebake_stats::summary::{median, std_dev};
+use prebake_stats::summary::median;
 
 #[test]
 fn identical_seeds_identical_trials() {
@@ -28,7 +28,9 @@ fn different_seeds_jitter_within_noise_band() {
         .map(|s| runner.startup_trial(s).unwrap().startup_ms)
         .collect();
     let m = median(&samples);
-    let sd = std_dev(&samples);
+    let n = samples.len() as f64;
+    let mean = samples.iter().sum::<f64>() / n;
+    let sd = (samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0)).sqrt();
     // Measurement noise is small (±1.5% per op) but strictly nonzero.
     assert!(sd > 0.0, "noise must produce variation");
     assert!(
@@ -54,5 +56,4 @@ fn function_specs_are_reproducible() {
     let a = FunctionSpec::synthetic(prebake_functions::SyntheticSize::Small);
     let b = FunctionSpec::synthetic(prebake_functions::SyntheticSize::Small);
     assert_eq!(a.archive().encode(), b.archive().encode());
-    assert_eq!(a.class_names(), b.class_names());
 }

@@ -98,7 +98,7 @@ fn runtime_state_record_survives_restore() {
     assert_eq!(attached.state(), &expected_state);
     assert_eq!(
         attached.state().classes.len(),
-        dep.spec.class_names().len(),
+        dep.spec.archive().len(),
         "every class the warm-up loaded is present after restore"
     );
     assert!(attached.state().classes.iter().all(|c| c.jitted));
@@ -135,7 +135,7 @@ fn warm_restored_replica_skips_all_loading() {
         .handle(&mut kernel, &dep.spec.sample_request())
         .unwrap();
     let elapsed = (kernel.now() - t0).as_millis_f64();
-    assert!(resp.is_success());
+    assert_eq!(resp.status, 200);
     assert!(
         elapsed < 5.0,
         "first request after warm restore took {elapsed}ms"

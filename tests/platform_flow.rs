@@ -2,7 +2,6 @@
 //! mixed functions and traffic over one gateway.
 
 use prebake_functions::FunctionSpec;
-use prebake_platform::loadgen;
 use prebake_platform::openfaas::{FaasGateway, ProviderConfig};
 use prebake_platform::platform::PlatformConfig;
 use prebake_runtime::http::Request;
@@ -82,15 +81,10 @@ fn constant_rate_trace_keeps_single_replica_busy() {
     gw.push(image);
     gw.deploy("noop").unwrap();
 
-    loadgen::constant_rate(
-        gw.platform_mut(),
-        "noop",
-        50,
-        SimInstant::EPOCH,
-        SimDuration::from_millis(200),
-        |_| Request::empty(),
-    )
-    .unwrap();
+    for i in 0..50 {
+        let at = SimInstant::EPOCH + SimDuration::from_millis(200 * i);
+        gw.invoke_at(at, "noop", Request::empty()).unwrap();
+    }
     gw.run().unwrap();
 
     assert_eq!(gw.platform().completed().len(), 50);
@@ -147,5 +141,8 @@ fn registry_versioning_through_gateway() {
     let image = gw.build(&project).unwrap();
     assert_eq!(gw.push(image), 2, "new build bumps the version");
     gw.deploy("noop").unwrap();
-    assert!(gw.registry().pull("noop").unwrap().is_prebaked());
+    // The deployed version is the prebaked build: its cold start
+    // restores instead of booting.
+    let cold_ms = gw.invoke_and_wait("noop", Request::empty()).unwrap();
+    assert!(cold_ms < 90.0, "prebaked cold start {cold_ms}ms");
 }
