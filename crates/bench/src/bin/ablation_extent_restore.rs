@@ -152,7 +152,7 @@ fn main() {
     json.push_str("  ],\n  \"fault_around\": [\n");
     let mut majors_by_window = Vec::new();
     for (wi, window) in WINDOWS.into_iter().enumerate() {
-        let runner = TrialRunner::new(big.clone(), StartMode::PrebakeLazy(1))
+        let runner = TrialRunner::new(big.clone(), StartMode::PrebakeLazy)
             .expect("runner")
             .fault_around(window);
         let t = run(&runner, reps, args.seed);

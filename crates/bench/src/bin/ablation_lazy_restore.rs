@@ -85,7 +85,7 @@ fn main() {
             if size == SyntheticSize::Big {
                 match mode {
                     StartMode::PrebakeWarmup(_) => big_eager_p50 = p50,
-                    StartMode::PrebakePrefetch(_) => big_prefetch_p50 = p50,
+                    StartMode::PrebakePrefetch => big_prefetch_p50 = p50,
                     _ => {}
                 }
             }

@@ -4,7 +4,7 @@
 //! speed up snapshot restore" (citing the fast in-memory CRIU work).
 //! This harness compares full prebaked start-up when the restorer reads
 //! image files from the (page-cache-warm) filesystem versus restoring
-//! from a host-resident [`ImageSet`] — the `prebake_criu::ImageCache`
+//! from a host-resident `ImageSet` — the `prebake_criu::ImageCache`
 //! path. The gap should scale with snapshot size (≈0.3 ms/MiB of image
 //! read), making the Image Resizer the big winner.
 
@@ -14,7 +14,7 @@ use prebake_core::env::{
 };
 use prebake_core::prebaker::{bake, SnapshotPolicy};
 use prebake_core::starter::{PrebakeStarter, Starter};
-use prebake_criu::{restore_set, ImageSet, RestoreOptions};
+use prebake_criu::{read_images, restore_set, RestoreOptions};
 use prebake_functions::FunctionSpec;
 use prebake_runtime::Replica;
 use prebake_sim::kernel::Kernel;
@@ -49,7 +49,8 @@ fn main() {
         )
         .expect("bake");
         let files = export_images(&mut builder_kernel, &dep.images_dir()).expect("export images");
-        let set = ImageSet::parse_files(&files).expect("parse images");
+        // Read on the builder machine, whose clock nothing reads again.
+        let set = read_images(&mut builder_kernel, &dep.images_dir()).expect("read images");
 
         let mut fs_samples = Vec::with_capacity(reps);
         let mut mem_samples = Vec::with_capacity(reps);

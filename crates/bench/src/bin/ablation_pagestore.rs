@@ -20,8 +20,8 @@ use prebake_core::measure::{StartMode, TrialRunner};
 use prebake_core::prebaker::{bake, SnapshotPolicy};
 use prebake_criu::cache::ImageCache;
 use prebake_criu::image::ImageSet;
-use prebake_criu::restore::{restore_set, RestoreMode, RestoreOptions, RestorePid};
-use prebake_criu::{read_images, CriuCosts};
+use prebake_criu::read_images;
+use prebake_criu::restore::{restore_set, RestoreMode, RestoreOptions};
 use prebake_functions::{FunctionSpec, SyntheticSize};
 use prebake_sim::kernel::Kernel;
 use prebake_sim::proc::Pid;
@@ -91,7 +91,7 @@ fn main() {
             if size == SyntheticSize::Big {
                 match mode {
                     StartMode::PrebakeWarmup(_) => big_eager_p50 = p50,
-                    StartMode::PrebakeCow(_) => {
+                    StartMode::PrebakeCow => {
                         big_cow_p50 = p50;
                         big_cow_breaks = t0.cow_breaks();
                     }
@@ -182,15 +182,7 @@ fn main() {
         let mut p50 = Vec::new();
         for mode in [RestoreMode::Eager, RestoreMode::Cow] {
             let (mut kernel, watchdog, set) = baked_set(&big);
-            let opts = RestoreOptions {
-                images_dir: String::new(),
-                pid: RestorePid::Fresh,
-                mode,
-                costs: CriuCosts::paper_calibrated(),
-                vectored: true,
-                fault_around: 1,
-                threads: 1,
-            };
+            let opts = RestoreOptions::with_mode("", mode);
             let mut pids = Vec::new();
             let mut elapsed = Vec::new();
             for _ in 0..n {

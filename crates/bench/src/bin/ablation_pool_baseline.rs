@@ -52,7 +52,7 @@ fn main() {
         },
         Scenario {
             name: "prebake",
-            template: Template::java11_criu_warm(1),
+            template: Template::java11_criu_warm(),
             min_warm_pool: 0,
         },
         Scenario {

@@ -153,8 +153,8 @@ fn main() {
         "layout", "p50", "p95", "streamed"
     );
     hr();
-    let dump_runner = TrialRunner::new(big.clone(), StartMode::PrebakePrefetch(1)).expect("runner");
-    let ordered_runner = TrialRunner::new(big.clone(), StartMode::PrebakePrefetch(1))
+    let dump_runner = TrialRunner::new(big.clone(), StartMode::PrebakePrefetch).expect("runner");
+    let ordered_runner = TrialRunner::new(big.clone(), StartMode::PrebakePrefetch)
         .expect("runner")
         .fault_order()
         .expect("repack");

@@ -59,7 +59,7 @@ fn main() {
     for concurrency in [1usize, 2, 4, 8, 16] {
         let (v50, vmax) = run(&Template::java11(), concurrency, tenants, args.seed);
         let (p50, pmax) = run(
-            &Template::java11_criu_warm(1),
+            &Template::java11_criu_warm(),
             concurrency,
             tenants,
             args.seed,

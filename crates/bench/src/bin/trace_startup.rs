@@ -24,8 +24,8 @@ fn modes() -> [StartMode; 4] {
     [
         StartMode::Vanilla,
         StartMode::PrebakeWarmup(1),
-        StartMode::PrebakeLazy(1),
-        StartMode::PrebakeCow(1),
+        StartMode::PrebakeLazy,
+        StartMode::PrebakeCow,
     ]
 }
 

@@ -34,24 +34,24 @@ pub enum StartMode {
     /// Restore a snapshot taken after `n` warm-up requests (PB-Warmup;
     /// the paper uses 1).
     PrebakeWarmup(u32),
-    /// Restore the `n`-warm-up snapshot lazily: the address space maps
+    /// Restore the 1-warm-up snapshot lazily: the address space maps
     /// empty and every page demand-faults on first touch
-    /// (`prebake-lazy`, no prefetch). `n = 0` bakes after readiness.
-    PrebakeLazy(u32),
-    /// Restore the `n`-warm-up snapshot with working-set prefetch: bake
+    /// (`prebake-lazy`, no prefetch).
+    PrebakeLazy,
+    /// Restore the 1-warm-up snapshot with working-set prefetch: bake
     /// records the first invocation's fault order as `ws.img`, restores
     /// bulk-load exactly those pages and demand-fault the rest
-    /// (`prebake-lazy`, REAP-style). `n = 0` bakes after readiness.
-    PrebakePrefetch(u32),
-    /// Restore the `n`-warm-up snapshot copy-on-write from the machine's
+    /// (`prebake-lazy`, REAP-style).
+    PrebakePrefetch,
+    /// Restore the 1-warm-up snapshot copy-on-write from the machine's
     /// content-addressed page store: every stored page is mapped as a
     /// shared frame, replicas pay the copy only on first write
-    /// (`pagestore.img`). `n = 0` bakes after readiness.
-    PrebakeCow(u32),
+    /// (`pagestore.img`).
+    PrebakeCow,
     /// As [`StartMode::PrebakeCow`] for the recorded working set, with
     /// residual pages left behind the fault handler as in
-    /// [`StartMode::PrebakePrefetch`]. `n = 0` bakes after readiness.
-    PrebakeCowPrefetch(u32),
+    /// [`StartMode::PrebakePrefetch`].
+    PrebakeCowPrefetch,
 }
 
 impl StartMode {
@@ -61,14 +61,10 @@ impl StartMode {
             StartMode::Vanilla => None,
             StartMode::PrebakeNoWarmup => Some(SnapshotPolicy::AfterReady),
             StartMode::PrebakeWarmup(n) => Some(SnapshotPolicy::AfterWarmup(*n)),
-            StartMode::PrebakeLazy(n)
-            | StartMode::PrebakePrefetch(n)
-            | StartMode::PrebakeCow(n)
-            | StartMode::PrebakeCowPrefetch(n) => Some(if *n == 0 {
-                SnapshotPolicy::AfterReady
-            } else {
-                SnapshotPolicy::AfterWarmup(*n)
-            }),
+            StartMode::PrebakeLazy
+            | StartMode::PrebakePrefetch
+            | StartMode::PrebakeCow
+            | StartMode::PrebakeCowPrefetch => Some(SnapshotPolicy::AfterWarmup(1)),
         }
     }
 
@@ -77,10 +73,10 @@ impl StartMode {
         match self {
             StartMode::Vanilla => None,
             StartMode::PrebakeNoWarmup | StartMode::PrebakeWarmup(_) => Some(RestoreMode::Eager),
-            StartMode::PrebakeLazy(_) => Some(RestoreMode::Lazy),
-            StartMode::PrebakePrefetch(_) => Some(RestoreMode::Prefetch),
-            StartMode::PrebakeCow(_) => Some(RestoreMode::Cow),
-            StartMode::PrebakeCowPrefetch(_) => Some(RestoreMode::CowPrefetch),
+            StartMode::PrebakeLazy => Some(RestoreMode::Lazy),
+            StartMode::PrebakePrefetch => Some(RestoreMode::Prefetch),
+            StartMode::PrebakeCow => Some(RestoreMode::Cow),
+            StartMode::PrebakeCowPrefetch => Some(RestoreMode::CowPrefetch),
         }
     }
 
@@ -96,14 +92,10 @@ impl StartMode {
             StartMode::PrebakeNoWarmup => "pb-nowarmup".to_owned(),
             StartMode::PrebakeWarmup(1) => "pb-warmup".to_owned(),
             StartMode::PrebakeWarmup(n) => format!("pb-warmup-{n}"),
-            StartMode::PrebakeLazy(1) => "pb-lazy".to_owned(),
-            StartMode::PrebakeLazy(n) => format!("pb-lazy-{n}"),
-            StartMode::PrebakePrefetch(1) => "pb-prefetch".to_owned(),
-            StartMode::PrebakePrefetch(n) => format!("pb-prefetch-{n}"),
-            StartMode::PrebakeCow(1) => "pb-cow".to_owned(),
-            StartMode::PrebakeCow(n) => format!("pb-cow-{n}"),
-            StartMode::PrebakeCowPrefetch(1) => "pb-cow-prefetch".to_owned(),
-            StartMode::PrebakeCowPrefetch(n) => format!("pb-cow-prefetch-{n}"),
+            StartMode::PrebakeLazy => "pb-lazy".to_owned(),
+            StartMode::PrebakePrefetch => "pb-prefetch".to_owned(),
+            StartMode::PrebakeCow => "pb-cow".to_owned(),
+            StartMode::PrebakeCowPrefetch => "pb-cow-prefetch".to_owned(),
         }
     }
 
@@ -122,8 +114,8 @@ impl StartMode {
     pub fn lazy_ablation() -> [StartMode; 3] {
         [
             StartMode::PrebakeWarmup(1),
-            StartMode::PrebakeLazy(1),
-            StartMode::PrebakePrefetch(1),
+            StartMode::PrebakeLazy,
+            StartMode::PrebakePrefetch,
         ]
     }
 
@@ -133,8 +125,8 @@ impl StartMode {
     pub fn cow_ablation() -> [StartMode; 3] {
         [
             StartMode::PrebakeWarmup(1),
-            StartMode::PrebakeCow(1),
-            StartMode::PrebakeCowPrefetch(1),
+            StartMode::PrebakeCow,
+            StartMode::PrebakeCowPrefetch,
         ]
     }
 }
@@ -365,41 +357,7 @@ impl TrialRunner {
     ///
     /// Propagates kernel/runtime errors.
     pub fn startup_trial(&self, seed: u64) -> SysResult<StartupTrial> {
-        let (mut kernel, watchdog, dep) = self.setup(seed)?;
-        let t0 = kernel.now();
-        let Started {
-            mut replica,
-            startup,
-            phases,
-            trace,
-            restore,
-            ..
-        } = self.starter().start(&mut kernel, watchdog, &dep)?;
-
-        // First request (held until readiness by the load generator),
-        // traced too: lazy modes take their demand faults here.
-        kernel.set_tracing(true);
-        let req = dep.spec.sample_request();
-        replica.handle(&mut kernel, &req)?;
-        let first_response = kernel.now() - t0;
-        let request_trace = kernel.take_trace();
-        kernel.set_tracing(false);
-
-        let mut probes = ProbeCounters::from_events(&trace);
-        probes.merge(&ProbeCounters::from_events(&request_trace));
-
-        Ok(StartupTrial {
-            startup_ms: startup.as_millis_f64(),
-            first_response_ms: first_response.as_millis_f64(),
-            phases,
-            snapshot_bytes: self.snapshot_bytes,
-            pages_stored: self.pages_stored,
-            pages_unique: self.pages_unique,
-            probes,
-            restore_shards: restore.as_ref().map_or(0, |r| r.shards),
-            seek_bytes_avoided: restore.as_ref().map_or(0, |r| r.seek_bytes_avoided),
-            pages_compacted: restore.as_ref().map_or(0, |r| r.pages_compacted),
-        })
+        Ok(self.trial(seed, false)?.0)
     }
 
     /// As [`TrialRunner::startup_trial`], additionally recording the
@@ -416,8 +374,17 @@ impl TrialRunner {
     ///
     /// Propagates kernel/runtime errors.
     pub fn traced_trial(&self, seed: u64) -> SysResult<(StartupTrial, Vec<TraceSpan>)> {
+        self.trial(seed, true)
+    }
+
+    /// The one trial body: start, serve the first request, fold the
+    /// probes. Span recording is on only when `spans` is; otherwise the
+    /// span brackets are no-ops and the returned trees are empty.
+    fn trial(&self, seed: u64, spans: bool) -> SysResult<(StartupTrial, Vec<TraceSpan>)> {
         let (mut kernel, watchdog, dep) = self.setup(seed)?;
-        kernel.set_span_tracing(true);
+        if spans {
+            kernel.set_span_tracing(true);
+        }
         let t0 = kernel.now();
         let Started {
             mut replica,
@@ -428,6 +395,8 @@ impl TrialRunner {
             restore,
         } = self.starter().start(&mut kernel, watchdog, &dep)?;
 
+        // First request (held until readiness by the load generator),
+        // traced too: lazy modes take their demand faults here.
         kernel.set_tracing(true);
         let root = kernel.span_begin("first_request", replica.pid());
         let req = dep.spec.sample_request();
@@ -436,8 +405,10 @@ impl TrialRunner {
         let first_response = kernel.now() - t0;
         let request_trace = kernel.take_trace();
         kernel.set_tracing(false);
-        all_spans.extend(kernel.take_spans());
-        kernel.set_span_tracing(false);
+        if spans {
+            all_spans.extend(kernel.take_spans());
+            kernel.set_span_tracing(false);
+        }
 
         let mut probes = ProbeCounters::from_events(&trace);
         probes.merge(&ProbeCounters::from_events(&request_trace));
@@ -519,59 +490,43 @@ mod tests {
 
     #[test]
     fn lazy_mode_labels_policies_and_restore_modes() {
-        assert_eq!(StartMode::PrebakeLazy(1).label(), "pb-lazy");
-        assert_eq!(StartMode::PrebakeLazy(2).label(), "pb-lazy-2");
-        assert_eq!(StartMode::PrebakePrefetch(1).label(), "pb-prefetch");
-        assert_eq!(StartMode::PrebakePrefetch(0).label(), "pb-prefetch-0");
-        assert_eq!(
-            StartMode::PrebakeLazy(0).policy(),
-            Some(SnapshotPolicy::AfterReady)
-        );
-        assert_eq!(
-            StartMode::PrebakePrefetch(2).policy(),
-            Some(SnapshotPolicy::AfterWarmup(2))
-        );
+        assert_eq!(StartMode::PrebakeLazy.label(), "pb-lazy");
+        assert_eq!(StartMode::PrebakePrefetch.label(), "pb-prefetch");
+        for mode in StartMode::lazy_ablation() {
+            assert_eq!(mode.policy(), Some(SnapshotPolicy::AfterWarmup(1)));
+        }
         assert_eq!(
             StartMode::PrebakeWarmup(1).restore_mode(),
             Some(RestoreMode::Eager)
         );
         assert_eq!(
-            StartMode::PrebakeLazy(1).restore_mode(),
+            StartMode::PrebakeLazy.restore_mode(),
             Some(RestoreMode::Lazy)
         );
         assert_eq!(
-            StartMode::PrebakePrefetch(1).restore_mode(),
+            StartMode::PrebakePrefetch.restore_mode(),
             Some(RestoreMode::Prefetch)
         );
         assert!(StartMode::Vanilla.restore_mode().is_none());
-        assert!(StartMode::PrebakePrefetch(1).needs_working_set());
-        assert!(!StartMode::PrebakeLazy(1).needs_working_set());
+        assert!(StartMode::PrebakePrefetch.needs_working_set());
+        assert!(!StartMode::PrebakeLazy.needs_working_set());
         assert_eq!(StartMode::lazy_ablation().len(), 3);
     }
 
     #[test]
     fn cow_mode_labels_policies_and_restore_modes() {
-        assert_eq!(StartMode::PrebakeCow(1).label(), "pb-cow");
-        assert_eq!(StartMode::PrebakeCow(2).label(), "pb-cow-2");
-        assert_eq!(StartMode::PrebakeCowPrefetch(1).label(), "pb-cow-prefetch");
+        assert_eq!(StartMode::PrebakeCow.label(), "pb-cow");
+        assert_eq!(StartMode::PrebakeCowPrefetch.label(), "pb-cow-prefetch");
+        for mode in StartMode::cow_ablation() {
+            assert_eq!(mode.policy(), Some(SnapshotPolicy::AfterWarmup(1)));
+        }
+        assert_eq!(StartMode::PrebakeCow.restore_mode(), Some(RestoreMode::Cow));
         assert_eq!(
-            StartMode::PrebakeCow(0).policy(),
-            Some(SnapshotPolicy::AfterReady)
-        );
-        assert_eq!(
-            StartMode::PrebakeCowPrefetch(2).policy(),
-            Some(SnapshotPolicy::AfterWarmup(2))
-        );
-        assert_eq!(
-            StartMode::PrebakeCow(1).restore_mode(),
-            Some(RestoreMode::Cow)
-        );
-        assert_eq!(
-            StartMode::PrebakeCowPrefetch(1).restore_mode(),
+            StartMode::PrebakeCowPrefetch.restore_mode(),
             Some(RestoreMode::CowPrefetch)
         );
-        assert!(StartMode::PrebakeCowPrefetch(1).needs_working_set());
-        assert!(!StartMode::PrebakeCow(1).needs_working_set());
+        assert!(StartMode::PrebakeCowPrefetch.needs_working_set());
+        assert!(!StartMode::PrebakeCow.needs_working_set());
         assert_eq!(StartMode::cow_ablation().len(), 3);
     }
 
@@ -579,7 +534,7 @@ mod tests {
     fn cow_trials_report_dedup_and_break_counters() {
         let spec = FunctionSpec::synthetic(SyntheticSize::Small);
         let eager = TrialRunner::new(spec.clone(), StartMode::PrebakeWarmup(1)).unwrap();
-        let cow = TrialRunner::new(spec, StartMode::PrebakeCow(1)).unwrap();
+        let cow = TrialRunner::new(spec, StartMode::PrebakeCow).unwrap();
         let t_e = eager.startup_trial(1).unwrap();
         let t_c = cow.startup_trial(1).unwrap();
 
@@ -620,8 +575,8 @@ mod tests {
     #[test]
     fn prefetch_avoids_the_lazy_modes_major_faults() {
         let spec = FunctionSpec::synthetic(SyntheticSize::Small);
-        let lazy = TrialRunner::new(spec.clone(), StartMode::PrebakeLazy(1)).unwrap();
-        let prefetch = TrialRunner::new(spec, StartMode::PrebakePrefetch(1)).unwrap();
+        let lazy = TrialRunner::new(spec.clone(), StartMode::PrebakeLazy).unwrap();
+        let prefetch = TrialRunner::new(spec, StartMode::PrebakePrefetch).unwrap();
         let t_l = lazy.startup_trial(1).unwrap();
         let t_p = prefetch.startup_trial(1).unwrap();
         assert!(
@@ -666,8 +621,8 @@ mod tests {
     #[test]
     fn fault_around_cuts_lazy_major_faults() {
         let spec = FunctionSpec::synthetic(SyntheticSize::Small);
-        let narrow = TrialRunner::new(spec.clone(), StartMode::PrebakeLazy(1)).unwrap();
-        let wide = TrialRunner::new(spec, StartMode::PrebakeLazy(1))
+        let narrow = TrialRunner::new(spec.clone(), StartMode::PrebakeLazy).unwrap();
+        let wide = TrialRunner::new(spec, StartMode::PrebakeLazy)
             .unwrap()
             .fault_around(16);
         let t_n = narrow.startup_trial(1).unwrap();
@@ -756,8 +711,8 @@ mod tests {
     #[test]
     fn fault_order_layout_streams_the_prefetch_read() {
         let spec = FunctionSpec::synthetic(SyntheticSize::Small);
-        let dump_order = TrialRunner::new(spec.clone(), StartMode::PrebakePrefetch(1)).unwrap();
-        let ordered = TrialRunner::new(spec, StartMode::PrebakePrefetch(1))
+        let dump_order = TrialRunner::new(spec.clone(), StartMode::PrebakePrefetch).unwrap();
+        let ordered = TrialRunner::new(spec, StartMode::PrebakePrefetch)
             .unwrap()
             .fault_order()
             .unwrap();

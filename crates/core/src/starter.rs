@@ -125,9 +125,6 @@ impl Starter for VanillaStarter {
 /// (`prebake-lazy`); prefetch requires a `ws.img` recorded at bake time.
 #[derive(Debug, Clone)]
 pub struct PrebakeStarter {
-    /// Override for the images directory; defaults to
-    /// [`Deployment::images_dir`].
-    pub images_dir: Option<String>,
     /// How restore reinstates memory.
     pub mode: RestoreMode,
     /// Install eager memory run-at-a-time from the snapshot's extent
@@ -146,7 +143,6 @@ pub struct PrebakeStarter {
 impl Default for PrebakeStarter {
     fn default() -> PrebakeStarter {
         PrebakeStarter {
-            images_dir: None,
             mode: RestoreMode::default(),
             vectored: true,
             fault_around: 1,
@@ -156,7 +152,7 @@ impl Default for PrebakeStarter {
 }
 
 impl PrebakeStarter {
-    /// Starts from the deployment's default snapshot directory, eagerly.
+    /// Starts from the deployment's snapshot directory, eagerly.
     pub fn new() -> PrebakeStarter {
         PrebakeStarter::default()
     }
@@ -189,8 +185,7 @@ impl Starter for PrebakeStarter {
         let root = kernel.span_begin("startup", supervisor);
         kernel.span_attr(root, "starter", self.label());
 
-        let dir = self.images_dir.clone().unwrap_or_else(|| dep.images_dir());
-        let mut opts = RestoreOptions::with_mode(&dir, self.mode);
+        let mut opts = RestoreOptions::with_mode(dep.images_dir(), self.mode);
         opts.vectored = self.vectored;
         opts.fault_around = self.fault_around;
         opts.threads = self.threads;

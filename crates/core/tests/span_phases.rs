@@ -14,9 +14,9 @@ fn modes() -> [StartMode; 5] {
     [
         StartMode::Vanilla,
         StartMode::PrebakeWarmup(1),
-        StartMode::PrebakeLazy(1),
-        StartMode::PrebakePrefetch(1),
-        StartMode::PrebakeCow(1),
+        StartMode::PrebakeLazy,
+        StartMode::PrebakePrefetch,
+        StartMode::PrebakeCow,
     ]
 }
 
@@ -84,9 +84,9 @@ fn startup_root_span_carries_the_measured_duration() {
 fn restore_modes_produce_their_signature_spans() {
     let expect = [
         (StartMode::PrebakeWarmup(1), "restore_eager_copy"),
-        (StartMode::PrebakeLazy(1), "restore_lazy_register"),
-        (StartMode::PrebakePrefetch(1), "restore_lazy_register"),
-        (StartMode::PrebakeCow(1), "restore_cow_map"),
+        (StartMode::PrebakeLazy, "restore_lazy_register"),
+        (StartMode::PrebakePrefetch, "restore_lazy_register"),
+        (StartMode::PrebakeCow, "restore_cow_map"),
     ];
     for (mode, wanted) in expect {
         let runner = TrialRunner::new(FunctionSpec::noop(), mode).unwrap();

@@ -121,14 +121,9 @@ pub fn check(kernel: &mut Kernel, images_dir: &str) -> SysResult<CheckReport> {
     // Descriptors: unique fd numbers and listener ports.
     let mut fds = BTreeSet::new();
     let mut ports = BTreeSet::new();
-    for (fd, entry) in &set.files.fds {
-        if !fds.insert(*fd) {
+    for (fd, FdEntry::Listener { port }) in &set.files.fds {
+        if !fds.insert(*fd) || !ports.insert(*port) {
             return Err(Errno::Einval);
-        }
-        if let FdEntry::Listener { port } = entry {
-            if !ports.insert(*port) {
-                return Err(Errno::Einval);
-            }
         }
     }
     if ports.is_empty() {

@@ -14,7 +14,7 @@ use prebake_sim::mem::{VmaKind, PAGE_SIZE};
 use prebake_sim::proc::Pid;
 use prebake_sim::time::SimDuration;
 
-use crate::costs::CriuCosts;
+use crate::costs::{DUMP_PREPARE, PARASITE_INJECT};
 use crate::image::{
     CoreImage, ExtentsImage, FilesImage, ImageSet, MmImage, PageStoreImage, PagesBuilder,
     PagesImage, ThreadImage,
@@ -35,19 +35,16 @@ pub struct DumpOptions {
     /// references instead of payload, shrinking the final image and the
     /// freeze window.
     pub parent: Option<String>,
-    /// Cost table.
-    pub costs: CriuCosts,
 }
 
 impl DumpOptions {
-    /// Paper-calibrated options for a full (non-incremental) dump.
+    /// Options for a full (non-incremental) dump.
     pub fn new(target: Pid, images_dir: impl Into<String>) -> DumpOptions {
         DumpOptions {
             target,
             images_dir: images_dir.into(),
             leave_running: false,
             parent: None,
-            costs: CriuCosts::paper_calibrated(),
         }
     }
 }
@@ -84,19 +81,18 @@ fn collect_images_inner(
     kernel: &mut Kernel,
     tracer: Pid,
     target: Pid,
-    costs: &CriuCosts,
     incremental: bool,
 ) -> SysResult<ImageSet> {
     let span = kernel.span_begin("criu_dump_collect", target);
     // Parasite injection: a scratch mapping plus the blob poke.
     let inject = kernel.span_begin("parasite_inject", target);
-    kernel.charge(costs.parasite_inject);
+    kernel.charge(PARASITE_INJECT);
     let parasite = kernel.remote_mmap(tracer, target, 2 * PAGE_SIZE as u64, VmaKind::Parasite)?;
     let blob: Vec<u8> = (0..512u32).map(|i| (i % 251 + 1) as u8).collect();
     kernel.ptrace_poke(tracer, target, parasite, &blob)?;
     kernel.span_end(inject);
 
-    kernel.charge(costs.dump_prepare);
+    kernel.charge(DUMP_PREPARE);
 
     // Task identity.
     let (comm, cmdline, cap_bits, threads, fds, vmas) = {
@@ -217,7 +213,7 @@ pub fn dump(kernel: &mut Kernel, tracer: Pid, opts: &DumpOptions) -> SysResult<D
     kernel.ptrace_freeze(tracer, target)?;
     let freeze_start = kernel.now();
 
-    let set = collect_images_inner(kernel, tracer, target, &opts.costs, opts.parent.is_some())?;
+    let set = collect_images_inner(kernel, tracer, target, opts.parent.is_some())?;
     let frozen_for = kernel.now() - freeze_start;
 
     // Write the image files (the target could already run again here,
@@ -294,7 +290,7 @@ pub fn pre_dump(kernel: &mut Kernel, tracer: Pid, opts: &DumpOptions) -> SysResu
     kernel.ptrace_seize(tracer, target)?;
     // No freeze: pages are read via the live-task path (the real CRIU
     // uses process_vm_readv + soft-dirty to tolerate concurrent writes).
-    kernel.charge(opts.costs.dump_prepare);
+    kernel.charge(DUMP_PREPARE);
     let vmas: Vec<_> = {
         let proc = kernel.process(target)?;
         proc.mem
@@ -356,8 +352,6 @@ pub struct RepackOptions {
     /// cold start actually touches; faults past it fall through to the
     /// fallback at a charged penalty.
     pub compact: bool,
-    /// Cost table.
-    pub costs: CriuCosts,
 }
 
 impl RepackOptions {
@@ -366,7 +360,6 @@ impl RepackOptions {
         RepackOptions {
             images_dir: images_dir.into(),
             compact: false,
-            costs: CriuCosts::paper_calibrated(),
         }
     }
 }

@@ -15,14 +15,10 @@ use prebake_sim::proc::{FdEntry, Pid, Regs, Tid};
 
 /// Magic prefix of every image file: `"CRIM"`.
 pub(crate) const IMAGE_MAGIC: u32 = 0x4352_494D;
-/// Image format version written by this build. Version 2 added the
-/// fault-order `repack` layout and the compaction fallback layer
-/// (`fallback-pagemap.img`/`fallback-pages.img`); the encoding of every
-/// individual image is unchanged, so readers accept version 1 files —
-/// legacy images restore exactly as before.
+/// Image format version: the only one this build writes or reads.
+/// Version 2 added the fault-order `repack` layout and the compaction
+/// fallback layer (`fallback-pagemap.img`/`fallback-pages.img`).
 pub(crate) const IMAGE_VERSION: u16 = 2;
-/// Oldest image format version readers still accept.
-pub(crate) const IMAGE_VERSION_MIN: u16 = 1;
 /// Bytes before every image body: magic, version and kind tag.
 const HEADER_LEN: usize = 4 + 2 + 1;
 /// Bytes after every image body: the FNV-1a checksum of all before it.
@@ -226,7 +222,7 @@ impl<'a> Reader<'a> {
             return Err(ImageError::BadMagic(magic));
         }
         let version = u16::from_be_bytes(payload[4..6].try_into().unwrap());
-        if !(IMAGE_VERSION_MIN..=IMAGE_VERSION).contains(&version) {
+        if version != IMAGE_VERSION {
             return Err(ImageError::BadVersion(version));
         }
         let found = payload[6];
@@ -1270,6 +1266,13 @@ impl ExtentsImage {
 
 // ------------------------------------------------------------------ files
 
+/// Tag of a listener entry in `files.img`. Tags 0–2 named file and
+/// pipe descriptors, which no process can open.
+const TAG_LISTENER: u8 = 3;
+/// Bytes per `files.img` entry: the `i32` descriptor, the tag and the
+/// `u16` port.
+const FD_ENTRY_LEN: usize = 4 + 1 + 2;
+
 /// `files.img`: the dumped descriptor table.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FilesImage {
@@ -1282,70 +1285,35 @@ impl FilesImage {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new(KIND_FILES);
         w.u32(self.fds.len() as u32);
-        for (fd, entry) in &self.fds {
+        for (fd, FdEntry::Listener { port }) in &self.fds {
             w.i32(*fd);
-            match entry {
-                FdEntry::File { path, offset } => {
-                    w.u8(0);
-                    w.string(path);
-                    w.u64(*offset);
-                }
-                FdEntry::PipeRead { pipe } => {
-                    w.u8(1);
-                    w.u64(*pipe);
-                }
-                FdEntry::PipeWrite { pipe } => {
-                    w.u8(2);
-                    w.u64(*pipe);
-                }
-                FdEntry::Listener { port } => {
-                    w.u8(3);
-                    w.u16(*port);
-                }
-            }
+            w.u8(TAG_LISTENER);
+            w.u16(*port);
         }
         w.finish()
     }
 
     /// `encode().len()`, without encoding.
     pub(crate) fn encoded_len(&self) -> usize {
-        let fds: usize = self
-            .fds
-            .iter()
-            .map(|(_, entry)| {
-                4 + 1
-                    + match entry {
-                        FdEntry::File { path, .. } => 2 + path.len() + 8,
-                        FdEntry::PipeRead { .. } | FdEntry::PipeWrite { .. } => 8,
-                        FdEntry::Listener { .. } => 2,
-                    }
-            })
-            .sum();
-        HEADER_LEN + 4 + fds + CHECKSUM_LEN
+        HEADER_LEN + 4 + self.fds.len() * FD_ENTRY_LEN + CHECKSUM_LEN
     }
 
     /// Parses a files image.
     ///
     /// # Errors
     ///
-    /// Any [`ImageError`] describing the malformation.
+    /// Any [`ImageError`] describing the malformation; an entry tagged as
+    /// anything but a listener is [`ImageError::BadTag`].
     pub fn parse(bytes: &[u8]) -> Result<FilesImage, ImageError> {
         let mut r = Reader::open(bytes, KIND_FILES)?;
-        let count = r.count(4 + 1 + 2)?;
+        let count = r.count(FD_ENTRY_LEN)?;
         let mut fds = Vec::with_capacity(count);
         for _ in 0..count {
             let fd = r.i32()?;
-            let entry = match r.u8()? {
-                0 => FdEntry::File {
-                    path: r.string()?,
-                    offset: r.u64()?,
-                },
-                1 => FdEntry::PipeRead { pipe: r.u64()? },
-                2 => FdEntry::PipeWrite { pipe: r.u64()? },
-                3 => FdEntry::Listener { port: r.u16()? },
+            match r.u8()? {
+                TAG_LISTENER => fds.push((fd, FdEntry::Listener { port: r.u16()? })),
                 t => return Err(ImageError::BadTag(t)),
-            };
-            fds.push((fd, entry));
+            }
         }
         r.done()?;
         Ok(FilesImage { fds })
@@ -1412,54 +1380,6 @@ impl ImageSet {
     /// The parent link file written by incremental dumps (CRIU uses a
     /// symlink named `parent`; we store the path as file contents).
     pub const PARENT_LINK: &'static str = "parent";
-
-    /// Builds a set from named file contents (as exported from a builder
-    /// machine or stored in a container image). Parent references must
-    /// already be resolved — sets with a parent link cannot be
-    /// reassembled host-side.
-    ///
-    /// # Errors
-    ///
-    /// [`ImageError::Truncated`] if a file is missing, or any codec error.
-    pub fn parse_files(files: &[(String, Bytes)]) -> Result<ImageSet, ImageError> {
-        let get = |name: &str| -> Result<&Bytes, ImageError> {
-            files
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, d)| d)
-                .ok_or(ImageError::Truncated)
-        };
-        let ws = match get(ImageSet::WS_NAME) {
-            Ok(bytes) => Some(WsImage::parse(bytes)?),
-            Err(_) => None,
-        };
-        let pages = PagesImage::parse(get(ImageSet::PAGEMAP_NAME)?, get(ImageSet::PAGES_NAME)?)?;
-        let pagestore = match get(ImageSet::PAGESTORE_NAME) {
-            Ok(bytes) => Some(PageStoreImage::parse(bytes, &pages)?),
-            Err(_) => None,
-        };
-        let extents = match get(ImageSet::EXTENTS_NAME) {
-            Ok(bytes) => Some(ExtentsImage::parse(bytes, &pages)?),
-            Err(_) => None,
-        };
-        let fallback = match (
-            get(ImageSet::FALLBACK_PAGEMAP_NAME),
-            get(ImageSet::FALLBACK_PAGES_NAME),
-        ) {
-            (Ok(pagemap), Ok(payload)) => Some(PagesImage::parse(pagemap, payload)?),
-            _ => None,
-        };
-        Ok(ImageSet {
-            core: CoreImage::parse(get(ImageSet::CORE_NAME)?)?,
-            mm: MmImage::parse(get(ImageSet::MM_NAME)?)?,
-            pages,
-            files: FilesImage::parse(get(ImageSet::FILES_NAME)?)?,
-            ws,
-            pagestore,
-            extents,
-            fallback,
-        })
-    }
 
     /// Total serialised size across all image files — `ws.img`,
     /// `pagestore.img`, `extents.img` and the compaction fallback layer
@@ -1672,16 +1592,8 @@ mod tests {
     fn sample_files() -> FilesImage {
         FilesImage {
             fds: vec![
-                (
-                    3,
-                    FdEntry::File {
-                        path: "/app/fn.jlar".into(),
-                        offset: 99,
-                    },
-                ),
-                (4, FdEntry::Listener { port: 8080 }),
-                (5, FdEntry::PipeRead { pipe: 7 }),
-                (6, FdEntry::PipeWrite { pipe: 7 }),
+                (3, FdEntry::Listener { port: 8080 }),
+                (4, FdEntry::Listener { port: 9090 }),
             ],
         }
     }
@@ -1690,6 +1602,41 @@ mod tests {
     fn files_roundtrip() {
         let f = sample_files();
         assert_eq!(FilesImage::parse(&f.encode()).unwrap(), f);
+    }
+
+    #[test]
+    fn files_image_bytes_are_pinned() {
+        // Written when `files.img` still had tags 0-2: a listener entry
+        // is the same `i32` fd, tag 3 and `u16` port it was then.
+        const FILES: [u8; 33] = [
+            0x43, 0x52, 0x49, 0x4D, 0x00, 0x02, 0x05, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+            0x03, 0x03, 0x1F, 0x90, 0x00, 0x00, 0x00, 0x04, 0x03, 0x23, 0x82, 0xD7, 0x2B, 0x2A,
+            0x4F, 0xF4, 0x29, 0xF9, 0xDE,
+        ];
+        assert_eq!(sample_files().encode(), FILES);
+        assert_eq!(sample_files().encoded_len(), FILES.len());
+    }
+
+    #[test]
+    fn files_tags_other_than_listener_are_rejected() {
+        // The first entry's tag follows the header, the count and its fd.
+        let at = HEADER_LEN + 4 + 4;
+        for tag in [0, 1, 2, 4] {
+            let mut raw = sample_files().encode();
+            raw[at] = tag;
+            reseal(&mut raw);
+            assert_eq!(FilesImage::parse(&raw), Err(ImageError::BadTag(tag)));
+        }
+    }
+
+    #[test]
+    fn only_the_current_version_parses() {
+        for version in [1, IMAGE_VERSION + 1] {
+            let mut raw = sample_core().encode();
+            raw[4..6].copy_from_slice(&version.to_be_bytes());
+            reseal(&mut raw);
+            assert_eq!(CoreImage::parse(&raw), Err(ImageError::BadVersion(version)));
+        }
     }
 
     #[test]

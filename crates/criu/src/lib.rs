@@ -46,14 +46,13 @@
 
 pub mod cache;
 pub mod check;
-pub mod costs;
+mod costs;
 pub mod dump;
 pub mod image;
 pub mod restore;
 
 pub use cache::ImageCache;
 pub use check::{check, CheckReport};
-pub use costs::CriuCosts;
 pub use dump::{
     dump, pre_dump, read_images, read_images_lazy, repack, DumpOptions, DumpStats, RepackOptions,
     RepackStats,
@@ -62,4 +61,4 @@ pub use image::{
     page_content_hash, ExtentsImage, ImageError, ImageSet, PageExtent, PageStoreImage, PagesImage,
     WsImage,
 };
-pub use restore::{restore, restore_set, RestoreMode, RestoreOptions, RestorePid, RestoreStats};
+pub use restore::{restore, restore_set, RestoreMode, RestoreOptions, RestoreStats};

@@ -20,21 +20,12 @@ use prebake_sim::time::SimDuration;
 
 use prebake_sim::uffd::UffdBackend;
 
-use crate::costs::CriuCosts;
+use crate::costs::{
+    LAZY_REGISTER, RESTORE_BASE, RESTORE_PAGE_OP, RESTORE_PER_COW_PAGE, RESTORE_PER_FD,
+    RESTORE_PER_PAGE, RESTORE_PER_VMA, SHARD_SPAWN,
+};
 use crate::dump::{read_images, read_images_lazy};
 use crate::image::{ImageSet, PageSource, PagesImage};
-
-/// How the restored process's pid is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RestorePid {
-    /// Re-create the exact dumped pid (CRIU's default; requires the pid to
-    /// be free, as it is inside a fresh pid namespace).
-    Same,
-    /// Let the kernel pick a fresh pid (models pid-namespace translation
-    /// when restoring many replicas on one host).
-    #[default]
-    Fresh,
-}
 
 /// How memory is reinstated at restore.
 ///
@@ -90,15 +81,11 @@ impl RestoreMode {
 pub struct RestoreOptions {
     /// Guest directory holding the image files.
     pub images_dir: String,
-    /// Pid policy.
-    pub pid: RestorePid,
     /// Memory reinstatement policy.
     pub mode: RestoreMode,
-    /// Cost table.
-    pub costs: CriuCosts,
     /// Install eager memory run-at-a-time from the image's extent table
     /// (one scatter-gather copy per run) instead of page-at-a-time. The
-    /// page-granular path pays [`CriuCosts::restore_page_op`] per page
+    /// page-granular path pays a per-page dispatch cost
     /// where the vectored path pays one
     /// [`prebake_sim::cost::CostModel::extent_setup`] per run. The other
     /// modes always map and prefetch run-at-a-time: `false` with any of
@@ -112,21 +99,18 @@ pub struct RestoreOptions {
     /// The extent table is partitioned into contiguous shards over
     /// disjoint page ranges; each worker streams and installs its own
     /// shard, so the wall cost is the slowest shard plus a
-    /// [`CriuCosts::shard_spawn`] tax per worker instead of the serial
+    /// spawn tax per worker instead of the serial
     /// sum. Values below 2 take the serial path bit-for-bit. Sharding is
     /// eager-only: more than 1 with another mode is [`Errno::Einval`].
     pub threads: usize,
 }
 
 impl RestoreOptions {
-    /// Paper-calibrated options with fresh-pid policy, eager memory and
-    /// the vectored extent path on.
+    /// Eager memory with the vectored extent path on.
     pub fn new(images_dir: impl Into<String>) -> RestoreOptions {
         RestoreOptions {
             images_dir: images_dir.into(),
-            pid: RestorePid::Fresh,
             mode: RestoreMode::Eager,
-            costs: CriuCosts::paper_calibrated(),
             vectored: true,
             fault_around: 1,
             threads: 1,
@@ -190,7 +174,6 @@ pub struct RestoreStats {
 /// # Errors
 ///
 /// [`Errno::Eperm`] if `requester` lacks a checkpoint-capable capability,
-/// [`Errno::Eexist`] if [`RestorePid::Same`] finds the pid taken,
 /// [`Errno::Eaddrinuse`] if a dumped listener's port is bound, plus image
 /// errors as [`Errno::Einval`].
 pub fn restore(
@@ -243,18 +226,16 @@ pub fn restore_set(
         return Err(Errno::Eperm);
     }
     let span = kernel.span_begin("criu_restore_set", requester);
-    kernel.charge(opts.costs.restore_base);
+    kernel.charge(RESTORE_BASE);
 
-    // Task re-creation.
-    let pid = match opts.pid {
-        RestorePid::Same => kernel.sys_clone_with_pid(requester, set.core.pid)?,
-        RestorePid::Fresh => kernel.sys_clone(requester)?,
-    };
+    // Task re-creation, under a fresh pid (pid-namespace translation
+    // lets many replicas of one snapshot share a host).
+    let pid = kernel.sys_clone(requester)?;
 
     // Memory: rebuild the address space exactly as dumped.
     let vma_span = kernel.span_begin("restore_vmas", pid);
     kernel.span_attr(vma_span, "vmas", set.mm.vmas.len().to_string());
-    kernel.charge(opts.costs.restore_per_vma * set.mm.vmas.len() as u64);
+    kernel.charge(RESTORE_PER_VMA * set.mm.vmas.len() as u64);
     {
         let proc = kernel.process_mut(pid)?;
         proc.mem = AddressSpace::new();
@@ -313,7 +294,7 @@ pub fn restore_set(
         }
         pages_lazy = withheld.len();
         withheld.set_fault_around(opts.fault_around);
-        kernel.charge(opts.costs.lazy_register);
+        kernel.charge(LAZY_REGISTER);
         kernel.uffd_register(pid, withheld)?;
     }
 
@@ -379,20 +360,13 @@ pub fn restore_set(
     // Descriptors.
     let fd_span = kernel.span_begin("restore_fds", pid);
     kernel.span_attr(fd_span, "fds", set.files.fds.len().to_string());
-    kernel.charge(opts.costs.restore_per_fd * set.files.fds.len() as u64);
+    kernel.charge(RESTORE_PER_FD * set.files.fds.len() as u64);
     {
         let proc = kernel.process_mut(pid)?;
         proc.fds = FdTable::new();
     }
-    for (fd, entry) in &set.files.fds {
-        match entry {
-            FdEntry::Listener { port } => {
-                kernel.sys_listen_at(pid, *fd, *port)?;
-            }
-            other => {
-                kernel.process_mut(pid)?.fds.insert_at(*fd, other.clone())?;
-            }
-        }
+    for (fd, FdEntry::Listener { port }) in &set.files.fds {
+        kernel.sys_listen_at(pid, *fd, *port)?;
     }
     kernel.span_end(fd_span);
 
@@ -485,7 +459,6 @@ fn decode_run((start, payload): &Run<'_>) -> (u64, Vec<Page>) {
 fn copy_runs(
     kernel: &mut Kernel,
     pid: Pid,
-    costs: &CriuCosts,
     runs: impl IntoIterator<Item = SysResult<(u64, Vec<Page>)>>,
 ) -> SysResult<(usize, usize)> {
     let (mut pages, mut copied) = (0, 0);
@@ -495,7 +468,7 @@ fn copy_runs(
         pages += run.len();
         copied += 1;
     }
-    kernel.charge(costs.restore_per_page * pages as u64);
+    kernel.charge(RESTORE_PER_PAGE * pages as u64);
     Ok((pages, copied))
 }
 
@@ -525,13 +498,13 @@ fn install_eager(
         }
         // One page-granular dispatch per installed page — the cost the
         // vectored path amortises into one `extent_setup` per run.
-        kernel.charge(opts.costs.restore_page_op * installed as u64);
-        kernel.charge(opts.costs.restore_per_page * installed as u64);
+        kernel.charge(RESTORE_PAGE_OP * installed as u64);
+        kernel.charge(RESTORE_PER_PAGE * installed as u64);
         return Ok((installed, 0, 1));
     }
     if opts.threads <= 1 {
         let runs = extent_runs(set).map(|run| run.map(|run| decode_run(&run)));
-        let (installed, copied) = copy_runs(kernel, pid, &opts.costs, runs)?;
+        let (installed, copied) = copy_runs(kernel, pid, runs)?;
         return Ok((installed, copied, 1));
     }
 
@@ -556,14 +529,14 @@ fn install_eager(
             let before = k.now();
             let bytes: usize = shard.iter().map(|(_, pages)| pages.len() * PAGE_SIZE).sum();
             k.charge(seek + per_byte(bytes as u64, warm));
-            let done = copy_runs(k, pid, &opts.costs, shard.into_iter().map(Ok))?;
+            let done = copy_runs(k, pid, shard.into_iter().map(Ok))?;
             Ok((done, k.now() - before))
         })?;
         installed += shard_pages;
         copied += shard_runs;
         waves.push((shard_id, shard_pages, cost));
     }
-    charge_overlapped_shards(kernel, pid, &opts.costs, waves);
+    charge_overlapped_shards(kernel, pid, waves);
     Ok((installed, copied, shards))
 }
 
@@ -613,7 +586,7 @@ fn share_cow(
         kernel.cow_map_extent(pid, run_start, &run)?;
         mapped += 1;
     }
-    kernel.charge(opts.costs.restore_per_cow_page * shared as u64);
+    kernel.charge(RESTORE_PER_COW_PAGE * shared as u64);
     Ok((shared, mapped))
 }
 
@@ -676,7 +649,7 @@ where
 }
 
 /// Charges independently-measured shard costs as *overlapped* virtual
-/// time: a [`CriuCosts::shard_spawn`] tax per worker, then the clock
+/// time: a `SHARD_SPAWN` tax per worker, then the clock
 /// advances to the slowest shard's completion. Shards are emitted as a
 /// completion wave of sibling `restore_shard` spans — sorted by cost,
 /// each span covering its shard's marginal critical-path contribution —
@@ -686,13 +659,12 @@ where
 fn charge_overlapped_shards(
     kernel: &mut Kernel,
     pid: Pid,
-    costs: &CriuCosts,
     mut waves: Vec<(usize, usize, SimDuration)>,
 ) {
     if waves.is_empty() {
         return;
     }
-    kernel.charge(costs.shard_spawn * waves.len() as u64);
+    kernel.charge(SHARD_SPAWN * waves.len() as u64);
     let t0 = kernel.now();
     waves.sort_by_key(|&(shard, _, cost)| (cost, shard));
     for (shard, pages, cost) in waves {
@@ -746,25 +718,6 @@ mod tests {
             restore(&mut k, tracer, &RestoreOptions::new("/missing")).unwrap_err(),
             Errno::Enoent
         );
-    }
-
-    #[test]
-    fn restore_same_pid_policy() {
-        let (mut k, tracer, _) = checkpointed_kernel();
-        let set = read_images(&mut k, "/img").unwrap();
-        let dumped_pid = set.core.pid;
-        let mut opts = RestoreOptions::new("/img");
-        opts.pid = RestorePid::Same;
-        let stats = restore(&mut k, tracer, &opts).unwrap();
-        assert_eq!(stats.pid, dumped_pid);
-
-        // Doing it again: pid now taken.
-        k.process_mut(stats.pid).unwrap().fds = FdTable::new(); // free port
-        let mut k2 = k;
-        assert!(matches!(
-            restore(&mut k2, tracer, &opts).unwrap_err(),
-            Errno::Eexist | Errno::Eaddrinuse
-        ));
     }
 
     #[test]

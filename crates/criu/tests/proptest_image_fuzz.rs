@@ -13,6 +13,7 @@ use proptest::prelude::*;
 
 use prebake_criu::dump::{dump, read_images, read_images_lazy, DumpOptions};
 use prebake_criu::image::{page_content_hash, ImageError, ImageSet, PageStoreImage, PagesImage};
+use prebake_sim::error::Errno;
 use prebake_sim::kernel::{Kernel, INIT_PID};
 use prebake_sim::mem::{Prot, VmaKind, PAGE_SIZE};
 
@@ -266,5 +267,28 @@ fn parsed_payload_shares_the_file_buffer() {
         assert_eq!(view.start, file.start.wrapping_add(PAYLOAD_AT));
         assert_eq!(view.end, file.end.wrapping_sub(CHECKSUM));
         assert_eq!(set.pages.stored_pages(), 4);
+    }
+}
+
+/// Only the current format version reads: a version-1 header on any
+/// image file is `Einval` in both read modes.
+#[test]
+fn version_1_images_are_rejected() {
+    for name in [ImageSet::CORE_NAME, PAGEMAP, PAGES, ImageSet::FILES_NAME] {
+        let mut k = dumped();
+        let mut raw = file(&mut k, name);
+        raw[4..6].copy_from_slice(&1u16.to_be_bytes());
+        reseal(&mut raw);
+        put(&mut k, name, raw);
+        assert_eq!(
+            read_images(&mut k, DIR).unwrap_err(),
+            Errno::Einval,
+            "{name}"
+        );
+        assert_eq!(
+            read_images_lazy(&mut k, DIR).unwrap_err(),
+            Errno::Einval,
+            "{name}"
+        );
     }
 }

@@ -34,7 +34,7 @@ proptest! {
         caps in any::<u8>(),
         threads in prop::collection::vec((any::<u32>(), any::<u64>(), any::<u64>()), 1..5),
         vmas in prop::collection::vec((0u64..1000, 1u64..64), 0..10),
-        fds in prop::collection::vec((3i32..100, 0u8..4), 0..8),
+        fds in prop::collection::vec(3i32..100, 0..8),
     ) {
         let core = CoreImage {
             pid: Pid(pid),
@@ -65,17 +65,10 @@ proptest! {
 
         let mut files = FilesImage::default();
         let mut used = std::collections::BTreeSet::new();
-        for (fd, kind) in fds {
-            if !used.insert(fd) {
-                continue;
+        for fd in fds {
+            if used.insert(fd) {
+                files.fds.push((fd, FdEntry::Listener { port: 1000 + fd as u16 }));
             }
-            let entry = match kind {
-                0 => FdEntry::File { path: format!("/f{fd}"), offset: fd as u64 },
-                1 => FdEntry::PipeRead { pipe: fd as u64 },
-                2 => FdEntry::PipeWrite { pipe: fd as u64 },
-                _ => FdEntry::Listener { port: 1000 + fd as u16 },
-            };
-            files.fds.push((fd, entry));
         }
         prop_assert_eq!(FilesImage::parse(&files.encode()).unwrap(), files);
     }

@@ -52,9 +52,9 @@ impl Gear {
         match self {
             Gear::Vanilla => StartMode::Vanilla,
             Gear::Eager => StartMode::PrebakeWarmup(1),
-            Gear::Lazy => StartMode::PrebakeLazy(1),
-            Gear::Cow => StartMode::PrebakeCow(1),
-            Gear::Prefetch => StartMode::PrebakePrefetch(1),
+            Gear::Lazy => StartMode::PrebakeLazy,
+            Gear::Cow => StartMode::PrebakeCow,
+            Gear::Prefetch => StartMode::PrebakePrefetch,
         }
     }
 
@@ -256,7 +256,7 @@ mod tests {
     fn gear_modes_and_labels() {
         assert_eq!(Gear::Vanilla.start_mode(), StartMode::Vanilla);
         assert_eq!(Gear::Eager.start_mode(), StartMode::PrebakeWarmup(1));
-        assert_eq!(Gear::Prefetch.start_mode(), StartMode::PrebakePrefetch(1));
+        assert_eq!(Gear::Prefetch.start_mode(), StartMode::PrebakePrefetch);
         assert_eq!(Gear::Cow.label(), "cow");
         assert_eq!(Gear::ALL.len(), 5);
     }

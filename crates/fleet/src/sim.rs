@@ -48,7 +48,7 @@ use std::fmt;
 
 use prebake_gateway::{
     first_chunk_at, AdmissionController, AdmissionOutcome, AdmissionStats, CacheInsert,
-    CacheLookup, GatewayConfig, GatewayMetrics, ResultCache,
+    CacheLookup, GatewayConfig, GatewayMetrics, ResultCache, CACHED_SERVE,
 };
 use prebake_obs::{Objective, ObsConfig, ObsStack, RecorderConfig, SamplerConfig, SeriesKey};
 use prebake_platform::loadgen::{Arrival, LoadError, LoadResult, Schedule};
@@ -100,6 +100,9 @@ impl Default for RegistryConfig {
     }
 }
 
+/// Relative jitter applied to profiled costs.
+const NOISE_SIGMA: f64 = 0.02;
+
 /// Fleet-wide configuration.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -117,8 +120,6 @@ pub struct FleetConfig {
     pub policy: Policy,
     /// Seed for the service/start jitter stream.
     pub seed: u64,
-    /// Relative jitter applied to profiled costs (0 disables).
-    pub noise_sigma: f64,
     /// Record scheduler span trees per completed invocation.
     pub span_tracing: bool,
     /// Snapshot-registry tier; `None` keeps images node-local and free.
@@ -165,7 +166,6 @@ impl Default for FleetConfig {
             max_replicas_per_function: 16,
             policy: Policy::vanilla_baseline(SimDuration::from_secs(60)),
             seed: 1,
-            noise_sigma: 0.02,
             span_tracing: false,
             registry: None,
             obs: None,
@@ -400,7 +400,7 @@ impl Shard {
             worker_base,
             // Offsetting the seed per shard keeps the jitter streams
             // independent; shard 0 draws the exact unsharded stream.
-            noise: Noise::new(config.seed + index as u64, config.noise_sigma),
+            noise: Noise::new(config.seed + index as u64, NOISE_SIGMA),
             workers: (0..worker_count)
                 .map(|id| Worker::new(id, config.mem_budget_bytes))
                 .collect(),
@@ -576,8 +576,7 @@ impl Shard {
             match gw.cache.lookup(function, function, now) {
                 CacheLookup::Hit { .. } => {
                     gw.metrics.cache_hits.inc();
-                    let serve = SimDuration::from_millis_f64(gw.config.cache.serve_ms.max(0.0));
-                    let completed = now + serve;
+                    let completed = now + CACHED_SERVE;
                     gw.metrics.observe_cached((completed - now).as_millis_f64());
                     gw.metrics.chunks.add(gw.config.stream.chunks.max(1) as u64);
                     (Decision::Cached { completed }, depth, Some("hits"))

@@ -1,42 +1,38 @@
-//! Deterministic result cache with per-function TTLs.
+//! Deterministic result cache with one TTL for every function.
 //!
 //! Idempotent invocations can be answered at the gateway edge without
 //! touching a replica — the `<10ms cached path` of ROADMAP item 4. The
 //! cache is a plain expiry map over the virtual clock: no wall time, no
 //! random eviction, so a cached run replays bit-identically. Lookups
 //! classify as *hit* (entry alive), *stale* (entry present but past its
-//! TTL — removed and re-fetched), *miss* (no entry), or *bypass* (the
-//! function has no TTL configured, i.e. is not declared idempotent).
+//! TTL — removed and re-fetched), *miss* (no entry), or *bypass* (no TTL
+//! configured, i.e. the cache is off).
 
 use std::collections::BTreeMap;
 
 use prebake_sim::time::{SimDuration, SimInstant};
 
+/// Virtual time a cache hit takes to serve at the edge. The whole point
+/// of the cache: this must sit well under the 10ms bar.
+pub const CACHED_SERVE: SimDuration = SimDuration::from_micros(500);
+
 /// Result-cache configuration.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
-    /// TTL applied to every function without a `per_function` override.
-    /// `None` means only explicitly listed functions are cacheable —
-    /// idempotency is an opt-in property of a function, not of traffic.
+    /// TTL applied to every function. `None` turns the cache off: every
+    /// lookup and insert bypasses it.
     pub default_ttl: Option<SimDuration>,
-    /// Per-function TTL overrides.
-    pub per_function: BTreeMap<String, SimDuration>,
     /// Entry ceiling. At capacity, inserting a new key evicts the entry
     /// closest to expiry (smallest key on ties) — deterministic, and the
     /// entry least worth keeping.
     pub capacity: usize,
-    /// Virtual milliseconds a cache hit takes to serve at the edge. The
-    /// whole point of the cache: this must sit well under the 10ms bar.
-    pub serve_ms: f64,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             default_ttl: None,
-            per_function: BTreeMap::new(),
             capacity: 1024,
-            serve_ms: 0.5,
         }
     }
 }
@@ -58,7 +54,7 @@ pub enum CacheLookup<V> {
     },
     /// No entry under this key.
     Miss,
-    /// The function has no TTL configured — not a cache participant.
+    /// No TTL is configured — the cache is off.
     Bypass,
 }
 
@@ -71,7 +67,7 @@ pub enum CacheInsert {
         /// An existing entry was evicted to make room.
         evicted: bool,
     },
-    /// The function has no TTL configured; nothing was stored.
+    /// No TTL is configured; nothing was stored.
     Bypass,
 }
 
@@ -99,20 +95,11 @@ impl<V: Clone> ResultCache<V> {
         }
     }
 
-    /// TTL for `function`: the per-function override, else the default.
-    /// `None` means the function is not cacheable.
-    pub(crate) fn ttl_for(&self, function: &str) -> Option<SimDuration> {
-        self.config
-            .per_function
-            .get(function)
-            .copied()
-            .or(self.config.default_ttl)
-    }
-
     /// Looks `key` up at virtual time `now`. A stale entry is removed so
-    /// the following insert refreshes it.
-    pub fn lookup(&mut self, key: &str, function: &str, now: SimInstant) -> CacheLookup<V> {
-        if self.ttl_for(function).is_none() {
+    /// the following insert refreshes it. Every function shares the one
+    /// TTL, so `_function` is not read.
+    pub fn lookup(&mut self, key: &str, _function: &str, now: SimInstant) -> CacheLookup<V> {
+        if self.config.default_ttl.is_none() {
             return CacheLookup::Bypass;
         }
         let Some(entry) = self.entries.get(key) else {
@@ -130,11 +117,12 @@ impl<V: Clone> ResultCache<V> {
         }
     }
 
-    /// Stores `value` under `key` with the function's TTL, evicting the
+    /// Stores `value` under `key` with the TTL, evicting the
     /// closest-to-expiry entry if at capacity. Replacing an existing key
-    /// never evicts.
-    pub fn insert(&mut self, key: &str, function: &str, value: V, now: SimInstant) -> CacheInsert {
-        let Some(ttl) = self.ttl_for(function) else {
+    /// never evicts. As in [`ResultCache::lookup`], `_function` is not
+    /// read.
+    pub fn insert(&mut self, key: &str, _function: &str, value: V, now: SimInstant) -> CacheInsert {
+        let Some(ttl) = self.config.default_ttl else {
             return CacheInsert::Bypass;
         };
         let capacity = self.config.capacity.max(1);
@@ -192,13 +180,7 @@ mod tests {
 
     #[test]
     fn unlisted_function_bypasses_without_default() {
-        let mut per = BTreeMap::new();
-        per.insert("idem".to_owned(), SimDuration::from_millis(50));
-        let mut c: ResultCache<u32> = ResultCache::new(CacheConfig {
-            default_ttl: None,
-            per_function: per,
-            ..CacheConfig::default()
-        });
+        let mut c: ResultCache<u32> = ResultCache::new(CacheConfig::default());
         assert_eq!(
             c.lookup("x", "other", SimInstant::EPOCH),
             CacheLookup::Bypass
@@ -207,12 +189,7 @@ mod tests {
             c.insert("x", "other", 1, SimInstant::EPOCH),
             CacheInsert::Bypass
         );
-        assert!(matches!(
-            c.insert("x", "idem", 1, SimInstant::EPOCH),
-            CacheInsert::Stored { evicted: false }
-        ));
-        assert_eq!(c.ttl_for("idem"), Some(SimDuration::from_millis(50)));
-        assert_eq!(c.ttl_for("other"), None);
+        assert!(c.entries.is_empty());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Arrivals flow through three stages, all on virtual time:
 //!
 //! 1. **Result cache** — idempotent invocations whose cached entry is
-//!    still live are answered at the edge in [`CacheConfig::serve_ms`]
+//!    still live are answered at the edge in [`CACHED_SERVE`]
 //!    without touching a replica.
 //! 2. **Admission** — at most `max_inflight` invocations proceed
 //!    concurrently; the overflow parks in a bounded queue and is
@@ -29,7 +29,7 @@ use prebake_sim::error::Errno;
 use prebake_sim::time::{SimDuration, SimInstant};
 
 use crate::admission::{AdmissionController, AdmissionOutcome, AdmissionStats};
-use crate::cache::{CacheConfig, CacheInsert, CacheLookup, ResultCache};
+use crate::cache::{CacheConfig, CacheInsert, CacheLookup, ResultCache, CACHED_SERVE};
 use crate::metrics::GatewayMetrics;
 use crate::stream::{plan, Chunk, StreamConfig};
 
@@ -262,8 +262,9 @@ impl Gateway {
             .observe(self.admission.queue_depth() as f64);
 
         let cache_key = self
+            .config
             .cache
-            .ttl_for(function)
+            .default_ttl
             .map(|_| cache_key(function, &req));
         if let Some(key) = &cache_key {
             match self.cache.lookup(key, function, at) {
@@ -418,8 +419,9 @@ impl Gateway {
             self.metrics.admitted.inc();
             self.metrics.deferred.inc();
             let key = self
+                .config
                 .cache
-                .ttl_for(&promoted.function)
+                .default_ttl
                 .map(|_| cache_key(&promoted.function, &promoted.req));
             self.submit(rec.completed, promoted, key)?;
         }
@@ -447,8 +449,7 @@ impl Gateway {
     }
 
     fn serve_cached(&mut self, at: SimInstant, function: &str, body: Bytes) {
-        let serve = SimDuration::from_millis_f64(self.config.cache.serve_ms.max(0.0));
-        let completed = at + serve;
+        let completed = at + CACHED_SERVE;
         let n = self.config.stream.chunks_for(body.len() as u64);
         let chunks = plan(at, completed, body.len() as u64, n);
         self.metrics.chunks.add(n as u64);

@@ -34,7 +34,7 @@ pub mod sdk;
 pub mod stream;
 
 pub use admission::{AdmissionController, AdmissionOutcome, AdmissionStats};
-pub use cache::{CacheConfig, CacheInsert, CacheLookup, ResultCache};
+pub use cache::{CacheConfig, CacheInsert, CacheLookup, ResultCache, CACHED_SERVE};
 pub use gateway::{ArrivalOutcome, DriveReport, Gateway, GatewayConfig, GatewayError, InvokeReply};
 pub use metrics::GatewayMetrics;
 pub use sdk::GatewayClient;

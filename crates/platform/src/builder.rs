@@ -64,11 +64,12 @@ impl Template {
         )
     }
 
-    /// The CRIU template with a warm-up script of `n` requests.
-    pub fn java11_criu_warm(n: u32) -> Template {
+    /// The CRIU template with a warm-up script of one request (the
+    /// paper's PB-Warmup).
+    pub fn java11_criu_warm() -> Template {
         Template::base(
-            format!("java11-criu-warm{n}"),
-            Some(SnapshotPolicy::AfterWarmup(n)),
+            "java11-criu-warm1".to_owned(),
+            Some(SnapshotPolicy::AfterWarmup(1)),
             RestoreMode::Eager,
         )
     }
@@ -117,15 +118,15 @@ impl Template {
     }
 
     /// The parallel-restore CRIU template: the 1-warm-up snapshot
-    /// restored with `threads` install shards working disjoint extent
-    /// ranges (DESIGN.md §14).
-    pub(crate) fn java11_criu_parallel(threads: usize) -> Template {
+    /// restored with four install shards working disjoint extent ranges
+    /// (DESIGN.md §14).
+    pub(crate) fn java11_criu_parallel() -> Template {
         let mut t = Template::base(
-            format!("java11-criu-par{threads}"),
+            "java11-criu-par4".to_owned(),
             Some(SnapshotPolicy::AfterWarmup(1)),
             RestoreMode::Eager,
         );
-        t.restore_threads = threads;
+        t.restore_threads = 4;
         t
     }
 
@@ -161,12 +162,12 @@ impl Template {
         vec![
             Template::java11(),
             Template::java11_criu(),
-            Template::java11_criu_warm(1),
+            Template::java11_criu_warm(),
             Template::java11_criu_lazy(),
             Template::java11_criu_prefetch(),
             Template::java11_criu_cow(),
             Template::java11_criu_cow_prefetch(),
-            Template::java11_criu_parallel(4),
+            Template::java11_criu_parallel(),
             Template::java11_criu_ordered(),
             Template::java11_criu_compact(),
         ]
@@ -174,16 +175,6 @@ impl Template {
 
     /// Looks a template up by name.
     pub(crate) fn lookup(name: &str) -> Option<Template> {
-        if let Some(rest) = name.strip_prefix("java11-criu-warm") {
-            if let Ok(n) = rest.parse::<u32>() {
-                return Some(Template::java11_criu_warm(n));
-            }
-        }
-        if let Some(rest) = name.strip_prefix("java11-criu-par") {
-            if let Ok(n) = rest.parse::<usize>() {
-                return Some(Template::java11_criu_parallel(n));
-            }
-        }
         Template::repository().into_iter().find(|t| t.name == name)
     }
 }
@@ -248,10 +239,10 @@ mod tests {
     fn template_repository_and_lookup() {
         assert_eq!(Template::repository().len(), 10);
         assert_eq!(
-            Template::lookup("java11-criu-par8")
+            Template::lookup("java11-criu-par4")
                 .unwrap()
                 .restore_threads,
-            8
+            4
         );
         assert_eq!(
             Template::lookup("java11-criu-ordered"),
@@ -264,8 +255,8 @@ mod tests {
             Some(SnapshotPolicy::AfterReady)
         );
         assert_eq!(
-            Template::lookup("java11-criu-warm3").unwrap().prebake,
-            Some(SnapshotPolicy::AfterWarmup(3))
+            Template::lookup("java11-criu-warm1").unwrap().prebake,
+            Some(SnapshotPolicy::AfterWarmup(1))
         );
         assert_eq!(
             Template::lookup("java11-criu-lazy").unwrap().restore,
@@ -352,7 +343,7 @@ mod tests {
         // layer, and its hot pages.img shrinks against the plain warm
         // build.
         let warm = FunctionBuilder
-            .build(FunctionSpec::noop(), &Template::java11_criu_warm(1))
+            .build(FunctionSpec::noop(), &Template::java11_criu_warm())
             .unwrap();
         let compact = FunctionBuilder
             .build(FunctionSpec::noop(), &Template::java11_criu_compact())
@@ -378,7 +369,7 @@ mod tests {
         // The parallel template changes no image bytes, only the restore
         // fan-out the replicas run with.
         let par = FunctionBuilder
-            .build(FunctionSpec::noop(), &Template::java11_criu_parallel(4))
+            .build(FunctionSpec::noop(), &Template::java11_criu_parallel())
             .unwrap();
         assert_eq!(par.restore_threads, 4);
         assert_eq!(pages_len(&par), pages_len(&warm));
@@ -426,7 +417,7 @@ mod tests {
         let warm = FunctionBuilder
             .build(
                 FunctionSpec::synthetic(prebake_functions::SyntheticSize::Small),
-                &Template::java11_criu_warm(1),
+                &Template::java11_criu_warm(),
             )
             .unwrap();
         assert!(warm.snapshot_bytes() > cold.snapshot_bytes());

@@ -7,10 +7,11 @@
 //! - [`registry`] — the Function Registry holding pushable container
 //!   images (with snapshots baked in for CRIU templates)
 //! - [`builder`] — the Function Builder and the Templates Repository
-//!   (`java11`, `java11-criu`, `java11-criu-warm<N>`)
+//!   (`java11`, `java11-criu`, `java11-criu-warm1` and the restore-gear
+//!   variants)
 //! - [`platform`] — router, deployer, per-container machines, the
 //!   busy-replica scale-out rule, idle GC (scale-to-zero), warm-pool
-//!   floors, multi-node placement with per-node cold-start concurrency,
+//!   floors, one worker node with a cold-start concurrency cap,
 //!   and watchdog-style crash recovery (a dead replica is replaced and
 //!   its request retried)
 //! - [`loadgen`] — the paper's hold-first-request constant-rate

@@ -62,13 +62,10 @@ impl From<Errno> for FaasError {
     }
 }
 
-/// Provider configuration: which container backend runs replicas and
-/// whether privileged (CRIU-capable) deployments are allowed.
+/// Provider configuration: whether privileged (CRIU-capable)
+/// deployments are allowed.
 #[derive(Debug, Clone)]
 pub struct ProviderConfig {
-    /// Backend label (`kubernetes`, `docker-swarm`) — informational, as
-    /// in the paper's FaaS-Provider indirection.
-    pub backend: String,
     /// Whether CRIU templates may deploy (models `--privileged` /
     /// granting `CAP_CHECKPOINT_RESTORE`).
     pub allow_privileged: bool,
@@ -77,7 +74,6 @@ pub struct ProviderConfig {
 impl Default for ProviderConfig {
     fn default() -> Self {
         ProviderConfig {
-            backend: "kubernetes".to_owned(),
             allow_privileged: true,
         }
     }
@@ -223,10 +219,7 @@ mod tests {
     fn gateway(allow_privileged: bool) -> FaasGateway {
         FaasGateway::new(
             PlatformConfig::default(),
-            ProviderConfig {
-                backend: "kubernetes".into(),
-                allow_privileged,
-            },
+            ProviderConfig { allow_privileged },
         )
     }
 

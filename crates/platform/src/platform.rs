@@ -41,14 +41,6 @@ pub struct PlatformConfig {
     /// queue on host I/O and CPU (the paper's §7 "concurrent snapshots"
     /// concern). `usize::MAX` disables the model.
     pub cold_start_concurrency: usize,
-    /// Worker nodes in the cluster (SPEC-RG Resource Orchestration
-    /// layer). Replicas are placed least-loaded-first.
-    pub nodes: usize,
-    /// Maximum containers per node; a full cluster defers scale-up until
-    /// capacity frees.
-    pub node_capacity: usize,
-    /// Port replicas bind inside their container.
-    pub container_port: u16,
     /// Seed driving container-kernel noise.
     pub seed: u64,
 }
@@ -60,13 +52,17 @@ impl Default for PlatformConfig {
             idle_timeout: SimDuration::from_secs(60),
             min_warm_pool: 0,
             cold_start_concurrency: 4,
-            nodes: 1,
-            node_capacity: 64,
-            container_port: 8080,
             seed: 0xFAA5,
         }
     }
 }
+
+/// Maximum containers on the platform's worker node; a full node defers
+/// scale-up until capacity frees.
+const NODE_CAPACITY: usize = 64;
+
+/// Port replicas bind inside their container.
+const CONTAINER_PORT: u16 = 8080;
 
 /// A completed request, as observed at the gateway.
 #[derive(Debug, Clone)]
@@ -99,20 +95,10 @@ struct Container {
     function: String,
     kernel: Kernel,
     replica: Replica,
-    node: usize,
     busy_until: SimInstant,
     last_active: SimInstant,
     started_at: SimInstant,
     ready_at: SimInstant,
-}
-
-/// One worker node's placement state.
-#[derive(Debug, Default)]
-struct NodeState {
-    /// Busy-until times of in-flight cold starts (≤ concurrency).
-    slots: Vec<SimInstant>,
-    /// Containers currently placed on this node.
-    containers: usize,
 }
 
 #[derive(Debug)]
@@ -151,7 +137,11 @@ pub struct Platform {
     completed: Vec<CompletedRequest>,
     next_container: u64,
     next_request: u64,
-    nodes: Vec<NodeState>,
+    /// Busy-until times of the node's in-flight cold starts
+    /// (≤ `cold_start_concurrency`).
+    slots: Vec<SimInstant>,
+    /// Containers currently placed on the node.
+    placed: usize,
 }
 
 impl std::fmt::Debug for Platform {
@@ -168,7 +158,6 @@ impl std::fmt::Debug for Platform {
 impl Platform {
     /// Creates a platform over a registry.
     pub fn new(config: PlatformConfig, registry: Registry) -> Platform {
-        let node_count = config.nodes.max(1);
         Platform {
             config,
             registry,
@@ -181,35 +170,30 @@ impl Platform {
             completed: Vec::new(),
             next_container: 1,
             next_request: 1,
-            nodes: (0..node_count).map(|_| NodeState::default()).collect(),
+            slots: Vec::new(),
+            placed: 0,
         }
     }
 
-    /// Places a new replica: picks the least-loaded node with capacity
-    /// headroom and reserves one of its cold-start slots. Returns the
-    /// node, the slot index and the time the start may begin — or `None`
-    /// if the cluster is full (scale-up waits for capacity).
-    fn place_cold_start(&mut self) -> Option<(usize, usize, SimInstant)> {
-        let capacity = self.config.node_capacity.max(1);
-        let node = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.containers < capacity)
-            .min_by_key(|(_, n)| n.containers)
-            .map(|(i, _)| i)?;
-        let cap = self.config.cold_start_concurrency.max(1);
-        let slots = &mut self.nodes[node].slots;
-        if slots.len() < cap {
-            slots.push(self.now);
-            return Some((node, slots.len() - 1, self.now));
+    /// Places a new replica: reserves one of the node's cold-start
+    /// slots. Returns the slot index and the time the start may begin —
+    /// or `None` if the node is full (scale-up waits for capacity).
+    fn place_cold_start(&mut self) -> Option<(usize, SimInstant)> {
+        if self.placed >= NODE_CAPACITY {
+            return None;
         }
-        let (idx, &busy_until) = slots
+        let cap = self.config.cold_start_concurrency.max(1);
+        if self.slots.len() < cap {
+            self.slots.push(self.now);
+            return Some((self.slots.len() - 1, self.now));
+        }
+        let (idx, &busy_until) = self
+            .slots
             .iter()
             .enumerate()
             .min_by_key(|(_, t)| t.as_nanos())
             .expect("slots non-empty");
-        Some((node, idx, busy_until.max(self.now)))
+        Some((idx, busy_until.max(self.now)))
     }
 
     /// Current platform time.
@@ -467,18 +451,18 @@ impl Platform {
         let headroom = self.config.max_replicas.saturating_sub(live + starting);
         for _ in 0..deficit.min(headroom) {
             if self.start_replica(function)?.is_none() {
-                break; // cluster full: wait for capacity to free
+                break; // node full: wait for capacity to free
             }
         }
         Ok(())
     }
 
     /// Provisions a new container and starts a replica in it (vanilla or
-    /// prebaked, depending on the registry image). Returns `None` when no
-    /// node has capacity.
+    /// prebaked, depending on the registry image). Returns `None` when the
+    /// node is full.
     fn start_replica(&mut self, function: &str) -> SysResult<Option<u64>> {
         let image = self.registry.pull(function).ok_or(Errno::Enoent)?;
-        let Some((node, slot, start_at)) = self.place_cold_start() else {
+        let Some((slot, start_at)) = self.place_cold_start() else {
             return Ok(None);
         };
         let cid = self.next_container;
@@ -489,7 +473,7 @@ impl Platform {
         // happens outside the measured timeline — the paper excludes
         // orchestration overheads — so it runs uncharged.
         let mut kernel = Kernel::new(self.config.seed ^ (cid << 8));
-        let port = self.config.container_port;
+        let port = CONTAINER_PORT;
         let spec = image.spec.clone();
         let snapshot_files = image.snapshot_files.clone();
         let prebaked = image.is_prebaked();
@@ -525,8 +509,8 @@ impl Platform {
             ..
         } = starter.start(&mut kernel, watchdog, &dep)?;
         let ready_at = kernel.now();
-        self.nodes[node].slots[slot] = ready_at;
-        self.nodes[node].containers += 1;
+        self.slots[slot] = ready_at;
+        self.placed += 1;
 
         let m = self.metrics.function(function);
         m.replicas_started.inc();
@@ -555,7 +539,6 @@ impl Platform {
                 function: function.to_owned(),
                 kernel,
                 replica,
-                node,
                 busy_until: ready_at,
                 last_active: ready_at,
                 started_at,
@@ -571,8 +554,7 @@ impl Platform {
     /// the reason in metrics.
     fn remove_container(&mut self, cid: u64, reason: RemovalReason) {
         if let Some(container) = self.containers.remove(&cid) {
-            self.nodes[container.node].containers =
-                self.nodes[container.node].containers.saturating_sub(1);
+            self.placed = self.placed.saturating_sub(1);
             let m = self.metrics.function(&container.function);
             match reason {
                 RemovalReason::Idle => m.replicas_reaped.inc(),
@@ -932,53 +914,23 @@ mod tests {
     #[test]
     fn cluster_capacity_defers_scale_up() {
         let config = PlatformConfig {
-            nodes: 2,
-            node_capacity: 1,
             idle_timeout: SimDuration::from_secs(3600),
             ..PlatformConfig::default()
         };
         let mut p = platform_with(&Template::java11(), config);
+        // Every slot but one is taken by containers of other tenants.
+        p.placed = NODE_CAPACITY - 1;
         for _ in 0..6 {
             p.submit(SimInstant::EPOCH, "noop", Request::empty())
                 .unwrap();
         }
         p.run().unwrap();
-        assert_eq!(p.completed().len(), 6, "all served despite tiny cluster");
+        assert_eq!(p.completed().len(), 6, "all served despite a full node");
         assert_eq!(
             p.metrics().get("noop").unwrap().replicas_started.get(),
-            2,
-            "2 nodes x capacity 1 caps the fleet"
+            1,
+            "the last free slot caps the fleet"
         );
-    }
-
-    #[test]
-    fn placement_spreads_across_nodes() {
-        let config = PlatformConfig {
-            nodes: 3,
-            node_capacity: 1,
-            idle_timeout: SimDuration::from_secs(3600),
-            ..PlatformConfig::default()
-        };
-        let registry = Registry::new();
-        for i in 0..3 {
-            let spec = FunctionSpec::noop().with_name(format!("fn-{i}"));
-            registry.push(FunctionBuilder.build(spec, &Template::java11()).unwrap());
-        }
-        let mut p = Platform::new(config, registry);
-        for i in 0..3 {
-            let name = format!("fn-{i}");
-            p.deploy_function(&name).unwrap();
-            p.submit(SimInstant::EPOCH, &name, Request::empty())
-                .unwrap();
-        }
-        p.run().unwrap();
-        assert_eq!(p.completed().len(), 3);
-        // Each function got exactly one replica despite per-node capacity
-        // 1 — they must have spread over all three nodes.
-        for i in 0..3 {
-            let m = p.metrics().get(&format!("fn-{i}")).unwrap();
-            assert_eq!(m.replicas_started.get(), 1);
-        }
     }
 
     #[test]
@@ -1011,15 +963,12 @@ mod tests {
 
         // Parallel template: restore fans out and the gateway counts the
         // shards; the cold start beats the serial template's.
-        let mut serial = platform_with(&Template::java11_criu_warm(1), PlatformConfig::default());
+        let mut serial = platform_with(&Template::java11_criu_warm(), PlatformConfig::default());
         serial
             .submit(SimInstant::EPOCH, "noop", Request::empty())
             .unwrap();
         serial.run().unwrap();
-        let mut par = platform_with(
-            &Template::java11_criu_parallel(4),
-            PlatformConfig::default(),
-        );
+        let mut par = platform_with(&Template::java11_criu_parallel(), PlatformConfig::default());
         par.submit(SimInstant::EPOCH, "noop", Request::empty())
             .unwrap();
         par.run().unwrap();

@@ -306,35 +306,6 @@ impl Kernel {
         Ok(pid)
     }
 
-    /// `clone` with an explicit pid (CRIU restore via `ns_last_pid`).
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Eperm`] without checkpoint/restore capability,
-    /// [`Errno::Eexist`] if the pid is taken.
-    pub fn sys_clone_with_pid(&mut self, parent: Pid, pid: Pid) -> SysResult<Pid> {
-        let caps = self.process(parent)?.caps;
-        if !caps.can_checkpoint() {
-            return Err(Errno::Eperm);
-        }
-        if self.procs.contains_key(&pid) {
-            return Err(Errno::Eexist);
-        }
-        let span = self.span_begin("sys_clone", parent);
-        self.probe_enter(parent, "clone");
-        let cost = self.costs.clone_call;
-        self.charge(cost);
-        let parent_proc = self.procs.get(&parent).ok_or(Errno::Esrch)?.clone();
-        let tid = self.alloc_tid();
-        let mut child = Process::new(pid, parent, parent_proc.comm.clone(), tid);
-        child.caps = caps;
-        self.next_pid = self.next_pid.max(pid.0 + 1);
-        self.procs.insert(pid, child);
-        self.probe_exit(parent, "clone");
-        self.span_end(span);
-        Ok(pid)
-    }
-
     /// `execve(2)`: replaces the process image with `path`.
     ///
     /// Reads the binary (cold or warm), resets the address space, maps the
@@ -1281,28 +1252,6 @@ mod tests {
             cold.as_nanos() > 3 * warm.as_nanos(),
             "cold {cold} vs warm {warm}"
         );
-    }
-
-    #[test]
-    fn clone_with_pid_needs_capability() {
-        let mut k = kernel_with_bin("/bin/app", 64);
-        let unpriv = k.sys_clone(INIT_PID).unwrap();
-        // fresh clone of init inherits all caps; strip by creating a process
-        // without them.
-        k.process_mut(unpriv).unwrap().caps = CapSet::empty();
-        assert_eq!(
-            k.sys_clone_with_pid(unpriv, Pid(777)).unwrap_err(),
-            Errno::Eperm
-        );
-        let restored = k.sys_clone_with_pid(INIT_PID, Pid(777)).unwrap();
-        assert_eq!(restored, Pid(777));
-        assert_eq!(
-            k.sys_clone_with_pid(INIT_PID, Pid(777)).unwrap_err(),
-            Errno::Eexist
-        );
-        // allocator skips past explicitly placed pids
-        let next = k.sys_clone(INIT_PID).unwrap();
-        assert!(next.0 > 777);
     }
 
     #[test]

@@ -124,26 +124,10 @@ pub struct Thread {
 }
 
 /// What a file descriptor refers to. The checkpoint `files` image
-/// serialises this table; restore re-opens each entry.
+/// serialises this table; restore re-opens each entry. A listener is
+/// the only descriptor a process can open.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FdEntry {
-    /// A regular file opened at `offset`.
-    File {
-        /// Guest path.
-        path: String,
-        /// Current file offset.
-        offset: u64,
-    },
-    /// The read end of a pipe.
-    PipeRead {
-        /// Pipe id shared by both ends.
-        pipe: u64,
-    },
-    /// The write end of a pipe.
-    PipeWrite {
-        /// Pipe id shared by both ends.
-        pipe: u64,
-    },
     /// A listening TCP socket (the function's HTTP server).
     Listener {
         /// Bound port.
@@ -181,7 +165,7 @@ impl FdTable {
     ///
     /// [`Errno::Eexist`] if the descriptor is occupied, [`Errno::Ebadf`]
     /// for reserved descriptors (< 3).
-    pub fn insert_at(&mut self, fd: i32, entry: FdEntry) -> SysResult<()> {
+    pub(crate) fn insert_at(&mut self, fd: i32, entry: FdEntry) -> SysResult<()> {
         if fd < 3 {
             return Err(Errno::Ebadf);
         }
@@ -289,7 +273,7 @@ mod tests {
         let mut t = FdTable::new();
         let fd = t.insert(FdEntry::Listener { port: 8080 });
         assert_eq!(fd, 3);
-        let fd2 = t.insert(FdEntry::PipeRead { pipe: 1 });
+        let fd2 = t.insert(FdEntry::Listener { port: 8081 });
         assert_eq!(fd2, 4);
         assert_eq!(t.entries.len(), 2);
     }
@@ -307,7 +291,7 @@ mod tests {
             Errno::Eexist
         );
         // allocator continues after the fixed insert
-        assert_eq!(t.insert(FdEntry::PipeRead { pipe: 0 }), 8);
+        assert_eq!(t.insert(FdEntry::Listener { port: 3 }), 8);
     }
 
     #[test]

@@ -56,7 +56,6 @@ fn main() {
     let mut locked_down = FaasGateway::new(
         PlatformConfig::default(),
         ProviderConfig {
-            backend: "kubernetes".into(),
             allow_privileged: false,
         },
     );

@@ -68,8 +68,10 @@ golden ablation_gateway BENCH_gateway.json
 # then one quick pass of every workload and the traced pass for their
 # verification checks. Exit code only — shared runners are too noisy
 # for a timing gate.
-run cargo test -q --offline --manifest-path perfbench/Cargo.toml
-run cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- all --quick
+# `--locked`: a dependency edit that would rewrite perfbench/Cargo.lock
+# fails here instead of changing a benchmark file.
+run cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
+run cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- all --quick
 run cargo fmt --all --check
 # No `#[allow(dead_code)]` or `#[allow(unused...)]` anywhere, so the
 # clippy step's dead-code lint keeps seeing every item.

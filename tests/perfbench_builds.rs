@@ -2,6 +2,9 @@
 //! of its own that path-depends on the crates here, so no root test
 //! compiles it: a rename of anything it imports would pass tier-1 and
 //! break the benchmark. This check makes that break a test failure.
+//! `--locked` makes a dependency edit that would rewrite
+//! `perfbench/Cargo.lock` a failure too, instead of a silent lockfile
+//! change.
 
 use std::process::Command;
 
@@ -9,7 +12,14 @@ use std::process::Command;
 fn perfbench_still_builds_against_the_workspace() {
     let manifest = concat!(env!("CARGO_MANIFEST_DIR"), "/perfbench/Cargo.toml");
     let out = Command::new(env!("CARGO"))
-        .args(["check", "--offline", "--quiet", "--manifest-path", manifest])
+        .args([
+            "check",
+            "--offline",
+            "--locked",
+            "--quiet",
+            "--manifest-path",
+            manifest,
+        ])
         .output()
         .expect("spawn cargo");
     assert!(
