@@ -4,12 +4,15 @@
 //! layout: `core.img` (task identity, threads, registers, capabilities),
 //! `mm.img` (the VMA list), `pagemap.img` (which pages travel and which
 //! are zero), `pages.img` (raw page payload) and `files.img` (the
-//! descriptor table). Each file is a checksummed TLV blob.
+//! descriptor table). Each file is a TLV blob sealed with an XXH64
+//! checksum of everything before it, except `pages.img`, whose checksum
+//! is an XXH64 over its page hashes (see `pages_sum`).
 
 use std::fmt;
 use std::ops::{Deref, Range};
 
 use bytes::Bytes;
+use prebake_sim::hash::xxh64;
 use prebake_sim::mem::{Page, Prot, VirtAddr, Vma, VmaKind, PAGE_SIZE};
 use prebake_sim::proc::{FdEntry, Pid, Regs, Tid};
 
@@ -17,11 +20,14 @@ use prebake_sim::proc::{FdEntry, Pid, Regs, Tid};
 pub(crate) const IMAGE_MAGIC: u32 = 0x4352_494D;
 /// Image format version: the only one this build writes or reads.
 /// Version 2 added the fault-order `repack` layout and the compaction
-/// fallback layer (`fallback-pagemap.img`/`fallback-pages.img`).
-pub(crate) const IMAGE_VERSION: u16 = 2;
+/// fallback layer (`fallback-pagemap.img`/`fallback-pages.img`); version
+/// 3 moved every checksum and page hash from FNV-1a to XXH64 and made
+/// `pages.img`'s checksum a hash over its page hashes.
+pub(crate) const IMAGE_VERSION: u16 = 3;
 /// Bytes before every image body: magic, version and kind tag.
 const HEADER_LEN: usize = 4 + 2 + 1;
-/// Bytes after every image body: the FNV-1a checksum of all before it.
+/// Bytes after every image body: the XXH64 checksum of all before it
+/// (for `pages.img`, of its head and page hashes: see `pages_sum`).
 const CHECKSUM_LEN: usize = 8;
 /// Offset of the page payload in `pages.img`: the header, then the
 /// payload's `u32` length.
@@ -89,52 +95,42 @@ impl fmt::Display for ImageError {
 
 impl std::error::Error for ImageError {}
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
+/// The checksum of the `pages.img` bytes before its trailing sum: XXH64
+/// over the bytes before the payload (`head`), then each whole page's
+/// [`page_content_hash`] as little-endian `u64`s, then any ragged tail —
+/// a hash over the page hashes, so no page byte is hashed twice.
+fn pages_sum(head: &[u8], page_hashes: &[u64], tail: &[u8]) -> u64 {
+    let mut tree = Vec::with_capacity(head.len() + 8 * page_hashes.len() + tail.len());
+    tree.extend_from_slice(head);
+    for h in page_hashes {
+        tree.extend_from_slice(&h.to_le_bytes());
     }
-    h
+    tree.extend_from_slice(tail);
+    xxh64(&tree)
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_extend(FNV_OFFSET, bytes)
-}
-
-/// `fnv1a(bytes)` together with the [`page_content_hash`] of every whole
-/// [`PAGE_SIZE`] chunk of `bytes[at..]`, in one pass. Each FNV chain is
-/// bound by its multiply latency, so the two independent chains share
-/// the loop at about the cost of one. A ragged tail feeds only the
-/// whole-buffer hash.
-fn fnv1a_with_page_hashes(bytes: &[u8], at: usize) -> (u64, Vec<u64>) {
+/// [`pages_sum`] of `bytes` split at `at`, together with the
+/// [`page_content_hash`] of every whole [`PAGE_SIZE`] chunk of
+/// `bytes[at..]` it is built from: one pass hashes each page once. A
+/// ragged tail feeds only the sum.
+fn pages_sum_with_page_hashes(bytes: &[u8], at: usize) -> (u64, Vec<u64>) {
     let (head, body) = bytes.split_at(at.min(bytes.len()));
-    let mut whole = fnv1a(head);
     let pages = body.chunks_exact(PAGE_SIZE);
     let tail = pages.remainder();
-    let mut hashes = Vec::with_capacity(body.len() / PAGE_SIZE);
-    for page in pages {
-        let mut h = FNV_OFFSET;
-        for &b in page {
-            whole = (whole ^ b as u64).wrapping_mul(FNV_PRIME);
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        hashes.push(h);
-    }
-    (fnv1a_extend(whole, tail), hashes)
+    let hashes: Vec<u64> = pages.map(page_content_hash).collect();
+    (pages_sum(head, &hashes, tail), hashes)
 }
 
 /// Content hash of a page frame, as used by the dedup page store.
 ///
 /// This is the key under which identical pages collapse to one frame —
 /// both inside `pagestore.img` and in the machine-wide shared pool at
-/// restore time. FNV-1a over the raw page bytes: cheap, deterministic,
-/// and good enough for a simulator where collisions would require
-/// adversarial inputs (real systems use memfd offsets or KSM's full
-/// memcmp instead of trusting the hash).
+/// restore time — and the leaf of `pages.img`'s checksum. XXH64 over the
+/// raw page bytes: fast, deterministic, and good enough for a simulator
+/// where collisions would require adversarial inputs (real systems use
+/// memfd offsets or KSM's full memcmp instead of trusting the hash).
 pub fn page_content_hash(bytes: &[u8]) -> u64 {
-    fnv1a(bytes)
+    xxh64(bytes)
 }
 
 // ----------------------------------------------------------------- writer
@@ -183,8 +179,14 @@ impl Writer {
         self.buf.extend_from_slice(b);
     }
 
-    fn finish(mut self) -> Vec<u8> {
-        let sum = fnv1a(&self.buf);
+    fn finish(self) -> Vec<u8> {
+        self.finish_summed(xxh64)
+    }
+
+    /// [`Writer::finish`] with the checksum computed by `sum` over
+    /// everything written.
+    fn finish_summed(mut self, sum: impl FnOnce(&[u8]) -> u64) -> Vec<u8> {
+        let sum = sum(&self.buf);
         self.buf.extend_from_slice(&sum.to_be_bytes());
         self.buf
     }
@@ -199,7 +201,7 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn open(bytes: &'a [u8], kind: u8) -> Result<Reader<'a>, ImageError> {
-        Reader::open_summed(bytes, kind, fnv1a)
+        Reader::open_summed(bytes, kind, xxh64)
     }
 
     /// [`Reader::open`] with the checksum computed by `sum` over the
@@ -596,8 +598,8 @@ impl fmt::Debug for Payload {
 /// the `pages.img` buffer it is given, and a [`PagesBuilder`] freezes
 /// its buffer once, so cloning an image never copies page data. Each
 /// stored page's [`page_content_hash`] is kept beside it, computed once:
-/// by the builder as the page arrives, or by parse in the same pass
-/// that verifies the file's checksum.
+/// by the builder as the page arrives, or by parse, which verifies the
+/// file's checksum from those hashes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PagesImage {
     /// Pagemap records in page-index order.
@@ -747,11 +749,12 @@ impl PagesImage {
     }
 
     /// Serialises `pages.img` into a shared buffer, the form
-    /// [`PagesImage::parse`] views.
+    /// [`PagesImage::parse`] views. The checksum comes from the page
+    /// hashes already held, without re-reading the payload.
     pub fn encode_pages(&self) -> Bytes {
         let mut w = Writer::new(KIND_PAGES);
         w.bytes(&self.payload);
-        Bytes::from(w.finish())
+        Bytes::from(w.finish_summed(|body| pages_sum(&body[..PAGES_PAYLOAD_AT], &self.hashes, &[])))
     }
 
     /// `encode_pagemap().len()`, without encoding.
@@ -766,7 +769,8 @@ impl PagesImage {
 
     /// Parses the pagemap/pages pair back into one unit. The payload
     /// stays inside `pages` (a view, not a copy), and one pass over
-    /// `pages` both verifies its checksum and hashes every stored page.
+    /// `pages` hashes every stored page once; its checksum is verified
+    /// from those page hashes.
     ///
     /// # Errors
     ///
@@ -795,7 +799,7 @@ impl PagesImage {
 
         let mut hashes = Vec::new();
         let mut r = Reader::open_summed(pages, KIND_PAGES, |body| {
-            let (sum, page_hashes) = fnv1a_with_page_hashes(body, PAGES_PAYLOAD_AT);
+            let (sum, page_hashes) = pages_sum_with_page_hashes(body, PAGES_PAYLOAD_AT);
             hashes = page_hashes;
             sum
         })?;
@@ -1607,11 +1611,12 @@ mod tests {
     #[test]
     fn files_image_bytes_are_pinned() {
         // Written when `files.img` still had tags 0-2: a listener entry
-        // is the same `i32` fd, tag 3 and `u16` port it was then.
+        // is the same `i32` fd, tag 3 and `u16` port it was then. Version
+        // 3 changed only the version field and the (now XXH64) checksum.
         const FILES: [u8; 33] = [
-            0x43, 0x52, 0x49, 0x4D, 0x00, 0x02, 0x05, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
-            0x03, 0x03, 0x1F, 0x90, 0x00, 0x00, 0x00, 0x04, 0x03, 0x23, 0x82, 0xD7, 0x2B, 0x2A,
-            0x4F, 0xF4, 0x29, 0xF9, 0xDE,
+            0x43, 0x52, 0x49, 0x4D, 0x00, 0x03, 0x05, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+            0x03, 0x03, 0x1F, 0x90, 0x00, 0x00, 0x00, 0x04, 0x03, 0x23, 0x82, 0xCD, 0x69, 0xBD,
+            0x76, 0xBA, 0x88, 0x72, 0xFB,
         ];
         assert_eq!(sample_files().encode(), FILES);
         assert_eq!(sample_files().encoded_len(), FILES.len());
@@ -1631,11 +1636,41 @@ mod tests {
 
     #[test]
     fn only_the_current_version_parses() {
-        for version in [1, IMAGE_VERSION + 1] {
+        for version in [1, 2, IMAGE_VERSION + 1] {
             let mut raw = sample_core().encode();
             raw[4..6].copy_from_slice(&version.to_be_bytes());
             reseal(&mut raw);
             assert_eq!(CoreImage::parse(&raw), Err(ImageError::BadVersion(version)));
+        }
+    }
+
+    #[test]
+    fn version_2_pages_images_are_rejected() {
+        let mut one = PagesBuilder::default();
+        one.push(0, &filled(0xAA));
+        let pagemap = one.finish().encode_pagemap();
+        // Version 2 `pages.img` files as that format wrote them: one
+        // 0xAA page, and no page, each sealed with FNV-1a over every byte.
+        let mut old_one = vec![
+            0x43, 0x52, 0x49, 0x4D, 0x00, 0x02, 0x04, 0x00, 0x00, 0x10, 0x00,
+        ];
+        old_one.extend_from_slice(&[0xAA; PAGE_SIZE]);
+        old_one.extend_from_slice(&[0x01, 0x04, 0x19, 0x79, 0xE3, 0xFD, 0xF3, 0x98]);
+        let old_empty = vec![
+            0x43, 0x52, 0x49, 0x4D, 0x00, 0x02, 0x04, 0x00, 0x00, 0x00, 0x00, 0x83, 0xE8, 0xFB,
+            0x71, 0x73, 0xDD, 0xE1, 0x08,
+        ];
+        let empty_pagemap = PagesImage::default().encode_pagemap();
+        for (pagemap, mut old) in [(&pagemap, old_one), (&empty_pagemap, old_empty)] {
+            assert_eq!(
+                PagesImage::parse(pagemap, &Bytes::from(old.clone())),
+                Err(ImageError::BadChecksum)
+            );
+            reseal_pages(&mut old);
+            assert_eq!(
+                PagesImage::parse(pagemap, &Bytes::from(old)),
+                Err(ImageError::BadVersion(2))
+            );
         }
     }
 
@@ -1736,7 +1771,14 @@ mod tests {
     /// (edited) contents.
     fn reseal(raw: &mut [u8]) {
         let at = raw.len() - CHECKSUM_LEN;
-        let sum = fnv1a(&raw[..at]);
+        let sum = xxh64(&raw[..at]);
+        raw[at..].copy_from_slice(&sum.to_be_bytes());
+    }
+
+    /// [`reseal`] for `pages.img`, whose checksum hashes page hashes.
+    fn reseal_pages(raw: &mut [u8]) {
+        let at = raw.len() - CHECKSUM_LEN;
+        let (sum, _) = pages_sum_with_page_hashes(&raw[..at], PAGES_PAYLOAD_AT);
         raw[at..].copy_from_slice(&sum.to_be_bytes());
     }
 
@@ -1789,7 +1831,7 @@ mod tests {
         // even in a pages.img resealed with a matching checksum.
         let mut raw = pages.encode_pages().to_vec();
         raw[PAGES_PAYLOAD_AT + 100] ^= 0xFF;
-        reseal(&mut raw);
+        reseal_pages(&mut raw);
         let tampered = PagesImage::parse(&pages.encode_pagemap(), &Bytes::from(raw)).unwrap();
         assert_eq!(
             PageStoreImage::parse(&store.encode(), &tampered),
@@ -1976,35 +2018,47 @@ mod tests {
     }
 
     #[test]
-    fn fnv_values_are_the_reference_fnv1a_64() {
-        // FNV-1a 64 reference vectors: checksums, page hashes, registry
-        // manifests and shared-pool keys all depend on these values.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(page_content_hash(b"foobar"), 0x8594_4171_f739_67e8);
+    fn page_hashes_and_checksums_are_xxh64() {
+        // Checksums, page hashes, registry manifests and shared-pool keys
+        // all depend on these values: XXH64 (seed 0) reference vectors.
+        assert_eq!(page_content_hash(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(page_content_hash(b"abc"), 0x44BC_2CF5_AD77_0999);
+        let raw = sample_core().encode();
+        let (body, sum) = raw.split_at(raw.len() - CHECKSUM_LEN);
+        assert_eq!(sum, xxh64(body).to_be_bytes());
     }
 
     #[test]
     fn fused_pass_handles_empty_and_headless_buffers() {
-        assert_eq!(fnv1a_with_page_hashes(&[], 0), (fnv1a(&[]), vec![]));
-        assert_eq!(fnv1a_with_page_hashes(&[], 11), (fnv1a(&[]), vec![]));
+        let empty = (xxh64(&[]), vec![]);
+        assert_eq!(pages_sum_with_page_hashes(&[], 0), empty);
+        assert_eq!(pages_sum_with_page_hashes(&[], 11), empty);
         let short = [7u8; 5];
-        assert_eq!(fnv1a_with_page_hashes(&short, 11), (fnv1a(&short), vec![]));
+        assert_eq!(
+            pages_sum_with_page_hashes(&short, 11),
+            (xxh64(&short), vec![])
+        );
     }
 
     proptest::proptest! {
-        /// One fused pass returns exactly the whole-buffer checksum and
-        /// the content hash of every whole page after `at`; a ragged
-        /// tail and a payload shorter than a page hash no page.
+        /// One pass returns the tree sum built page by page (the head,
+        /// each whole page's hash in little-endian order, then the ragged
+        /// tail) and the content hash of every whole page after `at`; a
+        /// payload shorter than a page hashes no page.
         #[test]
         fn fused_pass_matches_separate_hashes(
             at in 0usize..20,
             bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..3 * PAGE_SIZE + 100),
         ) {
-            let (whole, hashes) = fnv1a_with_page_hashes(&bytes, at);
-            proptest::prop_assert_eq!(whole, fnv1a(&bytes));
-            let body = &bytes[at.min(bytes.len())..];
+            let (sum, hashes) = pages_sum_with_page_hashes(&bytes, at);
+            let (head, body) = bytes.split_at(at.min(bytes.len()));
             let expected: Vec<u64> = body.chunks_exact(PAGE_SIZE).map(page_content_hash).collect();
+            let mut tree = head.to_vec();
+            for h in &expected {
+                tree.extend_from_slice(&h.to_le_bytes());
+            }
+            tree.extend_from_slice(&body[expected.len() * PAGE_SIZE..]);
+            proptest::prop_assert_eq!(sum, xxh64(&tree));
             proptest::prop_assert_eq!(hashes, expected);
         }
     }

@@ -14,6 +14,7 @@ use proptest::prelude::*;
 use prebake_criu::dump::{dump, read_images, read_images_lazy, DumpOptions};
 use prebake_criu::image::{page_content_hash, ImageError, ImageSet, PageStoreImage, PagesImage};
 use prebake_sim::error::Errno;
+use prebake_sim::hash::xxh64;
 use prebake_sim::kernel::{Kernel, INIT_PID};
 use prebake_sim::mem::{Prot, VmaKind, PAGE_SIZE};
 
@@ -68,11 +69,26 @@ fn put(k: &mut Kernel, name: &str, bytes: Vec<u8>) {
     k.fs_mut().write_file(&path(name), bytes).unwrap();
 }
 
-/// Recomputes an encoded image's trailing checksum over its edited
-/// contents. `page_content_hash` is the same FNV-1a the checksum uses.
-fn reseal(raw: &mut [u8]) {
+/// Recomputes the trailing checksum of the edited image file `name`:
+/// XXH64 over everything before it, except in `pages.img`, whose sum is
+/// XXH64 over the bytes before the payload, each whole page's
+/// `page_content_hash` (little-endian), then any ragged tail.
+fn reseal(name: &str, raw: &mut [u8]) {
     let at = raw.len() - CHECKSUM;
-    let sum = page_content_hash(&raw[..at]);
+    let body = &raw[..at];
+    let sum = if name == PAGES {
+        let (head, payload) = body.split_at(PAYLOAD_AT.min(at));
+        let pages = payload.chunks_exact(PAGE_SIZE);
+        let mut tree = head.to_vec();
+        let tail = pages.remainder();
+        for page in pages {
+            tree.extend_from_slice(&page_content_hash(page).to_le_bytes());
+        }
+        tree.extend_from_slice(tail);
+        xxh64(&tree)
+    } else {
+        xxh64(body)
+    };
     raw[at..].copy_from_slice(&sum.to_be_bytes());
 }
 
@@ -158,7 +174,7 @@ proptest! {
         for (at, x) in edits {
             raw[pick(body, at)] ^= x;
         }
-        reseal(&mut raw);
+        reseal(name, &mut raw);
         put(&mut k, name, raw);
         let reads = [read_images(&mut k, DIR), read_images_lazy(&mut k, DIR)];
         for set in reads.into_iter().flatten() {
@@ -174,7 +190,7 @@ proptest! {
         let mut raw = file(&mut k, PAGES);
         let i = PAYLOAD_AT + pick(raw.len() - PAYLOAD_AT - CHECKSUM, at);
         raw[i] ^= x;
-        reseal(&mut raw);
+        reseal(PAGES, &mut raw);
         let pages = PagesImage::parse(&file(&mut k, PAGEMAP), &Bytes::from(raw.clone())).unwrap();
         prop_assert_eq!(
             PageStoreImage::parse(&file(&mut k, PAGESTORE), &pages),
@@ -194,7 +210,7 @@ fn declared_pages_length_must_match_the_file() {
     for declared in [0, len - 1, len + 1, len + PAGE_SIZE as u32, u32::MAX] {
         let mut bad = raw.clone();
         bad[HEADER..PAYLOAD_AT].copy_from_slice(&declared.to_be_bytes());
-        reseal(&mut bad);
+        reseal(PAGES, &mut bad);
         assert_eq!(
             PagesImage::parse(&pagemap, &Bytes::from(bad.clone())),
             Err(ImageError::Truncated),
@@ -215,7 +231,7 @@ fn payload_must_be_whole_pages_matching_the_pagemap() {
         let mut bad = raw[..PAYLOAD_AT + len].to_vec();
         bad.extend(std::iter::repeat_n(0x5A, extra + CHECKSUM));
         bad[HEADER..PAYLOAD_AT].copy_from_slice(&((len + extra) as u32).to_be_bytes());
-        reseal(&mut bad);
+        reseal(PAGES, &mut bad);
         assert_eq!(
             PagesImage::parse(&pagemap, &Bytes::from(bad.clone())),
             Err(ImageError::BadPages),
@@ -240,7 +256,7 @@ fn frame_index_past_the_frame_table_is_rejected() {
     for frame in [frames, frames + 1, u32::MAX] {
         let mut bad = raw.clone();
         bad[first_ref_frame..first_ref_frame + 4].copy_from_slice(&frame.to_be_bytes());
-        reseal(&mut bad);
+        reseal(PAGESTORE, &mut bad);
         assert_eq!(
             PageStoreImage::parse(&bad, &pages),
             Err(ImageError::BadPageStore),
@@ -278,7 +294,7 @@ fn version_1_images_are_rejected() {
         let mut k = dumped();
         let mut raw = file(&mut k, name);
         raw[4..6].copy_from_slice(&1u16.to_be_bytes());
-        reseal(&mut raw);
+        reseal(name, &mut raw);
         put(&mut k, name, raw);
         assert_eq!(
             read_images(&mut k, DIR).unwrap_err(),

@@ -8,7 +8,7 @@
 //! images reference it, so cross-function sharing translates directly
 //! into bytes that never cross the network.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 use crate::manifest::ImageManifest;
 
@@ -54,8 +54,11 @@ impl PullStats {
 /// One node's pull-through image cache.
 #[derive(Debug, Clone, Default)]
 pub struct NodeCache {
-    /// Hashes of the resident frames.
-    frames: BTreeSet<u64>,
+    /// Hashes of the resident frames. Unordered: the hashes are spread
+    /// uniformly, so in an ordered set consecutive probes of one
+    /// manifest's sorted hashes land on different nodes, and placement
+    /// probes this set for every candidate worker.
+    frames: HashSet<u64>,
     images: BTreeSet<String>,
 }
 

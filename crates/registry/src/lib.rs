@@ -10,7 +10,7 @@
 //! virtual clock:
 //!
 //! - [`ImageManifest`] — one image as the registry stores it: unique
-//!   page-frame content hashes (the same `page_content_hash` keys
+//!   page-frame content hashes (the same XXH64 `page_content_hash` keys
 //!   `pagestore.img` uses) plus non-page metadata bytes.
 //! - [`SnapshotRegistry`] — published manifests, a
 //!   [`RegistryCost`] network model (round-trip latency + per-byte

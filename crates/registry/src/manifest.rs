@@ -2,9 +2,9 @@
 //!
 //! A manifest describes one function's snapshot image the way the
 //! registry stores it: a list of unique page-frame content hashes (the
-//! same `page_content_hash` keys `pagestore.img` and the machine-wide
-//! shared pool use) plus the non-page metadata bytes (core, mm, fds,
-//! pagemap, extent table). Transfers are frame-granular: a node that
+//! same XXH64 `page_content_hash` keys `pagestore.img` and the
+//! machine-wide shared pool use) plus the non-page metadata bytes (core,
+//! mm, fds, pagemap, extent table). Transfers are frame-granular: a node that
 //! already holds a frame — from *any* image — never fetches it again.
 
 use std::collections::BTreeSet;
@@ -95,9 +95,9 @@ impl ImageManifest {
     }
 }
 
-/// Content hash of a synthetic frame: the FNV page hash over a page
-/// filled with the `(tag, seed, index)` pattern — collision-free in
-/// practice and identical across processes and runs.
+/// Content hash of a synthetic frame: the XXH64 `page_content_hash`
+/// over a page filled with the `(tag, seed, index)` pattern —
+/// collision-free in practice and identical across processes and runs.
 fn synthetic_frame_hash(tag: &str, seed: u64, index: u64) -> u64 {
     let mut page = [0u8; 64];
     let tag_bytes = tag.as_bytes();

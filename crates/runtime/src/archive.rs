@@ -4,12 +4,19 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::classfile::{fnv1a, ClassFile};
+use prebake_sim::hash::xxh64;
+
+use crate::classfile::ClassFile;
 
 /// Format magic: `"JLAR"`.
 pub(crate) const ARCHIVE_MAGIC: u32 = 0x4A4C_4152;
-/// Current format version.
-pub(crate) const ARCHIVE_VERSION: u16 = 1;
+/// Current format version. Version 2 moved the trailing checksum from
+/// FNV-1a to XXH64.
+pub(crate) const ARCHIVE_VERSION: u16 = 2;
+/// Bytes before the first entry: magic, version and entry count.
+const ARCHIVE_HEADER_LEN: usize = 4 + 2 + 4;
+/// Bytes after the last entry: the XXH64 checksum of all before it.
+const ARCHIVE_CHECKSUM_LEN: usize = 8;
 
 /// Errors produced while parsing an archive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,23 +128,76 @@ impl Archive {
             out.extend_from_slice(&(data.len() as u32).to_be_bytes());
             out.extend_from_slice(data);
         }
-        let sum = fnv1a(&out);
+        let sum = xxh64(&out);
         out.extend_from_slice(&sum.to_be_bytes());
         out
     }
 
-    /// Parses an archive image.
+    /// Parses an archive image, copying each entry out of `bytes`
+    /// (the [`ArchiveIndex`] parse, then one copy per entry).
     ///
     /// # Errors
     ///
     /// Any [`ArchiveError`] describing the malformation.
     pub fn parse(bytes: &[u8]) -> Result<Archive, ArchiveError> {
-        if bytes.len() < 18 {
+        let mut spans: Vec<(String, (u64, u64))> =
+            ArchiveIndex::parse(bytes)?.spans.into_iter().collect();
+        spans.sort_unstable_by_key(|&(_, (offset, _))| offset);
+        let mut archive = Archive::new();
+        for (name, (offset, len)) in spans {
+            archive.add(
+                name,
+                bytes[offset as usize..(offset + len) as usize].to_vec(),
+            );
+        }
+        Ok(archive)
+    }
+
+    /// Builds an archive from a set of class files.
+    pub fn from_classes<'a>(classes: impl IntoIterator<Item = &'a ClassFile>) -> Archive {
+        let mut a = Archive::new();
+        for c in classes {
+            a.add_class(c);
+        }
+        a
+    }
+}
+
+/// Where each entry of an encoded archive lies, without its payload:
+/// what the runtime keeps to read class files straight out of the
+/// memory-mapped archive.
+///
+/// # Examples
+///
+/// ```
+/// use prebake_runtime::archive::{Archive, ArchiveIndex};
+///
+/// let mut a = Archive::new();
+/// a.add("x", vec![1, 2, 3]);
+/// let bytes = a.encode();
+/// let (offset, len) = ArchiveIndex::parse(&bytes).unwrap().entry_offset("x").unwrap();
+/// assert_eq!(&bytes[offset as usize..(offset + len) as usize], &[1, 2, 3]);
+/// ```
+#[derive(Debug, PartialEq, Eq)]
+pub struct ArchiveIndex {
+    /// Entry name → `(offset, len)` of its payload in the encoded image.
+    spans: BTreeMap<String, (u64, u64)>,
+}
+
+impl ArchiveIndex {
+    /// Verifies an archive image's checksum and indexes its entries; no
+    /// payload is copied.
+    ///
+    /// # Errors
+    ///
+    /// Any [`ArchiveError`] describing the malformation.
+    pub fn parse(bytes: &[u8]) -> Result<ArchiveIndex, ArchiveError> {
+        if bytes.len() < ARCHIVE_HEADER_LEN + ARCHIVE_CHECKSUM_LEN {
             return Err(ArchiveError::Truncated);
         }
-        let (payload, tail) = bytes.split_at(bytes.len() - 8);
+        let (payload, tail) = bytes.split_at(bytes.len() - ARCHIVE_CHECKSUM_LEN);
         let declared = u64::from_be_bytes(tail.try_into().unwrap());
-        if fnv1a(payload) != declared {
+        if xxh64(payload) != declared {
             return Err(ArchiveError::BadChecksum);
         }
         let magic = u32::from_be_bytes(payload[0..4].try_into().unwrap());
@@ -149,8 +209,8 @@ impl Archive {
             return Err(ArchiveError::BadVersion(version));
         }
         let count = u32::from_be_bytes(payload[6..10].try_into().unwrap());
-        let mut pos = 10usize;
-        let mut archive = Archive::new();
+        let mut pos = ARCHIVE_HEADER_LEN;
+        let mut spans = BTreeMap::new();
         for _ in 0..count {
             if pos + 2 > payload.len() {
                 return Err(ArchiveError::Truncated);
@@ -169,40 +229,27 @@ impl Archive {
             if pos + data_len > payload.len() {
                 return Err(ArchiveError::Truncated);
             }
-            if archive.get(&name).is_some() {
+            if spans.contains_key(&name) {
                 return Err(ArchiveError::DuplicateEntry(name));
             }
-            archive.add(name, payload[pos..pos + data_len].to_vec());
+            spans.insert(name, (pos as u64, data_len as u64));
             pos += data_len;
         }
         if pos != payload.len() {
             return Err(ArchiveError::Truncated);
         }
-        Ok(archive)
+        Ok(ArchiveIndex { spans })
+    }
+
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        self.spans.len()
     }
 
     /// Byte range `(offset, len)` of an entry's payload within the
-    /// *encoded* archive image. The runtime uses this to read individual
-    /// class files straight out of the memory-mapped archive.
+    /// encoded archive image.
     pub fn entry_offset(&self, name: &str) -> Option<(u64, u64)> {
-        let mut pos = 10u64; // magic + version + count
-        for (entry_name, data) in &self.entries {
-            pos += 2 + entry_name.len() as u64 + 4;
-            if entry_name == name {
-                return Some((pos, data.len() as u64));
-            }
-            pos += data.len() as u64;
-        }
-        None
-    }
-
-    /// Builds an archive from a set of class files.
-    pub fn from_classes<'a>(classes: impl IntoIterator<Item = &'a ClassFile>) -> Archive {
-        let mut a = Archive::new();
-        for c in classes {
-            a.add_class(c);
-        }
-        a
+        self.spans.get(name).copied()
     }
 }
 
@@ -284,12 +331,52 @@ mod tests {
     fn entry_offset_points_at_payload() {
         let a = sample();
         let encoded = a.encode();
+        let index = ArchiveIndex::parse(&encoded).unwrap();
+        assert_eq!(index.len(), a.len());
         for name in a.entries.iter().map(|(n, _)| n.as_str()) {
-            let (off, len) = a.entry_offset(name).unwrap();
+            let (off, len) = index.entry_offset(name).unwrap();
             let slice = &encoded[off as usize..(off + len) as usize];
             assert_eq!(slice, a.get(name).unwrap(), "offset wrong for {name}");
         }
-        assert!(a.entry_offset("missing").is_none());
+        assert!(index.entry_offset("missing").is_none());
+    }
+
+    /// Rewrites an encoded archive's trailing checksum to match its
+    /// (edited) contents.
+    fn reseal(bytes: &mut [u8]) {
+        let at = bytes.len() - ARCHIVE_CHECKSUM_LEN;
+        let sum = xxh64(&bytes[..at]);
+        bytes[at..].copy_from_slice(&sum.to_be_bytes());
+    }
+
+    #[test]
+    fn only_the_current_version_parses() {
+        for version in [1, ARCHIVE_VERSION + 1] {
+            let mut bytes = sample().encode();
+            bytes[4..6].copy_from_slice(&version.to_be_bytes());
+            reseal(&mut bytes);
+            assert_eq!(
+                Archive::parse(&bytes),
+                Err(ArchiveError::BadVersion(version))
+            );
+        }
+    }
+
+    #[test]
+    fn duplicate_entries_are_rejected() {
+        let mut a = Archive::new();
+        a.add("x", vec![1]);
+        a.add("y", vec![2]);
+        let mut bytes = a.encode();
+        // Rename "y" to "x": the second entry's one-byte name follows the
+        // header, the first entry (2 + 1 + 4 + 1 bytes) and its own
+        // two-byte name length.
+        bytes[ARCHIVE_HEADER_LEN + 8 + 2] = b'x';
+        reseal(&mut bytes);
+        assert_eq!(
+            Archive::parse(&bytes),
+            Err(ArchiveError::DuplicateEntry("x".into()))
+        );
     }
 
     #[test]

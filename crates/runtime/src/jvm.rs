@@ -15,7 +15,7 @@ use prebake_sim::mem::{Prot, VirtAddr, VmaKind};
 use prebake_sim::proc::Pid;
 use prebake_sim::time::SimDuration;
 
-use crate::archive::Archive;
+use crate::archive::ArchiveIndex;
 use crate::classfile::{fnv1a, ClassFile};
 use crate::costs::RuntimeCosts;
 use crate::gen::SplitMix64;
@@ -61,7 +61,8 @@ pub struct Jlvm {
     pid: Pid,
     config: JlvmConfig,
     state: RuntimeState,
-    archive: Option<Archive>,
+    /// Where each class file lies in the mapped archive.
+    archive: Option<ArchiveIndex>,
 }
 
 impl Jlvm {
@@ -122,13 +123,15 @@ impl Jlvm {
     }
 
     /// Re-attaches to a process restored from a snapshot: reads the
-    /// in-guest state record back and rebuilds the host-side view (parsed
-    /// archive index) from guest memory. No class loading, JIT or RTS work
-    /// happens here — whatever the snapshot carried is what exists.
+    /// in-guest state record back and rebuilds the host-side view (the
+    /// archive index, its checksum verified) from guest memory. No class
+    /// loading, JIT or RTS work happens here — whatever the snapshot
+    /// carried is what exists.
     ///
     /// # Errors
     ///
-    /// [`Errno::Einval`] if the state region does not hold a valid record.
+    /// [`Errno::Einval`] if the state region does not hold a valid record
+    /// or the mapped archive is corrupt.
     pub fn attach(kernel: &mut Kernel, pid: Pid, config: JlvmConfig) -> SysResult<Jlvm> {
         let header = kernel.mem_read(pid, STATE_BASE, 4)?;
         let len = u32::from_be_bytes(header.try_into().unwrap()) as u64;
@@ -140,7 +143,7 @@ impl Jlvm {
 
         let archive = if state.jar_base != 0 {
             let jar = kernel.mem_read(pid, VirtAddr(state.jar_base), state.jar_len)?;
-            Some(Archive::parse(&jar).map_err(|_| Errno::Einval)?)
+            Some(ArchiveIndex::parse(&jar).map_err(|_| Errno::Einval)?)
         } else {
             None
         };
@@ -180,7 +183,7 @@ impl Jlvm {
             },
         )?;
         kernel.mem_write(self.pid, base, &bytes)?;
-        let archive = Archive::parse(&bytes).map_err(|_| Errno::Einval)?;
+        let archive = ArchiveIndex::parse(&bytes).map_err(|_| Errno::Einval)?;
         kernel.charge(self.config.costs.archive_index_per_entry * archive.len() as u64);
         self.state.jar_base = base.0;
         self.state.jar_len = len;
@@ -618,6 +621,7 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::archive::Archive;
     use crate::costs::BaseFootprint;
     use crate::gen::synth_class_set;
     use prebake_sim::kernel::INIT_PID;

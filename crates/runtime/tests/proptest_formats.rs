@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use prebake_runtime::archive::Archive;
+use prebake_runtime::archive::{Archive, ArchiveIndex};
 use prebake_runtime::classfile::ClassFile;
 use prebake_runtime::gen::{synth_class, synth_class_set};
 use prebake_runtime::state::{ClassEntry, Phase, RuntimeState};
@@ -24,7 +24,7 @@ proptest! {
     }
 
     /// Flipping any single byte of an encoded class makes parsing fail
-    /// (the FNV checksum is sensitive to every byte).
+    /// (its checksum is sensitive to every byte).
     #[test]
     fn any_single_byte_flip_detected(
         seed in any::<u64>(),
@@ -51,10 +51,27 @@ proptest! {
         let encoded = archive.encode();
         let parsed = Archive::parse(&encoded).unwrap();
         prop_assert_eq!(&parsed, &archive);
+        let index = ArchiveIndex::parse(&encoded).unwrap();
         for (name, data) in &entries {
-            let (off, len) = archive.entry_offset(name).unwrap();
+            let (off, len) = index.entry_offset(name).unwrap();
             prop_assert_eq!(&encoded[off as usize..(off + len) as usize], &data[..]);
         }
+    }
+
+    /// Flipping any single byte of an encoded archive, checksum
+    /// included, makes both the copying parse and the index parse fail.
+    #[test]
+    fn any_single_archive_byte_flip_detected(
+        seed in any::<u64>(),
+        pos_frac in 0.0f64..1.0,
+        flip in 1u8..=255,
+    ) {
+        let archive = Archive::from_classes(&synth_class_set("prop.jar", seed, 3, 6_000));
+        let mut bytes = archive.encode();
+        let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
+        bytes[pos] ^= flip;
+        prop_assert!(Archive::parse(&bytes).is_err(), "corruption at {pos} undetected");
+        prop_assert!(ArchiveIndex::parse(&bytes).is_err(), "corruption at {pos} undetected");
     }
 
     /// Class-set generation always produces valid, named, loadable sets.

@@ -28,6 +28,8 @@
 //! - [`uffd`] — demand-paging fault backends (the `userfaultfd` analogue)
 //! - [`pagestore`] — the content-addressed shared frame pool behind
 //!   copy-on-write restore
+//! - [`hash`] — XXH64, the content hash behind every snapshot checksum
+//!   and page-frame key
 //! - [`trace`] — nested span recording + Chrome-trace/critical-path exporters
 //! - [`error`] — POSIX-style error numbers
 //!
@@ -56,6 +58,7 @@ pub mod cost;
 pub mod error;
 pub mod event;
 pub mod fs;
+pub mod hash;
 pub mod kernel;
 pub mod mem;
 pub mod noise;

@@ -76,6 +76,11 @@ run cargo fmt --all --check
 # No `#[allow(dead_code)]` or `#[allow(unused...)]` anywhere, so the
 # clippy step's dead-code lint keeps seeing every item.
 run bash -c "! grep -rnE 'allow\((dead_code|unused)' crates src tests examples"
+# No byte-serial FNV-1a on the snapshot path (XXH64 hashes images, pages
+# and archives): FNV's 64-bit prime may appear only in the three files
+# whose FNV values reach the goldens or guest bytes.
+run bash -c "! grep -rniE '0x(0000_?)?0?100_?0000_?01b3' crates |
+  grep -vE '^crates/(runtime/src/classfile|obs/src/sampler|gateway/src/gateway)\.rs:'"
 # No `pub` item that only tests name (see the script for its allowlist).
 run scripts/test_only_audit.sh
 run cargo clippy --workspace --all-targets -- -D warnings

@@ -209,3 +209,40 @@ fn snapshot_images_are_checksummed_end_to_end() {
     .unwrap_err();
     assert_eq!(err, prebake_sim::Errno::Einval);
 }
+
+#[test]
+fn corrupt_mapped_archive_fails_attach() {
+    use prebake_sim::mem::VirtAddr;
+    let mut kernel = Kernel::new(7);
+    let watchdog = provision_machine(&mut kernel).unwrap();
+    let dep = Deployment::install(&mut kernel, FunctionSpec::markdown(), 8080).unwrap();
+    bake(
+        &mut kernel,
+        watchdog,
+        &dep,
+        SnapshotPolicy::AfterReady,
+        &dep.images_dir(),
+    )
+    .unwrap();
+    let stats = restore(
+        &mut kernel,
+        watchdog,
+        &RestoreOptions::new(dep.images_dir()),
+    )
+    .unwrap();
+
+    // The restored archive verifies; then one byte of it flips in guest
+    // memory, and attaching must re-read it and refuse.
+    let state = Jlvm::attach(&mut kernel, stats.pid, dep.jlvm_config())
+        .unwrap()
+        .state()
+        .clone();
+    assert!(state.jar_len > 0);
+    let at = VirtAddr(state.jar_base + state.jar_len / 2);
+    let byte = kernel.mem_read(stats.pid, at, 1).unwrap()[0];
+    kernel.mem_write(stats.pid, at, &[byte ^ 0x01]).unwrap();
+
+    let handler = dep.spec.make_handler(&dep.app_dir);
+    let err = Replica::attach(&mut kernel, stats.pid, dep.jlvm_config(), handler).unwrap_err();
+    assert_eq!(err, prebake_sim::Errno::Einval);
+}
