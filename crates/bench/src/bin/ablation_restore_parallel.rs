@@ -5,10 +5,12 @@
 //! (89.3953 ms p50 to first response on the big synthetic function):
 //!
 //! 1. **Parallel sharded restore** — the coalesced extent table is
-//!    partitioned into per-thread shards over disjoint ranges and
-//!    installed by real crossbeam threads, charged as overlapped virtual
-//!    time (wall = max shard + a per-shard spawn tax). Two shards must
-//!    already beat the serial baseline.
+//!    partitioned into per-worker shards over disjoint ranges, each
+//!    shard's cost measured on the virtual clock and charged as
+//!    overlapped virtual time (wall = max shard + a per-shard spawn
+//!    tax). The host installs the shards one after another: their pages
+//!    are views of the image, so host threads would share no work. Two
+//!    shards must already beat the serial baseline.
 //! 2. **Fault-order image layout** — the offline `repack` pass rewrites
 //!    `pages.img` into recorded fault order, turning the prefetch read
 //!    from a seek per run into one sequential stream.

@@ -265,6 +265,59 @@ mod tests {
     }
 
     #[test]
+    fn eager_replicas_share_host_pages_but_never_a_write() {
+        let mut k = Kernel::free(9);
+        let set = distinct_snapshot(&mut k, 7, 8);
+        let fs_before = k.fs_read_file("/img-7/pages.img").unwrap().to_vec();
+        let payload_before = set.pages.payload().to_vec();
+        let tracer = k.sys_clone(INIT_PID).unwrap();
+        let mut cache = ImageCache::new();
+        cache.insert("fn", set.clone());
+        let opts = RestoreOptions::new("/img-7");
+        let replicas = [
+            restore_set(&mut k, tracer, &set, &opts).unwrap().pid,
+            restore_set(&mut k, tracer, &set, &opts).unwrap().pid,
+            cache
+                .restore_cached(&mut k, tracer, "fn", &opts)
+                .unwrap()
+                .pid,
+            cache
+                .restore_cached(&mut k, tracer, "fn", &opts)
+                .unwrap()
+                .pid,
+        ];
+        let heap = set.mm.vmas[0].start;
+        assert_eq!(set.mm.vmas[0].kind, VmaKind::RuntimeHeap);
+        let len = 8 * PAGE_SIZE as u64;
+        let host_page = |k: &mut Kernel, pid| k.mem_view(pid, heap, 1).unwrap()[0].as_ptr();
+        let first = host_page(&mut k, replicas[0]);
+        assert_eq!(first, set.pages.payload().as_ptr(), "a view of the image");
+        for &pid in &replicas[1..] {
+            assert_eq!(host_page(&mut k, pid), first, "every replica shares it");
+        }
+
+        let mut expected: Vec<Vec<u8>> = replicas
+            .iter()
+            .map(|&pid| k.mem_read(pid, heap, len).unwrap())
+            .collect();
+        for (i, &writer) in replicas.iter().enumerate() {
+            let at = heap.add(i as u64 * PAGE_SIZE as u64 + 1);
+            let stats = k.process_mut(writer).unwrap().mem.write(at, &[0xEE; 2]);
+            let stats = stats.unwrap();
+            assert_eq!((stats.cow_broken, stats.pages_materialized), (0, 0));
+            let off = i * PAGE_SIZE + 1;
+            expected[i][off..off + 2].copy_from_slice(&[0xEE; 2]);
+            for (&pid, want) in replicas.iter().zip(&expected) {
+                assert_eq!(&k.mem_read(pid, heap, len).unwrap(), want);
+            }
+        }
+        assert_ne!(host_page(&mut k, replicas[0]), first, "the writer unshared");
+        assert_eq!(set.pages.payload(), &payload_before[..]);
+        assert_eq!(cache.sets["fn"].pages.payload(), &payload_before[..]);
+        assert_eq!(k.fs_read_file("/img-7/pages.img").unwrap(), fs_before);
+    }
+
+    #[test]
     fn cow_restore_straight_from_the_cache() {
         use crate::restore::RestoreMode;
         let (mut k, tracer) = kernel_with_snapshot();

@@ -707,11 +707,11 @@ mod tests {
             .pages
             .iter_pages()
             .find_map(|(_, p)| match p {
-                crate::image::PageSource::Bytes(b) => Some(b),
+                crate::image::PageSource::Stored(b) => Some(b),
                 _ => None,
             })
             .unwrap();
-        assert_eq!(&first_payload[..100], &[0xAA; 100]);
+        assert_eq!(&first_payload.bytes()[..100], &[0xAA; 100]);
     }
 
     #[test]

@@ -541,12 +541,12 @@ pub struct PagemapEntry {
 }
 
 /// Where one page's contents come from at restore time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PageSource<'a> {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum PageSource {
     /// Demand-zero page: nothing stored.
     Zero,
-    /// Payload stored in this image.
-    Bytes(&'a [u8; PAGE_SIZE]),
+    /// Payload stored in this image, as a view of it (no copy).
+    Stored(Page),
     /// Payload lives in the parent snapshot.
     Parent,
 }
@@ -705,6 +705,15 @@ impl PagesImage {
             .expect("a PAGE_SIZE slice")
     }
 
+    /// The stored page ranked `slot` as a [`Page`] viewing the payload
+    /// buffer: installing it in guest memory copies nothing.
+    fn page_view(&self, slot: usize) -> Page {
+        Page::view(
+            &self.payload.buf,
+            self.payload.range.start + slot * PAGE_SIZE,
+        )
+    }
+
     /// Every entry with its rank among the stored pages (`None` for zero
     /// and parent entries), in entry order.
     fn slots(&self) -> impl Iterator<Item = (PagemapEntry, Option<usize>)> + '_ {
@@ -726,10 +735,10 @@ impl PagesImage {
     }
 
     /// Iterates `(page_index, PageSource)` in entry order.
-    pub(crate) fn iter_pages(&self) -> impl Iterator<Item = (u64, PageSource<'_>)> {
+    pub(crate) fn iter_pages(&self) -> impl Iterator<Item = (u64, PageSource)> + '_ {
         self.slots().map(|(e, slot)| {
             let source = match slot {
-                Some(slot) => PageSource::Bytes(self.page(slot)),
+                Some(slot) => PageSource::Stored(self.page_view(slot)),
                 None if e.zero => PageSource::Zero,
                 None => PageSource::Parent,
             };
@@ -1048,19 +1057,19 @@ impl PageStoreImage {
         self.hashes.len()
     }
 
-    /// Iterates `(page_index, frame_hash, frame_bytes)` over every
-    /// reference, in pagemap order, reading frames out of `pages` — the
-    /// image this store mirrors.
+    /// Iterates `(page_index, frame_hash, frame)` over every reference,
+    /// in pagemap order, each frame a view into `pages` — the image this
+    /// store mirrors.
     pub(crate) fn iter_refs<'a>(
         &'a self,
         pages: &'a PagesImage,
-    ) -> impl Iterator<Item = (u64, u64, &'a [u8; PAGE_SIZE])> + 'a {
+    ) -> impl Iterator<Item = (u64, u64, Page)> + 'a {
         self.refs.iter().map(move |&(page_index, frame_idx)| {
             let frame = frame_idx as usize;
             (
                 page_index,
                 self.hashes[frame],
-                pages.page(self.first_slots[frame] as usize),
+                pages.page_view(self.first_slots[frame] as usize),
             )
         })
     }
@@ -1204,7 +1213,7 @@ impl ExtentsImage {
     pub(crate) fn from_pages(pages: &PagesImage) -> ExtentsImage {
         let mut extents: Vec<PageExtent> = Vec::new();
         for (page_index, src) in pages.iter_pages() {
-            if !matches!(src, PageSource::Bytes(_)) {
+            if !matches!(src, PageSource::Stored(_)) {
                 continue;
             }
             match extents.last_mut() {
@@ -1522,12 +1531,12 @@ mod tests {
         assert_eq!(back, p);
         let collected: Vec<(u64, bool)> = back
             .iter_pages()
-            .map(|(i, src)| (i, matches!(src, PageSource::Bytes(_))))
+            .map(|(i, src)| (i, matches!(src, PageSource::Stored(_))))
             .collect();
         assert_eq!(collected, vec![(100, true), (101, false), (102, true)]);
         let first = back.iter_pages().next().unwrap().1;
         match first {
-            PageSource::Bytes(first) => assert_eq!(first[17], 0xAB),
+            PageSource::Stored(first) => assert_eq!(first.bytes()[17], 0xAB),
             other => panic!("expected payload, got {other:?}"),
         };
     }
@@ -1563,7 +1572,7 @@ mod tests {
         assert_eq!(resolved.zero_pages(), 1, "11 stays zero");
         let bytes: Vec<(u64, bool)> = resolved
             .iter_pages()
-            .map(|(i, s)| (i, matches!(s, PageSource::Bytes(_))))
+            .map(|(i, s)| (i, matches!(s, PageSource::Stored(_))))
             .collect();
         assert_eq!(bytes, vec![(10, true), (11, false), (12, true)]);
     }
@@ -1805,7 +1814,7 @@ mod tests {
 
         let refs: Vec<(u64, u8)> = store
             .iter_refs(&pages)
-            .map(|(idx, _, bytes)| (idx, bytes[0]))
+            .map(|(idx, _, frame)| (idx, frame.bytes()[0]))
             .collect();
         assert_eq!(refs, vec![(10, 0xAA), (11, 0xBB), (13, 0xAA), (14, 0xAA)]);
         let (_, h13, _) = store.iter_refs(&pages).nth(2).unwrap();

@@ -328,7 +328,7 @@ pub fn restore_set(
                 let mut position = std::collections::HashMap::new();
                 let mut next_pos = 0u64;
                 for (page_index, source) in set.pages.iter_pages() {
-                    if matches!(source, PageSource::Bytes(_)) {
+                    if matches!(source, PageSource::Stored(_)) {
                         position.insert(page_index, next_pos);
                         next_pos += 1;
                     }
@@ -409,31 +409,32 @@ pub fn restore_set(
 }
 
 /// Every page whose payload `pages` stores, as `(page_index, page)` in
-/// pagemap order; zero pages are skipped. An unresolved parent reference
-/// is [`Errno::Einval`]: the caller skipped `read_images`'s parent
-/// resolution, and restoring it would leave a hole.
+/// pagemap order, each page a view of the image's payload; zero pages
+/// are skipped. An unresolved parent reference is [`Errno::Einval`]: the
+/// caller skipped `read_images`'s parent resolution, and restoring it
+/// would leave a hole.
 fn stored_pages(pages: &PagesImage) -> impl Iterator<Item = SysResult<(u64, Page)>> + '_ {
     pages
         .iter_pages()
         .filter_map(|(page_index, source)| match source {
-            PageSource::Bytes(bytes) => Some(Ok((page_index, Page::from_bytes(bytes)))),
+            PageSource::Stored(page) => Some(Ok((page_index, page))),
             PageSource::Zero => None,
             PageSource::Parent => Some(Err(Errno::Einval)),
         })
 }
 
-/// One extent-table run: its first page index and its pages' payloads.
-type Run<'a> = (u64, Vec<&'a [u8; PAGE_SIZE]>);
+/// One extent-table run: its first page index and its pages.
+type Run = (u64, Vec<Page>);
 
-/// The stored payload grouped into the extent table's runs, one run at a
+/// The stored pages grouped into the extent table's runs, one run at a
 /// time. Stored entries appear in pagemap order, so the runs consume them
 /// sequentially; a table that outruns the payload is [`Errno::Einval`].
-fn extent_runs(set: &ImageSet) -> impl Iterator<Item = SysResult<Run<'_>>> {
+fn extent_runs(set: &ImageSet) -> impl Iterator<Item = SysResult<Run>> + '_ {
     let mut stored = set
         .pages
         .iter_pages()
         .filter_map(|(_, source)| match source {
-            PageSource::Bytes(bytes) => Some(bytes),
+            PageSource::Stored(page) => Some(page),
             _ => None,
         });
     set.extent_view().extents.into_iter().map(move |extent| {
@@ -445,21 +446,12 @@ fn extent_runs(set: &ImageSet) -> impl Iterator<Item = SysResult<Run<'_>>> {
     })
 }
 
-/// Decodes one run's payload into pages.
-fn decode_run((start, payload): &Run<'_>) -> (u64, Vec<Page>) {
-    let pages = payload
-        .iter()
-        .map(|&bytes| Page::from_bytes(bytes))
-        .collect();
-    (*start, pages)
-}
-
-/// Copies decoded runs in with one scatter-gather copy each, then charges
-/// the per-page install cost. Returns `(pages, runs)` installed.
+/// Copies runs in with one scatter-gather copy each, then charges the
+/// per-page install cost. Returns `(pages, runs)` installed.
 fn copy_runs(
     kernel: &mut Kernel,
     pid: Pid,
-    runs: impl IntoIterator<Item = SysResult<(u64, Vec<Page>)>>,
+    runs: impl IntoIterator<Item = SysResult<Run>>,
 ) -> SysResult<(usize, usize)> {
     let (mut pages, mut copied) = (0, 0);
     for run in runs {
@@ -503,28 +495,30 @@ fn install_eager(
         return Ok((installed, 0, 1));
     }
     if opts.threads <= 1 {
-        let runs = extent_runs(set).map(|run| run.map(|run| decode_run(&run)));
-        let (installed, copied) = copy_runs(kernel, pid, runs)?;
+        let (installed, copied) = copy_runs(kernel, pid, extent_runs(set))?;
         return Ok((installed, copied, 1));
     }
 
     // Sharded parallel install: whole runs are partitioned into
-    // contiguous shards over disjoint page ranges and decoded on real
-    // host threads. Each worker streams its own slice of the payload
-    // (the caller mapped the image without charging the read, so every
-    // shard prices one seek to its offset plus a sequential warm-rate
-    // scan of its bytes), then copies its runs in exactly as the serial
-    // install does. Wall cost is the slowest shard plus the spawn tax.
+    // contiguous shards over disjoint page ranges. Each modelled worker
+    // streams its own slice of the payload (the caller mapped the image
+    // without charging the read, so every shard prices one seek to its
+    // offset plus a sequential warm-rate scan of its bytes), then copies
+    // its runs in exactly as the serial install does. Wall cost is the
+    // slowest shard plus the spawn tax. The host installs the shards one
+    // after another: a run's pages are views of the image, so there is
+    // no decoding left for host threads to share.
     let runs = extent_runs(set).collect::<SysResult<Vec<_>>>()?;
-    let weights: Vec<usize> = runs.iter().map(|(_, payload)| payload.len()).collect();
+    let weights: Vec<usize> = runs.iter().map(|(_, pages)| pages.len()).collect();
     let ranges = partition_by_weight(&weights, opts.threads);
-    let decoded = decode_shards(&runs, &ranges, decode_run);
-    let shards = decoded.len().max(1);
+    let shards = ranges.len().max(1);
     let warm = kernel.costs().fs_read_warm_ns_per_byte;
     let seek = kernel.costs().fs_seek;
     let (mut installed, mut copied) = (0, 0);
-    let mut waves = Vec::with_capacity(decoded.len());
-    for (shard_id, shard) in decoded.into_iter().enumerate() {
+    let mut waves = Vec::with_capacity(ranges.len());
+    let mut runs = runs.into_iter();
+    for (shard_id, range) in ranges.into_iter().enumerate() {
+        let shard: Vec<Run> = runs.by_ref().take(range.len()).collect();
         let ((shard_pages, shard_runs), cost) = kernel.uncharged(|k| {
             let before = k.now();
             let bytes: usize = shard.iter().map(|(_, pages)| pages.len() * PAGE_SIZE).sum();
@@ -565,8 +559,7 @@ fn share_cow(
     let (mut shared, mut mapped) = (0, 0);
     let mut run_start = 0u64;
     let mut run: Vec<(u64, Page)> = Vec::new();
-    for (page_index, hash, bytes) in store.iter_refs(&set.pages) {
-        let page = Page::from_bytes(bytes);
+    for (page_index, hash, page) in store.iter_refs(&set.pages) {
         if ws.as_ref().is_some_and(|ws| !ws.contains(&page_index)) {
             withheld.insert_page(page_index, page);
             continue;
@@ -622,30 +615,6 @@ fn partition_by_weight(weights: &[usize], threads: usize) -> Vec<std::ops::Range
     }
     ranges.push(start..n);
     ranges
-}
-
-/// Fans per-shard decoding (image bytes → page buffers, the host-side
-/// share of a sharded restore) out across real worker threads. Results
-/// land in pre-allocated per-shard slots, so the merge order — and with
-/// it the downstream charge sequence — is deterministic regardless of
-/// thread interleaving.
-fn decode_shards<U, T, F>(items: &[U], ranges: &[std::ops::Range<usize>], decode: F) -> Vec<Vec<T>>
-where
-    U: Sync,
-    T: Send,
-    F: Fn(&U) -> T + Sync,
-{
-    let mut decoded: Vec<Vec<T>> = Vec::new();
-    decoded.resize_with(ranges.len(), Vec::new);
-    crossbeam::thread::scope(|scope| {
-        for (slot, range) in decoded.iter_mut().zip(ranges) {
-            let work = &items[range.clone()];
-            let decode = &decode;
-            scope.spawn(move |_| *slot = work.iter().map(decode).collect());
-        }
-    })
-    .expect("restore shard decode worker panicked");
-    decoded
 }
 
 /// Charges independently-measured shard costs as *overlapped* virtual

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use prebake_sim::hash::xxh64;
+use prebake_sim::hash::{xxh64, Xxh64};
 
 use crate::classfile::ClassFile;
 
@@ -185,57 +185,66 @@ pub struct ArchiveIndex {
 }
 
 impl ArchiveIndex {
-    /// Verifies an archive image's checksum and indexes its entries; no
-    /// payload is copied.
+    /// Verifies a contiguous archive image's checksum and indexes its
+    /// entries; no payload is copied. The one-chunk case of
+    /// [`ArchiveIndex::parse_chunks`].
     ///
     /// # Errors
     ///
     /// Any [`ArchiveError`] describing the malformation.
     pub fn parse(bytes: &[u8]) -> Result<ArchiveIndex, ArchiveError> {
-        if bytes.len() < ARCHIVE_HEADER_LEN + ARCHIVE_CHECKSUM_LEN {
-            return Err(ArchiveError::Truncated);
-        }
-        let (payload, tail) = bytes.split_at(bytes.len() - ARCHIVE_CHECKSUM_LEN);
-        let declared = u64::from_be_bytes(tail.try_into().unwrap());
-        if xxh64(payload) != declared {
+        ArchiveIndex::parse_chunks(&[bytes])
+    }
+
+    /// Verifies and indexes an archive image that arrives as consecutive
+    /// chunks, such as the page slices `Kernel::mem_view` lends for an
+    /// archive mapped in guest memory. The chunks are read in place: the
+    /// checksum streams over them, then the entry headers are read and
+    /// each payload is skipped, so nothing the size of the archive is
+    /// allocated. Offsets in the index count from the image's first byte.
+    ///
+    /// # Errors
+    ///
+    /// Any [`ArchiveError`] describing the malformation; a checksum
+    /// mismatch is reported before any other.
+    pub fn parse_chunks(chunks: &[&[u8]]) -> Result<ArchiveIndex, ArchiveError> {
+        let total: usize = chunks.iter().map(|c| c.len()).sum();
+        let body_len = total
+            .checked_sub(ARCHIVE_CHECKSUM_LEN)
+            .filter(|&len| len >= ARCHIVE_HEADER_LEN)
+            .ok_or(ArchiveError::Truncated)?;
+        let mut image = Cursor::new(chunks, total);
+        let mut hasher = Xxh64::new();
+        image.take(body_len, |s| hasher.update(s))?;
+        if hasher.digest() != u64::from_be_bytes(image.array()?) {
             return Err(ArchiveError::BadChecksum);
         }
-        let magic = u32::from_be_bytes(payload[0..4].try_into().unwrap());
+
+        let mut r = Cursor::new(chunks, body_len);
+        let magic = u32::from_be_bytes(r.array()?);
         if magic != ARCHIVE_MAGIC {
             return Err(ArchiveError::BadMagic(magic));
         }
-        let version = u16::from_be_bytes(payload[4..6].try_into().unwrap());
+        let version = u16::from_be_bytes(r.array()?);
         if version != ARCHIVE_VERSION {
             return Err(ArchiveError::BadVersion(version));
         }
-        let count = u32::from_be_bytes(payload[6..10].try_into().unwrap());
-        let mut pos = ARCHIVE_HEADER_LEN;
+        let count = u32::from_be_bytes(r.array()?);
         let mut spans = BTreeMap::new();
         for _ in 0..count {
-            if pos + 2 > payload.len() {
-                return Err(ArchiveError::Truncated);
-            }
-            let name_len = u16::from_be_bytes(payload[pos..pos + 2].try_into().unwrap()) as usize;
-            pos += 2;
-            if pos + name_len + 4 > payload.len() {
-                return Err(ArchiveError::Truncated);
-            }
-            let name = std::str::from_utf8(&payload[pos..pos + name_len])
-                .map_err(|_| ArchiveError::BadName)?
-                .to_owned();
-            pos += name_len;
-            let data_len = u32::from_be_bytes(payload[pos..pos + 4].try_into().unwrap()) as usize;
-            pos += 4;
-            if pos + data_len > payload.len() {
-                return Err(ArchiveError::Truncated);
-            }
+            let name_len = u16::from_be_bytes(r.array()?) as usize;
+            let mut name = Vec::with_capacity(name_len);
+            r.take(name_len, |s| name.extend_from_slice(s))?;
+            let data_len = u32::from_be_bytes(r.array()?) as usize;
+            let name = String::from_utf8(name).map_err(|_| ArchiveError::BadName)?;
+            let offset = body_len - r.left;
+            r.take(data_len, |_| {})?;
             if spans.contains_key(&name) {
                 return Err(ArchiveError::DuplicateEntry(name));
             }
-            spans.insert(name, (pos as u64, data_len as u64));
-            pos += data_len;
+            spans.insert(name, (offset as u64, data_len as u64));
         }
-        if pos != payload.len() {
+        if r.left != 0 {
             return Err(ArchiveError::Truncated);
         }
         Ok(ArchiveIndex { spans })
@@ -250,6 +259,50 @@ impl ArchiveIndex {
     /// encoded archive image.
     pub fn entry_offset(&self, name: &str) -> Option<(u64, u64)> {
         self.spans.get(name).copied()
+    }
+}
+
+/// A read position in an archive image that arrives as consecutive
+/// chunks, limited to its first `left` bytes.
+struct Cursor<'a> {
+    chunks: std::slice::Iter<'a, &'a [u8]>,
+    current: &'a [u8],
+    left: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(chunks: &'a [&'a [u8]], len: usize) -> Self {
+        Cursor {
+            chunks: chunks.iter(),
+            current: &[],
+            left: len,
+        }
+    }
+
+    /// Passes the next `n` bytes to `f`, one slice per chunk they span.
+    fn take(&mut self, mut n: usize, mut f: impl FnMut(&'a [u8])) -> Result<(), ArchiveError> {
+        self.left = self.left.checked_sub(n).ok_or(ArchiveError::Truncated)?;
+        while n > 0 {
+            if self.current.is_empty() {
+                self.current = self.chunks.next().expect("`left` counts chunk bytes");
+                continue;
+            }
+            let (now, rest) = self.current.split_at(n.min(self.current.len()));
+            f(now);
+            self.current = rest;
+            n -= now.len();
+        }
+        Ok(())
+    }
+
+    /// The next `N` bytes.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ArchiveError> {
+        let (mut out, mut at) = ([0u8; N], 0);
+        self.take(N, |s| {
+            out[at..at + s.len()].copy_from_slice(s);
+            at += s.len();
+        })?;
+        Ok(out)
     }
 }
 
@@ -377,6 +430,34 @@ mod tests {
             Archive::parse(&bytes),
             Err(ArchiveError::DuplicateEntry("x".into()))
         );
+    }
+
+    proptest::proptest! {
+        /// Any split of an image into chunks indexes like the contiguous
+        /// image, and a flipped byte is caught wherever the cuts fall.
+        #[test]
+        fn chunked_parse_matches_contiguous(
+            cuts in proptest::collection::vec(0usize..20_000, 0..8),
+            flip in 0usize..20_000,
+        ) {
+            let mut bytes = sample().encode();
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % bytes.len()).collect();
+            cuts.sort_unstable();
+            let chunked = |bytes: &[u8]| {
+                let mut chunks = Vec::new();
+                let mut at = 0;
+                for &cut in &cuts {
+                    chunks.push(&bytes[at..cut]);
+                    at = cut;
+                }
+                chunks.push(&bytes[at..]);
+                ArchiveIndex::parse_chunks(&chunks)
+            };
+            proptest::prop_assert_eq!(chunked(&bytes), Ok(ArchiveIndex::parse(&bytes).unwrap()));
+            let flip = flip % bytes.len();
+            bytes[flip] ^= 0x20;
+            proptest::prop_assert!(chunked(&bytes).is_err(), "flip at {} undetected", flip);
+        }
     }
 
     #[test]

@@ -124,7 +124,9 @@ impl Jlvm {
 
     /// Re-attaches to a process restored from a snapshot: reads the
     /// in-guest state record back and rebuilds the host-side view (the
-    /// archive index, its checksum verified) from guest memory. No class
+    /// archive index, its checksum verified) from guest memory. The
+    /// archive is verified in place, over the page slices
+    /// [`Kernel::mem_view`] lends, at the same virtual cost as reading it. No class
     /// loading, JIT or RTS work happens here — whatever the snapshot
     /// carried is what exists.
     ///
@@ -142,8 +144,8 @@ impl Jlvm {
         let state = RuntimeState::parse(&record).map_err(|_| Errno::Einval)?;
 
         let archive = if state.jar_base != 0 {
-            let jar = kernel.mem_read(pid, VirtAddr(state.jar_base), state.jar_len)?;
-            Some(ArchiveIndex::parse(&jar).map_err(|_| Errno::Einval)?)
+            let jar = kernel.mem_view(pid, VirtAddr(state.jar_base), state.jar_len)?;
+            Some(ArchiveIndex::parse_chunks(&jar).map_err(|_| Errno::Einval)?)
         } else {
             None
         };

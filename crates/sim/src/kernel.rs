@@ -485,6 +485,28 @@ impl Kernel {
         Ok(data)
     }
 
+    /// Lends guest memory `[addr, addr + len)` as one slice per page it
+    /// spans, in address order, instead of copying it out. Faults and
+    /// charges exactly as [`Kernel::mem_read`] does: missing pages are
+    /// demand-paged in first, then each page touched costs one
+    /// [`CostModel::page_copy`]. Unmaterialised pages lend zeros. The
+    /// slices borrow the machine, so they end before its next call.
+    ///
+    /// # Errors
+    ///
+    /// [`Errno::Efault`] per address-space rules.
+    pub fn mem_view(&mut self, pid: Pid, addr: VirtAddr, len: u64) -> SysResult<Vec<&[u8]>> {
+        self.resolve_faults(pid, addr, len)?;
+        let proc = self.procs.get(&pid).ok_or(Errno::Esrch)?;
+        let (chunks, stats) = proc.mem.view(addr, len)?;
+        // `charge`, spelled out: the slices keep `procs` borrowed.
+        let cost = self
+            .noise
+            .jitter(self.costs.page_copy * stats.pages_touched);
+        self.clock.advance(cost);
+        Ok(chunks)
+    }
+
     /// Touches guest memory the way in-guest execution does: missing
     /// pages in the range are demand-paged in (major faults, with their
     /// usual charges), but no copy-out happens and nothing else is
@@ -615,48 +637,31 @@ impl Kernel {
     pub fn uffd_prefetch(&mut self, pid: Pid, pages: &[u64]) -> SysResult<u64> {
         let backend = self.uffd.get(&pid).ok_or(Errno::Esrch)?;
         let proc = self.procs.get(&pid).ok_or(Errno::Esrch)?;
-        let mut seen = std::collections::BTreeSet::new();
-        let mut to_install: Vec<(u64, Page)> = Vec::new();
-        for &idx in pages {
-            if !seen.insert(idx) || !proc.mem.is_missing(idx) {
-                continue;
-            }
-            if let Some(p) = backend.page(idx) {
-                to_install.push((idx, p.clone()));
-            }
-        }
-        let n = to_install.len() as u64;
+        let mut batch: Vec<u64> = pages
+            .iter()
+            .copied()
+            .filter(|&idx| proc.mem.is_missing(idx) && backend.page(idx).is_some())
+            .collect();
+        // Coalesce into maximal runs of consecutive page indices, so runs
+        // only form where indices actually neighbour.
+        batch.sort_unstable();
+        batch.dedup();
+        let n = batch.len() as u64;
         if n == 0 {
             return Ok(0);
         }
-        // Coalesce into maximal runs of consecutive page indices. The
-        // batch keeps request order for non-adjacent pages (working-set
-        // order), so runs only form where indices actually neighbour.
-        let mut sorted = to_install;
-        sorted.sort_by_key(|&(idx, _)| idx);
-        let mut runs: Vec<Vec<(u64, Page)>> = Vec::new();
-        for (idx, page) in sorted {
-            match runs.last_mut() {
-                Some(run) if run.last().is_some_and(|&(last, _)| idx == last + 1) => {
-                    run.push((idx, page));
-                }
-                _ => runs.push(vec![(idx, page)]),
-            }
-        }
+        let runs = || batch.chunk_by(|a, b| *b == a + 1);
         let span = self.span_begin("uffd_prefetch", pid);
         self.span_attr(span, "pages", n.to_string());
-        self.span_attr(span, "runs", runs.len().to_string());
-        for run in runs {
+        self.span_attr(span, "runs", runs().count().to_string());
+        for run in runs() {
             let len = run.len() as u64;
             let cost = self.costs.extent_setup
                 + per_byte(len * PAGE_SIZE as u64, self.costs.fs_read_warm_ns_per_byte)
                 + self.costs.page_copy * len;
             self.charge(cost);
             self.probe_extent_copy(pid, len);
-            let proc = self.procs.get_mut(&pid).ok_or(Errno::Esrch)?;
-            for (idx, page) in run {
-                proc.mem.install_page(idx, page)?;
-            }
+            self.install_from_backend(pid, run.iter().copied())?;
         }
         self.span_end(span);
         Ok(n)
@@ -685,39 +690,28 @@ impl Kernel {
                 continue;
             }
             let backend = self.uffd.get_mut(&pid).expect("registration checked above");
-            // A missing page always has backend content (uffd_register
-            // marks exactly the backend's pages); zero-fill is a safety
-            // net should the invariant ever be violated.
-            let page = backend.page(idx).cloned().unwrap_or_else(Page::zeroed);
+            // `uffd_register` marks exactly the backend's pages missing, so
+            // a missing page without content is a broken registration:
+            // serving zeros would restore wrong bytes.
+            if backend.page(idx).is_none() {
+                return Err(Errno::Efault);
+            }
             backend.note_major(idx);
             // One trap services up to `window` pages: the trapping page
             // plus forward-consecutive withheld neighbours, all moved
             // under the single fault's service charge (the handler
             // answering one uffd message with a multi-page copy).
             let window = backend.fault_around() as u64;
-            let mut batch: Vec<(u64, Page)> = vec![(idx, page)];
-            if window > 1 {
-                let proc = self.procs.get(&pid).ok_or(Errno::Esrch)?;
-                let backend = self.uffd.get(&pid).expect("registration checked above");
-                for next in idx + 1..idx + window {
-                    if !proc.mem.is_missing(next) {
-                        break;
-                    }
-                    match backend.page(next) {
-                        Some(p) => batch.push((next, p.clone())),
-                        None => break,
-                    }
-                }
-            }
-            let n = batch.len() as u64;
+            let proc = self.procs.get(&pid).ok_or(Errno::Esrch)?;
+            let backend = self.uffd.get(&pid).expect("registration checked above");
+            let neighbours = (idx + 1..idx + window)
+                .take_while(|&next| proc.mem.is_missing(next) && backend.page(next).is_some());
+            let batch = idx..idx + 1 + neighbours.count() as u64;
+            let n = batch.end - idx;
             // Pages missing from the compacted hot image fall through to
             // the full snapshot kept behind it — each pays the extra
             // fallback penalty on top of the normal service charge.
-            let backend = self.uffd.get(&pid).expect("registration checked above");
-            let fallback = batch
-                .iter()
-                .filter(|&&(page_index, _)| backend.is_fallback(page_index))
-                .count() as u64;
+            let fallback = batch.clone().filter(|&i| backend.is_fallback(i)).count() as u64;
             let cost = self.costs.fault_trap
                 + per_byte(n * PAGE_SIZE as u64, self.costs.fs_read_warm_ns_per_byte)
                 + self.costs.page_copy * n
@@ -727,12 +721,25 @@ impl Kernel {
             if n > 1 {
                 self.probe_fault_around(pid, n - 1);
             }
-            let proc = self.procs.get_mut(&pid).ok_or(Errno::Esrch)?;
-            for (page_index, page) in batch {
-                proc.mem.install_page(page_index, page)?;
-            }
+            self.install_from_backend(pid, batch)?;
         }
         self.span_end(span);
+        Ok(())
+    }
+
+    /// Installs `pages` from `pid`'s backend, each a refcount bump on
+    /// the backend's page (`UFFDIO_COPY`; the caller charges it).
+    fn install_from_backend(
+        &mut self,
+        pid: Pid,
+        pages: impl IntoIterator<Item = u64>,
+    ) -> SysResult<()> {
+        let backend = self.uffd.get(&pid).ok_or(Errno::Esrch)?;
+        let proc = self.procs.get_mut(&pid).ok_or(Errno::Esrch)?;
+        for idx in pages {
+            let page = backend.page(idx).ok_or(Errno::Efault)?;
+            proc.mem.install_page(idx, page.clone())?;
+        }
         Ok(())
     }
 
@@ -1632,6 +1639,43 @@ mod tests {
     }
 
     #[test]
+    fn fault_on_a_page_the_backend_lost_is_efault() {
+        let mut k = Kernel::free(35);
+        let (pid, addr, backend) = lazy_proc(&mut k, 3);
+        k.uffd_register(pid, backend).unwrap();
+        // No public path drops a page from a registered backend; this
+        // breaks the registration invariant directly.
+        k.uffd
+            .get_mut(&pid)
+            .unwrap()
+            .remove_page(addr.page_index() + 1);
+        let lost = addr.add(PAGE_SIZE as u64);
+        assert_eq!(k.mem_read(pid, lost, 8).unwrap_err(), Errno::Efault);
+        assert_eq!(k.mem_write(pid, lost, &[1]).unwrap_err(), Errno::Efault);
+        assert_eq!(k.uffd_fault_counts(pid), (0, 0), "no fault was served");
+        assert_eq!(missing_pages(&k, pid), 3, "nothing was installed");
+        assert_eq!(k.mem_read(pid, addr, 8).unwrap(), vec![1u8; 8]);
+    }
+
+    #[test]
+    fn mem_view_faults_and_charges_like_mem_read() {
+        let (mut read, mut view) = (Kernel::new(36), Kernel::new(36));
+        let mut got = Vec::new();
+        for (k, lend) in [(&mut read, false), (&mut view, true)] {
+            let (pid, addr, backend) = lazy_proc(k, 4);
+            k.uffd_register(pid, backend).unwrap();
+            let (at, len) = (addr.add(100), 2 * PAGE_SIZE as u64 + 7);
+            let bytes = match lend {
+                false => k.mem_read(pid, at, len).unwrap(),
+                true => k.mem_view(pid, at, len).unwrap().concat(),
+            };
+            got.push((bytes, k.now(), k.uffd_fault_counts(pid)));
+        }
+        assert_eq!(got[0], got[1]);
+        assert_eq!(got[0].2, (3, 0), "three pages spanned, three faults");
+    }
+
+    #[test]
     fn minor_faults_counted_while_registered() {
         let mut k = Kernel::free(31);
         let (pid, addr, _) = lazy_proc(&mut k, 2);
@@ -1679,7 +1723,7 @@ mod tests {
         let run = |prefetch: bool| -> (SimDuration, u64) {
             let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
             let (pid, addr, backend) = lazy_proc(&mut k, n_pages);
-            let indices = backend.page_indices();
+            let indices: Vec<u64> = backend.page_indices().collect();
             k.uffd_register(pid, backend).unwrap();
             let t0 = k.now();
             if prefetch {

@@ -23,6 +23,28 @@ pub struct TouchStats {
     pub cow_broken: u64,
 }
 
+/// What backs one resident page of an [`AddressSpace`].
+#[derive(Debug, Clone)]
+enum Slot {
+    /// A page of the process's own.
+    Private(Page),
+    /// A write-protected frame of the machine's shared page store (the
+    /// memfd/KSM analogue), mapped copy-on-write: reads go through the
+    /// frame, and the first write breaks the slot into a private copy.
+    /// Frames are reference-counted via [`Arc`]; dropping the slot
+    /// (break, munmap, exit) releases this space's reference.
+    Shared(Arc<Page>),
+}
+
+impl Slot {
+    fn page(&self) -> &Page {
+        match self {
+            Slot::Private(page) => page,
+            Slot::Shared(frame) => frame,
+        }
+    }
+}
+
 /// A process's virtual address space: a set of non-overlapping [`Vma`]s and
 /// the materialised [`Page`]s behind them.
 ///
@@ -33,13 +55,8 @@ pub struct TouchStats {
 #[derive(Debug, Clone, Default)]
 pub struct AddressSpace {
     vmas: BTreeMap<u64, Vma>,
-    pages: BTreeMap<u64, Page>,
-    /// Shared, write-protected frames mapped copy-on-write from a page
-    /// store (the memfd/KSM analogue). Reads go through the shared
-    /// frame; the first write breaks the mapping into a private page in
-    /// `pages`. Frames are reference-counted via [`Arc`]: dropping the
-    /// mapping (munmap/exit) releases this space's reference.
-    cow: BTreeMap<u64, Arc<Page>>,
+    /// Resident pages by page index, private or shared.
+    pages: BTreeMap<u64, Slot>,
     /// Soft-dirty set: pages written since the last
     /// [`clear_soft_dirty`](AddressSpace::clear_soft_dirty) — the
     /// `/proc/<pid>/clear_refs` + pagemap soft-dirty mechanism CRIU's
@@ -59,7 +76,6 @@ impl AddressSpace {
         AddressSpace {
             vmas: BTreeMap::new(),
             pages: BTreeMap::new(),
-            cow: BTreeMap::new(),
             dirty: std::collections::BTreeSet::new(),
             missing: std::collections::BTreeSet::new(),
             next_map: MMAP_BASE,
@@ -144,22 +160,10 @@ impl AddressSpace {
     /// Returns [`Errno::Einval`] if no mapping starts at `start`.
     pub fn munmap(&mut self, start: VirtAddr) -> SysResult<Vma> {
         let vma = self.vmas.remove(&start.0).ok_or(Errno::Einval)?;
-        let first = vma.first_page();
-        let last = first + vma.page_count();
-        let stale: Vec<u64> = self.pages.range(first..last).map(|(k, _)| *k).collect();
-        for k in stale {
-            self.pages.remove(&k);
-            self.dirty.remove(&k);
-        }
-        let shared: Vec<u64> = self.cow.range(first..last).map(|(k, _)| *k).collect();
-        for k in shared {
-            self.cow.remove(&k);
-            self.dirty.remove(&k);
-        }
-        let gone: Vec<u64> = self.missing.range(first..last).copied().collect();
-        for k in gone {
-            self.missing.remove(&k);
-        }
+        let gone = vma.first_page()..vma.first_page() + vma.page_count();
+        self.pages.retain(|k, _| !gone.contains(k));
+        self.dirty.retain(|k| !gone.contains(k));
+        self.missing.retain(|k| !gone.contains(k));
         Ok(vma)
     }
 
@@ -171,7 +175,6 @@ impl AddressSpace {
     /// if the mapping is not writable.
     pub fn write(&mut self, addr: VirtAddr, bytes: &[u8]) -> SysResult<TouchStats> {
         self.check_range(addr, bytes.len() as u64, true)?;
-        self.check_resolved(addr, bytes.len() as u64)?;
         let mut stats = TouchStats::default();
         let mut off = 0usize;
         let mut cur = addr;
@@ -179,16 +182,19 @@ impl AddressSpace {
             let page_idx = cur.page_index();
             let in_page = cur.page_offset();
             let chunk = (PAGE_SIZE - in_page).min(bytes.len() - off);
-            if let Some(frame) = self.cow.remove(&page_idx) {
+            let slot = self.pages.entry(page_idx).or_insert_with(|| {
+                stats.pages_materialized += 1;
+                Slot::Private(Page::zeroed())
+            });
+            if let Slot::Shared(frame) = slot {
                 // Write-protect fault on a shared frame: break the
                 // mapping into a private copy before the write lands.
-                self.pages.insert(page_idx, frame.as_ref().clone());
+                *slot = Slot::Private(Page::clone(frame));
                 stats.cow_broken += 1;
             }
-            let page = self.pages.entry(page_idx).or_insert_with(|| {
-                stats.pages_materialized += 1;
-                Page::zeroed()
-            });
+            let Slot::Private(page) = slot else {
+                unreachable!("broken above")
+            };
             page.bytes_mut()[in_page..in_page + chunk].copy_from_slice(&bytes[off..off + chunk]);
             self.dirty.insert(page_idx);
             stats.pages_touched += 1;
@@ -204,31 +210,41 @@ impl AddressSpace {
     ///
     /// [`Errno::Efault`] if the range is not fully mapped.
     pub fn read(&self, addr: VirtAddr, len: u64) -> SysResult<(Vec<u8>, TouchStats)> {
+        let (chunks, stats) = self.view(addr, len)?;
+        Ok((chunks.concat(), stats))
+    }
+
+    /// Lends `[addr, addr + len)` as one slice per page it spans, in
+    /// address order, without copying: resident pages lend their bytes
+    /// and unmaterialised ones a shared zero page.
+    ///
+    /// # Errors
+    ///
+    /// [`Errno::Efault`] if the range is not fully mapped.
+    pub(crate) fn view(&self, addr: VirtAddr, len: u64) -> SysResult<(Vec<&[u8]>, TouchStats)> {
+        static ZERO: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
         self.check_range(addr, len, false)?;
-        self.check_resolved(addr, len)?;
-        let mut out = vec![0u8; len as usize];
-        let mut stats = TouchStats::default();
-        let mut off = 0usize;
-        let mut cur = addr;
-        while off < len as usize {
-            let page_idx = cur.page_index();
-            let in_page = cur.page_offset();
-            let chunk = (PAGE_SIZE - in_page).min(len as usize - off);
-            if let Some(page) = self.page(page_idx) {
-                out[off..off + chunk].copy_from_slice(&page.bytes()[in_page..in_page + chunk]);
-            }
-            stats.pages_touched += 1;
-            off += chunk;
-            cur = cur.add(chunk as u64);
+        let mut chunks = Vec::with_capacity(pages_for(addr.page_offset() as u64 + len) as usize);
+        let (mut cur, end) = (addr.0, addr.0 + len);
+        while cur < end {
+            let in_page = VirtAddr(cur).page_offset();
+            let chunk = (PAGE_SIZE - in_page).min((end - cur) as usize);
+            let page = self
+                .page(VirtAddr(cur).page_index())
+                .map_or(&ZERO, Page::bytes);
+            chunks.push(&page[in_page..in_page + chunk]);
+            cur += chunk as u64;
         }
-        Ok((out, stats))
+        let stats = TouchStats {
+            pages_touched: chunks.len() as u64,
+            ..TouchStats::default()
+        };
+        Ok((chunks, stats))
     }
 
     /// Direct view of one resident page — private or shared — if present.
     pub(crate) fn page(&self, page_index: u64) -> Option<&Page> {
-        self.pages
-            .get(&page_index)
-            .or_else(|| self.cow.get(&page_index).map(Arc::as_ref))
+        self.pages.get(&page_index).map(Slot::page)
     }
 
     /// Installs a full page of bytes (restore fast path). Clears any
@@ -239,13 +255,9 @@ impl AddressSpace {
     ///
     /// [`Errno::Efault`] if the page is not inside any mapping.
     pub fn install_page(&mut self, page_index: u64, page: Page) -> SysResult<()> {
-        let addr = VirtAddr(page_index * PAGE_SIZE as u64);
-        if self.find_vma(addr).is_none() {
-            return Err(Errno::Efault);
-        }
+        self.check_mapped(page_index)?;
         self.missing.remove(&page_index);
-        self.cow.remove(&page_index);
-        self.pages.insert(page_index, page);
+        self.pages.insert(page_index, Slot::Private(page));
         self.dirty.insert(page_index);
         Ok(())
     }
@@ -260,22 +272,22 @@ impl AddressSpace {
     /// [`Errno::Efault`] if the page is not inside any mapping,
     /// [`Errno::Eexist`] if a private page is already materialised there.
     pub(crate) fn map_shared(&mut self, page_index: u64, frame: Arc<Page>) -> SysResult<()> {
-        let addr = VirtAddr(page_index * PAGE_SIZE as u64);
-        if self.find_vma(addr).is_none() {
-            return Err(Errno::Efault);
-        }
-        if self.pages.contains_key(&page_index) {
+        self.check_mapped(page_index)?;
+        if let Some(Slot::Private(_)) = self.pages.get(&page_index) {
             return Err(Errno::Eexist);
         }
         self.missing.remove(&page_index);
-        self.cow.insert(page_index, frame);
+        self.pages.insert(page_index, Slot::Shared(frame));
         self.dirty.insert(page_index);
         Ok(())
     }
 
     /// Shared frames still mapped copy-on-write (not yet broken).
     pub fn cow_pages(&self) -> u64 {
-        self.cow.len() as u64
+        let shared = self.pages.values();
+        shared
+            .filter(|slot| matches!(slot, Slot::Shared(_)))
+            .count() as u64
     }
 
     /// Marks a mapped page as `missing`: its content is held by a
@@ -288,11 +300,8 @@ impl AddressSpace {
     /// [`Errno::Efault`] if the page is not inside any mapping,
     /// [`Errno::Eexist`] if the page is already materialised.
     pub(crate) fn mark_missing(&mut self, page_index: u64) -> SysResult<()> {
-        let addr = VirtAddr(page_index * PAGE_SIZE as u64);
-        if self.find_vma(addr).is_none() {
-            return Err(Errno::Efault);
-        }
-        if self.pages.contains_key(&page_index) || self.cow.contains_key(&page_index) {
+        self.check_mapped(page_index)?;
+        if self.pages.contains_key(&page_index) {
             return Err(Errno::Eexist);
         }
         self.missing.insert(page_index);
@@ -312,17 +321,6 @@ impl AddressSpace {
         let first = addr.page_index();
         let last = VirtAddr(addr.0 + len - 1).page_index() + 1;
         self.missing.range(first..last).copied().collect()
-    }
-
-    fn check_resolved(&self, addr: VirtAddr, len: u64) -> SysResult<()> {
-        if self.missing_in_range(addr, len).is_empty() {
-            Ok(())
-        } else {
-            // A touch of an unresolved missing page. The kernel resolves
-            // faults before calling in here; hitting this means the caller
-            // bypassed fault delivery.
-            Err(Errno::Efault)
-        }
     }
 
     /// Clears the soft-dirty bits (`echo 4 > /proc/<pid>/clear_refs`).
@@ -345,20 +343,13 @@ impl AddressSpace {
     pub(crate) fn present_pages(&self, vma: &Vma) -> Vec<u64> {
         let first = vma.first_page();
         let last = first + vma.page_count();
-        let mut present: Vec<u64> = self
-            .pages
-            .range(first..last)
-            .map(|(k, _)| *k)
-            .chain(self.cow.range(first..last).map(|(k, _)| *k))
-            .collect();
-        present.sort_unstable();
-        present
+        self.pages.range(first..last).map(|(k, _)| *k).collect()
     }
 
     /// Total resident pages across the space (shared frames included:
     /// they are mapped and readable, like RSS counts shared memory).
     pub fn resident_pages(&self) -> u64 {
-        (self.pages.len() + self.cow.len()) as u64
+        self.pages.len() as u64
     }
 
     /// Total materialised bytes (RSS analogue).
@@ -380,33 +371,29 @@ impl AddressSpace {
             }
             cur = vma.end();
         }
-        Ok(())
+        // A touch of an unresolved missing page: the kernel resolves
+        // faults before calling in here, so the caller bypassed it.
+        match self.missing_in_range(addr, len).is_empty() {
+            true => Ok(()),
+            false => Err(Errno::Efault),
+        }
+    }
+
+    /// [`Errno::Efault`] unless page `page_index` lies inside a mapping.
+    fn check_mapped(&self, page_index: u64) -> SysResult<()> {
+        let addr = VirtAddr(page_index * PAGE_SIZE as u64);
+        self.find_vma(addr).map(|_| ()).ok_or(Errno::Efault)
     }
 
     /// Structural equality of *observable* memory: same mappings and same
     /// byte content (materialised zero pages compare equal to absent
     /// pages). Used by tests to prove dump→restore fidelity.
     pub fn observably_equal(&self, other: &AddressSpace) -> bool {
-        if self.vmas != other.vmas {
-            return false;
-        }
-        let all_indices: std::collections::BTreeSet<u64> = self
-            .pages
-            .keys()
-            .chain(other.pages.keys())
-            .chain(self.cow.keys())
-            .chain(other.cow.keys())
-            .copied()
-            .collect();
         let zero = Page::zeroed();
-        for idx in all_indices {
-            let a = self.page(idx).unwrap_or(&zero);
-            let b = other.page(idx).unwrap_or(&zero);
-            if a != b {
-                return false;
-            }
-        }
-        true
+        let mut indices = self.pages.keys().chain(other.pages.keys());
+        self.vmas == other.vmas
+            && indices
+                .all(|&idx| self.page(idx).unwrap_or(&zero) == other.page(idx).unwrap_or(&zero))
     }
 }
 
@@ -691,6 +678,53 @@ mod tests {
         );
     }
 
+    #[test]
+    fn installed_view_is_shared_until_the_guest_writes() {
+        let raw: Vec<u8> = (0..2 * PAGE_SIZE).map(|i| (i % 241 + 1) as u8).collect();
+        let buf = bytes::Bytes::from(raw.clone());
+        let (mut s, a) = space_with_map(2 * PAGE_SIZE as u64);
+        s.install_page(a.page_index(), Page::view(&buf, 0)).unwrap();
+        s.install_page(a.page_index() + 1, Page::view(&buf, PAGE_SIZE))
+            .unwrap();
+        let page = s.page(a.page_index()).unwrap();
+        assert!(page.shares_buffer(&buf), "install copies nothing");
+        let (chunks, stats) = s.view(a.add(10), PAGE_SIZE as u64).unwrap();
+        assert_eq!(stats.pages_touched, 2);
+        assert!(std::ptr::eq(chunks[0].as_ptr(), buf[10..].as_ptr()));
+        assert_eq!(chunks.concat(), raw[10..PAGE_SIZE + 10]);
+
+        let stats = s.write(a.add(5), &[0u8; 3]).unwrap();
+        assert_eq!(
+            (stats.pages_materialized, stats.cow_broken),
+            (0, 0),
+            "unsharing a view is host bookkeeping, not a modelled event"
+        );
+        assert!(!s.page(a.page_index()).unwrap().shares_buffer(&buf));
+        let second = s.page(a.page_index() + 1).unwrap();
+        assert!(second.shares_buffer(&buf[PAGE_SIZE..]));
+        assert_eq!(&buf[..], &raw[..], "the source buffer is untouched");
+        let (back, _) = s.read(a, 8).unwrap();
+        assert_eq!(back, [&raw[..5], &[0u8; 3][..]].concat());
+    }
+
+    #[test]
+    fn view_lends_zeros_for_unmaterialised_pages() {
+        let (mut s, a) = space_with_map(3 * PAGE_SIZE as u64);
+        s.write(a.add(PAGE_SIZE as u64), &[7u8; 4]).unwrap();
+        let (chunks, stats) = s.view(a.add(1), 2 * PAGE_SIZE as u64).unwrap();
+        let lens: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
+        assert_eq!(lens, vec![PAGE_SIZE - 1, PAGE_SIZE, 1]);
+        assert_eq!(stats.pages_touched, 3);
+        assert!(chunks[0].iter().all(|&b| b == 0));
+        assert_eq!(&chunks[1][..5], &[7, 7, 7, 7, 0]);
+        assert!(s.view(a, 0).unwrap().0.is_empty());
+        assert_eq!(s.resident_pages(), 1, "a view materialises nothing");
+    }
+
+    fn is_shared(s: &AddressSpace, page_index: u64) -> bool {
+        matches!(s.pages.get(&page_index), Some(Slot::Shared(_)))
+    }
+
     fn frame(fill: u8) -> Arc<Page> {
         Arc::new(Page::from_bytes(&[fill; PAGE_SIZE]))
     }
@@ -700,7 +734,7 @@ mod tests {
         let (mut s, a) = space_with_map(2 * PAGE_SIZE as u64);
         let f = frame(7);
         s.map_shared(a.page_index(), Arc::clone(&f)).unwrap();
-        assert!(s.cow.contains_key(&a.page_index()));
+        assert!(is_shared(&s, a.page_index()));
         assert_eq!(s.cow_pages(), 1);
         assert_eq!(s.resident_pages(), 1);
         assert_eq!(Arc::strong_count(&f), 2, "space holds one reference");
@@ -709,14 +743,14 @@ mod tests {
         let (back, stats) = s.read(a, 8).unwrap();
         assert_eq!(back, vec![7u8; 8]);
         assert_eq!(stats.cow_broken, 0);
-        assert!(s.cow.contains_key(&a.page_index()));
+        assert!(is_shared(&s, a.page_index()));
 
         // The first write breaks into a private copy preserving the
         // untouched bytes; the frame itself stays pristine.
         let stats = s.write(a.add(4), &[9u8; 4]).unwrap();
         assert_eq!(stats.cow_broken, 1);
         assert_eq!(stats.pages_materialized, 0);
-        assert!(!s.cow.contains_key(&a.page_index()));
+        assert!(!is_shared(&s, a.page_index()));
         assert_eq!(Arc::strong_count(&f), 1, "reference released on break");
         let (back, _) = s.read(a, 12).unwrap();
         assert_eq!(back, [vec![7u8; 4], vec![9u8; 4], vec![7u8; 4]].concat());
@@ -788,7 +822,7 @@ mod tests {
         // The child's break leaves the parent's mapping shared.
         child.write(a, &[1u8]).unwrap();
         assert_eq!(Arc::strong_count(&f), 2);
-        assert!(s.cow.contains_key(&a.page_index()));
+        assert!(is_shared(&s, a.page_index()));
         let (parent_view, _) = s.read(a, 1).unwrap();
         assert_eq!(parent_view, vec![8u8]);
     }

@@ -66,6 +66,13 @@ impl UffdBackend {
         self.pages.get(&page_index)
     }
 
+    /// Drops a withheld page, breaking the registration invariant that
+    /// every missing page has content.
+    #[cfg(test)]
+    pub(crate) fn remove_page(&mut self, page_index: u64) {
+        self.pages.remove(&page_index);
+    }
+
     /// Number of withheld pages.
     pub fn len(&self) -> usize {
         self.pages.len()
@@ -77,8 +84,8 @@ impl UffdBackend {
     }
 
     /// Page indices the backend holds, ascending.
-    pub(crate) fn page_indices(&self) -> Vec<u64> {
-        self.pages.keys().copied().collect()
+    pub(crate) fn page_indices(&self) -> impl Iterator<Item = u64> + '_ {
+        self.pages.keys().copied()
     }
 
     /// Sets the fault-around window: one trapping fault services up to
@@ -144,7 +151,7 @@ mod tests {
         b.insert_page(7, Page::from_bytes(&[1u8; PAGE_SIZE]));
         b.insert_page(3, Page::zeroed());
         assert_eq!(b.len(), 2);
-        assert_eq!(b.page_indices(), vec![3, 7]);
+        assert_eq!(b.page_indices().collect::<Vec<_>>(), vec![3, 7]);
         assert_eq!(b.page(7).unwrap().bytes()[0], 1);
         assert!(b.page(8).is_none());
     }

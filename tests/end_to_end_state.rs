@@ -212,7 +212,10 @@ fn snapshot_images_are_checksummed_end_to_end() {
 
 #[test]
 fn corrupt_mapped_archive_fails_attach() {
-    use prebake_sim::mem::VirtAddr;
+    use prebake_core::prebaker::record_working_set;
+    use prebake_criu::{read_images, RestoreMode};
+    use prebake_sim::mem::{VirtAddr, PAGE_SIZE};
+    use prebake_sim::probe::ProbeCounters;
     let mut kernel = Kernel::new(7);
     let watchdog = provision_machine(&mut kernel).unwrap();
     let dep = Deployment::install(&mut kernel, FunctionSpec::markdown(), 8080).unwrap();
@@ -224,25 +227,70 @@ fn corrupt_mapped_archive_fails_attach() {
         &dep.images_dir(),
     )
     .unwrap();
-    let stats = restore(
-        &mut kernel,
-        watchdog,
-        &RestoreOptions::new(dep.images_dir()),
-    )
-    .unwrap();
-
-    // The restored archive verifies; then one byte of it flips in guest
-    // memory, and attaching must re-read it and refuse.
-    let state = Jlvm::attach(&mut kernel, stats.pid, dep.jlvm_config())
+    let record = record_working_set(&mut kernel, watchdog, &dep, &dep.images_dir()).unwrap();
+    kernel.sys_exit(record.pid, 0).unwrap();
+    let ws = read_images(&mut kernel, &dep.images_dir())
         .unwrap()
-        .state()
-        .clone();
-    assert!(state.jar_len > 0);
-    let at = VirtAddr(state.jar_base + state.jar_len / 2);
-    let byte = kernel.mem_read(stats.pid, at, 1).unwrap()[0];
-    kernel.mem_write(stats.pid, at, &[byte ^ 0x01]).unwrap();
+        .ws
+        .unwrap()
+        .pages;
 
-    let handler = dep.spec.make_handler(&dep.app_dir);
-    let err = Replica::attach(&mut kernel, stats.pid, dep.jlvm_config(), handler).unwrap_err();
-    assert_eq!(err, prebake_sim::Errno::Einval);
+    // Every gear: the restored archive verifies; then one byte of it
+    // flips in guest memory, and attaching must re-read it and refuse.
+    // The byte sits mid-archive (a page the gear installed its own way)
+    // or in the archive's last, partial page.
+    for mode in [
+        RestoreMode::Eager,
+        RestoreMode::Lazy,
+        RestoreMode::Prefetch,
+        RestoreMode::Cow,
+        RestoreMode::CowPrefetch,
+    ] {
+        for last_page in [false, true] {
+            let opts = RestoreOptions::with_mode(dep.images_dir(), mode);
+            let pid = restore(&mut kernel, watchdog, &opts).unwrap().pid;
+            let state = Jlvm::attach(&mut kernel, pid, dep.jlvm_config())
+                .unwrap()
+                .state()
+                .clone();
+            let (base, len) = (state.jar_base, state.jar_len);
+            assert!(len % PAGE_SIZE as u64 != 0, "the archive ends mid-page");
+            let at = match last_page {
+                true => base + len - 1,
+                false => base + len / 2,
+            };
+            let page = at / PAGE_SIZE as u64;
+            let (majors, _) = kernel.uffd_fault_counts(pid);
+
+            kernel.set_tracing(true);
+            let byte = kernel.mem_read(pid, VirtAddr(at), 1).unwrap()[0];
+            kernel.mem_write(pid, VirtAddr(at), &[byte ^ 0x01]).unwrap();
+            let probes = ProbeCounters::from_events(&kernel.take_trace());
+            kernel.set_tracing(false);
+            // How the page holding the byte was installed, per gear: the
+            // first attach read the whole archive, so in the lazy gear the
+            // fault handler served it; the prefetch gear loaded the recorded
+            // working set from the same backend; the cow gears mapped it
+            // as a pool frame, and the flip broke that frame.
+            let shared = mode == RestoreMode::Cow
+                || (mode == RestoreMode::CowPrefetch && ws.contains(&page));
+            assert_eq!(probes.cow_breaks, shared as u64, "{mode:?} page {page}");
+            match mode {
+                RestoreMode::Lazy => assert!(majors > 0, "fault-served"),
+                RestoreMode::Prefetch | RestoreMode::CowPrefetch if !shared => {
+                    assert!(ws.contains(&page) || majors > 0, "backend-served");
+                }
+                _ => {}
+            }
+
+            let handler = dep.spec.make_handler(&dep.app_dir);
+            let err = Replica::attach(&mut kernel, pid, dep.jlvm_config(), handler).unwrap_err();
+            assert_eq!(
+                err,
+                prebake_sim::Errno::Einval,
+                "{mode:?}, last page {last_page}"
+            );
+            kernel.sys_exit(pid, 0).unwrap();
+        }
+    }
 }
