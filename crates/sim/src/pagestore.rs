@@ -12,7 +12,7 @@
 //! (munmap, exec, exit). `Arc::strong_count - 1` *is* the frame's
 //! mapcount, so leak tests reduce to reference counting.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::mem::{Page, PAGE_SIZE};
@@ -20,7 +20,9 @@ use crate::mem::{Page, PAGE_SIZE};
 /// A content-addressed pool of shared page frames.
 #[derive(Debug, Clone, Default)]
 pub struct SharedPageStore {
-    frames: BTreeMap<u64, Arc<Page>>,
+    /// Frames by content hash. Only looked up, counted and filtered,
+    /// never iterated in order, so no result depends on the map's order.
+    frames: HashMap<u64, Arc<Page>>,
 }
 
 impl SharedPageStore {
