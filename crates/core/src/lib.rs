@@ -39,4 +39,9 @@ pub mod prebaker;
 pub mod starter;
 
 pub use phases::{phases_from_span_tree, Phases};
-pub use prebaker::{bake, BakeReport, SnapshotPolicy};
+pub use prebaker::{bake, SnapshotPolicy};
+
+#[cfg(test)]
+mod tests {
+    mod span_phases;
+}

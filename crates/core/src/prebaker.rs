@@ -11,7 +11,6 @@ use prebake_runtime::Replica;
 use prebake_sim::error::SysResult;
 use prebake_sim::kernel::Kernel;
 use prebake_sim::proc::{CapSet, Pid};
-use prebake_sim::time::SimDuration;
 
 use crate::env::{Deployment, RUNTIME_BIN};
 
@@ -31,15 +30,8 @@ pub enum SnapshotPolicy {
 /// Outcome of a bake.
 #[derive(Debug, Clone)]
 pub struct BakeReport {
-    /// Where the images were written.
-    pub images_dir: String,
-    /// The policy used.
-    pub policy: SnapshotPolicy,
     /// Dump statistics (page counts, image bytes).
     pub dump: DumpStats,
-    /// Virtual time the whole bake took (boot + warm-up + dump). Build
-    /// time, not start-up time — reported for completeness.
-    pub bake_time: SimDuration,
 }
 
 impl BakeReport {
@@ -65,8 +57,6 @@ pub fn bake(
     policy: SnapshotPolicy,
     images_dir: &str,
 ) -> SysResult<BakeReport> {
-    let t0 = kernel.now();
-
     // Boot the function exactly as production would.
     let pid = kernel.sys_clone(builder)?;
     kernel.process_mut(pid)?.caps = CapSet::empty();
@@ -95,12 +85,7 @@ pub fn bake(
     // Dump; the baked process is killed (its port frees for replicas).
     let dump_stats = dump(kernel, builder, &DumpOptions::new(pid, images_dir))?;
 
-    Ok(BakeReport {
-        images_dir: images_dir.to_owned(),
-        policy,
-        dump: dump_stats,
-        bake_time: kernel.now() - t0,
-    })
+    Ok(BakeReport { dump: dump_stats })
 }
 
 /// Bake-time working-set recording (the `prebake-lazy` record pass):

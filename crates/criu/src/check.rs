@@ -39,7 +39,7 @@ pub struct CheckReport {
     /// Threads recorded.
     pub threads: usize,
     /// Non-fatal oddities worth surfacing.
-    pub warnings: Vec<String>,
+    pub(crate) warnings: Vec<String>,
 }
 
 impl CheckReport {

@@ -67,7 +67,7 @@ pub struct DumpStats {
     pub pages_unique: usize,
     /// Stored pages whose content another stored page already carries
     /// (`pages_stored - pages_unique`).
-    pub pages_duplicate: usize,
+    pub(crate) pages_duplicate: usize,
     /// Total bytes across image files.
     pub image_bytes: u64,
     /// Virtual time the dump took.

@@ -52,13 +52,19 @@ pub mod image;
 pub mod restore;
 
 pub use cache::ImageCache;
-pub use check::{check, CheckReport};
+pub use check::check;
 pub use dump::{
     dump, pre_dump, read_images, read_images_lazy, repack, DumpOptions, DumpStats, RepackOptions,
     RepackStats,
 };
-pub use image::{
-    page_content_hash, ExtentsImage, ImageError, ImageSet, PageExtent, PageStoreImage, PagesImage,
-    WsImage,
-};
+pub use image::{page_content_hash, ImageSet, WsImage};
 pub use restore::{restore, restore_set, RestoreMode, RestoreOptions, RestoreStats};
+
+#[cfg(test)]
+mod tests {
+    mod cow_concurrency;
+    mod incremental;
+    mod proptest_image_fuzz;
+    mod proptest_pagestore;
+    mod proptest_roundtrip;
+}

@@ -139,13 +139,13 @@ pub struct RestoreStats {
     pub zero_pages: usize,
     /// Pages left withheld behind the fault handler at resume (lazy
     /// modes; zero for eager).
-    pub pages_lazy: usize,
+    pub(crate) pages_lazy: usize,
     /// Working-set pages bulk-loaded before resume
     /// ([`RestoreMode::Prefetch`] only).
     pub pages_prefetched: usize,
     /// Pages mapped copy-on-write from the shared frame pool
     /// ([`RestoreMode::Cow`]/[`RestoreMode::CowPrefetch`] only).
-    pub pages_cow: usize,
+    pub(crate) pages_cow: usize,
     /// Extent runs vectored in during restore (eager scatter-gather
     /// copies and run-granular CoW maps; zero on the page-granular
     /// path). Working-set prefetch runs surface as

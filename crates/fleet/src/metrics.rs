@@ -30,18 +30,18 @@ pub struct FleetMetrics {
     /// whole-image cache hits).
     pub registry_dedup_bytes: Counter,
     /// Image pulls fully satisfied by the node cache.
-    pub pull_cache_hits: Counter,
+    pub(crate) pull_cache_hits: Counter,
     /// Images pushed to predicted nodes ahead of demand.
     pub prepulls: Counter,
     /// Arrival → dispatch queueing delay, ms.
-    pub queue_delay: Histogram,
+    pub(crate) queue_delay: Histogram,
     /// Arrival → completion latency, ms.
     pub latency: Histogram,
     /// Arrival → completion latency split by serving gear, ms. One
     /// pre-registered slot per [`Gear::ALL`] entry (indexed by
     /// `Gear::index`), so the serve path never allocates or probes a
     /// map to find its histogram.
-    pub latency_by_gear: [Histogram; Gear::ALL.len()],
+    pub(crate) latency_by_gear: [Histogram; Gear::ALL.len()],
     /// Arrival → completion latency of cold-served requests only, ms —
     /// the distribution scale runs read cold-start p99 from without
     /// retaining per-request rows.

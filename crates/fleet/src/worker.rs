@@ -49,15 +49,15 @@ pub(crate) struct Replica {
     /// Lifecycle state.
     pub state: ReplicaState,
     /// Resident bytes charged to the worker.
-    pub mem_bytes: u64,
+    pub(crate) mem_bytes: u64,
     /// When the start was issued (cold-detection anchor).
     pub started_at: SimInstant,
     /// When the start began executing (after slot queueing).
-    pub start_began: SimInstant,
+    pub(crate) start_began: SimInstant,
     /// Ready instant (valid once past `Starting`).
     pub ready_at: SimInstant,
     /// Last instant the replica finished serving (or became ready).
-    pub last_used: SimInstant,
+    pub(crate) last_used: SimInstant,
     /// Requests served so far (the first one pays the gear's
     /// first-service cost).
     pub served: u64,
@@ -81,7 +81,7 @@ pub(crate) struct Worker {
     /// Worker index in the fleet.
     pub id: usize,
     /// Memory budget in bytes.
-    pub mem_budget: u64,
+    pub(crate) mem_budget: u64,
     /// Live replicas by id.
     pub replicas: BTreeMap<u64, Replica>,
     /// Node-local image charges, one per resident `(function, gear)`.
@@ -89,7 +89,7 @@ pub(crate) struct Worker {
     /// Busy-until times of in-flight cold starts (≤ concurrency).
     slots: Vec<SimInstant>,
     /// Highest memory-in-use observed.
-    pub mem_high_water: u64,
+    pub(crate) mem_high_water: u64,
     /// Node-local pull-through snapshot cache (registry tier).
     pub cache: NodeCache,
 }

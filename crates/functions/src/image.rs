@@ -130,7 +130,7 @@ impl Bitmap {
 /// stream (~1 MB on disk for the paper's 3440×1440 source). Decoding
 /// reconstitutes the full bitmap deterministically.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompressedImage {
+pub(crate) struct CompressedImage {
     /// Width in pixels.
     pub width: u32,
     /// Height in pixels.
@@ -138,7 +138,7 @@ pub struct CompressedImage {
     /// Seed of the procedural base layer.
     pub seed: u64,
     /// Residual stream (applied cyclically over the base).
-    pub residuals: Vec<u8>,
+    pub(crate) residuals: Vec<u8>,
 }
 
 impl CompressedImage {
@@ -245,7 +245,7 @@ impl CompressedImage {
 /// # Panics
 ///
 /// Panics unless `0 < scale <= 1`.
-pub fn resize_box(src: &Bitmap, scale: f64) -> Bitmap {
+pub(crate) fn resize_box(src: &Bitmap, scale: f64) -> Bitmap {
     assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0,1]");
     let out_w = ((src.width as f64 * scale).round() as u32).max(1);
     let out_h = ((src.height as f64 * scale).round() as u32).max(1);

@@ -59,9 +59,9 @@ pub struct GatewayMetrics {
     pub ttfc_cold_ms: Histogram,
     /// Time to first chunk split by serving gear, ms. Keyed by gear
     /// label so this crate stays independent of the fleet's gear enum.
-    pub ttfc_by_gear: BTreeMap<&'static str, Histogram>,
+    pub(crate) ttfc_by_gear: BTreeMap<&'static str, Histogram>,
     /// Edge-serve latency of cache hits, ms.
-    pub cached_serve_ms: Histogram,
+    pub(crate) cached_serve_ms: Histogram,
     /// Slowest cache hit observed, ms — the `<10ms cached path`
     /// assertion reads this directly.
     pub cached_serve_max_ms: f64,

@@ -34,9 +34,7 @@ pub mod stack;
 pub use export::{chrome_trace_with_exemplars, dashboard, DashboardSpec};
 pub use recorder::{Exemplar, Recorder, RecorderConfig, SeriesId, SeriesKey, WindowView};
 pub use sampler::{SampleStats, SamplerConfig};
-pub use slo::{
-    Objective, ObjectiveStatus, Sli, SloEngine, SloEvent, SloEventKind, SloReport, WindowBurn,
-};
+pub use slo::{Objective, ObjectiveStatus, SloEvent, SloEventKind, SloReport, WindowBurn};
 pub use stack::{ObsConfig, ObsStack};
 
 /// Default latency bucket bounds (ms), matching the fleet scheduler's
@@ -44,3 +42,9 @@ pub use stack::{ObsConfig, ObsStack};
 pub(crate) const DEFAULT_LATENCY_BOUNDS_MS: [f64; 12] = [
     1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1_000.0, 2_500.0, 10_000.0,
 ];
+
+#[cfg(test)]
+mod tests {
+    mod export_golden;
+    mod proptest_obs;
+}

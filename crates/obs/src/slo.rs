@@ -24,7 +24,7 @@ use crate::recorder::{Recorder, WindowView};
 
 /// What fraction of events were good, and how it is measured.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Sli {
+pub(crate) enum Sli {
     /// Good = histogram observations of `metric` at or under
     /// `threshold_ms` (bucket-bound semantics, see module docs).
     LatencyUnder {
@@ -86,16 +86,16 @@ pub struct Objective {
     /// Objective name, used in events and the dashboard.
     pub name: String,
     /// How goodness is measured.
-    pub sli: Sli,
+    pub(crate) sli: Sli,
     /// Required good fraction in `(0, 1)`, e.g. `0.9` for "90% of
     /// requests under threshold".
     pub target: f64,
     /// Short burn horizon in windows (the fast-burn confirmation).
-    pub short_windows: usize,
+    pub(crate) short_windows: usize,
     /// Long burn horizon in windows (the sustained-burn signal).
-    pub long_windows: usize,
+    pub(crate) long_windows: usize,
     /// Burn rate both horizons must exceed to fire a [`SloEventKind::BurnAlert`].
-    pub fast_burn: f64,
+    pub(crate) fast_burn: f64,
 }
 
 impl Objective {
@@ -151,7 +151,7 @@ pub struct WindowBurn {
     /// Window ordinal in the recorder ring.
     pub window_index: u64,
     /// Window start in virtual time.
-    pub window_start: SimInstant,
+    pub(crate) window_start: SimInstant,
     /// Attributed tenant ("" when the series carried no tenant label).
     pub tenant: String,
     /// Bad events in the cell.
@@ -194,7 +194,7 @@ pub struct SloEvent {
     /// Window ordinal the event anchors to.
     pub window_index: u64,
     /// That window's start instant.
-    pub window_start: SimInstant,
+    pub(crate) window_start: SimInstant,
     /// Breach or burn alert.
     pub kind: SloEventKind,
 }
@@ -230,7 +230,7 @@ impl ObjectiveStatus {
 #[derive(Debug, Clone, Default)]
 pub struct SloReport {
     /// One status per configured objective, in configuration order.
-    pub statuses: Vec<ObjectiveStatus>,
+    pub(crate) statuses: Vec<ObjectiveStatus>,
     /// Events ordered by (objective order, window, tenant, kind).
     pub events: Vec<SloEvent>,
 }
@@ -255,7 +255,7 @@ impl SloReport {
 
 /// Evaluates a set of objectives against a recorder ring.
 #[derive(Debug, Clone, Default)]
-pub struct SloEngine {
+pub(crate) struct SloEngine {
     objectives: Vec<Objective>,
 }
 

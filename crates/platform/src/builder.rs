@@ -27,7 +27,7 @@ pub struct Template {
     pub restore: RestoreMode,
     /// Install shards replicas restore with; values below 2 take the
     /// serial path bit-for-bit.
-    pub restore_threads: usize,
+    pub(crate) restore_threads: usize,
     /// Rewrite the baked images into recorded fault order at build time
     /// (runs a record pass first when the restore mode has none).
     pub fault_order: bool,
@@ -221,9 +221,7 @@ impl FunctionBuilder {
         };
         Ok(ContainerImage {
             spec,
-            template: template.name.clone(),
             snapshot_files,
-            policy: template.prebake,
             restore_mode: template.restore,
             restore_threads: template.restore_threads,
             version: 0,
@@ -381,8 +379,6 @@ mod tests {
             .build(FunctionSpec::noop(), &Template::java11())
             .unwrap();
         assert!(!image.is_prebaked());
-        assert!(image.policy.is_none());
-        assert_eq!(image.template, "java11");
     }
 
     #[test]
@@ -396,7 +392,6 @@ mod tests {
             "NOOP snapshot ≈13MB, got {}",
             image.snapshot_bytes()
         );
-        assert_eq!(image.policy, Some(SnapshotPolicy::AfterReady));
         let names: Vec<&str> = image
             .snapshot_files
             .iter()

@@ -52,4 +52,10 @@ pub use loadgen::{
     Arrival, ArrivalGen, LoadError, LoadResult, MergedArrivals, PoissonProcess, Schedule,
 };
 pub use platform::{CompletedRequest, Platform, PlatformConfig};
-pub use registry::{ContainerImage, Registry};
+pub use registry::Registry;
+
+#[cfg(test)]
+mod tests {
+    mod proptest_loadgen;
+    mod proptest_metrics;
+}

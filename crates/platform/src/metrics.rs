@@ -167,38 +167,38 @@ pub struct FunctionMetrics {
     /// Replicas garbage-collected after idling.
     pub replicas_reaped: Counter,
     /// Replicas that crashed and were replaced by the watchdog.
-    pub replica_failures: Counter,
+    pub(crate) replica_failures: Counter,
     /// Requests that completed with an application error (HTTP 5xx).
-    pub request_errors: Counter,
+    pub(crate) request_errors: Counter,
     /// End-to-end latency (queueing + service), ms.
     pub latency: Histogram,
     /// Cold-start start-up time, ms.
     pub startup: Histogram,
     /// Start-up time of prebake (restore-path) cold starts only, ms —
     /// the `prebake_restore_ms` series.
-    pub restore_ms: Histogram,
+    pub(crate) restore_ms: Histogram,
     /// Major page faults observed during restore-path start windows.
-    pub restore_major_faults: Counter,
+    pub(crate) restore_major_faults: Counter,
     /// Minor page faults observed during restore-path start windows.
-    pub restore_minor_faults: Counter,
+    pub(crate) restore_minor_faults: Counter,
     /// Copy-on-write breaks observed during restore-path start windows.
-    pub restore_cow_breaks: Counter,
+    pub(crate) restore_cow_breaks: Counter,
     /// Extent runs vectored in during restore-path start windows
     /// (scatter-gather copies, CoW run maps, prefetch runs).
-    pub restore_extents: Counter,
+    pub(crate) restore_extents: Counter,
     /// Page faults avoided by fault-around batching during restore-path
     /// start windows (neighbour pages serviced without their own trap).
-    pub restore_faults_avoided: Counter,
+    pub(crate) restore_faults_avoided: Counter,
     /// Install shards restore-path cold starts ran with (1 per serial
     /// restore; parallel restores add their fan-out).
     pub restore_shards: Counter,
     /// Payload bytes the prefetch read streamed instead of seeking for,
     /// summed over restore-path cold starts (non-zero once images are
     /// laid out in fault order).
-    pub restore_seek_bytes_avoided: Counter,
+    pub(crate) restore_seek_bytes_avoided: Counter,
     /// Stored pages restores found compacted into the fallback layer,
     /// summed over restore-path cold starts.
-    pub restore_pages_compacted: Counter,
+    pub(crate) restore_pages_compacted: Counter,
 }
 
 /// The platform metric registry.

@@ -593,7 +593,8 @@ impl Platform {
     /// process inside the container). Returns `true` if a victim was
     /// found. The watchdog path detects the corpse at the next dispatch
     /// and replaces it.
-    pub fn inject_replica_crash(&mut self, function: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn inject_replica_crash(&mut self, function: &str) -> bool {
         let victim = self
             .containers
             .iter_mut()

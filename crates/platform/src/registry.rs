@@ -22,7 +22,6 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::RwLock;
 
-use prebake_core::SnapshotPolicy;
 use prebake_criu::RestoreMode;
 use prebake_functions::FunctionSpec;
 
@@ -31,19 +30,15 @@ use prebake_functions::FunctionSpec;
 pub struct ContainerImage {
     /// The function it packages.
     pub spec: FunctionSpec,
-    /// Template the image was built from (e.g. `java11`, `java11-criu`).
-    pub template: String,
     /// Snapshot image files baked into the container image, if the
     /// template prebakes.
-    pub snapshot_files: Vec<(String, Bytes)>,
-    /// The snapshot policy used at build time, if any.
-    pub policy: Option<SnapshotPolicy>,
+    pub(crate) snapshot_files: Vec<(String, Bytes)>,
     /// How replicas reinstate snapshot memory (from the build template;
     /// meaningless for plain images).
     pub restore_mode: RestoreMode,
     /// Install shards replicas restore with (from the build template;
     /// values below 2 restore serially).
-    pub restore_threads: usize,
+    pub(crate) restore_threads: usize,
     /// Monotonic version, bumped on every push.
     pub version: u32,
 }
@@ -102,12 +97,10 @@ impl Registry {
 mod tests {
     use super::*;
 
-    fn image(template: &str) -> ContainerImage {
+    fn image() -> ContainerImage {
         ContainerImage {
             spec: FunctionSpec::noop(),
-            template: template.to_owned(),
             snapshot_files: Vec::new(),
-            policy: None,
             restore_mode: RestoreMode::Eager,
             restore_threads: 1,
             version: 0,
@@ -117,8 +110,8 @@ mod tests {
     #[test]
     fn push_bumps_versions() {
         let reg = Registry::new();
-        assert_eq!(reg.push(image("java11")), 1);
-        assert_eq!(reg.push(image("java11")), 2);
+        assert_eq!(reg.push(image()), 1);
+        assert_eq!(reg.push(image()), 2);
         assert_eq!(reg.pull("noop").unwrap().version, 2);
         assert_eq!(reg.inner.read().images.len(), 1);
     }
@@ -132,7 +125,7 @@ mod tests {
 
     #[test]
     fn prebaked_predicate() {
-        let mut img = image("java11-criu");
+        let mut img = image();
         assert!(!img.is_prebaked());
         img.snapshot_files
             .push(("pages.img".into(), Bytes::from(vec![0u8; 100])));
@@ -144,7 +137,7 @@ mod tests {
     fn registry_is_shared() {
         let a = Registry::new();
         let b = a.clone();
-        a.push(image("java11"));
+        a.push(image());
         assert_eq!(b.inner.read().images.len(), 1, "clones share state");
     }
 }

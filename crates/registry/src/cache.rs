@@ -37,9 +37,9 @@ pub struct PullStats {
     /// or the whole image on a cache hit).
     pub bytes_deduped: u64,
     /// Frames transferred.
-    pub frames_fetched: u64,
+    pub(crate) frames_fetched: u64,
     /// Frames satisfied locally.
-    pub frames_deduped: u64,
+    pub(crate) frames_deduped: u64,
     /// Whether the image was already resident (no registry round-trip).
     pub cache_hit: bool,
 }
@@ -104,7 +104,7 @@ impl NodeCache {
     /// fetched, then (except under [`PullMode::Naive`], which never
     /// caches) makes the image resident. Pulling a resident image is a
     /// hit and fetches nothing.
-    pub fn admit(&mut self, manifest: &ImageManifest, mode: PullMode) -> PullStats {
+    pub(crate) fn admit(&mut self, manifest: &ImageManifest, mode: PullMode) -> PullStats {
         let total_frames = manifest.frame_count() as u64;
         if mode != PullMode::Naive && self.contains(manifest.id()) {
             return PullStats {

@@ -40,6 +40,11 @@ pub mod cache;
 pub mod manifest;
 pub mod registry;
 
-pub use cache::{NodeCache, PullMode, PullStats};
+pub use cache::{NodeCache, PullMode};
 pub use manifest::ImageManifest;
-pub use registry::{PullReceipt, RegistryCost, RegistryError, SnapshotRegistry};
+pub use registry::{RegistryCost, SnapshotRegistry};
+
+#[cfg(test)]
+mod tests {
+    mod proptest_registry;
+}

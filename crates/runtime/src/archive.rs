@@ -21,7 +21,7 @@ const ARCHIVE_CHECKSUM_LEN: usize = 8;
 /// Errors produced while parsing an archive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
-pub enum ArchiveError {
+pub(crate) enum ArchiveError {
     /// Input ended before a declared structure.
     Truncated,
     /// Magic number mismatch.
@@ -60,13 +60,11 @@ impl std::error::Error for ArchiveError {}
 /// use prebake_runtime::archive::Archive;
 /// use prebake_runtime::gen::synth_class;
 ///
-/// let mut a = Archive::new();
 /// let class = synth_class("com.example.Main", 1, 1024);
-/// a.add_class(&class);
-/// let bytes = a.encode();
-/// let back = Archive::parse(&bytes).unwrap();
-/// assert_eq!(back.len(), 1);
-/// assert!(back.get("com.example.Main").is_some());
+/// let a = Archive::from_classes([&class]);
+/// assert_eq!(a.len(), 1);
+/// assert!(a.get("com.example.Main").is_some());
+/// assert!(a.encode().len() as u64 > a.payload_bytes(), "framing and checksum");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Archive {
@@ -92,7 +90,7 @@ impl Archive {
     }
 
     /// Adds an encoded class file under its class name.
-    pub fn add_class(&mut self, class: &ClassFile) {
+    pub(crate) fn add_class(&mut self, class: &ClassFile) {
         self.add(class.name.clone(), class.encode());
     }
 
@@ -133,26 +131,6 @@ impl Archive {
         out
     }
 
-    /// Parses an archive image, copying each entry out of `bytes`
-    /// (the [`ArchiveIndex`] parse, then one copy per entry).
-    ///
-    /// # Errors
-    ///
-    /// Any [`ArchiveError`] describing the malformation.
-    pub fn parse(bytes: &[u8]) -> Result<Archive, ArchiveError> {
-        let mut spans: Vec<(String, (u64, u64))> =
-            ArchiveIndex::parse(bytes)?.spans.into_iter().collect();
-        spans.sort_unstable_by_key(|&(_, (offset, _))| offset);
-        let mut archive = Archive::new();
-        for (name, (offset, len)) in spans {
-            archive.add(
-                name,
-                bytes[offset as usize..(offset + len) as usize].to_vec(),
-            );
-        }
-        Ok(archive)
-    }
-
     /// Builds an archive from a set of class files.
     pub fn from_classes<'a>(classes: impl IntoIterator<Item = &'a ClassFile>) -> Archive {
         let mut a = Archive::new();
@@ -166,32 +144,15 @@ impl Archive {
 /// Where each entry of an encoded archive lies, without its payload:
 /// what the runtime keeps to read class files straight out of the
 /// memory-mapped archive.
-///
-/// # Examples
-///
-/// ```
-/// use prebake_runtime::archive::{Archive, ArchiveIndex};
-///
-/// let mut a = Archive::new();
-/// a.add("x", vec![1, 2, 3]);
-/// let bytes = a.encode();
-/// let (offset, len) = ArchiveIndex::parse(&bytes).unwrap().entry_offset("x").unwrap();
-/// assert_eq!(&bytes[offset as usize..(offset + len) as usize], &[1, 2, 3]);
-/// ```
 #[derive(Debug, PartialEq, Eq)]
-pub struct ArchiveIndex {
+pub(crate) struct ArchiveIndex {
     /// Entry name → `(offset, len)` of its payload in the encoded image.
     spans: BTreeMap<String, (u64, u64)>,
 }
 
 impl ArchiveIndex {
-    /// Verifies a contiguous archive image's checksum and indexes its
-    /// entries; no payload is copied. The one-chunk case of
-    /// [`ArchiveIndex::parse_chunks`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`ArchiveError`] describing the malformation.
+    /// The one-chunk case of [`ArchiveIndex::parse_chunks`]: verifies and
+    /// indexes a contiguous archive image, with the same errors.
     pub fn parse(bytes: &[u8]) -> Result<ArchiveIndex, ArchiveError> {
         ArchiveIndex::parse_chunks(&[bytes])
     }
@@ -207,7 +168,7 @@ impl ArchiveIndex {
     ///
     /// Any [`ArchiveError`] describing the malformation; a checksum
     /// mismatch is reported before any other.
-    pub fn parse_chunks(chunks: &[&[u8]]) -> Result<ArchiveIndex, ArchiveError> {
+    pub(crate) fn parse_chunks(chunks: &[&[u8]]) -> Result<ArchiveIndex, ArchiveError> {
         let total: usize = chunks.iter().map(|c| c.len()).sum();
         let body_len = total
             .checked_sub(ARCHIVE_CHECKSUM_LEN)
@@ -257,7 +218,7 @@ impl ArchiveIndex {
 
     /// Byte range `(offset, len)` of an entry's payload within the
     /// encoded archive image.
-    pub fn entry_offset(&self, name: &str) -> Option<(u64, u64)> {
+    pub(crate) fn entry_offset(&self, name: &str) -> Option<(u64, u64)> {
         self.spans.get(name).copied()
     }
 }
@@ -320,9 +281,12 @@ mod tests {
     fn roundtrip() {
         let a = sample();
         let bytes = a.encode();
-        let back = Archive::parse(&bytes).unwrap();
-        assert_eq!(back, a);
-        assert_eq!(back.len(), 5);
+        let index = ArchiveIndex::parse(&bytes).unwrap();
+        assert_eq!(index.len(), 5);
+        for (name, data) in &a.entries {
+            let (off, len) = index.entry_offset(name).unwrap();
+            assert_eq!(&bytes[off as usize..(off + len) as usize], &data[..]);
+        }
     }
 
     #[test]
@@ -353,22 +317,24 @@ mod tests {
         let mut bytes = sample().encode();
         let mid = bytes.len() / 3;
         bytes[mid] ^= 0x55;
-        assert_eq!(Archive::parse(&bytes), Err(ArchiveError::BadChecksum));
+        assert_eq!(ArchiveIndex::parse(&bytes), Err(ArchiveError::BadChecksum));
     }
 
     #[test]
     fn truncated_detected() {
         let bytes = sample().encode();
-        assert_eq!(Archive::parse(&bytes[..10]), Err(ArchiveError::Truncated));
+        assert_eq!(
+            ArchiveIndex::parse(&bytes[..10]),
+            Err(ArchiveError::Truncated)
+        );
     }
 
     #[test]
     fn empty_archive_roundtrip() {
         let a = Archive::new();
         assert!(a.is_empty());
-        let back = Archive::parse(&a.encode()).unwrap();
-        assert!(back.is_empty());
-        assert_eq!(back.payload_bytes(), 0);
+        assert_eq!(ArchiveIndex::parse(&a.encode()).unwrap().len(), 0);
+        assert_eq!(a.payload_bytes(), 0);
     }
 
     #[test]
@@ -409,7 +375,7 @@ mod tests {
             bytes[4..6].copy_from_slice(&version.to_be_bytes());
             reseal(&mut bytes);
             assert_eq!(
-                Archive::parse(&bytes),
+                ArchiveIndex::parse(&bytes),
                 Err(ArchiveError::BadVersion(version))
             );
         }
@@ -427,7 +393,7 @@ mod tests {
         bytes[ARCHIVE_HEADER_LEN + 8 + 2] = b'x';
         reseal(&mut bytes);
         assert_eq!(
-            Archive::parse(&bytes),
+            ArchiveIndex::parse(&bytes),
             Err(ArchiveError::DuplicateEntry("x".into()))
         );
     }

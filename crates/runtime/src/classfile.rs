@@ -18,7 +18,7 @@ pub(crate) const CLASS_VERSION: u16 = 1;
 /// Errors produced by parsing or verifying a class file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
-pub enum ClassError {
+pub(crate) enum ClassError {
     /// Input ended before a declared structure.
     Truncated,
     /// Magic number mismatch.
@@ -193,11 +193,11 @@ impl Op {
 
 /// A method: a name, a declared max operand-stack depth and raw bytecode.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Method {
+pub(crate) struct Method {
     /// Method name.
     pub name: String,
     /// Declared maximum operand-stack depth.
-    pub max_stack: u16,
+    pub(crate) max_stack: u16,
     /// Encoded bytecode.
     pub code: Vec<u8>,
 }
@@ -210,7 +210,7 @@ pub struct ClassFile {
     /// Constant pool.
     pub constants: Vec<Constant>,
     /// Methods.
-    pub methods: Vec<Method>,
+    pub(crate) methods: Vec<Method>,
 }
 
 /// FNV-1a 64-bit hash, used as the class-file checksum.
@@ -319,7 +319,7 @@ impl ClassFile {
     /// # Errors
     ///
     /// Any [`ClassError`] variant describing the malformation.
-    pub fn parse(bytes: &[u8]) -> Result<ClassFile, ClassError> {
+    pub(crate) fn parse(bytes: &[u8]) -> Result<ClassFile, ClassError> {
         if bytes.len() < 8 {
             return Err(ClassError::Truncated);
         }
@@ -383,7 +383,7 @@ impl ClassFile {
     /// # Errors
     ///
     /// The first violation found, as a [`ClassError`].
-    pub fn verify(&self) -> Result<(), ClassError> {
+    pub(crate) fn verify(&self) -> Result<(), ClassError> {
         let pool_len = self.constants.len() as u16;
         for (mi, m) in self.methods.iter().enumerate() {
             if m.code.is_empty() {

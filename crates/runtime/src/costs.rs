@@ -15,45 +15,45 @@ use prebake_sim::time::SimDuration;
 /// Base memory the runtime touches while bootstrapping, chosen so a
 /// freshly booted NOOP function snapshots at ≈13 MB (paper §4.2.1).
 #[derive(Debug, Clone, Copy)]
-pub struct BaseFootprint {
+pub(crate) struct BaseFootprint {
     /// Bytes written into the JIT code cache during bootstrap.
-    pub code_cache_touch: u64,
+    pub(crate) code_cache_touch: u64,
     /// Bytes written into the runtime heap during bootstrap.
-    pub heap_touch: u64,
+    pub(crate) heap_touch: u64,
     /// Bytes of core-class metadata written into the metaspace.
-    pub metaspace_touch: u64,
+    pub(crate) metaspace_touch: u64,
 }
 
 /// Cost table for the managed runtime ("JLVM").
 #[derive(Debug, Clone)]
 pub struct RuntimeCosts {
     /// RTS phase: core runtime initialisation.
-    pub rts_core_init: SimDuration,
+    pub(crate) rts_core_init: SimDuration,
     /// RTS phase: heap arena setup.
-    pub rts_heap_init: SimDuration,
+    pub(crate) rts_heap_init: SimDuration,
     /// RTS phase: auxiliary service threads (GC, signal dispatch, ...).
-    pub rts_services_init: SimDuration,
+    pub(crate) rts_services_init: SimDuration,
     /// Starting the embedded HTTP server.
-    pub http_server_init: SimDuration,
+    pub(crate) http_server_init: SimDuration,
     /// Class parsing, ns per byte of class file (≈7 ms/MiB).
-    pub class_parse_ns_per_byte: f64,
+    pub(crate) class_parse_ns_per_byte: f64,
     /// Bytecode verification, ns per byte (≈8 ms/MiB).
-    pub class_verify_ns_per_byte: f64,
+    pub(crate) class_verify_ns_per_byte: f64,
     /// JIT compilation, ns per byte (≈15 ms/MiB).
-    pub jit_compile_ns_per_byte: f64,
+    pub(crate) jit_compile_ns_per_byte: f64,
     /// Reading the archive central index, per entry.
-    pub archive_index_per_entry: SimDuration,
+    pub(crate) archive_index_per_entry: SimDuration,
     /// One-time lazy linking/initialisation on the first request, for
     /// applications that defer their class graph (the synthetic functions).
-    pub lazy_link_init: SimDuration,
+    pub(crate) lazy_link_init: SimDuration,
     /// Bootstrap memory footprint.
-    pub base_footprint: BaseFootprint,
+    pub(crate) base_footprint: BaseFootprint,
     /// Metaspace expansion factor: bytes written per class-file byte when
     /// installing the parsed representation.
-    pub metaspace_expansion: f64,
+    pub(crate) metaspace_expansion: f64,
     /// Code-cache expansion factor: bytes written per class-file byte when
     /// JIT-compiling.
-    pub code_cache_expansion: f64,
+    pub(crate) code_cache_expansion: f64,
 }
 
 impl RuntimeCosts {

@@ -69,3 +69,8 @@ pub mod state;
 
 pub use jvm::{Ctx, Handler, Jlvm, JlvmConfig, Replica};
 pub use profile::RuntimeProfile;
+
+#[cfg(test)]
+mod tests {
+    mod proptest_formats;
+}

@@ -35,40 +35,40 @@ pub fn per_byte(bytes: u64, ns_per_byte: f64) -> SimDuration {
 /// use prebake_sim::cost::CostModel;
 ///
 /// let costs = CostModel::paper_calibrated();
-/// assert_eq!(costs.clone_call.as_micros(), 400);
+/// assert!(costs.mmap_base > CostModel::free().mmap_base);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CostModel {
     // -- process lifecycle ---------------------------------------------
     /// One `clone(2)` call (paper Fig. 4: CLONE phase, ≈0.4 ms).
-    pub clone_call: SimDuration,
+    pub(crate) clone_call: SimDuration,
     /// Fixed part of `execve(2)` (paper Fig. 4: EXEC phase, ≈1.2 ms);
     /// reading the binary is charged separately as a file read.
-    pub exec_base: SimDuration,
+    pub(crate) exec_base: SimDuration,
     /// Scheduling latency to resume a stopped/frozen task.
     pub sched_resume: SimDuration,
     /// Process teardown (`exit` + reaping).
-    pub exit_call: SimDuration,
+    pub(crate) exit_call: SimDuration,
 
     // -- memory ---------------------------------------------------------
     /// Establishing a mapping (`mmap` bookkeeping, excludes faults).
     pub mmap_base: SimDuration,
     /// Removing a mapping.
-    pub munmap_base: SimDuration,
+    pub(crate) munmap_base: SimDuration,
     /// First-touch fault + zero-fill of one page.
-    pub page_touch: SimDuration,
+    pub(crate) page_touch: SimDuration,
     /// Copying one page of memory (used by reads/writes of resident pages).
-    pub page_copy: SimDuration,
+    pub(crate) page_copy: SimDuration,
     /// Trap + handler round-trip for one *major* demand-paging fault: the
     /// `userfaultfd(2)` wakeup, handler dispatch and `UFFDIO_COPY` ioctl,
     /// excluding the data movement (charged per byte at the warm read
     /// rate) and the page copy itself. REAP (ASPLOS '21) reports ~5-8 µs
     /// per userfaultfd round-trip.
-    pub fault_trap: SimDuration,
+    pub(crate) fault_trap: SimDuration,
     /// Bookkeeping overhead for a *minor* fault (first touch of a
     /// demand-zero page) while the address space is fault-registered.
     /// Charged on top of [`CostModel::page_touch`].
-    pub fault_minor: SimDuration,
+    pub(crate) fault_minor: SimDuration,
     /// Write-protect fault on a shared (copy-on-write) page: trap,
     /// private-copy allocation and the page copy itself. Priced like a
     /// hardware CoW break (trap ≪ `userfaultfd` round-trip) — the moment
@@ -92,7 +92,7 @@ pub struct CostModel {
 
     // -- filesystem -----------------------------------------------------
     /// Metadata operation (open/stat/close/mkdir/unlink).
-    pub fs_meta: SimDuration,
+    pub(crate) fs_meta: SimDuration,
     /// Starting a *discontiguous* read of an image file: the extra seek —
     /// an `lseek`+`pread` dispatch that breaks the kernel's readahead
     /// window — paid once per non-sequential jump. A fault-order-packed
@@ -103,39 +103,37 @@ pub struct CostModel {
     pub fs_seek: SimDuration,
     /// Cold (uncached) read, ns per byte. Calibrated to ≈6.7 ms/MiB — the
     /// I/O share of the paper's vanilla class-load slope.
-    pub fs_read_cold_ns_per_byte: f64,
+    pub(crate) fs_read_cold_ns_per_byte: f64,
     /// Warm (page-cache) read, ns per byte (≈0.3 ms/MiB).
     pub fs_read_warm_ns_per_byte: f64,
     /// Write, ns per byte (≈1.0 ms/MiB; build-time path only).
-    pub fs_write_ns_per_byte: f64,
+    pub(crate) fs_write_ns_per_byte: f64,
 
     // -- pipes ------------------------------------------------------------
-    /// Creating a pipe pair.
-    pub pipe_create: SimDuration,
     /// Streaming data through a pipe, ns per byte.
-    pub pipe_ns_per_byte: f64,
+    pub(crate) pipe_ns_per_byte: f64,
 
     // -- ptrace -----------------------------------------------------------
     /// `PTRACE_SEIZE` of one task.
-    pub ptrace_attach: SimDuration,
+    pub(crate) ptrace_attach: SimDuration,
     /// `PTRACE_INTERRUPT` + wait until one thread is frozen.
-    pub ptrace_freeze_per_thread: SimDuration,
+    pub(crate) ptrace_freeze_per_thread: SimDuration,
     /// Reading or writing one page of a tracee's memory.
-    pub ptrace_xfer_per_page: SimDuration,
+    pub(crate) ptrace_xfer_per_page: SimDuration,
     /// `PTRACE_DETACH`.
     pub ptrace_detach: SimDuration,
 
     // -- sockets ----------------------------------------------------------
     /// Creating + binding + listening on a socket.
-    pub socket_listen: SimDuration,
+    pub(crate) socket_listen: SimDuration,
     /// Accept/connect handshake.
     pub socket_accept: SimDuration,
 
     // -- /proc --------------------------------------------------------------
     /// Rendering a `/proc/<pid>/maps`-style view.
-    pub procfs_read: SimDuration,
+    pub(crate) procfs_read: SimDuration,
     /// Scanning one page's worth of `/proc/<pid>/pagemap`.
-    pub pagemap_per_page: SimDuration,
+    pub(crate) pagemap_per_page: SimDuration,
 }
 
 impl CostModel {
@@ -163,7 +161,6 @@ impl CostModel {
             fs_read_warm_ns_per_byte: ms_per_mib_to_ns_per_byte(0.3),
             fs_write_ns_per_byte: ms_per_mib_to_ns_per_byte(1.0),
 
-            pipe_create: SimDuration::from_micros(10),
             pipe_ns_per_byte: 0.12,
 
             ptrace_attach: SimDuration::from_micros(60),
@@ -201,7 +198,6 @@ impl CostModel {
             fs_read_cold_ns_per_byte: 0.0,
             fs_read_warm_ns_per_byte: 0.0,
             fs_write_ns_per_byte: 0.0,
-            pipe_create: SimDuration::ZERO,
             pipe_ns_per_byte: 0.0,
             ptrace_attach: SimDuration::ZERO,
             ptrace_freeze_per_thread: SimDuration::ZERO,

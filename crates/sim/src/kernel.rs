@@ -489,7 +489,7 @@ impl Kernel {
     /// spans, in address order, instead of copying it out. Faults and
     /// charges exactly as [`Kernel::mem_read`] does: missing pages are
     /// demand-paged in first, then each page touched costs one
-    /// [`CostModel::page_copy`]. Unmaterialised pages lend zeros. The
+    /// `CostModel::page_copy`. Unmaterialised pages lend zeros. The
     /// slices borrow the machine, so they end before its next call.
     ///
     /// # Errors
@@ -556,7 +556,7 @@ impl Kernel {
     /// Registers a demand-paging backend for `pid` — the `UFFDIO_REGISTER`
     /// analogue. Every page the backend holds is marked missing in the
     /// process's address space; the first touch of each resolves it as a
-    /// *major* fault, charging [`CostModel::fault_trap`] plus a warm
+    /// *major* fault, charging `CostModel::fault_trap` plus a warm
     /// per-byte fetch and a page copy. The registration lives until the
     /// process exits or execs.
     ///
@@ -1238,7 +1238,7 @@ mod tests {
         let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
         let t0 = k.now();
         k.sys_clone(INIT_PID).unwrap();
-        assert_eq!((k.now() - t0).as_micros(), 400);
+        assert_eq!(k.now() - t0, SimDuration::from_micros(400));
     }
 
     #[test]

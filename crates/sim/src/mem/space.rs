@@ -15,7 +15,7 @@ pub const MMAP_BASE: u64 = 0x0000_1000_0000;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TouchStats {
     /// Pages the access spanned.
-    pub pages_touched: u64,
+    pub(crate) pages_touched: u64,
     /// Pages that had to be materialised (first write — a minor fault).
     pub pages_materialized: u64,
     /// Shared frames that were broken (first write to a copy-on-write
@@ -158,7 +158,7 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Returns [`Errno::Einval`] if no mapping starts at `start`.
-    pub fn munmap(&mut self, start: VirtAddr) -> SysResult<Vma> {
+    pub(crate) fn munmap(&mut self, start: VirtAddr) -> SysResult<Vma> {
         let vma = self.vmas.remove(&start.0).ok_or(Errno::Einval)?;
         let gone = vma.first_page()..vma.first_page() + vma.page_count();
         self.pages.retain(|k, _| !gone.contains(k));

@@ -93,9 +93,9 @@ impl ProbeKind {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeCounters {
     /// Number of syscall-enter events.
-    pub syscall_enters: u64,
+    pub(crate) syscall_enters: u64,
     /// Number of syscall-exit events.
-    pub syscall_exits: u64,
+    pub(crate) syscall_exits: u64,
     /// Number of user-level markers.
     pub markers: u64,
     /// Major demand-paging faults (content served from a fault backend).

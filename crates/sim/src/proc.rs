@@ -203,7 +203,7 @@ pub struct Process {
     /// Process id.
     pub pid: Pid,
     /// Parent process id.
-    pub ppid: Pid,
+    pub(crate) ppid: Pid,
     /// Command name (`/proc/<pid>/comm`).
     pub comm: String,
     /// Command line.
@@ -219,7 +219,7 @@ pub struct Process {
     /// Capabilities.
     pub caps: CapSet,
     /// Exit code once exited.
-    pub exit_code: Option<i32>,
+    pub(crate) exit_code: Option<i32>,
     /// Pid of the tracer, if seized.
     pub traced_by: Option<Pid>,
 }

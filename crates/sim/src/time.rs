@@ -78,11 +78,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Returns the duration as whole microseconds (truncated).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Returns the duration as whole milliseconds (truncated).
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
@@ -190,7 +185,7 @@ impl fmt::Display for SimDuration {
 ///
 /// let t0 = SimInstant::EPOCH;
 /// let t1 = t0 + SimDuration::from_millis(5);
-/// assert_eq!(t1.duration_since(t0), SimDuration::from_millis(5));
+/// assert_eq!(t1 - t0, SimDuration::from_millis(5));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimInstant(u64);
@@ -219,7 +214,7 @@ impl SimInstant {
     /// # Panics
     ///
     /// Panics in debug builds if `earlier` is later than `self`.
-    pub fn duration_since(self, earlier: SimInstant) -> SimDuration {
+    pub(crate) fn duration_since(self, earlier: SimInstant) -> SimDuration {
         debug_assert!(earlier.0 <= self.0, "duration_since: earlier is later");
         SimDuration(self.0 - earlier.0)
     }

@@ -15,7 +15,7 @@ use crate::summary::median;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfInterval {
     /// Lower bound.
-    pub lo: f64,
+    pub(crate) lo: f64,
     /// Upper bound.
     pub hi: f64,
     /// Confidence level, e.g. `0.95`.
@@ -48,18 +48,7 @@ impl std::fmt::Display for ConfInterval {
 ///
 /// Panics if `data` is empty, `resamples` is zero, or `level` is outside
 /// `(0, 1)`.
-///
-/// # Examples
-///
-/// ```
-/// use prebake_stats::bootstrap::bootstrap_ci;
-/// use prebake_stats::summary::median;
-///
-/// let data: Vec<f64> = (0..200).map(|i| 100.0 + (i % 7) as f64).collect();
-/// let ci = bootstrap_ci(&data, median, 1000, 0.95, 42);
-/// assert!(ci.contains(median(&data)));
-/// ```
-pub fn bootstrap_ci(
+pub(crate) fn bootstrap_ci(
     data: &[f64],
     stat: impl Fn(&[f64]) -> f64,
     resamples: usize,
@@ -90,6 +79,17 @@ pub fn bootstrap_ci(
 }
 
 /// Percentile-bootstrap CI of the **median** (the paper's error bars).
+///
+/// # Examples
+///
+/// ```
+/// use prebake_stats::bootstrap::median_ci;
+/// use prebake_stats::summary::median;
+///
+/// let data: Vec<f64> = (0..200).map(|i| 100.0 + (i % 7) as f64).collect();
+/// let ci = median_ci(&data, 1000, 0.95, 42);
+/// assert!(ci.contains(median(&data)));
+/// ```
 pub fn median_ci(data: &[f64], resamples: usize, level: f64, seed: u64) -> ConfInterval {
     bootstrap_ci(data, median, resamples, level, seed)
 }

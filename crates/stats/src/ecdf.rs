@@ -13,9 +13,8 @@
 /// use prebake_stats::ecdf::Ecdf;
 ///
 /// let e = Ecdf::new(&[1.0, 2.0, 3.0, 4.0]);
-/// assert_eq!(e.eval(0.5), 0.0);
-/// assert_eq!(e.eval(2.0), 0.5);
-/// assert_eq!(e.eval(10.0), 1.0);
+/// assert_eq!(e.inverse(0.5), 2.0);
+/// assert_eq!(e.ks_distance(&Ecdf::new(&[3.0, 4.0, 5.0, 6.0])), 0.5);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
@@ -36,7 +35,7 @@ impl Ecdf {
     }
 
     /// Fraction of observations ≤ `x` (right-continuous step function).
-    pub fn eval(&self, x: f64) -> f64 {
+    pub(crate) fn eval(&self, x: f64) -> f64 {
         // partition_point returns the count of elements <= x when used
         // with this predicate.
         let count = self.sorted.partition_point(|&v| v <= x);
