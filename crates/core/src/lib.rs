@@ -40,8 +40,3 @@ pub mod starter;
 
 pub use phases::{phases_from_span_tree, Phases};
 pub use prebaker::{bake, SnapshotPolicy};
-
-#[cfg(test)]
-mod tests {
-    mod span_phases;
-}

@@ -36,7 +36,7 @@ const PAGES_PAYLOAD_AT: usize = HEADER_LEN + 4;
 /// Errors produced while encoding/decoding images.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
-pub(crate) enum ImageError {
+pub enum ImageError {
     /// Input ended before a declared structure.
     Truncated,
     /// Magic mismatch.
@@ -298,7 +298,7 @@ impl<'a> Reader<'a> {
 
 /// One thread's captured execution state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ThreadImage {
+pub struct ThreadImage {
     /// Thread id.
     pub tid: Tid,
     /// Captured registers.
@@ -307,7 +307,7 @@ pub(crate) struct ThreadImage {
 
 /// `core.img`: task identity and per-thread state.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct CoreImage {
+pub struct CoreImage {
     /// Pid at dump time (restore recreates it in the new namespace).
     pub pid: Pid,
     /// Command name.
@@ -315,7 +315,7 @@ pub(crate) struct CoreImage {
     /// Command line.
     pub cmdline: Vec<String>,
     /// Raw capability bits.
-    pub(crate) cap_bits: u8,
+    pub cap_bits: u8,
     /// Threads.
     pub threads: Vec<ThreadImage>,
 }
@@ -454,7 +454,7 @@ fn decode_kind(r: &mut Reader<'_>) -> Result<VmaKind, ImageError> {
 
 /// `mm.img`: the dumped VMA list.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub(crate) struct MmImage {
+pub struct MmImage {
     /// Mappings in address order.
     pub vmas: Vec<Vma>,
 }
@@ -528,7 +528,7 @@ impl MmImage {
 /// the parent snapshot (incremental dump), or backed by payload in
 /// `pages.img`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PagemapEntry {
+pub struct PagemapEntry {
     /// Guest page index.
     pub page_index: u64,
     /// `true` if the page was all-zero at dump time (CRIU's zero-page
@@ -613,7 +613,7 @@ pub struct PagesImage {
 /// Accumulates a [`PagesImage`] page by page in a growable buffer;
 /// [`PagesBuilder::finish`] freezes it once.
 #[derive(Debug, Default)]
-pub(crate) struct PagesBuilder {
+pub struct PagesBuilder {
     entries: Vec<PagemapEntry>,
     payload: Vec<u8>,
     hashes: Vec<u64>,
@@ -635,7 +635,7 @@ impl PagesBuilder {
 
     /// Appends a reference to a page whose payload lives in the parent
     /// snapshot (incremental dump).
-    pub(crate) fn push_parent_ref(&mut self, page_index: u64) {
+    pub fn push_parent_ref(&mut self, page_index: u64) {
         self.entries.push(PagemapEntry {
             page_index,
             zero: false,
@@ -674,7 +674,7 @@ impl PagesBuilder {
 
 impl PagesImage {
     /// Pagemap records in page-index order.
-    pub(crate) fn entries(&self) -> &[PagemapEntry] {
+    pub fn entries(&self) -> &[PagemapEntry] {
         &self.entries
     }
 
@@ -747,7 +747,7 @@ impl PagesImage {
     }
 
     /// Serialises `pagemap.img`.
-    pub(crate) fn encode_pagemap(&self) -> Vec<u8> {
+    pub fn encode_pagemap(&self) -> Vec<u8> {
         let mut w = Writer::new(KIND_PAGEMAP);
         w.u32(self.entries.len() as u32);
         for e in &self.entries {
@@ -760,7 +760,7 @@ impl PagesImage {
     /// Serialises `pages.img` into a shared buffer, the form
     /// [`PagesImage::parse`] views. The checksum comes from the page
     /// hashes already held, without re-reading the payload.
-    pub(crate) fn encode_pages(&self) -> Bytes {
+    pub fn encode_pages(&self) -> Bytes {
         let mut w = Writer::new(KIND_PAGES);
         w.bytes(&self.payload);
         Bytes::from(w.finish_summed(|body| pages_sum(&body[..PAGES_PAYLOAD_AT], &self.hashes, &[])))
@@ -786,7 +786,7 @@ impl PagesImage {
     /// [`ImageError::BadPages`] if the payload size disagrees with the
     /// pagemap (or an entry claims both zero and in-parent), or any codec
     /// error.
-    pub(crate) fn parse(pagemap: &[u8], pages: &Bytes) -> Result<PagesImage, ImageError> {
+    pub fn parse(pagemap: &[u8], pages: &Bytes) -> Result<PagesImage, ImageError> {
         let mut r = Reader::open(pagemap, KIND_PAGEMAP)?;
         let count = r.count(8 + 1)?;
         let mut entries = Vec::with_capacity(count);
@@ -978,7 +978,7 @@ impl WsImage {
     /// # Errors
     ///
     /// Any [`ImageError`] describing the malformation.
-    pub(crate) fn parse(bytes: &[u8]) -> Result<WsImage, ImageError> {
+    pub fn parse(bytes: &[u8]) -> Result<WsImage, ImageError> {
         let mut r = Reader::open(bytes, KIND_WS)?;
         let count = r.count(8)?;
         let mut pages = Vec::with_capacity(count);
@@ -1018,12 +1018,12 @@ impl WsImage {
 /// page-store view: their payload is split across files, so
 /// [`PageStoreImage::from_pages`] returns `None` for them.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub(crate) struct PageStoreImage {
+pub struct PageStoreImage {
     /// Content hash of each unique frame, in first-reference order.
     pub hashes: Vec<u64>,
     /// `(page_index, frame_index)` for every non-zero stored page, in
     /// pagemap order. `frame_index` indexes [`PageStoreImage::hashes`].
-    pub(crate) refs: Vec<(u64, u32)>,
+    pub refs: Vec<(u64, u32)>,
     /// Rank among the mirrored image's stored pages of each frame's first
     /// reference; that page's payload is the frame's. In-memory only.
     first_slots: Vec<u32>,
@@ -1033,7 +1033,7 @@ impl PageStoreImage {
     /// Builds the dedup view of a self-contained pages image. Returns
     /// `None` when `pages` defers any payload to a parent snapshot
     /// (incremental dumps carry no page store).
-    pub(crate) fn from_pages(pages: &PagesImage) -> Option<PageStoreImage> {
+    pub fn from_pages(pages: &PagesImage) -> Option<PageStoreImage> {
         use std::collections::HashMap;
         if pages.parent_pages() > 0 {
             return None;
@@ -1053,7 +1053,7 @@ impl PageStoreImage {
     }
 
     /// Number of unique frames.
-    pub(crate) fn unique_pages(&self) -> usize {
+    pub fn unique_pages(&self) -> usize {
         self.hashes.len()
     }
 
@@ -1151,7 +1151,7 @@ impl PageStoreImage {
     /// # Errors
     ///
     /// [`ImageError::BadPageStore`] when the views disagree.
-    pub(crate) fn verify_against(&self, pages: &PagesImage) -> Result<(), ImageError> {
+    pub fn verify_against(&self, pages: &PagesImage) -> Result<(), ImageError> {
         if pages.parent_pages() > 0 || self.refs.len() != pages.stored_pages() {
             return Err(ImageError::BadPageStore);
         }
@@ -1317,7 +1317,7 @@ impl FilesImage {
     ///
     /// Any [`ImageError`] describing the malformation; an entry tagged as
     /// anything but a listener is [`ImageError::BadTag`].
-    pub(crate) fn parse(bytes: &[u8]) -> Result<FilesImage, ImageError> {
+    pub fn parse(bytes: &[u8]) -> Result<FilesImage, ImageError> {
         let mut r = Reader::open(bytes, KIND_FILES)?;
         let count = r.count(FD_ENTRY_LEN)?;
         let mut fds = Vec::with_capacity(count);
@@ -1341,7 +1341,7 @@ pub struct ImageSet {
     /// Task identity.
     pub(crate) core: CoreImage,
     /// Memory layout.
-    pub(crate) mm: MmImage,
+    pub mm: MmImage,
     /// Page contents.
     pub pages: PagesImage,
     /// Descriptor table.
@@ -1353,7 +1353,7 @@ pub struct ImageSet {
     /// Content-addressed dedup view of the stored pages
     /// (`pagestore.img`). Optional: pre-dedup snapshots and incremental
     /// dumps lack it, and every non-CoW restore path ignores it.
-    pub(crate) pagestore: Option<PageStoreImage>,
+    pub pagestore: Option<PageStoreImage>,
     /// Coalesced pagemap runs (`extents.img`). Optional: old per-page
     /// images lack it and a vectored restore recomputes the runs from
     /// the pagemap instead.
@@ -1392,7 +1392,7 @@ impl ImageSet {
     pub(crate) const FALLBACK_PAGES_NAME: &'static str = "fallback-pages.img";
     /// The parent link file written by incremental dumps (CRIU uses a
     /// symlink named `parent`; we store the path as file contents).
-    pub(crate) const PARENT_LINK: &'static str = "parent";
+    pub const PARENT_LINK: &'static str = "parent";
 
     /// Total serialised size across all image files — `ws.img`,
     /// `pagestore.img`, `extents.img` and the compaction fallback layer

@@ -59,12 +59,3 @@ pub use dump::{
 };
 pub use image::{page_content_hash, ImageSet, WsImage};
 pub use restore::{restore, restore_set, RestoreMode, RestoreOptions, RestoreStats};
-
-#[cfg(test)]
-mod tests {
-    mod cow_concurrency;
-    mod incremental;
-    mod proptest_image_fuzz;
-    mod proptest_pagestore;
-    mod proptest_roundtrip;
-}

@@ -145,7 +145,7 @@ pub struct RestoreStats {
     pub pages_prefetched: usize,
     /// Pages mapped copy-on-write from the shared frame pool
     /// ([`RestoreMode::Cow`]/[`RestoreMode::CowPrefetch`] only).
-    pub(crate) pages_cow: usize,
+    pub pages_cow: usize,
     /// Extent runs vectored in during restore (eager scatter-gather
     /// copies and run-granular CoW maps; zero on the page-granular
     /// path). Working-set prefetch runs surface as

@@ -48,9 +48,3 @@ pub use prebake_gateway::{
 };
 pub use profile::{FunctionProfile, Gear, GearCost};
 pub use sim::{default_fleet_obs, FleetConfig, FleetError, FleetRequest, FleetSim, RegistryConfig};
-
-#[cfg(test)]
-mod tests {
-    mod fleet_e2e;
-    mod proptest_shards;
-}

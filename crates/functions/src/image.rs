@@ -130,7 +130,7 @@ impl Bitmap {
 /// stream (~1 MB on disk for the paper's 3440×1440 source). Decoding
 /// reconstitutes the full bitmap deterministically.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct CompressedImage {
+pub struct CompressedImage {
     /// Width in pixels.
     pub width: u32,
     /// Height in pixels.
@@ -245,7 +245,7 @@ impl CompressedImage {
 /// # Panics
 ///
 /// Panics unless `0 < scale <= 1`.
-pub(crate) fn resize_box(src: &Bitmap, scale: f64) -> Bitmap {
+pub fn resize_box(src: &Bitmap, scale: f64) -> Bitmap {
     assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0,1]");
     let out_w = ((src.width as f64 * scale).round() as u32).max(1);
     let out_h = ((src.height as f64 * scale).round() as u32).max(1);

@@ -25,8 +25,3 @@ pub mod markdown;
 pub mod spec;
 
 pub use spec::{sample_markdown, FunctionSpec, SyntheticSize};
-
-#[cfg(test)]
-mod tests {
-    mod proptest_workloads;
-}

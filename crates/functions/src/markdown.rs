@@ -8,7 +8,7 @@
 //! links), with full HTML escaping.
 
 /// Escapes HTML-special characters in text content.
-pub(crate) fn escape_html(text: &str) -> String {
+pub fn escape_html(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     for ch in text.chars() {
         match ch {

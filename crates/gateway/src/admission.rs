@@ -49,7 +49,7 @@ pub struct AdmissionStats {
     /// Arrivals rejected: queue-full backpressure plus downstream aborts.
     pub shed: u64,
     /// Most invocations ever in flight at once.
-    pub(crate) peak_inflight: usize,
+    pub peak_inflight: usize,
     /// Deepest the queue ever got.
     pub peak_queue: usize,
 }

@@ -39,9 +39,3 @@ pub use gateway::{ArrivalOutcome, DriveReport, Gateway, GatewayConfig, GatewayEr
 pub use metrics::GatewayMetrics;
 pub use sdk::GatewayClient;
 pub use stream::{first_chunk_at, Chunk, StreamConfig};
-
-#[cfg(test)]
-mod tests {
-    mod gateway_e2e;
-    mod proptest_gateway;
-}

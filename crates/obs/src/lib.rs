@@ -42,9 +42,3 @@ pub use stack::{ObsConfig, ObsStack};
 pub(crate) const DEFAULT_LATENCY_BOUNDS_MS: [f64; 12] = [
     1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1_000.0, 2_500.0, 10_000.0,
 ];
-
-#[cfg(test)]
-mod tests {
-    mod export_golden;
-    mod proptest_obs;
-}

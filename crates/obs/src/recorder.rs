@@ -356,7 +356,7 @@ pub struct Recorder {
     keys: KeyTable,
     windows: VecDeque<Window>,
     /// Windows evicted off the ring so far.
-    pub(crate) windows_rolled: u64,
+    pub windows_rolled: u64,
     /// Observations dropped because their window had already rolled off.
     pub late_drops: u64,
 }

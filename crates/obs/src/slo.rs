@@ -255,7 +255,7 @@ impl SloReport {
 
 /// Evaluates a set of objectives against a recorder ring.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct SloEngine {
+pub struct SloEngine {
     objectives: Vec<Objective>,
 }
 

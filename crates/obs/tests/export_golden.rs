@@ -3,9 +3,10 @@
 //! render to exactly these bytes. The strings double as the format
 //! contract of both exports.
 
+use prebake_obs::slo::SloEngine;
 use prebake_obs::{
     chrome_trace_with_exemplars, dashboard, DashboardSpec, Objective, Recorder, RecorderConfig,
-    SeriesKey, SloEngine,
+    SeriesKey,
 };
 use prebake_sim::proc::Pid;
 use prebake_sim::time::{SimDuration, SimInstant};

@@ -53,9 +53,3 @@ pub use loadgen::{
 };
 pub use platform::{CompletedRequest, Platform, PlatformConfig};
 pub use registry::Registry;
-
-#[cfg(test)]
-mod tests {
-    mod proptest_loadgen;
-    mod proptest_metrics;
-}

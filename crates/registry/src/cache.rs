@@ -37,9 +37,9 @@ pub struct PullStats {
     /// or the whole image on a cache hit).
     pub bytes_deduped: u64,
     /// Frames transferred.
-    pub(crate) frames_fetched: u64,
+    pub frames_fetched: u64,
     /// Frames satisfied locally.
-    pub(crate) frames_deduped: u64,
+    pub frames_deduped: u64,
     /// Whether the image was already resident (no registry round-trip).
     pub cache_hit: bool,
 }

@@ -43,8 +43,3 @@ pub mod registry;
 pub use cache::{NodeCache, PullMode};
 pub use manifest::ImageManifest;
 pub use registry::{RegistryCost, SnapshotRegistry};
-
-#[cfg(test)]
-mod tests {
-    mod proptest_registry;
-}

@@ -21,7 +21,7 @@ const ARCHIVE_CHECKSUM_LEN: usize = 8;
 /// Errors produced while parsing an archive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
-pub(crate) enum ArchiveError {
+pub enum ArchiveError {
     /// Input ended before a declared structure.
     Truncated,
     /// Magic number mismatch.
@@ -144,15 +144,32 @@ impl Archive {
 /// Where each entry of an encoded archive lies, without its payload:
 /// what the runtime keeps to read class files straight out of the
 /// memory-mapped archive.
+///
+/// # Examples
+///
+/// ```
+/// use prebake_runtime::archive::{Archive, ArchiveIndex};
+///
+/// let mut a = Archive::new();
+/// a.add("x", vec![1, 2, 3]);
+/// let bytes = a.encode();
+/// let (offset, len) = ArchiveIndex::parse(&bytes).unwrap().entry_offset("x").unwrap();
+/// assert_eq!(&bytes[offset as usize..(offset + len) as usize], &[1, 2, 3]);
+/// ```
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) struct ArchiveIndex {
+pub struct ArchiveIndex {
     /// Entry name → `(offset, len)` of its payload in the encoded image.
     spans: BTreeMap<String, (u64, u64)>,
 }
 
 impl ArchiveIndex {
-    /// The one-chunk case of [`ArchiveIndex::parse_chunks`]: verifies and
-    /// indexes a contiguous archive image, with the same errors.
+    /// Verifies a contiguous archive image's checksum and indexes its
+    /// entries; no payload is copied. The one-chunk case of
+    /// `ArchiveIndex::parse_chunks`.
+    ///
+    /// # Errors
+    ///
+    /// Any [`ArchiveError`] describing the malformation.
     pub fn parse(bytes: &[u8]) -> Result<ArchiveIndex, ArchiveError> {
         ArchiveIndex::parse_chunks(&[bytes])
     }
@@ -212,13 +229,18 @@ impl ArchiveIndex {
     }
 
     /// Number of entries.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.spans.len()
+    }
+
+    /// Returns `true` if the archive image holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
     }
 
     /// Byte range `(offset, len)` of an entry's payload within the
     /// encoded archive image.
-    pub(crate) fn entry_offset(&self, name: &str) -> Option<(u64, u64)> {
+    pub fn entry_offset(&self, name: &str) -> Option<(u64, u64)> {
         self.spans.get(name).copied()
     }
 }
@@ -333,7 +355,7 @@ mod tests {
     fn empty_archive_roundtrip() {
         let a = Archive::new();
         assert!(a.is_empty());
-        assert_eq!(ArchiveIndex::parse(&a.encode()).unwrap().len(), 0);
+        assert!(ArchiveIndex::parse(&a.encode()).unwrap().is_empty());
         assert_eq!(a.payload_bytes(), 0);
     }
 

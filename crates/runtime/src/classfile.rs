@@ -18,7 +18,7 @@ pub(crate) const CLASS_VERSION: u16 = 1;
 /// Errors produced by parsing or verifying a class file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
-pub(crate) enum ClassError {
+pub enum ClassError {
     /// Input ended before a declared structure.
     Truncated,
     /// Magic number mismatch.
@@ -319,7 +319,7 @@ impl ClassFile {
     /// # Errors
     ///
     /// Any [`ClassError`] variant describing the malformation.
-    pub(crate) fn parse(bytes: &[u8]) -> Result<ClassFile, ClassError> {
+    pub fn parse(bytes: &[u8]) -> Result<ClassFile, ClassError> {
         if bytes.len() < 8 {
             return Err(ClassError::Truncated);
         }
@@ -383,7 +383,7 @@ impl ClassFile {
     /// # Errors
     ///
     /// The first violation found, as a [`ClassError`].
-    pub(crate) fn verify(&self) -> Result<(), ClassError> {
+    pub fn verify(&self) -> Result<(), ClassError> {
         let pool_len = self.constants.len() as u16;
         for (mi, m) in self.methods.iter().enumerate() {
             if m.code.is_empty() {

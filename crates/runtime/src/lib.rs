@@ -69,8 +69,3 @@ pub mod state;
 
 pub use jvm::{Ctx, Handler, Jlvm, JlvmConfig, Replica};
 pub use profile::RuntimeProfile;
-
-#[cfg(test)]
-mod tests {
-    mod proptest_formats;
-}

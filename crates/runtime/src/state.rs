@@ -51,7 +51,7 @@ impl Phase {
 /// Errors decoding a state record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
-pub(crate) enum StateError {
+pub enum StateError {
     /// Record shorter than declared.
     Truncated,
     /// Magic mismatch (no runtime state at the region).
@@ -97,25 +97,25 @@ pub struct RuntimeState {
     /// HTTP port the server (re)binds.
     pub port: u16,
     /// Descriptor number of the listener (restored at the same fd).
-    pub(crate) listener_fd: i32,
+    pub listener_fd: i32,
     /// Whether the application's `init` completed.
-    pub(crate) app_inited: bool,
+    pub app_inited: bool,
     /// Whether the one-time lazy link/init on first request has run.
-    pub(crate) lazy_linked: bool,
+    pub lazy_linked: bool,
     /// Requests served so far.
-    pub(crate) requests_served: u64,
+    pub requests_served: u64,
     /// Runtime heap region base.
-    pub(crate) heap_base: u64,
+    pub heap_base: u64,
     /// Bytes of heap handed out.
-    pub(crate) heap_cursor: u64,
+    pub heap_cursor: u64,
     /// Metaspace region base.
-    pub(crate) metaspace_base: u64,
+    pub metaspace_base: u64,
     /// Bytes of metaspace handed out.
-    pub(crate) metaspace_cursor: u64,
+    pub metaspace_cursor: u64,
     /// JIT code-cache region base.
-    pub(crate) code_cache_base: u64,
+    pub code_cache_base: u64,
     /// Bytes of code cache handed out.
-    pub(crate) code_cache_cursor: u64,
+    pub code_cache_cursor: u64,
     /// Mapped application archive base (0 if not mapped).
     pub jar_base: u64,
     /// Mapped application archive length.
@@ -201,7 +201,7 @@ impl RuntimeState {
     /// # Errors
     ///
     /// Any [`StateError`] describing the malformation.
-    pub(crate) fn parse(bytes: &[u8]) -> Result<RuntimeState, StateError> {
+    pub fn parse(bytes: &[u8]) -> Result<RuntimeState, StateError> {
         if bytes.len() < 4 + 8 {
             return Err(StateError::Truncated);
         }

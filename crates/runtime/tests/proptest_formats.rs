@@ -49,9 +49,8 @@ proptest! {
             archive.add(name.clone(), data.clone());
         }
         let encoded = archive.encode();
-        let parsed = Archive::parse(&encoded).unwrap();
-        prop_assert_eq!(&parsed, &archive);
         let index = ArchiveIndex::parse(&encoded).unwrap();
+        prop_assert_eq!(index.len(), entries.len());
         for (name, data) in &entries {
             let (off, len) = index.entry_offset(name).unwrap();
             prop_assert_eq!(&encoded[off as usize..(off + len) as usize], &data[..]);
@@ -59,7 +58,7 @@ proptest! {
     }
 
     /// Flipping any single byte of an encoded archive, checksum
-    /// included, makes both the copying parse and the index parse fail.
+    /// included, makes the index parse fail.
     #[test]
     fn any_single_archive_byte_flip_detected(
         seed in any::<u64>(),
@@ -70,7 +69,6 @@ proptest! {
         let mut bytes = archive.encode();
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= flip;
-        prop_assert!(Archive::parse(&bytes).is_err(), "corruption at {pos} undetected");
         prop_assert!(ArchiveIndex::parse(&bytes).is_err(), "corruption at {pos} undetected");
     }
 

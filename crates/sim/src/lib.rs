@@ -70,10 +70,3 @@ pub mod trace;
 pub mod uffd;
 
 pub use error::{Errno, SysResult};
-
-#[cfg(test)]
-mod tests {
-    mod proptest_mem_fs;
-    mod proptest_trace;
-    mod trace_golden;
-}

@@ -158,7 +158,7 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Returns [`Errno::Einval`] if no mapping starts at `start`.
-    pub(crate) fn munmap(&mut self, start: VirtAddr) -> SysResult<Vma> {
+    pub fn munmap(&mut self, start: VirtAddr) -> SysResult<Vma> {
         let vma = self.vmas.remove(&start.0).ok_or(Errno::Einval)?;
         let gone = vma.first_page()..vma.first_page() + vma.page_count();
         self.pages.retain(|k, _| !gone.contains(k));

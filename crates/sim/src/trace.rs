@@ -171,7 +171,7 @@ impl Tracer {
     /// Attaches a probe event to the innermost open span. Events arriving
     /// while no span is open are dropped — the start path always runs
     /// under a root span, so this only loses out-of-window noise.
-    pub(crate) fn annotate(&mut self, event: ProbeEvent) {
+    pub fn annotate(&mut self, event: ProbeEvent) {
         if !self.enabled {
             return;
         }
@@ -309,7 +309,7 @@ pub fn chrome_trace_json(spans: &[TraceSpan]) -> String {
 
 /// Wall-time attribution of one stage name across a span tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct StageTotal {
+pub struct StageTotal {
     /// Stage (span) name.
     pub name: &'static str,
     /// Spans with this name.
@@ -329,7 +329,7 @@ pub struct TraceSummary {
     pub wall: SimDuration,
     /// Per-stage attribution, largest self time first (name-ordered on
     /// ties, so the table is deterministic).
-    pub(crate) stages: Vec<StageTotal>,
+    pub stages: Vec<StageTotal>,
 }
 
 impl TraceSummary {
@@ -373,7 +373,7 @@ impl TraceSummary {
 
     /// Summed self time across all stages. Equals [`TraceSummary::wall`]
     /// for a well-formed tree whose children never outlive their parents.
-    pub(crate) fn self_total(&self) -> SimDuration {
+    pub fn self_total(&self) -> SimDuration {
         self.stages
             .iter()
             .fold(SimDuration::ZERO, |acc, s| acc.saturating_add(s.self_time))

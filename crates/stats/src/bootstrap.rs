@@ -15,7 +15,7 @@ use crate::summary::median;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfInterval {
     /// Lower bound.
-    pub(crate) lo: f64,
+    pub lo: f64,
     /// Upper bound.
     pub hi: f64,
     /// Confidence level, e.g. `0.95`.

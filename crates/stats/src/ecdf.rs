@@ -35,7 +35,7 @@ impl Ecdf {
     }
 
     /// Fraction of observations ≤ `x` (right-continuous step function).
-    pub(crate) fn eval(&self, x: f64) -> f64 {
+    pub fn eval(&self, x: f64) -> f64 {
         // partition_point returns the count of elements <= x when used
         // with this predicate.
         let count = self.sorted.partition_point(|&v| v <= x);

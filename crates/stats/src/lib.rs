@@ -37,8 +37,3 @@ pub mod mannwhitney;
 pub mod normal;
 pub mod shapiro;
 pub mod summary;
-
-#[cfg(test)]
-mod tests {
-    mod proptest_stats;
-}

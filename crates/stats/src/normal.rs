@@ -19,7 +19,7 @@ pub(crate) fn erf(x: f64) -> f64 {
 }
 
 /// Standard normal cumulative distribution function.
-pub(crate) fn cdf(x: f64) -> f64 {
+pub fn cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
 }
 

@@ -3,9 +3,7 @@
 # under crates/*/src whose name appears nowhere outside `#[cfg(test)]`
 # modules and `tests/` directories, searching crates/*/src, src,
 # examples and perfbench/src (doc comments count: doctests are not
-# tests here). A crate's test modules that sit in files of their own
-# live under its `src/tests/` (declared from an inline `#[cfg(test)]`
-# block), so that directory is test code too. Such an item is reachable only from tests; delete it
+# tests here). Such an item is reachable only from tests; delete it
 # with the tests that check only it, or add it to ALLOW below with a
 # one-line reason. Fails on any flagged name that ALLOW does not list.
 #
@@ -30,7 +28,7 @@ trap 'rm -f "$corpus"' EXIT
 
 # Every non-test line as `path:line:text`. A `#[cfg(test)]` item is
 # skipped through its closing brace (or its `;` if it has no body).
-find crates/*/src src examples perfbench/src -name '*.rs' -not -path 'crates/*/src/tests/*' | sort | while read -r f; do
+find crates/*/src src examples perfbench/src -name '*.rs' | sort | while read -r f; do
   awk -v f="$f" '
     skip {
       n = split($0, c, "")

