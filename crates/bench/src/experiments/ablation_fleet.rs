@@ -17,14 +17,12 @@
 //! and memory counters per grid point); with the default `--seed` the
 //! file is bit-reproducible.
 
-use prebake_bench::fleetmix::{fig5_profiles, workload};
-use prebake_bench::{hr, HarnessArgs};
+use super::*;
+use prebake_bench::fleetmix::workload;
 use prebake_fleet::{
     FleetConfig, FleetSim, FunctionProfile, Gear, KeepAlive, Policy, StartSelection,
 };
 use prebake_platform::loadgen::Schedule;
-use prebake_sim::time::SimDuration;
-use prebake_stats::summary::quantile;
 
 /// One grid point's outcome.
 struct Outcome {
@@ -87,25 +85,24 @@ fn run_point(
     }
 }
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub(crate) fn run(args: &HarnessArgs, memo: &Memo, out: &mut Report) -> Option<String> {
     let reps = args.capped_reps();
     // Profiling medians stabilise quickly; the sweep itself is exact.
     let profile_reps = (reps / 8).clamp(2, 5);
-    println!(
+    out.line(format_args!(
         "Ablation — fleet scheduling, Fig. 5 mix ({profile_reps} profiling reps, seed {})",
         args.seed
-    );
-    hr();
+    ));
+    out.hr();
 
     // -- part 1: profile the mix under every gear ----------------------
-    let profiles = fig5_profiles(profile_reps, args.seed);
+    let profiles = memo.fig5_profiles(profile_reps, args.seed);
 
-    println!(
+    out.line(format_args!(
         "{:<10} {:<9} {:>10} {:>9} {:>9} {:>10} {:>9}",
         "function", "gear", "cold", "first", "warm", "replica", "image"
-    );
-    hr();
+    ));
+    out.hr();
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"seed\": {},\n  \"profile_reps\": {},\n  \"profiles\": [\n",
@@ -114,7 +111,7 @@ fn main() {
     for (fi, p) in profiles.iter().enumerate() {
         for (gi, gear) in p.gears().enumerate() {
             let c = p.cost(gear).expect("measured");
-            println!(
+            out.line(format_args!(
                 "{:<10} {:<9} {:>8.2}ms {:>7.2}ms {:>7.2}ms {:>8.1}MB {:>7.1}MB",
                 if gi == 0 { p.name() } else { "" },
                 gear.label(),
@@ -123,7 +120,7 @@ fn main() {
                 c.warm_service_ms,
                 c.replica_mem_bytes as f64 / 1e6,
                 c.image_bytes as f64 / 1e6,
-            );
+            ));
             json.push_str(&format!(
                 "    {{\"function\": \"{}\", \"gear\": \"{}\", \"cold_ms\": {:.4}, \
                  \"first_service_ms\": {:.4}, \"warm_service_ms\": {:.4}, \
@@ -144,7 +141,7 @@ fn main() {
             ));
         }
     }
-    hr();
+    out.hr();
 
     // -- part 2: policy x fleet shape sweep ----------------------------
     // Budgets scale with the mix's biggest replica footprint so "tight"
@@ -167,47 +164,34 @@ fn main() {
         quantile: 0.99,
         prewarm,
     };
+    let policy = |keep_alive, start| Policy { keep_alive, start };
     let policies = [
         Policy::vanilla_baseline(ttl),
-        Policy {
-            keep_alive: KeepAlive::FixedTtl(ttl),
-            start: StartSelection::Fixed(Gear::Prefetch),
-        },
-        Policy {
-            keep_alive: KeepAlive::FixedTtl(ttl),
-            start: StartSelection::Adaptive,
-        },
-        Policy {
-            keep_alive: KeepAlive::LruPressure { ttl },
-            start: StartSelection::Adaptive,
-        },
-        Policy {
-            keep_alive: hist(false),
-            start: StartSelection::Adaptive,
-        },
-        Policy {
-            keep_alive: hist(true),
-            start: StartSelection::Adaptive,
-        },
+        policy(
+            KeepAlive::FixedTtl(ttl),
+            StartSelection::Fixed(Gear::Prefetch),
+        ),
+        policy(KeepAlive::FixedTtl(ttl), StartSelection::Adaptive),
+        policy(KeepAlive::LruPressure { ttl }, StartSelection::Adaptive),
+        policy(hist(false), StartSelection::Adaptive),
+        policy(hist(true), StartSelection::Adaptive),
     ];
     let schedule = workload(&profiles, args.seed);
 
-    println!(
+    out.line(format_args!(
         "\nPolicy sweep — {} arrivals, heavy-tailed 4-tenant trace",
         schedule.len()
-    );
-    hr();
-    println!(
+    ));
+    out.header(format_args!(
         "{:<3} {:>7} {:<24} {:>6} {:>9} {:>10} {:>6} {:>5} {:>5}",
         "wrk", "budget", "policy", "cold%", "p50", "p99", "evict", "pre", "shed"
-    );
-    hr();
+    ));
     json.push_str("  ],\n  \"sweep\": [\n");
     let mut outcomes = Vec::new();
     for (si, &(workers, budget)) in shapes.iter().enumerate() {
         for (pi, &policy) in policies.iter().enumerate() {
             let o = run_point(&profiles, &schedule, workers, budget, policy, args.seed);
-            println!(
+            out.line(format_args!(
                 "{:<3} {:>5}MB {:<24} {:>5.1}% {:>7.2}ms {:>8.2}ms {:>6} {:>5} {:>5}",
                 o.workers,
                 o.budget_mb,
@@ -218,7 +202,7 @@ fn main() {
                 o.evictions,
                 o.prewarms,
                 o.shed,
-            );
+            ));
             json.push_str(&format!(
                 "    {{\"workers\": {}, \"mem_budget_mb\": {}, \"policy\": \"{}\", \
                  \"cold_fraction\": {:.6}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \
@@ -245,10 +229,10 @@ fn main() {
             outcomes.push(o);
         }
         if si < shapes.len() - 1 {
-            hr();
+            out.hr();
         }
     }
-    hr();
+    out.hr();
 
     // -- acceptance: some policy must beat the baseline on BOTH axes ---
     let baseline_label = policies[0].label();
@@ -292,8 +276,8 @@ fn main() {
         winner.p99_ms,
     ));
 
-    let path = args.write_artifact("BENCH_fleet.json", &json);
-    println!(
+    let path = args.artifact_path("BENCH_fleet.json");
+    out.line(format_args!(
         "take-away: on a 4-worker fleet with headroom, {} cuts the cold-start fraction \
          from {:.1}% to {:.1}% and p99 latency from {:.2}ms to {:.2}ms versus the \
          fixed-TTL vanilla baseline — prebaked gears make the unavoidable cold starts \
@@ -303,5 +287,6 @@ fn main() {
         winner.cold_fraction * 100.0,
         base.p99_ms,
         winner.p99_ms,
-    );
+    ));
+    Some(json)
 }

@@ -22,13 +22,12 @@
 //! Full-run gates: cold-TTFC p50 of prefetch and lazy beat eager, and
 //! the cached path serves strictly under 10 virtual milliseconds.
 
+use super::*;
 use prebake_bench::fleetmix::{six_tenant_stream, six_tenants};
-use prebake_bench::{hr, HarnessArgs};
 use prebake_fleet::{
     CacheConfig, FleetConfig, FleetSim, FunctionProfile, GatewayConfig, Gear, GearCost, KeepAlive,
     Policy, StartSelection,
 };
-use prebake_sim::time::SimDuration;
 
 /// The six-tenant mix, profiled for all three fixed gears. Eager pays
 /// the full image up front (large `cold_ms`), lazy restores a sliver
@@ -163,20 +162,18 @@ fn serial_identical(gear: Gear, per_tenant: usize, seed: u64) -> bool {
     run(true) == run(false)
 }
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub(crate) fn run(args: &HarnessArgs, _memo: &Memo, out: &mut Report) -> Option<String> {
     let quick = !args.is_full();
     // The full run streams 1.008M invocations (4 arms x 6 tenants x
     // 42k); quick replays 12k per arm for the tier-1 golden check.
     let per_tenant: usize = if quick { 2_000 } else { 42_000 };
     let per_arm = per_tenant * 6;
-    println!(
+    out.line(format_args!(
         "Ablation — streaming gateway frontier: 4 arms x {per_arm} streamed arrivals, \
          6 tenants, 64 workers (seed {})",
         args.seed
-    );
-    hr();
-    println!(
+    ));
+    out.header(format_args!(
         "{:<10} {:>9} {:>9} {:>8} {:>7} {:>8} {:>9} {:>9} {:>11} {:>9} {:>10}",
         "arm",
         "arrivals",
@@ -189,8 +186,7 @@ fn main() {
         "coldttfc50",
         "cachedmax",
         "vthru/s"
-    );
-    hr();
+    ));
 
     let arms: [(&'static str, Gear, bool); 4] = [
         ("eager", Gear::Eager, false),
@@ -198,28 +194,26 @@ fn main() {
         ("prefetch", Gear::Prefetch, false),
         ("cached", Gear::Prefetch, true),
     ];
-    let outcomes: Vec<Outcome> = arms
-        .iter()
-        .map(|&(label, gear, cached)| {
-            let o = run_arm(label, gear, cached, per_tenant, args.seed);
-            println!(
-                "{:<10} {:>9} {:>9} {:>8} {:>7} {:>8} {:>7.2}ms {:>7.2}ms {:>9.2}ms {:>7.3}ms {:>10.0}",
-                o.label,
-                o.arrivals,
-                o.admitted,
-                o.deferred,
-                o.shed,
-                o.cache_hits,
-                o.ttfc_p50_ms,
-                o.ttfc_p99_ms,
-                o.ttfc_cold_p50_ms,
-                o.cached_serve_max_ms,
-                o.vthroughput,
-            );
-            o
-        })
-        .collect();
-    hr();
+    let mut outcomes = Vec::new();
+    for &(label, gear, cached) in &arms {
+        let o = run_arm(label, gear, cached, per_tenant, args.seed);
+        out.line(format_args!(
+            "{:<10} {:>9} {:>9} {:>8} {:>7} {:>8} {:>7.2}ms {:>7.2}ms {:>9.2}ms {:>7.3}ms {:>10.0}",
+            o.label,
+            o.arrivals,
+            o.admitted,
+            o.deferred,
+            o.shed,
+            o.cache_hits,
+            o.ttfc_p50_ms,
+            o.ttfc_p99_ms,
+            o.ttfc_cold_p50_ms,
+            o.cached_serve_max_ms,
+            o.vthroughput,
+        ));
+        outcomes.push(o);
+    }
+    out.hr();
 
     for o in &outcomes {
         assert!(o.conserved, "{} arm broke admission conservation", o.label);
@@ -294,8 +288,8 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let path = args.write_artifact("BENCH_gateway.json", &json);
-    println!(
+    let path = args.artifact_path("BENCH_gateway.json");
+    out.line(format_args!(
         "take-away: fronting the fleet with the streaming gateway, prefetch restores hand the \
          caller a first chunk at {:.1}ms cold p50 vs {:.1}ms eager ({:.1}x), and the TTL cache \
          answers {} repeat invocations at the edge in at most {:.3} virtual ms. Wrote {path}.",
@@ -304,5 +298,6 @@ fn main() {
         eager.ttfc_cold_p50_ms / prefetch.ttfc_cold_p50_ms.max(1e-9),
         cached.cache_hits,
         cached.cached_serve_max_ms,
-    );
+    ));
+    Some(json)
 }

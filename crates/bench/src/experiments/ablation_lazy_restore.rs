@@ -10,16 +10,12 @@
 //! margin that grows with snapshot size; pure lazy pays a fault trap per
 //! touched page and shows why recording matters.
 
-use prebake_bench::{hr, improvement_pct, parallel_startup_trials, summarize, HarnessArgs};
+use super::*;
 use prebake_core::env::{provision_machine, Deployment};
-use prebake_core::measure::{StartMode, TrialRunner};
 use prebake_core::prebaker::{bake, record_working_set, SnapshotPolicy};
 use prebake_core::starter::{PrebakeStarter, Starter};
 use prebake_criu::RestoreMode;
-use prebake_functions::{FunctionSpec, SyntheticSize};
-use prebake_sim::kernel::Kernel;
 use prebake_sim::probe::ProbeCounters;
-use prebake_stats::summary::quantile;
 
 /// Fault anatomy of the restore window alone (readiness, before the
 /// first request), folded straight from the raw probe trace.
@@ -44,28 +40,22 @@ fn restore_window_faults(spec: &FunctionSpec, mode: RestoreMode) -> ProbeCounter
     ProbeCounters::from_events(&started.trace)
 }
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub(crate) fn run(args: &HarnessArgs, memo: &Memo, out: &mut Report) -> Option<String> {
     let reps = args.capped_reps();
-    println!("Ablation — lazy restore & working-set prefetch, Fig. 5 functions ({reps} reps)");
-    hr();
-    println!(
+    out.line(format_args!(
+        "Ablation — lazy restore & working-set prefetch, Fig. 5 functions ({reps} reps)"
+    ));
+    out.header(format_args!(
         "{:<10} {:<12} {:>9} {:>10} {:>10} {:>20} {:>8} {:>8}",
         "function", "mode", "snapshot", "p50", "p99", "median 95% CI", "majflt", "minflt"
-    );
-    hr();
+    ));
 
     let mut big_eager_p50 = 0.0;
     let mut big_prefetch_p50 = 0.0;
-    for size in [
-        SyntheticSize::Small,
-        SyntheticSize::Medium,
-        SyntheticSize::Big,
-    ] {
+    for size in SyntheticSize::all() {
         let spec = FunctionSpec::synthetic(size);
         for mode in StartMode::lazy_ablation() {
-            let runner = TrialRunner::new(spec.clone(), mode).expect("runner");
-            let trials = parallel_startup_trials(&runner, reps, args.seed);
+            let trials = memo.trials(&spec, mode, reps, args.seed);
             let first_response: Vec<f64> = trials.iter().map(|t| t.first_response_ms).collect();
             let p50 = quantile(&first_response, 0.5);
             let p99 = quantile(&first_response, 0.99);
@@ -89,29 +79,29 @@ fn main() {
                     _ => {}
                 }
             }
-            println!(
+            out.line(format_args!(
                 "{:<10} {:<12} {:>6.1}MB {:>8.2}ms {:>8.2}ms {:>20} {:>8} {:>8}",
                 spec.name(),
                 mode.label(),
-                runner.snapshot_bytes() as f64 / 1e6,
+                trials[0].snapshot_bytes as f64 / 1e6,
                 p50,
                 p99,
                 s.ci.to_string(),
                 probes.major_faults,
                 probes.minor_faults,
-            );
+            ));
         }
         // Where pure lazy pays: faults taken before readiness (handler
         // re-attach touches runtime state and the archive mapping).
         let lazy_win = restore_window_faults(&spec, RestoreMode::Lazy);
         let prefetch_win = restore_window_faults(&spec, RestoreMode::Prefetch);
-        println!(
+        out.line(format_args!(
             "{:<10} restore window alone: lazy {} major faults, prefetch {}",
             "", lazy_win.major_faults, prefetch_win.major_faults
-        );
-        hr();
+        ));
+        out.hr();
     }
-    println!(
+    out.line(format_args!(
         "take-away: prefetch loads only the recorded working set, but the warm request's \
          class touches interleave two VMAs, so on a dump-order image the read pays a seek \
          per discontinuity — {:.1}% slower than eager to first response on the big \
@@ -119,5 +109,6 @@ fn main() {
          removes the seeks. Pure lazy resumes fastest but pays a fault trap per touched \
          page, pushing the cost into the first request.",
         -improvement_pct(big_eager_p50, big_prefetch_p50)
-    );
+    ));
+    None
 }

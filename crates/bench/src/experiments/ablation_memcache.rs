@@ -8,33 +8,26 @@
 //! path. The gap should scale with snapshot size (≈0.3 ms/MiB of image
 //! read), making the Image Resizer the big winner.
 
-use prebake_bench::{hr, summarize, HarnessArgs};
+use super::*;
 use prebake_core::env::{
     export_images, fresh_container, import_images, provision_machine, Deployment,
 };
 use prebake_core::prebaker::{bake, SnapshotPolicy};
 use prebake_core::starter::{PrebakeStarter, Starter};
 use prebake_criu::{read_images, restore_set, RestoreOptions};
-use prebake_functions::FunctionSpec;
 use prebake_runtime::Replica;
-use prebake_sim::kernel::Kernel;
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub(crate) fn run(args: &HarnessArgs, _memo: &Memo, out: &mut Report) -> Option<String> {
     let reps = args.reps.min(60);
-    println!("Ablation — in-memory image cache vs filesystem restore ({reps} reps)");
-    hr();
-    println!(
+    out.line(format_args!(
+        "Ablation — in-memory image cache vs filesystem restore ({reps} reps)"
+    ));
+    out.header(format_args!(
         "{:<16} {:>10} {:>12} {:>20} {:>12} {:>20} {:>8}",
         "function", "snapshot", "fs median", "95% CI", "mem median", "95% CI", "saved"
-    );
-    hr();
+    ));
 
-    for spec in [
-        FunctionSpec::noop(),
-        FunctionSpec::markdown(),
-        FunctionSpec::image_resizer(),
-    ] {
+    for spec in paper_functions() {
         // Bake once.
         let mut builder_kernel = Kernel::new(0xBA5E);
         let builder = provision_machine(&mut builder_kernel).expect("provision builder");
@@ -88,7 +81,7 @@ fn main() {
 
         let fs = summarize(&fs_samples, 7);
         let mem = summarize(&mem_samples, 8);
-        println!(
+        out.line(format_args!(
             "{:<16} {:>7.1}MB {:>10.2}ms {:>20} {:>10.2}ms {:>20} {:>7.1}%",
             spec.name(),
             report.snapshot_bytes() as f64 / 1e6,
@@ -97,11 +90,12 @@ fn main() {
             mem.median_ms,
             mem.ci.to_string(),
             (fs.median_ms - mem.median_ms) / fs.median_ms * 100.0
-        );
+        ));
     }
-    hr();
-    println!(
+    out.hr();
+    out.line(format_args!(
         "take-away: the in-memory cache removes the image read (≈0.3 ms/MiB), so the \
          saving grows with snapshot size — largest for the 99 MB Image Resizer."
-    );
+    ));
+    None
 }

@@ -21,15 +21,14 @@
 //! bit-reproducible — tier-1 diffs the `--quick` artifact against
 //! `baselines/quick/BENCH_obs.json`.
 
-use prebake_bench::fleetmix::{fig5_profiles, workload};
-use prebake_bench::{hr, HarnessArgs};
+use super::*;
+use prebake_bench::fleetmix::workload;
 use prebake_fleet::{
     default_fleet_obs, FleetConfig, FleetSim, FunctionProfile, Gear, KeepAlive, Policy,
     StartSelection,
 };
 use prebake_obs::{DashboardSpec, SloEventKind};
 use prebake_platform::loadgen::Schedule;
-use prebake_sim::time::{SimDuration, SimInstant};
 
 /// The injected-fault tenant: profiled with the vanilla gear only, so
 /// the adaptive start selection has nothing cheap to pick.
@@ -39,19 +38,18 @@ const BURST_AT_S: u64 = 600;
 /// Burst size: enough to cold-start well past the canary's share.
 const BURST_SIZE: usize = 24;
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub(crate) fn run(args: &HarnessArgs, memo: &Memo, out: &mut Report) -> Option<String> {
     let reps = args.capped_reps();
     let profile_reps = (reps / 8).clamp(2, 5);
-    println!(
+    out.line(format_args!(
         "Ablation — fleet telemetry: SLO burst localization \
          ({profile_reps} profiling reps, seed {})",
         args.seed
-    );
-    hr();
+    ));
+    out.hr();
 
     // -- the abl7 trace + the injected burst ---------------------------
-    let mut profiles = fig5_profiles(profile_reps, args.seed);
+    let mut profiles = memo.fig5_profiles(profile_reps, args.seed);
     let vanilla_cost = *profiles[2]
         .cost(Gear::Vanilla)
         .expect("big function profiled under vanilla");
@@ -173,8 +171,8 @@ fn main() {
         ],
         quantiles: vec![("fleet_latency_ms".to_owned(), 0.99)],
     };
-    println!("{}", obs.dashboard(&spec));
-    hr();
+    out.line(format_args!("{}", obs.dashboard(&spec)));
+    out.hr();
 
     let lat = report.status("fleet-latency").expect("evaluated");
     let cold = report.status("fleet-cold-fraction").expect("evaluated");
@@ -222,7 +220,7 @@ fn main() {
         st.trees_kept, st.trees_dropped, st.spans_kept, st.spans_dropped, st.interesting_kept,
     ));
 
-    let path = args.write_artifact("BENCH_obs.json", &json);
+    let path = args.artifact_path("BENCH_obs.json");
     // The exemplar-annotated trace export always lands in results/ (it
     // holds every retained span — useful for Perfetto, too big to
     // commit).
@@ -230,7 +228,7 @@ fn main() {
     std::fs::write("results/TRACE_obs.json", obs.chrome_trace(&spans))
         .expect("write results/TRACE_obs.json");
 
-    println!(
+    out.line(format_args!(
         "take-away: the burn engine pins the injected fault to tenant \"{BURST_FUNCTION}\" \
          in window {burst_window} (burn {:.1}x) with zero false localizations, while \
          tail sampling keeps {} of {spans_total} spans ({reduction:.1}x reduction) — \
@@ -238,5 +236,6 @@ fn main() {
         worst.burn,
         st.spans_kept,
         breaching.len(),
-    );
+    ));
+    Some(json)
 }

@@ -14,18 +14,14 @@
 //! 3. concurrent replicas on one machine — resident memory and restore
 //!    latency as replicas of one snapshot stack up, eager vs CoW.
 
-use prebake_bench::{hr, improvement_pct, parallel_startup_trials, HarnessArgs};
+use super::*;
 use prebake_core::env::{provision_machine, Deployment};
-use prebake_core::measure::{StartMode, TrialRunner};
 use prebake_core::prebaker::{bake, SnapshotPolicy};
 use prebake_criu::cache::ImageCache;
 use prebake_criu::image::ImageSet;
 use prebake_criu::read_images;
 use prebake_criu::restore::{restore_set, RestoreMode, RestoreOptions};
-use prebake_functions::{FunctionSpec, SyntheticSize};
-use prebake_sim::kernel::Kernel;
 use prebake_sim::proc::Pid;
-use prebake_stats::summary::quantile;
 
 /// Bakes `spec`'s 1-warm-up snapshot on a fresh machine and loads the
 /// image set, with the dumped listener stripped so many replicas can
@@ -49,31 +45,25 @@ fn baked_set(spec: &FunctionSpec) -> (Kernel, Pid, ImageSet) {
     (kernel, watchdog, set)
 }
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub(crate) fn run(args: &HarnessArgs, memo: &Memo, out: &mut Report) -> Option<String> {
     let reps = args.capped_reps();
 
     // -- part 1: first-response latency, eager vs CoW ------------------
-    println!("Ablation — content-addressed page store ({reps} reps)");
-    hr();
-    println!(
+    out.line(format_args!(
+        "Ablation — content-addressed page store ({reps} reps)"
+    ));
+    out.header(format_args!(
         "{:<10} {:<16} {:>9} {:>13} {:>10} {:>10} {:>7} {:>7}",
         "function", "mode", "snapshot", "unique/total", "p50", "p99", "breaks", "majflt"
-    );
-    hr();
+    ));
 
     let mut big_eager_p50 = 0.0;
     let mut big_cow_p50 = 0.0;
     let mut big_cow_breaks = 0u64;
-    for size in [
-        SyntheticSize::Small,
-        SyntheticSize::Medium,
-        SyntheticSize::Big,
-    ] {
+    for size in SyntheticSize::all() {
         let spec = FunctionSpec::synthetic(size);
         for mode in StartMode::cow_ablation() {
-            let runner = TrialRunner::new(spec.clone(), mode).expect("runner");
-            let trials = parallel_startup_trials(&runner, reps, args.seed);
+            let trials = memo.trials(&spec, mode, reps, args.seed);
             let first_response: Vec<f64> = trials.iter().map(|t| t.first_response_ms).collect();
             let p50 = quantile(&first_response, 0.5);
             let p99 = quantile(&first_response, 0.99);
@@ -98,20 +88,20 @@ fn main() {
                     _ => {}
                 }
             }
-            println!(
+            out.line(format_args!(
                 "{:<10} {:<16} {:>6.1}MB {:>5}/{:<5} {:>8.2}ms {:>8.2}ms {:>7} {:>7}",
                 spec.name(),
                 mode.label(),
-                runner.snapshot_bytes() as f64 / 1e6,
+                t0.snapshot_bytes as f64 / 1e6,
                 t0.pages_unique,
                 t0.pages_stored,
                 p50,
                 p99,
                 t0.cow_breaks(),
                 t0.probes.major_faults,
-            );
+            ));
         }
-        hr();
+        out.hr();
     }
     assert!(
         big_cow_p50 <= big_eager_p50,
@@ -120,13 +110,13 @@ fn main() {
     );
 
     // -- part 2: dedup-aware image-cache accounting --------------------
-    println!("\nImage-cache accounting (dedup-aware charging vs raw bytes)");
-    hr();
-    println!(
+    out.line(format_args!(
+        "\nImage-cache accounting (dedup-aware charging vs raw bytes)"
+    ));
+    out.header(format_args!(
         "{:<34} {:>10} {:>10} {:>8}",
         "residents", "raw", "charged", "saved"
-    );
-    hr();
+    ));
     let big = FunctionSpec::synthetic(SyntheticSize::Big);
     let (_, _, big_set) = baked_set(&big);
     let mut two_replica_saving = 0.0;
@@ -141,13 +131,13 @@ fn main() {
         if n == 2 {
             two_replica_saving = saved;
         }
-        println!(
+        out.line(format_args!(
             "{:<34} {:>7.1}MB {:>7.1}MB {:>7.1}%",
             format!("{n}x {}", big.name()),
             raw as f64 / 1e6,
             charged as f64 / 1e6,
             saved
-        );
+        ));
     }
     // Different functions share runtime/library frames, not app frames.
     let small = FunctionSpec::synthetic(SyntheticSize::Small);
@@ -155,14 +145,14 @@ fn main() {
     let mut cache = ImageCache::new();
     cache.insert("big", big_set.clone());
     cache.insert("small", small_set);
-    println!(
+    out.line(format_args!(
         "{:<34} {:>7.1}MB {:>7.1}MB {:>7.1}%",
         format!("{} + {}", big.name(), small.name()),
         cache.total_bytes() as f64 / 1e6,
         cache.charged_bytes() as f64 / 1e6,
         improvement_pct(cache.total_bytes() as f64, cache.charged_bytes() as f64)
-    );
-    hr();
+    ));
+    out.hr();
     assert!(
         two_replica_saving >= 30.0,
         "two replicas of one function must cut cache bytes by >= 30% \
@@ -170,13 +160,13 @@ fn main() {
     );
 
     // -- part 3: concurrent replicas on one machine --------------------
-    println!("\nConcurrent replicas from one snapshot (big function, one machine)");
-    hr();
-    println!(
+    out.line(format_args!(
+        "\nConcurrent replicas from one snapshot (big function, one machine)"
+    ));
+    out.header(format_args!(
         "{:<8} {:>14} {:>14} {:>12} {:>12}",
         "replicas", "eager RSS", "CoW RSS", "eager p50", "CoW p50"
-    );
-    hr();
+    ));
     for n in [1usize, 2, 4, 8] {
         let mut rss = Vec::new();
         let mut p50 = Vec::new();
@@ -203,17 +193,17 @@ fn main() {
             rss.push(private + kernel.page_store().resident_bytes());
             p50.push(quantile(&elapsed, 0.5));
         }
-        println!(
+        out.line(format_args!(
             "{:<8} {:>11.1}MB {:>11.1}MB {:>9.2}ms {:>9.2}ms",
             n,
             rss[0] as f64 / 1e6,
             rss[1] as f64 / 1e6,
             p50[0],
             p50[1]
-        );
+        ));
     }
-    hr();
-    println!(
+    out.hr();
+    out.line(format_args!(
         "take-away: dedup collapses duplicate runtime pages inside one snapshot and \
          shares frames across replicas, so N replicas cost close to one snapshot of \
          memory ({two_replica_saving:.1}% cache bytes saved at N=2) while CoW restore \
@@ -221,5 +211,6 @@ fn main() {
          copy cost moves to the {big_cow_breaks} pages the first request actually \
          writes.",
         improvement_pct(big_eager_p50, big_cow_p50),
-    );
+    ));
+    None
 }

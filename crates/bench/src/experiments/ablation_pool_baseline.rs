@@ -15,63 +15,39 @@
 //! standing cost; prebaking narrows the gap without idle replicas —
 //! exactly the paper's motivation.
 
-use prebake_bench::{hr, HarnessArgs};
-use prebake_functions::FunctionSpec;
+use super::*;
 use prebake_platform::builder::{FunctionBuilder, Template};
 use prebake_platform::loadgen;
 use prebake_platform::platform::{Platform, PlatformConfig};
 use prebake_platform::registry::Registry;
 use prebake_runtime::http::Request;
-use prebake_sim::time::{SimDuration, SimInstant};
-use prebake_stats::summary::quantile;
 
-struct Scenario {
-    name: &'static str,
-    template: Template,
-    min_warm_pool: usize,
-}
-
-fn main() {
-    let args = HarnessArgs::parse();
+pub(crate) fn run(args: &HarnessArgs, _memo: &Memo, out: &mut Report) -> Option<String> {
     let n_requests = (args.reps * 2).max(100);
-    println!(
+    out.line(format_args!(
         "Ablation — prebaking vs warm-pool baseline, bursty Markdown trace ({n_requests} requests)"
-    );
-    hr();
-    println!(
+    ));
+    out.header(format_args!(
         "{:<12} {:>9} {:>9} {:>9} {:>7} {:>9} {:>9}",
         "scenario", "p50", "p95", "p99", "cold", "started", "reaped"
-    );
-    hr();
+    ));
 
     let scenarios = [
-        Scenario {
-            name: "vanilla",
-            template: Template::java11(),
-            min_warm_pool: 0,
-        },
-        Scenario {
-            name: "prebake",
-            template: Template::java11_criu_warm(),
-            min_warm_pool: 0,
-        },
-        Scenario {
-            name: "warm-pool",
-            template: Template::java11(),
-            min_warm_pool: 2,
-        },
+        ("vanilla", Template::java11(), 0),
+        ("prebake", Template::java11_criu_warm(), 0),
+        ("warm-pool", Template::java11(), 2),
     ];
 
-    for sc in scenarios {
+    for (name, template, min_warm_pool) in scenarios {
         let registry = Registry::new();
         registry.push(
             FunctionBuilder
-                .build(FunctionSpec::markdown(), &sc.template)
+                .build(FunctionSpec::markdown(), &template)
                 .expect("build image"),
         );
         let config = PlatformConfig {
             idle_timeout: SimDuration::from_secs(10),
-            min_warm_pool: sc.min_warm_pool,
+            min_warm_pool,
             seed: args.seed,
             ..PlatformConfig::default()
         };
@@ -115,20 +91,21 @@ fn main() {
             .map(|r| r.latency_ms())
             .collect();
         let m = platform.metrics().get("markdown-render").expect("metrics");
-        println!(
+        out.line(format_args!(
             "{:<12} {:>7.1}ms {:>7.1}ms {:>7.1}ms {:>7} {:>9} {:>9}",
-            sc.name,
+            name,
             quantile(&latencies, 0.50),
             quantile(&latencies, 0.95),
             quantile(&latencies, 0.99),
             m.cold_starts.get(),
             m.replicas_started.get(),
             m.replicas_reaped.get()
-        );
+        ));
     }
-    hr();
-    println!(
+    out.hr();
+    out.line(format_args!(
         "take-away: warm pools erase tail latency by paying for idle replicas; \
          prebaking attacks the same tail by making each cold start cheap instead."
-    );
+    ));
+    None
 }

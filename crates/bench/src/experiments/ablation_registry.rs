@@ -29,15 +29,13 @@
 //! writes `BENCH_registry.json` (bit-reproducible under the default
 //! seed).
 
-use prebake_bench::{hr, improvement_pct, HarnessArgs};
+use super::*;
 use prebake_fleet::{
     FleetConfig, FleetSim, FunctionProfile, Gear, GearCost, KeepAlive, Policy, RegistryConfig,
     StartSelection,
 };
 use prebake_platform::loadgen::Schedule;
 use prebake_registry::{PullMode, RegistryCost};
-use prebake_sim::time::{SimDuration, SimInstant};
-use prebake_stats::summary::quantile;
 
 /// Fraction of each image's frames drawn from the shared runtime base
 /// (the warm JLVM pages every function carries).
@@ -49,12 +47,6 @@ const MEM_BUDGET: u64 = 768 << 20;
 
 /// Name of the timer-driven tenant (strict 3-minute cadence).
 const CRON_FUNCTION: &str = "synthetic-cron";
-
-/// One registry strategy under test.
-struct Variant {
-    label: &'static str,
-    registry: Option<RegistryConfig>,
-}
 
 /// One variant's outcome on the shared trace.
 struct Outcome {
@@ -144,7 +136,8 @@ fn workload(seed: u64) -> Schedule {
 }
 
 fn run_variant(
-    variant: &Variant,
+    label: &'static str,
+    registry: Option<RegistryConfig>,
     profiles: &[FunctionProfile],
     schedule: &Schedule,
     seed: u64,
@@ -166,7 +159,7 @@ fn run_variant(
         mem_budget_bytes: MEM_BUDGET,
         policy,
         seed,
-        registry: variant.registry.clone(),
+        registry,
         ..FleetConfig::default()
     });
     for p in profiles {
@@ -177,7 +170,7 @@ fn run_variant(
         sim.completed().len() as u64,
         sim.metrics().requests.get(),
         "every admitted request must be served ({})",
-        variant.label,
+        label,
     );
     let latency: Vec<f64> = sim.completed().iter().map(|r| r.latency_ms()).collect();
     let cold: Vec<f64> = sim
@@ -189,14 +182,14 @@ fn run_variant(
     assert!(
         !cold.is_empty(),
         "the trace must exercise cold starts ({})",
-        variant.label
+        label
     );
     let m = sim.metrics();
     let (pulls, cache_hits) = sim
         .registry()
         .map_or((0, 0), |r| (r.pulls(), r.cache_hits()));
     Outcome {
-        label: variant.label,
+        label,
         cold_fraction: m.cold_fraction(),
         cold_p99_ms: quantile(&cold, 0.99),
         p99_ms: quantile(&latency, 0.99),
@@ -209,14 +202,13 @@ fn run_variant(
     }
 }
 
-fn main() {
-    let args = HarnessArgs::parse();
-    println!(
+pub(crate) fn run(args: &HarnessArgs, _memo: &Memo, out: &mut Report) -> Option<String> {
+    out.line(format_args!(
         "Ablation — snapshot registry tier: {WORKERS}-node fleet, \
          shared fraction {SHARED_FRACTION}, seed {}",
         args.seed
-    );
-    hr();
+    ));
+    out.hr();
 
     let cost = RegistryCost::default();
     let rc = |mode, affinity, prepull| RegistryConfig {
@@ -227,46 +219,38 @@ fn main() {
         shared_fraction: SHARED_FRACTION,
     };
     let variants = [
-        Variant {
-            label: "local",
-            registry: None,
-        },
-        Variant {
-            label: "naive-full-pull",
-            registry: Some(rc(PullMode::Naive, false, false)),
-        },
-        Variant {
-            label: "pull-through",
-            registry: Some(rc(PullMode::PullThrough, false, false)),
-        },
-        Variant {
-            label: "dedup-pull-through",
-            registry: Some(rc(PullMode::DedupPullThrough, false, false)),
-        },
-        Variant {
-            label: "dedup+affinity",
-            registry: Some(rc(PullMode::DedupPullThrough, true, false)),
-        },
-        Variant {
-            label: "dedup+affinity+prepull",
-            registry: Some(rc(PullMode::DedupPullThrough, true, true)),
-        },
+        ("local", None),
+        ("naive-full-pull", Some(rc(PullMode::Naive, false, false))),
+        (
+            "pull-through",
+            Some(rc(PullMode::PullThrough, false, false)),
+        ),
+        (
+            "dedup-pull-through",
+            Some(rc(PullMode::DedupPullThrough, false, false)),
+        ),
+        (
+            "dedup+affinity",
+            Some(rc(PullMode::DedupPullThrough, true, false)),
+        ),
+        (
+            "dedup+affinity+prepull",
+            Some(rc(PullMode::DedupPullThrough, true, true)),
+        ),
     ];
 
     let profiles = profiles();
     let schedule = workload(args.seed);
-    println!(
+    out.line(format_args!(
         "{} arrivals, {} tenants; image sizes 24/48/96 MB behind a \
          12ms + 10 Gbit/s registry link",
         schedule.len(),
         profiles.len(),
-    );
-    hr();
-    println!(
+    ));
+    out.header(format_args!(
         "{:<23} {:>6} {:>10} {:>10} {:>9} {:>9} {:>5} {:>5}",
         "variant", "cold%", "cold p99", "p99", "egress", "dedup", "hit", "pre"
-    );
-    hr();
+    ));
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
@@ -280,9 +264,9 @@ fn main() {
         schedule.len(),
     ));
     let mut outcomes = Vec::new();
-    for (i, v) in variants.iter().enumerate() {
-        let o = run_variant(v, &profiles, &schedule, args.seed);
-        println!(
+    for (i, (label, registry)) in variants.iter().cloned().enumerate() {
+        let o = run_variant(label, registry, &profiles, &schedule, args.seed);
+        out.line(format_args!(
             "{:<23} {:>5.1}% {:>8.1}ms {:>8.1}ms {:>7.1}MB {:>7.1}MB {:>5} {:>5}",
             o.label,
             o.cold_fraction * 100.0,
@@ -292,7 +276,7 @@ fn main() {
             o.dedup_bytes as f64 / 1e6,
             o.cache_hits,
             o.prepulls,
-        );
+        ));
         json.push_str(&format!(
             "    {{\"variant\": \"{}\", \"cold_fraction\": {:.6}, \
              \"cold_p99_ms\": {:.4}, \"p99_ms\": {:.4}, \"egress_bytes\": {}, \
@@ -312,7 +296,7 @@ fn main() {
         ));
         outcomes.push(o);
     }
-    hr();
+    out.hr();
 
     // -- acceptance: the full stack must beat the naive baseline on
     // both cold-start p99 and total registry egress ---------------------
@@ -358,8 +342,8 @@ fn main() {
         winner.egress_bytes,
     ));
 
-    let path = args.write_artifact("BENCH_registry.json", &json);
-    println!(
+    let path = args.artifact_path("BENCH_registry.json");
+    out.line(format_args!(
         "take-away: dedup-aware pull-through caching with image-affinity placement \
          cuts cold-start p99 from {:.1}ms to {:.1}ms ({:.1}% better) and total \
          registry egress from {:.1}MB to {:.1}MB ({:.1}% fewer bytes) versus \
@@ -372,5 +356,6 @@ fn main() {
         naive.egress_bytes as f64 / 1e6,
         winner.egress_bytes as f64 / 1e6,
         improvement_pct(naive.egress_bytes as f64, winner.egress_bytes as f64),
-    );
+    ));
+    Some(json)
 }

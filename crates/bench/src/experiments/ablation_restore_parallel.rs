@@ -22,10 +22,8 @@
 //! bit-reproducible (tier-1 diffs the `--quick` artifact against
 //! `baselines/quick/BENCH_parallel.json`).
 
-use prebake_bench::{hr, improvement_pct, parallel_startup_trials, HarnessArgs};
-use prebake_core::measure::{StartMode, StartupTrial, TrialRunner};
-use prebake_functions::{FunctionSpec, SyntheticSize};
-use prebake_stats::summary::quantile;
+use super::ablation_extent_restore::Treatment;
+use super::*;
 
 /// Committed vectored-eager p50 on synthetic-big (`BENCH_restore.json`).
 const BASELINE_BIG_P50_MS: f64 = 89.3953;
@@ -33,54 +31,20 @@ const BASELINE_BIG_P50_MS: f64 = 89.3953;
 /// Shard counts swept over the eager path (1 = the serial baseline).
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// One treatment's summary, folded from raw trials.
-struct Treatment {
-    startup_p50: f64,
-    p50: f64,
-    p95: f64,
-    shards: usize,
-    seek_bytes_avoided: u64,
-    pages_compacted: usize,
-}
-
-fn run(runner: &TrialRunner, reps: usize, seed: u64) -> Treatment {
-    let trials = parallel_startup_trials(runner, reps, seed);
-    let startup: Vec<f64> = trials.iter().map(|t| t.startup_ms).collect();
-    let first_response: Vec<f64> = trials.iter().map(|t| t.first_response_ms).collect();
-    let head = &trials[0];
-    // Restore counters come from virtual-machine behaviour, not noise,
-    // so every repetition must agree exactly.
-    assert!(
-        trials.iter().all(|t: &StartupTrial| {
-            t.restore_shards == head.restore_shards
-                && t.seek_bytes_avoided == head.seek_bytes_avoided
-                && t.pages_compacted == head.pages_compacted
-        }),
-        "restore counters must be deterministic across reps"
-    );
-    Treatment {
-        startup_p50: quantile(&startup, 0.5),
-        p50: quantile(&first_response, 0.5),
-        p95: quantile(&first_response, 0.95),
-        shards: head.restore_shards,
-        seek_bytes_avoided: head.seek_bytes_avoided,
-        pages_compacted: head.pages_compacted,
-    }
-}
-
-fn main() {
-    let args = HarnessArgs::parse();
+pub(crate) fn run(args: &HarnessArgs, memo: &Memo, out: &mut Report) -> Option<String> {
     let reps = args.capped_reps();
     let big = FunctionSpec::synthetic(SyntheticSize::Big);
-    println!("Ablation — parallel restore, fault-order layout, compaction ({reps} reps)");
-    hr();
+    out.line(format_args!(
+        "Ablation — parallel restore, fault-order layout, compaction ({reps} reps)"
+    ));
+    out.hr();
 
     // -- part 1: sharded eager restore vs the serial baseline ----------
-    println!(
+    out.line(format_args!(
         "{:<8} {:>10} {:>10} {:>10} {:>8}",
         "threads", "startup", "p50", "p95", "gain"
-    );
-    hr();
+    ));
+    out.hr();
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"seed\": {},\n  \"reps\": {},\n  \"baseline_big_p50_ms\": {BASELINE_BIG_P50_MS},\n  \"parallel\": [\n",
@@ -92,26 +56,27 @@ fn main() {
         let runner = TrialRunner::new(big.clone(), StartMode::PrebakeWarmup(1))
             .expect("runner")
             .threads(threads);
-        let t = run(&runner, reps, args.seed);
+        let t = Treatment::fold(&parallel_startup_trials(&runner, reps, args.seed));
+        let shards = t.head.restore_shards;
         // Shards are capped by the number of coalesced extents, so high
         // thread counts may clamp below the request.
         assert!(
-            t.shards >= threads.min(2) && t.shards <= threads,
+            shards >= threads.min(2) && shards <= threads,
             "expected 1..={threads} shards, got {}",
-            t.shards
+            shards
         );
         if threads == 1 {
             serial_p50 = t.p50;
         }
         best_p50 = best_p50.min(t.p50);
-        println!(
+        out.line(format_args!(
             "{:<8} {:>8.2}ms {:>8.2}ms {:>8.2}ms {:>7.1}%",
             threads,
             t.startup_p50,
             t.p50,
             t.p95,
             improvement_pct(BASELINE_BIG_P50_MS, t.p50),
-        );
+        ));
         json.push_str(&format!(
             "    {{\"threads\": {}, \"startup_p50_ms\": {:.4}, \"p50_ms\": {:.4}, \
              \"p95_ms\": {:.4}, \"shards\": {}}}{}\n",
@@ -119,7 +84,7 @@ fn main() {
             t.startup_p50,
             t.p50,
             t.p95,
-            t.shards,
+            shards,
             if ti == THREADS.len() - 1 { "" } else { "," },
         ));
         if threads >= 2 {
@@ -137,7 +102,7 @@ fn main() {
             );
         }
     }
-    hr();
+    out.hr();
     if args.is_baseline_run() {
         // The serial path is bit-identical to the committed baseline run.
         assert!(
@@ -148,36 +113,36 @@ fn main() {
     }
 
     // -- part 2: fault-order layout under the prefetch read ------------
-    println!("\nPrefetch restore, dump-order vs fault-order image layout");
-    hr();
-    println!(
+    out.line(format_args!(
+        "\nPrefetch restore, dump-order vs fault-order image layout"
+    ));
+    out.header(format_args!(
         "{:<12} {:>10} {:>10} {:>14}",
         "layout", "p50", "p95", "streamed"
-    );
-    hr();
-    let dump_runner = TrialRunner::new(big.clone(), StartMode::PrebakePrefetch).expect("runner");
+    ));
     let ordered_runner = TrialRunner::new(big.clone(), StartMode::PrebakePrefetch)
         .expect("runner")
         .fault_order()
         .expect("repack");
-    let dump_order = run(&dump_runner, reps, args.seed);
-    let ordered = run(&ordered_runner, reps, args.seed);
+    let dump_order =
+        Treatment::fold(&memo.trials(&big, StartMode::PrebakePrefetch, reps, args.seed));
+    let ordered = Treatment::fold(&parallel_startup_trials(&ordered_runner, reps, args.seed));
     for (label, t) in [("dump-order", &dump_order), ("fault-order", &ordered)] {
-        println!(
+        out.line(format_args!(
             "{:<12} {:>8.2}ms {:>8.2}ms {:>12.2}MB",
             label,
             t.p50,
             t.p95,
-            t.seek_bytes_avoided as f64 / 1e6
-        );
+            t.head.seek_bytes_avoided as f64 / 1e6
+        ));
     }
-    hr();
+    out.hr();
     assert!(
-        ordered.seek_bytes_avoided > dump_order.seek_bytes_avoided,
+        ordered.head.seek_bytes_avoided > dump_order.head.seek_bytes_avoided,
         "fault-order layout must stream more of the working-set read \
          ({} !> {})",
-        ordered.seek_bytes_avoided,
-        dump_order.seek_bytes_avoided
+        ordered.head.seek_bytes_avoided,
+        dump_order.head.seek_bytes_avoided
     );
     assert!(
         ordered.p95 < dump_order.p95,
@@ -193,24 +158,25 @@ fn main() {
          \"p95_improvement_pct\": {:.2}}},\n",
         dump_order.p50,
         dump_order.p95,
-        dump_order.seek_bytes_avoided,
+        dump_order.head.seek_bytes_avoided,
         ordered.p50,
         ordered.p95,
-        ordered.seek_bytes_avoided,
+        ordered.head.seek_bytes_avoided,
         improvement_pct(dump_order.p95, ordered.p95),
     ));
 
     // -- part 3: hot-image compaction ----------------------------------
-    println!("\nHot-image compaction (eager restore, fallback layer behind uffd)");
-    hr();
-    let full_runner = TrialRunner::new(big.clone(), StartMode::PrebakeWarmup(1)).expect("runner");
+    out.line(format_args!(
+        "\nHot-image compaction (eager restore, fallback layer behind uffd)"
+    ));
+    out.hr();
     let compact_runner = TrialRunner::new(big.clone(), StartMode::PrebakeWarmup(1))
         .expect("runner")
         .compact()
         .expect("repack");
     let stats = compact_runner.repack_stats().expect("compaction ran");
-    let full = run(&full_runner, reps, args.seed);
-    let compacted = run(&compact_runner, reps, args.seed);
+    let full = Treatment::fold(&memo.trials(&big, StartMode::PrebakeWarmup(1), reps, args.seed));
+    let compacted = Treatment::fold(&parallel_startup_trials(&compact_runner, reps, args.seed));
     assert!(
         stats.pages_compacted > 0 && stats.hot_bytes_after < stats.hot_bytes_before,
         "compaction must shrink the hot image ({} -> {} bytes, {} pages moved)",
@@ -219,7 +185,7 @@ fn main() {
         stats.pages_compacted
     );
     assert_eq!(
-        compacted.pages_compacted, stats.pages_compacted,
+        compacted.head.pages_compacted, stats.pages_compacted,
         "every trial restores against the compacted layout"
     );
     assert!(
@@ -229,18 +195,18 @@ fn main() {
         full.startup_p50
     );
     let shrink = improvement_pct(stats.hot_bytes_before as f64, stats.hot_bytes_after as f64);
-    println!(
+    out.line(format_args!(
         "hot image {:.2}MB -> {:.2}MB (-{:.1}%), {} pages behind the fallback layer",
         stats.hot_bytes_before as f64 / 1e6,
         stats.hot_bytes_after as f64 / 1e6,
         shrink,
         stats.pages_compacted
-    );
-    println!(
+    ));
+    out.line(format_args!(
         "startup p50 {:.2}ms -> {:.2}ms, first response {:.2}ms -> {:.2}ms",
         full.startup_p50, compacted.startup_p50, full.p50, compacted.p50
-    );
-    hr();
+    ));
+    out.hr();
     json.push_str(&format!(
         "  \"compact\": {{\"hot_bytes_before\": {}, \"hot_bytes_after\": {}, \
          \"pages_compacted\": {}, \"full_startup_p50_ms\": {:.4}, \
@@ -255,8 +221,8 @@ fn main() {
         compacted.p50,
     ));
 
-    let path = args.write_artifact("BENCH_parallel.json", &json);
-    println!(
+    let path = args.artifact_path("BENCH_parallel.json");
+    out.line(format_args!(
         "take-away: sharding the extent install across threads overlaps the restore's \
          copy time (p50 {serial_p50:.1}ms serial -> {best_p50:.1}ms best, vs the committed \
          {BASELINE_BIG_P50_MS}ms baseline); repacking the image into fault order turns the \
@@ -265,5 +231,6 @@ fn main() {
          Wrote {path}.",
         improvement_pct(dump_order.p95, ordered.p95),
         shrink,
-    );
+    ));
+    Some(json)
 }

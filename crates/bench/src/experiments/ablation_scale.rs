@@ -27,15 +27,14 @@
 //!
 //! [`ArrivalGen`]: prebake_platform::loadgen::ArrivalGen
 
+use super::*;
 use std::time::Instant;
 
 use prebake_bench::fleetmix::{six_tenant_stream, six_tenants};
-use prebake_bench::{hr, HarnessArgs};
 use prebake_fleet::{
     FleetConfig, FleetSim, FunctionProfile, Gear, GearCost, KeepAlive, Policy, RegistryConfig,
     StartSelection,
 };
-use prebake_sim::time::SimDuration;
 
 /// The six-tenant mix, every tenant prebaked (vanilla fallback kept
 /// for the adaptive policy to reject).
@@ -145,8 +144,7 @@ fn run_point(shards: usize, per_tenant: usize, seed: u64) -> Outcome {
     }
 }
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub(crate) fn run(args: &HarnessArgs, _memo: &Memo, out: &mut Report) -> Option<String> {
     let quick = !args.is_full();
     // Quick gates replay a 54k-arrival trace at the sweep's endpoints;
     // the full run is the paper-scale point: a million-plus invocations
@@ -157,13 +155,12 @@ fn main() {
         (170_000, &[1, 2, 4, 8])
     };
     let total = per_tenant * 6;
-    println!(
+    out.line(format_args!(
         "Ablation — sharded event-loop scale: {total} streamed arrivals, 6 tenants, \
          200 workers (seed {})",
         args.seed
-    );
-    hr();
-    println!(
+    ));
+    out.header(format_args!(
         "{:<6} {:>9} {:>6} {:>7} {:>9} {:>9} {:>9} {:>10} {:>10} {:>5}",
         "shards",
         "requests",
@@ -175,30 +172,27 @@ fn main() {
         "events",
         "events/s",
         "ident"
-    );
-    hr();
+    ));
 
-    let outcomes: Vec<Outcome> = sweep
-        .iter()
-        .map(|&s| {
-            let o = run_point(s, per_tenant, args.seed);
-            println!(
-                "{:<6} {:>9} {:>6} {:>7} {:>7.1}ms {:>7.1}MB {:>7.1}MB {:>10} {:>10.0} {:>5}",
-                o.shards,
-                o.requests,
-                o.shed,
-                o.cold_starts,
-                o.cold_p99_ms,
-                o.egress_bytes as f64 / 1e6,
-                o.dedup_bytes as f64 / 1e6,
-                o.events_processed,
-                o.events_per_sec,
-                o.identical,
-            );
-            o
-        })
-        .collect();
-    hr();
+    let mut outcomes = Vec::new();
+    for &s in sweep {
+        let o = run_point(s, per_tenant, args.seed);
+        out.line(format_args!(
+            "{:<6} {:>9} {:>6} {:>7} {:>7.1}ms {:>7.1}MB {:>7.1}MB {:>10} {:>10.0} {:>5}",
+            o.shards,
+            o.requests,
+            o.shed,
+            o.cold_starts,
+            o.cold_p99_ms,
+            o.egress_bytes as f64 / 1e6,
+            o.dedup_bytes as f64 / 1e6,
+            o.events_processed,
+            o.events_per_sec,
+            o.identical,
+        ));
+        outcomes.push(o);
+    }
+    out.hr();
 
     for o in &outcomes {
         assert!(
@@ -219,11 +213,11 @@ fn main() {
         .filter(|o| o.shards >= 4)
         .map(|o| o.events_per_sec / base.events_per_sec)
         .fold(0.0, f64::max);
-    println!(
+    out.line(format_args!(
         "speedup: best {:.2}x events/sec over the unsharded loop ({} shard sweep)",
         best_speedup,
         sweep.len()
-    );
+    ));
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
@@ -251,21 +245,22 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let path = args.write_artifact("BENCH_scale.json", &json);
-    println!(
+    let path = args.artifact_path("BENCH_scale.json");
+    out.line(format_args!(
         "take-away: the sharded event loop pushes {total} streamed invocations through a \
          200-node fleet at {:.0} events/sec — {best_speedup:.2}x the unsharded loop — with \
          threaded and serial drains bit-identical at every shard count. Wrote {path}.",
         outcomes.last().expect("non-empty").events_per_sec,
-    );
+    ));
 
-    // The throughput bar is checked after the deterministic artifact is
-    // on disk: a loaded machine can depress wall-clock events/sec (and
-    // fail this check) without costing the JSON golden comparison.
+    // The throughput bar is checked on full runs only: a loaded machine
+    // can depress wall-clock events/sec (and fail this check), and the
+    // golden comparison runs quick.
     if !quick {
         assert!(
             best_speedup >= 3.0,
             "sharding must clear 3x the serial events/sec (got {best_speedup:.2}x)"
         );
     }
+    Some(json)
 }

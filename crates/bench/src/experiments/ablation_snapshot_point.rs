@@ -8,20 +8,17 @@
 //! state (the paper's choice); additional requests buy nothing but may
 //! grow the snapshot.
 
-use prebake_bench::{hr, parallel_startup_trials, summarize, HarnessArgs};
-use prebake_core::measure::{StartMode, TrialRunner};
-use prebake_functions::{FunctionSpec, SyntheticSize};
+use super::*;
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub(crate) fn run(args: &HarnessArgs, memo: &Memo, out: &mut Report) -> Option<String> {
     let reps = args.reps.min(60); // sweep has 5 treatments; keep it brisk
-    println!("Ablation — snapshot-point sweep, medium synthetic function ({reps} reps/point)");
-    hr();
-    println!(
+    out.line(format_args!(
+        "Ablation — snapshot-point sweep, medium synthetic function ({reps} reps/point)"
+    ));
+    out.header(format_args!(
         "{:<14} {:>14} {:>20} {:>14}",
         "policy", "median", "95% CI", "snapshot"
-    );
-    hr();
+    ));
 
     let spec = FunctionSpec::synthetic(SyntheticSize::Medium);
 
@@ -35,29 +32,27 @@ fn main() {
     ];
     let mut first: Option<f64> = None;
     for mode in modes {
-        let runner = TrialRunner::new(spec.clone(), mode).expect("build runner");
-        let samples: Vec<f64> = parallel_startup_trials(&runner, reps, args.seed)
-            .iter()
-            .map(|t| t.first_response_ms)
-            .collect();
+        let trials = memo.trials(&spec, mode, reps, args.seed);
+        let samples: Vec<f64> = trials.iter().map(|t| t.first_response_ms).collect();
         let s = summarize(&samples, 9);
-        println!(
+        out.line(format_args!(
             "{:<14} {:>12.2}ms {:>20} {:>11.1}MB",
             mode.label(),
             s.median_ms,
             s.ci.to_string(),
-            runner.snapshot_bytes() as f64 / 1e6
-        );
+            trials[0].snapshot_bytes as f64 / 1e6
+        ));
         if matches!(mode, StartMode::PrebakeWarmup(1)) {
             first = Some(s.median_ms);
         }
     }
-    hr();
+    out.hr();
     if let Some(w1) = first {
-        println!(
+        out.line(format_args!(
             "take-away: the first warm-up request captures the class-load + JIT state \
              (w1 median {w1:.1}ms); more warm-ups change little — matching the paper's \
              choice of a single warm-up request."
-        );
+        ));
     }
+    None
 }

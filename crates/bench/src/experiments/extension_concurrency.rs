@@ -8,16 +8,13 @@
 //! vs prebaked. Prebaking helps twice: each start is shorter *and* the
 //! convoy behind a saturated node drains proportionally faster.
 
-use prebake_bench::{hr, HarnessArgs};
-use prebake_functions::FunctionSpec;
+use super::*;
 use prebake_platform::builder::{FunctionBuilder, Template};
 use prebake_platform::platform::{Platform, PlatformConfig};
 use prebake_platform::registry::Registry;
 use prebake_runtime::http::Request;
-use prebake_sim::time::SimInstant;
-use prebake_stats::summary::quantile;
 
-fn run(template: &Template, concurrency: usize, tenants: usize, seed: u64) -> (f64, f64) {
+fn convoy(template: &Template, concurrency: usize, tenants: usize, seed: u64) -> (f64, f64) {
     let registry = Registry::new();
     let names: Vec<String> = (0..tenants).map(|i| format!("tenant-{i}")).collect();
     for name in &names {
@@ -46,30 +43,32 @@ fn run(template: &Template, concurrency: usize, tenants: usize, seed: u64) -> (f
     (quantile(&lat, 0.5), quantile(&lat, 1.0))
 }
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub(crate) fn run(args: &HarnessArgs, _memo: &Memo, out: &mut Report) -> Option<String> {
     let tenants = 12;
-    println!("Extension — concurrent cold starts, {tenants} distinct functions at t=0 (markdown)");
-    hr();
-    println!(
+    out.line(format_args!(
+        "Extension — concurrent cold starts, {tenants} distinct functions at t=0 (markdown)"
+    ));
+    out.header(format_args!(
         "{:<12} {:>12} {:>12} {:>12} {:>12}",
         "concurrency", "vanilla p50", "vanilla max", "prebake p50", "prebake max"
-    );
-    hr();
+    ));
     for concurrency in [1usize, 2, 4, 8, 16] {
-        let (v50, vmax) = run(&Template::java11(), concurrency, tenants, args.seed);
-        let (p50, pmax) = run(
+        let (v50, vmax) = convoy(&Template::java11(), concurrency, tenants, args.seed);
+        let (p50, pmax) = convoy(
             &Template::java11_criu_warm(),
             concurrency,
             tenants,
             args.seed,
         );
-        println!("{concurrency:<12} {v50:>10.1}ms {vmax:>10.1}ms {p50:>10.1}ms {pmax:>10.1}ms");
+        out.line(format_args!(
+            "{concurrency:<12} {v50:>10.1}ms {vmax:>10.1}ms {p50:>10.1}ms {pmax:>10.1}ms"
+        ));
     }
-    hr();
-    println!(
+    out.hr();
+    out.line(format_args!(
         "take-away: with few slots the multi-tenant burst convoys behind cold \
          starts; prebaking shortens every position in the convoy, so the \
          worst-case gap widens as concurrency shrinks."
-    );
+    ));
+    None
 }

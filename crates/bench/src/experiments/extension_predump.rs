@@ -9,12 +9,10 @@
 //! incremental flow for all three synthetic sizes, reporting the freeze
 //! window (the function's downtime) and the final-image size.
 
-use prebake_bench::{hr, HarnessArgs};
+use super::*;
 use prebake_core::env::{provision_machine, Deployment, RUNTIME_BIN};
 use prebake_criu::dump::{dump, pre_dump, DumpOptions};
-use prebake_functions::{FunctionSpec, SyntheticSize};
 use prebake_runtime::Replica;
-use prebake_sim::kernel::Kernel;
 use prebake_sim::proc::{CapSet, Pid};
 
 /// Boots and warms a replica of `spec`, returning the kernel, the
@@ -41,15 +39,14 @@ fn warmed_replica(spec: FunctionSpec, seed: u64) -> (Kernel, Pid, Pid) {
     (kernel, watchdog, pid)
 }
 
-fn main() {
-    let args = HarnessArgs::parse();
-    println!("Extension — full dump vs pre-dump + incremental dump (warmed synthetics)");
-    hr();
-    println!(
+pub(crate) fn run(args: &HarnessArgs, _memo: &Memo, out: &mut Report) -> Option<String> {
+    out.line(format_args!(
+        "Extension — full dump vs pre-dump + incremental dump (warmed synthetics)"
+    ));
+    out.header(format_args!(
         "{:<8} {:>12} {:>12} {:>13} {:>13} {:>12} {:>12}",
         "size", "full freeze", "inc freeze", "full image", "inc image", "pre pages", "inc pages"
-    );
-    hr();
+    ));
 
     for size in SyntheticSize::all() {
         let spec = FunctionSpec::synthetic(size);
@@ -71,7 +68,7 @@ fn main() {
         opts.parent = Some("/pre".to_owned());
         let inc = dump(&mut kernel, watchdog, &opts).expect("incremental dump");
 
-        println!(
+        out.line(format_args!(
             "{:<8} {:>10.2}ms {:>10.2}ms {:>11.1}MB {:>11.2}MB {:>12} {:>12}",
             size.label(),
             full.frozen_for.as_millis_f64(),
@@ -80,15 +77,16 @@ fn main() {
             inc.image_bytes as f64 / 1e6,
             pre.pages_stored,
             inc.pages_stored,
-        );
+        ));
     }
-    hr();
-    println!(
+    out.hr();
+    out.line(format_args!(
         "take-away: pre-dump moves the page transfer out of the freeze window, \
          so the final freeze pays only pagemap walks + the dirty residue. The \
          benefit scales with the resident set (big: ~69ms -> ~26ms); for small \
          functions the extra soft-dirty walk eats the gain — incremental \
          checkpointing is a big-function tool, which is exactly the regime the \
          paper's §7 worries about."
-    );
+    ));
+    None
 }

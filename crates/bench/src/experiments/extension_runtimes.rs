@@ -12,38 +12,32 @@
 //! V8's baseline tier, smallest for CPython (bytecode compile only, no
 //! JIT).
 
-use prebake_bench::{hr, parallel_startup_trials, speedup_ratio_pct, HarnessArgs};
-use prebake_core::measure::{StartMode, TrialRunner};
-use prebake_functions::{FunctionSpec, SyntheticSize};
+use super::*;
 use prebake_runtime::profile::RuntimeProfile;
-use prebake_stats::summary::median;
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub(crate) fn run(args: &HarnessArgs, memo: &Memo, out: &mut Report) -> Option<String> {
     let reps = args.reps.min(100);
-    println!(
+    out.line(format_args!(
         "Extension — prebaking across runtime profiles, medium synthetic function ({reps} reps)"
-    );
-    hr();
-    println!(
+    ));
+    out.header(format_args!(
         "{:<8} {:>12} {:>14} {:>12} {:>16} {:>16}",
         "runtime", "vanilla", "pb-nowarmup", "pb-warmup", "nowarmup ratio", "warmup ratio"
-    );
-    hr();
+    ));
 
     for profile in RuntimeProfile::all() {
         let spec = FunctionSpec::synthetic(SyntheticSize::Medium).with_runtime(profile);
         let mut medians = Vec::new();
         for mode in StartMode::all_three() {
-            let runner = TrialRunner::new(spec.clone(), mode).expect("build runner");
-            let samples: Vec<f64> = parallel_startup_trials(&runner, reps, args.seed)
+            let samples: Vec<f64> = memo
+                .trials(&spec, mode, reps, args.seed)
                 .iter()
                 .map(|t| t.first_response_ms)
                 .collect();
             medians.push(median(&samples));
         }
         let (v, nw, w) = (medians[0], medians[1], medians[2]);
-        println!(
+        out.line(format_args!(
             "{:<8} {:>10.2}ms {:>12.2}ms {:>10.2}ms {:>15.2}% {:>15.2}%",
             profile.label(),
             v,
@@ -51,12 +45,13 @@ fn main() {
             w,
             speedup_ratio_pct(v, nw),
             speedup_ratio_pct(v, w)
-        );
+        ));
     }
-    hr();
-    println!(
+    out.hr();
+    out.line(format_args!(
         "take-away: every runtime gains from prebaking (the bootstrap always \
          disappears), but the warm-snapshot bonus ranks java > node > python — \
          it captures exactly the lazy-compilation work each runtime would redo."
-    );
+    ));
+    None
 }

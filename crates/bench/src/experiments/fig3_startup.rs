@@ -10,55 +10,40 @@
 //!   Markdown       vanilla ≈ 100, prebake ≈ 53  (−47 %)
 //!   Image Resizer  vanilla ≈ 310, prebake ≈ 87  (−71 %)
 
-use prebake_bench::{hr, improvement_pct, parallel_startup_trials, summarize, HarnessArgs};
-use prebake_core::measure::{StartMode, TrialRunner};
-use prebake_functions::FunctionSpec;
+use super::*;
 use prebake_stats::mannwhitney::{hodges_lehmann, mann_whitney};
 use prebake_stats::shapiro::shapiro_wilk;
 
-fn main() {
-    let args = HarnessArgs::parse();
-    println!(
+pub(crate) fn run(args: &HarnessArgs, memo: &Memo, out: &mut Report) -> Option<String> {
+    out.line(format_args!(
         "Figure 3 — start-up time, Vanilla vs Prebaking ({} reps)",
         args.reps
-    );
-    hr();
-    println!(
+    ));
+    out.header(format_args!(
         "{:<16} {:>10} {:>18} {:>10} {:>18} {:>8}",
         "function", "vanilla", "95% CI", "prebake", "95% CI", "improv."
-    );
-    hr();
+    ));
 
-    let specs = [
-        FunctionSpec::noop(),
-        FunctionSpec::markdown(),
-        FunctionSpec::image_resizer(),
-    ];
     let paper = [
         ("noop", 40.0),
         ("markdown-render", 47.0),
         ("image-resizer", 71.0),
     ];
 
-    for spec in specs {
-        let vanilla_runner =
-            TrialRunner::new(spec.clone(), StartMode::Vanilla).expect("build vanilla runner");
-        let prebake_runner = TrialRunner::new(spec.clone(), StartMode::PrebakeNoWarmup)
-            .expect("build prebake runner");
-
-        let vanilla: Vec<f64> = parallel_startup_trials(&vanilla_runner, args.reps, args.seed)
-            .iter()
-            .map(|t| t.startup_ms)
-            .collect();
-        let prebake: Vec<f64> =
-            parallel_startup_trials(&prebake_runner, args.reps, args.seed + 10_000)
-                .iter()
-                .map(|t| t.startup_ms)
-                .collect();
+    for spec in paper_functions() {
+        let vanilla_trials = memo.trials(&spec, StartMode::Vanilla, args.reps, args.seed);
+        let prebake_trials = memo.trials(
+            &spec,
+            StartMode::PrebakeNoWarmup,
+            args.reps,
+            args.seed + 10_000,
+        );
+        let vanilla: Vec<f64> = vanilla_trials.iter().map(|t| t.startup_ms).collect();
+        let prebake: Vec<f64> = prebake_trials.iter().map(|t| t.startup_ms).collect();
 
         let sv = summarize(&vanilla, 11);
         let sp = summarize(&prebake, 12);
-        println!(
+        out.line(format_args!(
             "{:<16} {:>8.2}ms {:>18} {:>8.2}ms {:>18} {:>7.1}%",
             spec.name(),
             sv.median_ms,
@@ -66,18 +51,18 @@ fn main() {
             sp.median_ms,
             sp.ci.to_string(),
             improvement_pct(sv.median_ms, sp.median_ms),
-        );
+        ));
 
         // The paper's statistical pipeline.
         let sw_v = shapiro_wilk(&vanilla);
         let sw_p = shapiro_wilk(&prebake);
         let mw = mann_whitney(&vanilla, &prebake);
         let (hl, hl_ci) = hodges_lehmann(&vanilla, &prebake, 0.95);
-        println!(
+        out.line(format_args!(
             "  shapiro-wilk: vanilla W={:.4} p={:.3}, prebake W={:.4} p={:.3}",
             sw_v.w, sw_v.p_value, sw_p.w, sw_p.p_value
-        );
-        println!(
+        ));
+        out.line(format_args!(
             "  wilcoxon-mann-whitney: p={:.2e} ({}); median distance {:.2}ms, 95% CI {}",
             mw.p_value,
             if mw.rejects_equality(0.05) {
@@ -87,16 +72,17 @@ fn main() {
             },
             hl,
             hl_ci
-        );
-        println!(
+        ));
+        out.line(format_args!(
             "  CIs intersect: {}; snapshot {:.1} MB",
             sv.ci.intersects(&sp.ci),
-            prebake_runner.snapshot_bytes() as f64 / 1e6
-        );
+            prebake_trials[0].snapshot_bytes as f64 / 1e6
+        ));
     }
-    hr();
-    println!("paper reference improvements:");
+    out.hr();
+    out.line(format_args!("paper reference improvements:"));
     for (name, pct) in paper {
-        println!("  {name:<16} ≈ {pct:.0}%");
+        out.line(format_args!("  {name:<16} ≈ {pct:.0}%"));
     }
+    None
 }

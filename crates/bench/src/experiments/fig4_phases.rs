@@ -6,34 +6,23 @@
 //! is almost totally dictated by APPINIT; vanilla Image Resizer APPINIT
 //! ≈ 7.18× NOOP's, dropping to ≈ 1.43× under prebaking.
 
-use prebake_bench::{hr, parallel_startup_trials, HarnessArgs};
-use prebake_core::measure::{StartMode, TrialRunner};
-use prebake_functions::FunctionSpec;
-use prebake_stats::summary::median;
+use super::*;
 
-fn main() {
-    let args = HarnessArgs::parse();
-    println!(
+pub(crate) fn run(args: &HarnessArgs, memo: &Memo, out: &mut Report) -> Option<String> {
+    out.line(format_args!(
         "Figure 4 — start-up components, median of {} reps (ms)",
         args.reps
-    );
-    hr();
-    println!(
+    ));
+    out.header(format_args!(
         "{:<16} {:<10} {:>8} {:>8} {:>8} {:>9} {:>9}",
         "function", "technique", "CLONE", "EXEC", "RTS", "APPINIT", "total"
-    );
-    hr();
+    ));
 
     let mut appinit_medians: Vec<(String, String, f64)> = Vec::new();
 
-    for spec in [
-        FunctionSpec::noop(),
-        FunctionSpec::markdown(),
-        FunctionSpec::image_resizer(),
-    ] {
+    for spec in paper_functions() {
         for mode in [StartMode::Vanilla, StartMode::PrebakeNoWarmup] {
-            let runner = TrialRunner::new(spec.clone(), mode).expect("build runner");
-            let trials = parallel_startup_trials(&runner, args.reps, args.seed);
+            let trials = memo.trials(&spec, mode, args.reps, args.seed);
             let col = |f: fn(&prebake_core::Phases) -> f64| -> f64 {
                 let v: Vec<f64> = trials.iter().map(|t| f(&t.phases)).collect();
                 median(&v)
@@ -42,7 +31,7 @@ fn main() {
             let exec_ms = col(|p| p.exec.as_millis_f64());
             let rts_ms = col(|p| p.rts.as_millis_f64());
             let appinit_ms = col(|p| p.appinit.as_millis_f64());
-            println!(
+            out.line(format_args!(
                 "{:<16} {:<10} {:>8.2} {:>8.2} {:>8.2} {:>9.2} {:>9.2}",
                 spec.name(),
                 mode.label(),
@@ -51,11 +40,11 @@ fn main() {
                 rts_ms,
                 appinit_ms,
                 clone_ms + exec_ms + rts_ms + appinit_ms
-            );
+            ));
             appinit_medians.push((spec.name().to_owned(), mode.label(), appinit_ms));
         }
     }
-    hr();
+    out.hr();
 
     let lookup = |name: &str, mode: &str| {
         appinit_medians
@@ -66,6 +55,9 @@ fn main() {
     };
     let ratio_vanilla = lookup("image-resizer", "vanilla") / lookup("noop", "vanilla");
     let ratio_prebake = lookup("image-resizer", "pb-nowarmup") / lookup("noop", "pb-nowarmup");
-    println!("APPINIT ratio image-resizer/noop: vanilla {ratio_vanilla:.2}x (paper ≈7.18x), prebake {ratio_prebake:.2}x (paper ≈1.43x)");
-    println!("paper reference: vanilla RTS ≈70ms for all functions; prebake RTS = 0");
+    out.line(format_args!("APPINIT ratio image-resizer/noop: vanilla {ratio_vanilla:.2}x (paper ≈7.18x), prebake {ratio_prebake:.2}x (paper ≈1.43x)"));
+    out.line(format_args!(
+        "paper reference: vanilla RTS ≈70ms for all functions; prebake RTS = 0"
+    ));
+    None
 }

@@ -9,44 +9,39 @@
 //! medium ≈ 456.0 ms, big ≈ 1621.0 ms — linear in archive size at
 //! ≈ 36.7 ms/MiB.
 
-use prebake_bench::{hr, parallel_startup_trials, summarize, HarnessArgs};
-use prebake_core::measure::{StartMode, TrialRunner};
-use prebake_functions::{FunctionSpec, SyntheticSize};
+use super::*;
 
-fn main() {
-    let args = HarnessArgs::parse();
-    println!(
+pub(crate) fn run(args: &HarnessArgs, memo: &Memo, out: &mut Report) -> Option<String> {
+    out.line(format_args!(
         "Figure 5 — vanilla start-up vs function size ({} reps)",
         args.reps
-    );
-    hr();
-    println!(
+    ));
+    out.header(format_args!(
         "{:<8} {:>8} {:>10} {:>12} {:>20}",
         "size", "classes", "archive", "median", "95% CI"
-    );
-    hr();
+    ));
 
     let mut points: Vec<(f64, f64)> = Vec::new();
     for size in SyntheticSize::all() {
         let spec = FunctionSpec::synthetic(size);
         let archive_mb = spec.archive().payload_bytes() as f64 / (1024.0 * 1024.0);
-        let runner = TrialRunner::new(spec, StartMode::Vanilla).expect("build runner");
-        let samples: Vec<f64> = parallel_startup_trials(&runner, args.reps, args.seed)
+        let samples: Vec<f64> = memo
+            .trials(&spec, StartMode::Vanilla, args.reps, args.seed)
             .iter()
             .map(|t| t.first_response_ms)
             .collect();
         let s = summarize(&samples, 5);
-        println!(
+        out.line(format_args!(
             "{:<8} {:>8} {:>8.1}MB {:>10.2}ms {:>20}",
             size.label(),
             size.class_count(),
             archive_mb,
             s.median_ms,
             s.ci.to_string()
-        );
+        ));
         points.push((archive_mb, s.median_ms));
     }
-    hr();
+    out.hr();
 
     // Least-squares slope through the three points (the paper's implicit
     // size sensitivity).
@@ -57,7 +52,8 @@ fn main() {
     let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
     let slope = (n * sxy - sx * sy) / (n * sxx - sx * sx);
     let intercept = (sy - slope * sx) / n;
-    println!(
+    out.line(format_args!(
         "linear fit: {intercept:.1}ms + {slope:.1}ms/MiB (paper regression ≈ 117ms + 36.7ms/MiB)"
-    );
+    ));
+    None
 }

@@ -8,23 +8,17 @@
 //!   small: PB-NoWarmup 127.45 %, PB-Warmup 403.96 %
 //!   big:   PB-NoWarmup 121.07 %, PB-Warmup 1932.49 %
 
-use prebake_bench::{hr, parallel_startup_trials, speedup_ratio_pct, HarnessArgs};
-use prebake_core::measure::{StartMode, TrialRunner};
-use prebake_functions::{FunctionSpec, SyntheticSize};
-use prebake_stats::summary::median;
+use super::*;
 
-fn main() {
-    let args = HarnessArgs::parse();
-    println!(
+pub(crate) fn run(args: &HarnessArgs, memo: &Memo, out: &mut Report) -> Option<String> {
+    out.line(format_args!(
         "Figure 6 — prebaking speed-up over vanilla ({} reps)",
         args.reps
-    );
-    hr();
-    println!(
+    ));
+    out.header(format_args!(
         "{:<8} {:>12} {:>14} {:>12} {:>16} {:>16}",
         "size", "vanilla", "pb-nowarmup", "pb-warmup", "nowarmup ratio", "warmup ratio"
-    );
-    hr();
+    ));
 
     let paper = [
         ("small", 127.45, 403.96),
@@ -36,15 +30,15 @@ fn main() {
         let spec = FunctionSpec::synthetic(size);
         let mut medians = Vec::new();
         for mode in StartMode::all_three() {
-            let runner = TrialRunner::new(spec.clone(), mode).expect("build runner");
-            let samples: Vec<f64> = parallel_startup_trials(&runner, args.reps, args.seed)
+            let samples: Vec<f64> = memo
+                .trials(&spec, mode, args.reps, args.seed)
                 .iter()
                 .map(|t| t.first_response_ms)
                 .collect();
             medians.push(median(&samples));
         }
         let (v, nw, w) = (medians[0], medians[1], medians[2]);
-        println!(
+        out.line(format_args!(
             "{:<8} {:>10.2}ms {:>12.2}ms {:>10.2}ms {:>15.2}% {:>15.2}%",
             size.label(),
             v,
@@ -52,12 +46,19 @@ fn main() {
             w,
             speedup_ratio_pct(v, nw),
             speedup_ratio_pct(v, w)
-        );
+        ));
     }
-    hr();
-    println!("paper reference ratios (vanilla/prebaked, %):");
+    out.hr();
+    out.line(format_args!(
+        "paper reference ratios (vanilla/prebaked, %):"
+    ));
     for (label, nw, w) in paper {
-        println!("  {label:<8} nowarmup {nw:>8.2}%   warmup {w:>8.2}%");
+        out.line(format_args!(
+            "  {label:<8} nowarmup {nw:>8.2}%   warmup {w:>8.2}%"
+        ));
     }
-    println!("(medium warmup ratio derived from Table 1: 456.0/63.7)");
+    out.line(format_args!(
+        "(medium warmup ratio derived from Table 1: 456.0/63.7)"
+    ));
+    None
 }

@@ -5,22 +5,16 @@
 //! causes no post-restore service penalty. We print matching deciles and
 //! the Kolmogorov–Smirnov distance per function (small = coincide).
 
-use prebake_bench::{hr, HarnessArgs};
-use prebake_core::measure::{StartMode, TrialRunner};
-use prebake_functions::FunctionSpec;
-use prebake_sim::time::SimDuration;
+use super::*;
 use prebake_stats::ecdf::Ecdf;
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub(crate) fn run(args: &HarnessArgs, _memo: &Memo, out: &mut Report) -> Option<String> {
     let requests = args.reps; // the paper applies 200 requests
-    println!("Figure 7 — service-time ECDFs after start, {requests} requests per technique");
+    out.line(format_args!(
+        "Figure 7 — service-time ECDFs after start, {requests} requests per technique"
+    ));
 
-    for spec in [
-        FunctionSpec::noop(),
-        FunctionSpec::markdown(),
-        FunctionSpec::image_resizer(),
-    ] {
+    for spec in paper_functions() {
         let vanilla_runner =
             TrialRunner::new(spec.clone(), StartMode::Vanilla).expect("build runner");
         let prebake_runner =
@@ -36,32 +30,38 @@ fn main() {
         let ev = Ecdf::new(&vanilla);
         let ep = Ecdf::new(&prebake);
 
-        hr();
-        println!("{} — service time quantiles (ms)", spec.name());
-        println!(
+        out.hr();
+        out.line(format_args!(
+            "{} — service time quantiles (ms)",
+            spec.name()
+        ));
+        out.line(format_args!(
             "{:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
             "", "p10", "p50", "p90", "p99", "max"
-        );
+        ));
         for (label, e) in [("vanilla", &ev), ("prebake", &ep)] {
-            println!(
+            out.line(format_args!(
                 "{label:>10} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
                 e.inverse(0.10),
                 e.inverse(0.50),
                 e.inverse(0.90),
                 e.inverse(0.99),
                 e.inverse(1.0),
-            );
+            ));
         }
         let ks = ev.ks_distance(&ep);
-        println!(
+        out.line(format_args!(
             "KS distance = {ks:.4} ({})",
             if ks < 0.15 {
                 "ECDFs coincide — no post-restore penalty"
             } else {
                 "ECDFs DIVERGE"
             }
-        );
+        ));
     }
-    hr();
-    println!("paper reference: both ECDFs pretty much coincide for all three functions");
+    out.hr();
+    out.line(format_args!(
+        "paper reference: both ECDFs pretty much coincide for all three functions"
+    ));
+    None
 }

@@ -12,10 +12,8 @@
 //! that `--reps` is ignored (one traced run per cell — span artifacts,
 //! not statistics).
 
-use prebake_bench::{hr, HarnessArgs};
-use prebake_core::measure::{StartMode, TrialRunner};
+use super::*;
 use prebake_core::phases_from_span_tree;
-use prebake_functions::{FunctionSpec, SyntheticSize};
 use prebake_sim::trace::{chrome_trace_json, TraceSummary};
 
 const OUT_DIR: &str = "results/traces";
@@ -29,8 +27,7 @@ fn modes() -> [StartMode; 4] {
     ]
 }
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub(crate) fn run(args: &HarnessArgs, _memo: &Memo, out: &mut Report) -> Option<String> {
     let sizes: Vec<SyntheticSize> = if args.is_full() {
         SyntheticSize::all().to_vec()
     } else {
@@ -38,8 +35,11 @@ fn main() {
     };
     std::fs::create_dir_all(OUT_DIR).expect("create results/traces");
 
-    println!("Span traces of the start path (seed {})", args.seed);
-    hr();
+    out.line(format_args!(
+        "Span traces of the start path (seed {})",
+        args.seed
+    ));
+    out.hr();
 
     for size in &sizes {
         for mode in modes() {
@@ -62,7 +62,7 @@ fn main() {
             std::fs::write(&path, chrome_trace_json(&spans)).expect("write trace");
 
             let summary = TraceSummary::from_spans(&spans);
-            println!(
+            out.line(format_args!(
                 "{} / {} — startup {:.2}ms, first response {:.2}ms, {} spans -> {}",
                 size.label(),
                 mode.label(),
@@ -70,19 +70,22 @@ fn main() {
                 trial.first_response_ms,
                 spans.len(),
                 path
-            );
-            println!(
+            ));
+            out.line(format_args!(
                 "  phases: clone {:.2}ms exec {:.2}ms rts {:.2}ms appinit {:.2}ms (spans agree exactly)",
                 trial.phases.clone.as_millis_f64(),
                 trial.phases.exec.as_millis_f64(),
                 trial.phases.rts.as_millis_f64(),
                 trial.phases.appinit.as_millis_f64(),
-            );
+            ));
             for line in summary.render().lines() {
-                println!("  {line}");
+                out.line(format_args!("  {line}"));
             }
-            hr();
+            out.hr();
         }
     }
-    println!("all span-derived phase totals matched the probe fold");
+    out.line(format_args!(
+        "all span-derived phase totals matched the probe fold"
+    ));
+    None
 }

@@ -1,19 +1,20 @@
 //! # prebake-bench
 //!
-//! Shared harness utilities for the experiment binaries (one per paper
-//! table/figure — see `DESIGN.md` §4 for the index and `EXPERIMENTS.md`
-//! for paper-vs-measured results).
+//! Shared harness utilities for `prebake-bench`, the one binary that
+//! regenerates every table, figure and ablation of the paper (`DESIGN.md`
+//! §4 indexes them, `EXPERIMENTS.md` reports paper-vs-measured results):
 //!
-//! Every binary accepts:
+//! ```text
+//! prebake-bench <id>...|all [--reps N] [--quick] [--seed S]
+//! prebake-bench check
+//! ```
 //!
-//! - `--reps <N>` — repetitions per treatment (default 200, the paper's
-//!   count)
-//! - `--quick` — 30 repetitions, for smoke runs
-//! - `--seed <S>` — base RNG seed (default 1)
-//!
-//! The ablations run their full experiment at `FULL_REPS` repetitions
-//! or more and a reduced smoke experiment below it
-//! ([`HarnessArgs::is_full`]).
+//! `--reps` sets the repetitions per treatment (default 200, the paper's
+//! count), `--quick` sets 30 for smoke runs, `--seed` the base RNG seed
+//! (default 1). `check` runs every experiment at `--quick` and seed 1
+//! against its golden under `baselines/quick/`. The ablations run their
+//! full experiment at `FULL_REPS` repetitions or more and a reduced smoke
+//! experiment below it ([`HarnessArgs::is_full`]).
 //!
 //! Repetitions fan out across host threads with crossbeam; each trial
 //! builds its own virtual machine, so parallelism cannot perturb the
@@ -28,7 +29,7 @@ use prebake_core::measure::{StartupTrial, TrialRunner};
 use prebake_stats::bootstrap::{median_ci, ConfInterval};
 use prebake_stats::summary::median;
 
-/// Command-line options shared by all harness binaries.
+/// Command-line options shared by all experiments.
 #[derive(Debug, Clone, Copy)]
 pub struct HarnessArgs {
     /// Repetitions per treatment.
@@ -49,40 +50,50 @@ impl Default for HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `std::env::args()`; exits with a usage message on error.
-    pub fn parse() -> HarnessArgs {
-        HarnessArgs::parse_from(&std::env::args().skip(1).collect::<Vec<_>>())
-            .unwrap_or_else(|msg| usage(&msg))
+    /// Parses `argv` (without the program name) into the experiments it
+    /// names, as indices into `ids` (`all` names every one), and the
+    /// shared options. Exits with status 2 and the usage line on an
+    /// unknown id or flag, a bad flag value, or no id at all.
+    pub fn parse(argv: &[String], ids: &[&str]) -> (Vec<usize>, HarnessArgs) {
+        HarnessArgs::parse_from(argv, ids).unwrap_or_else(|msg| {
+            eprintln!("{msg}\n{USAGE}");
+            std::process::exit(2);
+        })
     }
 
-    fn parse_from(argv: &[String]) -> Result<HarnessArgs, String> {
+    fn parse_from(argv: &[String], ids: &[&str]) -> Result<(Vec<usize>, HarnessArgs), String> {
         let mut args = HarnessArgs::default();
-        let mut i = 0;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--quick" => {
-                    args.reps = 30;
-                    i += 1;
-                }
+        let mut selected = Vec::new();
+        let mut argv = argv.iter();
+        while let Some(arg) = argv.next() {
+            match arg.as_str() {
+                "--quick" => args.reps = 30,
                 "--reps" => {
                     args.reps = argv
-                        .get(i + 1)
+                        .next()
                         .and_then(|v| v.parse().ok())
                         .filter(|&n| n > 0)
                         .ok_or("--reps needs a positive number")?;
-                    i += 2;
                 }
                 "--seed" => {
                     args.seed = argv
-                        .get(i + 1)
+                        .next()
                         .and_then(|v| v.parse().ok())
                         .ok_or("--seed needs a number")?;
-                    i += 2;
                 }
-                other => return Err(format!("unknown flag {other}")),
+                "all" => selected.extend(0..ids.len()),
+                flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+                id => selected.push(
+                    ids.iter()
+                        .position(|&known| known == id)
+                        .ok_or_else(|| format!("unknown experiment {id}"))?,
+                ),
             }
         }
-        Ok(args)
+        if selected.is_empty() {
+            return Err("no experiment named".to_owned());
+        }
+        Ok((selected, args))
     }
 
     /// Whether this is a full run rather than a quick smoke run.
@@ -105,7 +116,7 @@ impl HarnessArgs {
     /// Where the JSON artifact `name` belongs: only a baseline run
     /// refreshes the checked-in copy at the repository root; quick or
     /// reseeded runs land in the gitignored `results/` directory.
-    pub(crate) fn artifact_path(&self, name: &str) -> String {
+    pub fn artifact_path(&self, name: &str) -> String {
         if self.is_baseline_run() {
             name.to_owned()
         } else {
@@ -129,28 +140,8 @@ impl HarnessArgs {
     }
 }
 
-fn usage(msg: &str) -> ! {
-    eprintln!("{msg}\nusage: <bin> [--reps N] [--quick] [--seed S]");
-    std::process::exit(2);
-}
-
-/// Runs `reps` startup trials serially with the same seed schedule as
-/// [`parallel_startup_trials`] — the reference the parallel fan-out must
-/// reproduce bit-for-bit (each trial builds its own virtual machine, so
-/// host threading can never leak into virtual time).
-///
-/// # Panics
-///
-/// Panics if any trial fails.
-pub fn serial_startup_trials(runner: &TrialRunner, reps: usize, seed0: u64) -> Vec<StartupTrial> {
-    (0..reps)
-        .map(|i| {
-            runner
-                .startup_trial(seed0 + i as u64)
-                .expect("startup trial failed")
-        })
-        .collect()
-}
+const USAGE: &str = "usage: prebake-bench <id>...|all [--reps N] [--quick] [--seed S]
+       prebake-bench check";
 
 /// Runs `reps` startup trials in parallel across host threads.
 ///
@@ -204,11 +195,6 @@ pub fn summarize(samples_ms: &[f64], seed: u64) -> TreatmentSummary {
     }
 }
 
-/// Prints a horizontal rule sized to the report tables.
-pub fn hr() {
-    println!("{}", "-".repeat(78));
-}
-
 /// Formats an improvement percentage `(old - new) / old`.
 pub fn improvement_pct(old: f64, new: f64) -> f64 {
     (old - new) / old * 100.0
@@ -226,12 +212,40 @@ mod tests {
     use prebake_core::measure::StartMode;
     use prebake_functions::FunctionSpec;
 
+    /// Runs `reps` startup trials serially with the same seed schedule as
+    /// `parallel_startup_trials` — the reference the parallel fan-out must
+    /// reproduce bit-for-bit (each trial builds its own virtual machine, so
+    /// host threading can never leak into virtual time).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any trial fails.
+    fn serial_startup_trials(runner: &TrialRunner, reps: usize, seed0: u64) -> Vec<StartupTrial> {
+        (0..reps)
+            .map(|i| {
+                runner
+                    .startup_trial(seed0 + i as u64)
+                    .expect("startup trial failed")
+            })
+            .collect()
+    }
+
     #[test]
     fn quick_and_reseeded_runs_stay_out_of_the_checked_in_baselines() {
+        let ids = ["fig5_sizes", "ablation_fleet"];
         let try_parse = |argv: &[&str]| {
-            HarnessArgs::parse_from(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+            HarnessArgs::parse_from(
+                &argv.iter().map(|a| a.to_string()).collect::<Vec<_>>(),
+                &ids,
+            )
         };
-        let parse = |argv: &[&str]| try_parse(argv).unwrap();
+        let parse = |flags: &[&str]| try_parse(&[&["fig5_sizes"], flags].concat()).unwrap().1;
+        // Ids select experiments in the order named; `all` selects each.
+        assert_eq!(
+            try_parse(&["ablation_fleet", "fig5_sizes"]).unwrap().0,
+            [1, 0]
+        );
+        assert_eq!(try_parse(&["--quick", "all"]).unwrap().0, [0, 1]);
         let default = parse(&[]);
         assert!(default.is_full());
         assert_eq!(default.artifact_path("BENCH_x.json"), "BENCH_x.json");
@@ -249,10 +263,14 @@ mod tests {
         assert!(!parse(&["--reps", "39"]).is_full());
         assert_eq!(default.capped_reps(), FULL_REPS);
         assert_eq!(quick.capped_reps(), 30);
-        // Zero repetitions is a usage error, not an empty experiment.
-        assert!(try_parse(&["--reps", "0"]).is_err());
-        assert!(try_parse(&["--reps"]).is_err());
-        assert!(try_parse(&["--bogus"]).is_err());
+        // Zero repetitions is a usage error, not an empty experiment; so
+        // are an unknown id, an unknown flag and naming no experiment.
+        assert!(try_parse(&["all", "--reps", "0"]).is_err());
+        assert!(try_parse(&["all", "--reps"]).is_err());
+        assert!(try_parse(&["all", "--bogus"]).is_err());
+        assert!(try_parse(&["fig9_missing"]).is_err());
+        assert!(try_parse(&["--quick"]).is_err());
+        assert!(try_parse(&[]).is_err());
     }
 
     #[test]

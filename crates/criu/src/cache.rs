@@ -121,6 +121,7 @@ impl ImageCache {
 mod tests {
     use super::*;
     use crate::dump::{dump, DumpOptions};
+    use crate::image::ExtentsImage;
     use crate::image::WsImage;
     use prebake_sim::cost::CostModel;
     use prebake_sim::kernel::INIT_PID;
@@ -251,15 +252,18 @@ mod tests {
         // than its per-page twin plus the table's encoded bytes.
         let mut k = Kernel::with_config(CostModel::paper_calibrated(), Noise::new(0, 0.0));
         let coalesced = distinct_snapshot(&mut k, 1, 64);
-        assert!(coalesced.extents.is_some(), "dump emits the extent table");
-        let mut per_page = coalesced.clone();
-        per_page.extents = None;
+        assert!(
+            !coalesced.extents.extents.is_empty(),
+            "dump emits extent runs"
+        );
+        let mut no_runs = coalesced.clone();
+        no_runs.extents = ExtentsImage::default();
 
-        let table_bytes = coalesced.extents.as_ref().unwrap().encode().len() as u64;
-        assert!(table_bytes > 0, "the table counts toward the charge");
+        let run_bytes = (coalesced.extents.encode().len() - no_runs.extents.encode().len()) as u64;
+        assert!(run_bytes > 0, "the table counts toward the charge");
         assert_eq!(
             charged_alone(coalesced),
-            charged_alone(per_page) + table_bytes,
+            charged_alone(no_runs) + run_bytes,
             "and no more than its size"
         );
     }

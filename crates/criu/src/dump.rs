@@ -184,7 +184,7 @@ fn collect_images_inner(
         files: FilesImage { fds },
         ws: None,
         pagestore,
-        extents: Some(extents),
+        extents,
         fallback: None,
     })
 }
@@ -231,9 +231,7 @@ pub fn dump(kernel: &mut Kernel, tracer: Pid, opts: &DumpOptions) -> SysResult<D
     if let Some(store) = &set.pagestore {
         files.push((ImageSet::PAGESTORE_NAME, store.encode().into()));
     }
-    if let Some(ext) = &set.extents {
-        files.push((ImageSet::EXTENTS_NAME, ext.encode().into()));
-    }
+    files.push((ImageSet::EXTENTS_NAME, set.extents.encode().into()));
     if let Some(parent) = &opts.parent {
         files.push((ImageSet::PARENT_LINK, parent.clone().into()));
     }
@@ -467,7 +465,7 @@ pub fn repack(kernel: &mut Kernel, opts: &RepackOptions) -> SysResult<RepackStat
     let after = ImageSet {
         pages: hot.clone(),
         pagestore,
-        extents: Some(extents),
+        extents,
         fallback: opts.compact.then(|| fallback.clone()),
         ..set.clone()
     };
@@ -553,15 +551,12 @@ fn read_images_with(kernel: &mut Kernel, images_dir: &str, lazy: bool) -> SysRes
         None
     };
 
-    // Extent table: optional, so pre-extent snapshots keep restoring
-    // (the vectored path recoalesces from the pagemap via `extent_view`).
-    let extents_path = prebake_sim::fs::join_path(images_dir, ImageSet::EXTENTS_NAME);
-    let mut extents = if kernel.fs_exists(&extents_path) {
-        let ext_bytes = kernel.fs_read_file(&extents_path)?;
-        Some(ExtentsImage::parse(&ext_bytes, &pages).map_err(|_| Errno::Einval)?)
-    } else {
-        None
-    };
+    // Extent table: every dump and repack writes one.
+    let ext_bytes = kernel.fs_read_file(&prebake_sim::fs::join_path(
+        images_dir,
+        ImageSet::EXTENTS_NAME,
+    ))?;
+    let mut extents = ExtentsImage::parse(&ext_bytes, &pages).map_err(|_| Errno::Einval)?;
 
     // Compaction fallback layer: its payload is *never* read eagerly —
     // fallback pages are served by demand paging in every restore mode,
@@ -600,8 +595,8 @@ fn read_images_with(kernel: &mut Kernel, images_dir: &str, lazy: bool) -> SysRes
             PagesImage::parse(&parent_pagemap, &parent_pages_bytes).map_err(|_| Errno::Einval)?;
         pages = pages.resolve_parent(&parent).map_err(|_| Errno::Einval)?;
         // The dumped runs coalesced the *incremental* pagemap; resolution
-        // turned parent refs into stored pages, so recoalesce instead.
-        extents = None;
+        // turned parent refs into stored pages, so recoalesce.
+        extents = ExtentsImage::from_pages(&pages);
     }
 
     Ok(ImageSet {

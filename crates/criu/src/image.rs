@@ -1198,10 +1198,8 @@ impl PageExtent {
 /// A vectored restore walks this table instead of the per-page pagemap:
 /// each run becomes one scatter-gather operation (`copy_extent`,
 /// `cow_map_extent`, vectored prefetch) — the `preadv`/iovec batching
-/// real CRIU uses to amortise per-page syscall overhead. The table is
-/// derivable from the pagemap, so the file is optional: old per-page
-/// images parse unchanged and a restore can recompute the runs on the
-/// fly via `ExtentsImage::from_pages`.
+/// real CRIU uses to amortise per-page syscall overhead. Every dump and
+/// repack writes it, and reading an image set without it fails.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub(crate) struct ExtentsImage {
     /// Coalesced runs in ascending `start_index` order.
@@ -1354,10 +1352,8 @@ pub struct ImageSet {
     /// (`pagestore.img`). Optional: pre-dedup snapshots and incremental
     /// dumps lack it, and every non-CoW restore path ignores it.
     pub pagestore: Option<PageStoreImage>,
-    /// Coalesced pagemap runs (`extents.img`). Optional: old per-page
-    /// images lack it and a vectored restore recomputes the runs from
-    /// the pagemap instead.
-    pub(crate) extents: Option<ExtentsImage>,
+    /// Coalesced pagemap runs (`extents.img`).
+    pub(crate) extents: ExtentsImage,
     /// Compaction fallback layer (`fallback-pagemap.img` +
     /// `fallback-pages.img`): the never-faulted stored pages a
     /// `--compact` repack dropped out of the hot image. Optional; when
@@ -1382,7 +1378,7 @@ impl ImageSet {
     pub const WS_NAME: &'static str = "ws.img";
     /// `pagestore.img` — the content-addressed dedup view (optional).
     pub(crate) const PAGESTORE_NAME: &'static str = "pagestore.img";
-    /// `extents.img` — the coalesced pagemap runs (optional).
+    /// `extents.img` — the coalesced pagemap runs.
     pub(crate) const EXTENTS_NAME: &'static str = "extents.img";
     /// `fallback-pagemap.img` — pagemap of the compaction fallback layer
     /// (optional; only `--compact` repacks write it).
@@ -1421,15 +1417,7 @@ impl ImageSet {
                 .pagestore
                 .as_ref()
                 .map_or(0, PageStoreImage::encoded_len)
-            + self.extents.as_ref().map_or(0, ExtentsImage::encoded_len)) as u64
-    }
-
-    /// The extent view to restore by: the dumped table when present, a
-    /// fresh coalescing of the pagemap otherwise (old per-page images).
-    pub(crate) fn extent_view(&self) -> ExtentsImage {
-        self.extents
-            .clone()
-            .unwrap_or_else(|| ExtentsImage::from_pages(&self.pages))
+            + self.extents.encoded_len()) as u64
     }
 
     /// Bytes this set contributes *besides* page payload: metadata images
@@ -1721,7 +1709,7 @@ mod tests {
             files: FilesImage::default(),
             ws: None,
             pagestore: None,
-            extents: None,
+            extents: ExtentsImage::default(),
             fallback: None,
         };
         let total = set.total_bytes();
@@ -1962,34 +1950,6 @@ mod tests {
     }
 
     #[test]
-    fn image_set_extent_view_derives_when_absent() {
-        let mut pages = PagesBuilder::default();
-        pages.push(3, &filled(1));
-        pages.push(4, &filled(2));
-        let pages = pages.finish();
-        let ext = ExtentsImage::from_pages(&pages);
-        let mut set = ImageSet {
-            core: sample_core(),
-            mm: sample_mm(),
-            pages,
-            files: FilesImage::default(),
-            ws: None,
-            pagestore: None,
-            extents: None,
-            fallback: None,
-        };
-        let without = set.total_bytes();
-        assert_eq!(set.extent_view(), ext, "derived from the pagemap");
-        set.extents = Some(ext.clone());
-        assert_eq!(set.extent_view(), ext, "dumped table preferred");
-        assert_eq!(
-            set.total_bytes(),
-            without + ext.encode().len() as u64,
-            "extent table counts toward the set's footprint"
-        );
-    }
-
-    #[test]
     fn image_set_charges_pagestore_and_exposes_non_payload_base() {
         let mut pages = PagesBuilder::default();
         for i in 0..8 {
@@ -2004,7 +1964,7 @@ mod tests {
             files: FilesImage::default(),
             ws: None,
             pagestore: None,
-            extents: None,
+            extents: ExtentsImage::default(),
             fallback: None,
         };
         let mut with = without.clone();
@@ -2128,7 +2088,7 @@ mod tests {
             files,
             ws: Some(ws),
             pagestore: Some(store),
-            extents: Some(extents),
+            extents,
             fallback: Some(pages),
         };
         let encoded = |p: &PagesImage| (p.encode_pagemap().len() + p.encode_pages().len()) as u64;
@@ -2137,7 +2097,7 @@ mod tests {
             + set.files.encode().len()
             + set.ws.as_ref().unwrap().encode().len()
             + set.pagestore.as_ref().unwrap().encode().len()
-            + set.extents.as_ref().unwrap().encode().len()) as u64
+            + set.extents.encode().len()) as u64
             + encoded(&set.pages);
         assert_eq!(set.hot_bytes(), hot);
         assert_eq!(

@@ -437,7 +437,7 @@ fn extent_runs(set: &ImageSet) -> impl Iterator<Item = SysResult<Run>> + '_ {
             PageSource::Stored(page) => Some(page),
             _ => None,
         });
-    set.extent_view().extents.into_iter().map(move |extent| {
+    set.extents.extents.iter().map(move |extent| {
         let payload: Vec<_> = stored.by_ref().take(extent.pages as usize).collect();
         if payload.len() < extent.pages as usize {
             return Err(Errno::Einval);

@@ -8,6 +8,7 @@ use prebake_criu::image::{
     CoreImage, FilesImage, MmImage, PagesBuilder, PagesImage, ThreadImage, WsImage,
 };
 use prebake_criu::restore::{restore, RestoreMode, RestoreOptions};
+use prebake_sim::error::Errno;
 use prebake_sim::kernel::{Kernel, INIT_PID};
 use prebake_sim::mem::{Page, Prot, Vma, VmaKind, PAGE_SIZE};
 use prebake_sim::proc::{FdEntry, Pid, Regs, Tid};
@@ -130,9 +131,9 @@ proptest! {
 
     /// An extent-coalesced dump restores bit-identically in every
     /// install variant — eager run-at-a-time, page-at-a-time and sharded
-    /// over 2 and 4 threads, then lazy, CoW and prefetch — and a legacy
-    /// image set without `extents.img` still round-trips (the vectored
-    /// path recoalesces runs from the pagemap).
+    /// over 2 and 4 threads, then lazy, CoW and prefetch — and an image
+    /// set without `extents.img` fails to restore, as one without
+    /// `pages.img` does.
     #[test]
     fn extent_restore_is_bit_identical_across_modes(
         regions in prop::collection::vec((1u64..10, prop::collection::vec(any::<u8>(), 1..2000)), 1..4),
@@ -191,14 +192,11 @@ proptest! {
             kernel.reap(stats.pid).unwrap();
         }
 
-        // Legacy image set: drop the extent table (absent entirely in
-        // pre-extent dumps) and restore on the default vectored path.
-        let _ = kernel.fs_remove_file("/img/extents.img");
-        let stats = restore(&mut kernel, tracer, &RestoreOptions::new("/img")).unwrap();
-        for (addr, data) in &writes {
-            let back = kernel.mem_read(stats.pid, *addr, data.len() as u64).unwrap();
-            prop_assert_eq!(&back, data);
-        }
+        // Every dump writes the extent table; a set without it is
+        // incomplete.
+        kernel.fs_remove_file("/img/extents.img").unwrap();
+        let missing = restore(&mut kernel, tracer, &RestoreOptions::new("/img"));
+        prop_assert_eq!(missing.err(), Some(Errno::Enoent));
     }
 
     /// A fault-order repack under an arbitrary recorded order restores

@@ -220,6 +220,11 @@ impl FunctionSpec {
         self
     }
 
+    /// The runtime flavour this function starts on.
+    pub fn runtime(&self) -> RuntimeProfile {
+        self.runtime
+    }
+
     /// Renames the function (deploying many copies of one workload under
     /// distinct names, e.g. for multi-tenant platform experiments).
     pub fn with_name(mut self, name: impl Into<String>) -> FunctionSpec {

@@ -19,31 +19,6 @@ run() {
   fi
 }
 
-# Golden check for one experiment: a quick run must pass the harness's
-# own asserts (the claims EXPERIMENTS.md reports) and reproduce its
-# committed golden baselines/quick/<golden> byte for byte. A `.json`
-# golden is compared with the run's results/ artifact, any other with
-# its stdout (kept under target/, away from the tracked full-run
-# results/*.txt). To accept an intended change, copy the new output over
-# the golden and commit it.
-golden() {
-  local bin=$1 expected=baselines/quick/$2 out=target/quick/$1.txt started=$SECONDS status
-  echo "==> $bin --quick vs $expected"
-  mkdir -p target/quick
-  cargo run --release -q -p prebake-bench --bin "$bin" -- --quick >"$out"
-  status=$?
-  # Recorded, not gated: shared runners are too noisy for a time bound.
-  echo "    $bin --quick took $((SECONDS - started)) s"
-  if [ "$status" -ne 0 ]; then
-    tail -n 40 "$out"
-    echo "FAILED: $bin --quick"
-    fail=1
-    return
-  fi
-  case $2 in *.json) out=results/$2 ;; esac
-  diff -u "$expected" "$out" || { echo "FAILED: $bin moved from $expected"; fail=1; }
-}
-
 cd "$(dirname "$0")/.."
 
 run cargo build --release
@@ -52,18 +27,14 @@ run cargo build --release
 # check of every committed JSON baseline (crates/bench) and the perfbench
 # build check (tests/perfbench_builds.rs).
 run cargo test -q
-for bin in fig3_startup fig4_phases fig5_sizes fig6_speedup fig7_ecdf table1_intervals \
-  extension_runtimes extension_concurrency extension_predump ablation_pool_baseline \
-  ablation_snapshot_point ablation_memcache ablation_lazy_restore ablation_pagestore trace_startup; do
-  golden "$bin" "$bin.txt"
-done
-golden ablation_extent_restore BENCH_restore.json
-golden ablation_fleet BENCH_fleet.json
-golden ablation_registry BENCH_registry.json
-golden ablation_restore_parallel BENCH_parallel.json
-golden ablation_obs BENCH_obs.json
-golden ablation_scale BENCH_scale.json
-golden ablation_gateway BENCH_gateway.json
+# Golden check: every experiment runs once at --quick in one process,
+# must pass its own asserts (the claims EXPERIMENTS.md reports) and must
+# reproduce its committed golden baselines/quick/<golden> byte for byte:
+# the JSON artifact where it writes one, its stdout otherwise. A moved
+# output is left under target/quick/ for `diff -u`. To accept an
+# intended change, copy the new output over the golden and commit it.
+# Each experiment's wall seconds are printed, ungated.
+run cargo run --release -q -p prebake-bench -- check
 # perfbench (BENCHMARK.json) is a workspace of its own: its unit tests,
 # then one quick pass of every workload and the traced pass for their
 # verification checks. Exit code only — shared runners are too noisy
